@@ -36,6 +36,7 @@ from .pairs import (
     Involution,
     TripleDescriptor,
     TripleReport,
+    NotTransitiveTriple,
     eigenspace_split,
     is_reductively_embedded,
     is_infinitesimally_transitive,

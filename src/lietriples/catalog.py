@@ -22,8 +22,9 @@ Conventions fixed here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import env2
@@ -33,13 +34,11 @@ from .liealg import (
     LieAlgebra,
     direct_sum,
     g2_split,
-    killing_form,
     restrict_form,
     sl,
     so,
     so_coordinates,
     su,
-    subalgebra_on_own_basis,
     subspace_in_subalgebra_coords,
     u,
 )
@@ -74,6 +73,8 @@ class CatalogEntry:
     theta: dict
     l: dict
     generators: tuple = GENERATOR_NAMES
+    # where the entry was read from, for error messages; not part of its value
+    source: str = field(default="", compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,23 +92,33 @@ def _parse_vec(v: Sequence) -> list:
     return [Fraction(str(x)) for x in v]
 
 
+def _int_field(recipe: dict, key: str, where: str) -> int:
+    """recipe[key] as a JSON integer; where locates the recipe in messages."""
+    if key not in recipe:
+        raise CatalogError(f"{where}.{key}: missing")
+    value = recipe[key]
+    if type(value) is not int:  # rejects floats, strings and bools alike
+        raise CatalogError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 # -- recipe interpreters ----------------------------------------------------
 
 
-def _build_algebra(recipe: dict) -> LieAlgebra:
+def _build_algebra(recipe: dict, where: str = "algebra") -> LieAlgebra:
     kind = recipe.get("kind")
-    if kind == "so":
-        return so(int(recipe["p"]), int(recipe["q"]))
+    if kind in ("so", "u", "su"):
+        build = {"so": so, "u": u, "su": su}[kind]
+        return build(_int_field(recipe, "p", where), _int_field(recipe, "q", where))
     if kind == "sl":
-        return sl(int(recipe["n"]))
-    if kind == "u":
-        return u(int(recipe["p"]), int(recipe["q"]))
-    if kind == "su":
-        return su(int(recipe["p"]), int(recipe["q"]))
+        return sl(_int_field(recipe, "n", where))
     if kind == "g2split":
         return g2_split()
     if kind == "direct_sum":
-        factors = [_build_algebra(f) for f in recipe["factors"]]
+        factors = [
+            _build_algebra(f, f"{where}.factors[{i}]")
+            for i, f in enumerate(recipe["factors"])
+        ]
         if len(factors) != 2:
             raise CatalogError("direct_sum wants exactly two factors")
         return direct_sum(factors[0], factors[1])
@@ -131,56 +142,49 @@ def _build_involution(g: LieAlgebra, recipe: dict) -> Involution:
     raise CatalogError(f"unknown involution recipe kind: {kind!r}")
 
 
-def _build_l(g: LieAlgebra, recipe: dict) -> RatMatrix:
-    """Frame matrix whose columns are the preferred ordered basis of l."""
+def _build_l(
+    g: LieAlgebra, recipe: dict, where: str = "l"
+) -> tuple[RatMatrix, Optional[list]]:
+    """(frame, labels): the columns of the frame are the preferred ordered
+    basis of l, and labels names them (None for explicit vectors)."""
     kind = recipe.get("kind")
     if kind == "first_factor":
         half = g.dim // 2
-        cols = []
-        for i in range(half):
-            e = [Fraction(0)] * g.dim
-            e[i] = Fraction(1)
-            cols.append(e)
-        return RatMatrix.from_columns(g.dim, cols)
+        cols = RatMatrix.identity(g.dim).entries[:half]
+        return RatMatrix.from_columns(g.dim, cols), list(g.basis_labels[:half])
     if kind == "u_realified":
-        p_sig, q_sig = int(recipe["p"]), int(recipe["q"])
+        p_sig, q_sig = _int_field(recipe, "p", where), _int_field(recipe, "q", where)
         lu = u(p_sig, q_sig)
         cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in lu.matrices]
-        return RatMatrix.from_columns(g.dim, cols)
+        return RatMatrix.from_columns(g.dim, cols), list(lu.basis_labels)
     if kind == "g2_in_so43":
         lg2 = g2_split()
         cols = [so_coordinates(4, 3, m) for m in lg2.matrices]
-        return RatMatrix.from_columns(g.dim, cols)
+        return RatMatrix.from_columns(g.dim, cols), list(lg2.basis_labels)
     if kind == "explicit":
         cols = [_parse_vec(v) for v in recipe["vectors"]]
-        return RatMatrix.from_columns(g.dim, cols)
+        return RatMatrix.from_columns(g.dim, cols), None
     raise CatalogError(f"unknown l recipe kind: {kind!r}")
-
-
-def _l_labels(g: LieAlgebra, recipe: dict) -> Optional[list]:
-    kind = recipe.get("kind")
-    if kind == "u_realified":
-        lu = u(int(recipe["p"]), int(recipe["q"]))
-        return list(lu.basis_labels)
-    if kind == "g2_in_so43":
-        return list(g2_split().basis_labels)
-    if kind == "first_factor":
-        return list(g.basis_labels[: g.dim // 2])
-    return None
 
 
 # -- built triples -----------------------------------------------------------
 
 
 class BuiltTriple:
-    """A catalog entry resolved into exact objects, computed lazily."""
+    """A catalog entry resolved into exact objects, computed lazily.
+
+    The derived objects of the triple (h, q, k, s, the Killing form, l as an
+    algebra, l cap h) are owned by the descriptor; this class adds the
+    Casimir elements and the evidence records of the CLI verbs.
+    """
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
-        self.g = _build_algebra(entry.algebra)
+        where = entry.source or entry.name
+        self.g = _build_algebra(entry.algebra, f"{where}: algebra")
         sigma = _build_involution(self.g, entry.sigma)
         theta = _build_involution(self.g, entry.theta)
-        frame = _build_l(self.g, entry.l)
+        frame, labels = _build_l(self.g, entry.l, f"{where}: l")
         l_space = SubspaceBasis(self.g.dim, frame.transpose().entries)
         self.descriptor = TripleDescriptor(
             g=self.g,
@@ -189,54 +193,30 @@ class BuiltTriple:
             l=l_space,
             name=entry.name,
             l_frame=frame,
+            l_labels=labels,
         )
-        self._killing: Optional[KillingForm] = None
-        self._l_alg: Optional[LieAlgebra] = None
-        self._omega_g: Optional[Quad2] = None
-        self._generators = None
-        self._lh_l = None
 
     @property
     def killing(self) -> KillingForm:
-        if self._killing is None:
-            self._killing = killing_form(self.g)
-        return self._killing
+        return self.descriptor.killing
 
     @property
     def l_alg(self) -> LieAlgebra:
-        if self._l_alg is None:
-            frame = self.descriptor.l_frame
-            labels = _l_labels(self.g, self.entry.l)
-            self._l_alg, _ = subalgebra_on_own_basis(
-                self.g, [frame.column(j) for j in range(frame.cols)], labels
-            )
-        return self._l_alg
+        return self.descriptor.l_alg
 
     @property
     def frame(self) -> RatMatrix:
-        return self.descriptor.l_frame
-
-    def _to_l(self, space_ambient: SubspaceBasis) -> SubspaceBasis:
-        return subspace_in_subalgebra_coords(self.frame, space_ambient)
+        return self.descriptor.frame
 
     @property
     def l_cap_h(self) -> SubspaceBasis:
-        if self._lh_l is None:
-            self._lh_l = self._to_l(
-                subspace_intersection(self.descriptor.l, self.descriptor.h)
-            )
-        return self._lh_l
+        """l cap h in l-coordinates."""
+        return self.descriptor.l_cap_h_in_l
 
-    @property
+    @cached_property
     def omega_g(self) -> Quad2:
-        if self._omega_g is None:
-            full = SubspaceBasis.full(self.g.dim)
-            self._omega_g = casimir(self.g, full, self.killing.gram)
-        return self._omega_g
-
-    def killing_on_l(self) -> RatMatrix:
-        f = self.frame
-        return f.transpose() @ self.killing.gram @ f
+        full = SubspaceBasis.full(self.g.dim)
+        return casimir(self.g, full, self.killing.gram)
 
     def generator_subspace(self, name: str) -> SubspaceBasis:
         """The subspace of l (in l-coordinates) normalizing each generator."""
@@ -244,25 +224,34 @@ class BuiltTriple:
         if name == "omega_l":
             return SubspaceBasis.full(self.l_alg.dim)
         if name == "omega_l_cap_k":
-            return self._to_l(subspace_intersection(d.l, d.k))
-        if name == "omega_l_cap_s_cap_q":
-            lsq = subspace_intersection(subspace_intersection(d.l, d.s), d.q)
-            return self._to_l(lsq)
-        raise CatalogError(f"unknown generator name: {name!r}")
+            ambient = subspace_intersection(d.l, d.k)
+        elif name == "omega_l_cap_s_cap_q":
+            ambient = subspace_intersection(subspace_intersection(d.l, d.s), d.q)
+        else:
+            raise CatalogError(f"unknown generator name: {name!r}")
+        return subspace_in_subalgebra_coords(self.frame, ambient)
 
-    def twisted_killing_on_l(self) -> RatMatrix:
-        """Gram of B(X, theta Y) on the l frame, in l-coordinates.
+    @cached_property
+    def _normalized_subspaces(self) -> list:
+        """[(name, subspace of l, normalizing form on it)] per generator.
 
-        This form agrees with the Killing form on compact directions (theta
-        fixes them) and is its negative on s-directions, so it is negative
-        definite wherever we use it.  It normalizes the auxiliary generators
-        below; the plain restriction would flip the sign of the mixed
-        subspace generator.
+        The forms are Grams on the l frame, in l-coordinates (see
+        generators).  B(X, theta Y) agrees with the Killing form on compact
+        directions (theta fixes them) and is its negative on s-directions, so
+        it is negative definite wherever we use it; the plain restriction
+        would flip the sign of the mixed subspace generator.
         """
         f = self.frame
-        return f.transpose() @ self.killing.gram @ self.descriptor.theta.matrix @ f
+        b_l = f.transpose() @ self.killing.gram @ f
+        b_twist = f.transpose() @ self.killing.gram @ self.descriptor.theta.matrix @ f
+        out = []
+        for name in self.entry.generators:
+            sub = self.generator_subspace(name)
+            form = restrict_form(b_l if name == "omega_l" else b_twist, sub)
+            out.append((name, sub, form))
+        return out
 
-    @property
+    @cached_property
     def generators(self) -> list:
         """[(name, Quad2 over l)] normalized per the catalog convention.
 
@@ -271,24 +260,20 @@ class BuiltTriple:
         l cap k this equals the restricted Killing form, and on the mixed
         subspace l cap s cap q it is the negative of it.
         """
-        if self._generators is None:
-            b_l = self.killing_on_l()
-            b_twist = self.twisted_killing_on_l()
-            out = []
-            for name in self.entry.generators:
-                sub = self.generator_subspace(name)
-                form = restrict_form(b_l if name == "omega_l" else b_twist, sub)
-                out.append((name, casimir(self.l_alg, sub, form)))
-            self._generators = out
-        return self._generators
+        return [
+            (name, casimir(self.l_alg, sub, form))
+            for name, sub, form in self._normalized_subspaces
+        ]
 
     def iota_of_casimir(self, complement_seed: Optional[int] = None) -> Quad2:
-        return env2.iota_embed(
-            self.descriptor,
-            self.omega_g,
-            l_alg=self.l_alg,
-            complement_seed=complement_seed,
-        )
+        if complement_seed is None:
+            return self._canonical_image
+        return env2.iota_embed(self.descriptor, self.omega_g, complement_seed)
+
+    @cached_property
+    def _canonical_image(self) -> Quad2:
+        """iota(Omega_G) through the default complement."""
+        return env2.iota_embed(self.descriptor, self.omega_g)
 
     def embedding_report(self) -> dict:
         """Coefficients of iota(Omega_G) over the generator list, plus checks."""
@@ -312,7 +297,7 @@ class BuiltTriple:
     def triple_evidence(self) -> dict:
         """Auditable extras for the triples-check command."""
         d = self.descriptor
-        lh = subspace_intersection(d.l, d.h)
+        lh = d.l_cap_h
         sig_l = signature(restrict_form(self.killing, d.l))
         sig_lh = (
             signature(restrict_form(self.killing, lh)) if lh.dim else (0, 0, 0)
@@ -328,20 +313,13 @@ class BuiltTriple:
     def embedding_evidence(self) -> dict:
         """Auditable extras for the embedding command."""
         d = self.descriptor
-        gen_dims = {
-            name: self.generator_subspace(name).dim for name in self.entry.generators
-        }
-        b_l = self.killing_on_l()
-        b_twist = self.twisted_killing_on_l()
+        gen_dims = {}
         sym_equal = True
-        for name in self.entry.generators:
-            sub = self.generator_subspace(name)
-            if sub.dim == 0:
-                continue
-            form = restrict_form(b_l if name == "omega_l" else b_twist, sub)
-            plain = casimir(self.l_alg, sub, form)
-            sym = env2.symmetrized_casimir(self.l_alg, sub, form)
-            if plain != sym:
+        for (name, sub, form), (_, plain) in zip(
+            self._normalized_subspaces, self.generators
+        ):
+            gen_dims[name] = sub.dim
+            if sub.dim and plain != env2.symmetrized_casimir(self.l_alg, sub, form):
                 sym_equal = False
         image = self.iota_of_casimir()
         image_terms = []
@@ -501,6 +479,7 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
         theta=data["theta"],
         l=data["l"],
         generators=generators,
+        source=where,
     )
 
 

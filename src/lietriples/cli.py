@@ -35,7 +35,7 @@ from . import catalog as cat
 from .catalog import CatalogError, canonical_json
 from .env2 import DegenerateForm, NotInvariant, NotTransitive
 from .parabolic import IrrationalSpectrum, is_spherical_triple
-from .pairs import check_transitive_triple
+from .pairs import NotTransitiveTriple, check_transitive_triple
 from .spectra import lorentzian_spectrum_report
 
 EXIT_OK = 0
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotInvariant, NotTransitive, DegenerateForm) as exc:
+    except (NotInvariant, NotTransitive, NotTransitiveTriple, DegenerateForm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except IrrationalSpectrum as exc:

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .liealg import LieAlgebra, is_subalgebra, subalgebra_on_own_basis
+from .liealg import LieAlgebra, is_subalgebra
 from .pairs import TripleDescriptor
 from .ratlin import (
     RatMatrix,
@@ -398,10 +398,7 @@ def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
 
 
 def iota_embed(
-    t: TripleDescriptor,
-    q: Quad2,
-    l_alg: Optional[LieAlgebra] = None,
-    complement_seed: Optional[int] = None,
+    t: TripleDescriptor, q: Quad2, complement_seed: Optional[int] = None
 ) -> Quad2:
     """Transfer an H-invariant degree <= 2 element of U(g) into U(l).
 
@@ -412,8 +409,6 @@ def iota_embed(
     transfer map and does not depend on the choice of w; passing
     complement_seed picks a randomized valid w for exercising exactly that.
     """
-    from .ratlin import subspace_intersection
-
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
         raise ValueError("q is not an element over the ambient algebra")
@@ -424,8 +419,7 @@ def iota_embed(
     if not check_h_invariant(q, h):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
 
-    frame = t.l_frame if t.l_frame is not None else l.matrix()
-    frame_cols = [list(frame.column(j)) for j in range(frame.cols)]
+    frame_cols = [list(col) for col in t.frame.columns()]
 
     if complement_seed is None:
         candidates = [list(v) for v in h.vectors]
@@ -449,22 +443,8 @@ def iota_embed(
     quad, lin, const = adapted.transform(q)
     surv_quad = {(i, j): c for (i, j), c in quad.items() if j < n_l}
     surv_lin = {i: c for i, c in lin.items() if i < n_l}
-
-    if l_alg is None:
-        l_alg, _ = subalgebra_on_own_basis(g, frame_cols)
-    elif l_alg.dim != n_l:
-        raise ValueError("provided l algebra has the wrong dimension")
-    survivor = Quad2(l_alg, surv_quad, surv_lin, const)
-
-    lh_ambient = subspace_intersection(l, h)
-    lh_coords = []
-    for v in lh_ambient.vectors:
-        c = solve(frame, list(v))
-        if c is None:
-            raise ValueError("l cap h escapes l; inconsistent descriptor")
-        lh_coords.append(c)
-    lh = SubspaceBasis(n_l, lh_coords)
-    return reduce_mod_left_ideal(survivor, lh)
+    survivor = Quad2(t.l_alg, surv_quad, surv_lin, const)
+    return reduce_mod_left_ideal(survivor, t.l_cap_h_in_l)
 
 
 def decompose_in_span(

@@ -12,23 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratlin import (
-    RatMatrix,
-    SubspaceBasis,
-    kernel,
-    rank,
-    solve,
-)
+from .ratlin import BasisSolver, DependentBasis, RatMatrix, SubspaceBasis, kernel
 
 Rat = Fraction
 
 
 class NotClosed(ValueError):
     """A commutator escaped the span of the proposed basis."""
-
-
-class DependentBasis(ValueError):
-    """The proposed basis matrices are linearly dependent."""
 
 
 class LieAlgebra:
@@ -70,9 +60,6 @@ class LieAlgebra:
         if i < j:
             return self._table.get((i, j), {})
         return {k: -v for k, v in self._table.get((j, i), {}).items()}
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.bracket_basis_sparse(i, j).get(k, Fraction(0))
 
     def bracket_basis(self, i: int, j: int) -> list:
         """[X_i, X_j] as a dense coordinate list."""
@@ -197,16 +184,14 @@ def from_matrix_basis(
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("basis matrices must be square of equal size")
-    span = RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats])
-    if rank(span) != len(mats):
-        raise DependentBasis("basis matrices are linearly dependent")
+    solver = BasisSolver(RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats]))
     if labels is None:
         labels = [f"X{i}" for i in range(len(mats))]
     table: dict = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coeffs = solve(span, _vectorize(comm))
+            coeffs = solver.coordinates(_vectorize(comm))
             if coeffs is None:
                 raise NotClosed(
                     f"commutator of basis elements {i} and {j} leaves the span"
@@ -531,8 +516,7 @@ def subalgebra_on_own_basis(
     are re-solved through P; raises NotClosed when the span is not closed.
     """
     p = RatMatrix.from_columns(g.dim, [list(v) for v in basis_vectors])
-    if rank(p) != p.cols:
-        raise DependentBasis("subalgebra basis is linearly dependent")
+    solver = BasisSolver(p)
     if labels is None:
         labels = [f"Z{i}" for i in range(p.cols)]
     table: dict = {}
@@ -540,7 +524,7 @@ def subalgebra_on_own_basis(
     for i in range(p.cols):
         for j in range(i + 1, p.cols):
             br = g.bracket(cols[i], cols[j])
-            coeffs = solve(p, br)
+            coeffs = solver.coordinates(br)
             if coeffs is None:
                 raise NotClosed("span is not closed under the bracket")
             entry = {k: c for k, c in enumerate(coeffs) if c != 0}
@@ -562,9 +546,10 @@ def subspace_in_subalgebra_coords(
     p: RatMatrix, s: SubspaceBasis
 ) -> SubspaceBasis:
     """Re-express a subspace of g contained in span(P) in P-coordinates."""
+    solver = BasisSolver(p)
     vectors = []
     for v in s.vectors:
-        coeffs = solve(p, v)
+        coeffs = solver.coordinates(v)
         if coeffs is None:
             raise ValueError("subspace is not contained in the subalgebra")
         vectors.append(coeffs)

@@ -12,18 +12,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
-from .liealg import LieAlgebra, killing_form, restrict_form
+from .liealg import (
+    KillingForm,
+    LieAlgebra,
+    _vectorize,
+    is_subalgebra,
+    killing_form,
+    restrict_form,
+    subalgebra_on_own_basis,
+    subspace_in_subalgebra_coords,
+)
 from .ratlin import (
+    BasisSolver,
     RatMatrix,
     SubspaceBasis,
+    inverse,
     kernel,
     rank,
     signature,
     subspace_intersection,
     subspace_sum,
 )
+
+
+class NotTransitiveTriple(ValueError):
+    """A transitive triple was required and the descriptor is not one."""
 
 
 class Involution:
@@ -66,48 +82,41 @@ def involution_from_images(g: LieAlgebra, images: Sequence[Sequence]) -> Involut
     return Involution(RatMatrix.from_columns(g.dim, [list(v) for v in images]))
 
 
+def _matrix_map_involution(
+    g: LieAlgebra, image_of: Callable[[RatMatrix], RatMatrix], what: str
+) -> Involution:
+    """Involution induced by a map on the realizing matrices of g.
+
+    Each image matrix is re-expanded in the algebra basis exactly.
+    """
+    if g.matrices is None:
+        raise ValueError(f"{what} needs a matrix realization")
+    size = g.matrices[0].rows ** 2
+    solver = BasisSolver(
+        RatMatrix.from_columns(size, [_vectorize(m) for m in g.matrices])
+    )
+    images = []
+    for m in g.matrices:
+        coords = solver.coordinates(_vectorize(image_of(m)))
+        if coords is None:
+            raise ValueError(f"{what} does not preserve the algebra")
+        images.append(coords)
+    return involution_from_images(g, images)
+
+
 def conjugation_involution(g: LieAlgebra, s: RatMatrix) -> Involution:
     """Involution X -> S X S^-1 of a matrix-realized algebra.
 
     Requires S^2 to be a scalar multiple of the identity so that conjugation
-    is involutive; each image is re-expanded in the algebra basis exactly.
+    is involutive.
     """
-    if g.matrices is None:
-        raise ValueError("conjugation involution needs a matrix realization")
-    from .ratlin import inverse, solve
-    from .liealg import _vectorize
-
     s_inv = inverse(s)
-    span = RatMatrix.from_columns(
-        g.matrices[0].rows ** 2, [_vectorize(m) for m in g.matrices]
-    )
-    images = []
-    for m in g.matrices:
-        conj = s @ m @ s_inv
-        coords = solve(span, _vectorize(conj))
-        if coords is None:
-            raise ValueError("conjugation does not preserve the algebra")
-        images.append(coords)
-    return involution_from_images(g, images)
+    return _matrix_map_involution(g, lambda m: s @ m @ s_inv, "conjugation")
 
 
 def negative_transpose_involution(g: LieAlgebra) -> Involution:
     """Involution X -> -X^T of a matrix-realized algebra."""
-    if g.matrices is None:
-        raise ValueError("needs a matrix realization")
-    from .ratlin import solve
-    from .liealg import _vectorize
-
-    span = RatMatrix.from_columns(
-        g.matrices[0].rows ** 2, [_vectorize(m) for m in g.matrices]
-    )
-    images = []
-    for m in g.matrices:
-        coords = solve(span, _vectorize(m.transpose().scale(-1)))
-        if coords is None:
-            raise ValueError("negative transpose does not preserve the algebra")
-        images.append(coords)
-    return involution_from_images(g, images)
+    return _matrix_map_involution(g, lambda m: -m.transpose(), "negative transpose")
 
 
 def swap_involution(g: LieAlgebra) -> Involution:
@@ -133,54 +142,86 @@ def eigenspace_split(
     return plus, minus
 
 
+@dataclass(frozen=True, eq=False)
 class TripleDescriptor:
     """A candidate triple: ambient g, involutions sigma / theta, subalgebra l.
 
-    h and k are always derived from the involutions, never stored; l_frame
-    optionally fixes a preferred ordered basis of l (columns, in
-    g-coordinates) used for enveloping-algebra work and evidence records.
+    l_frame optionally fixes a preferred ordered basis of l (columns, in
+    g-coordinates) used for enveloping-algebra work and evidence records,
+    and l_labels names its columns.  Everything else (h, q, k, s, the
+    Killing form, l as an algebra, its Cartan split, l cap h) is derived
+    lazily, once, and kept here, so every verb reads the same objects.
     """
 
-    __slots__ = ("g", "sigma", "theta", "l", "name", "l_frame")
+    g: LieAlgebra
+    sigma: Involution
+    theta: Involution
+    l: SubspaceBasis
+    name: str = ""
+    l_frame: Optional[RatMatrix] = None
+    l_labels: Optional[Sequence[str]] = None
 
-    def __init__(
-        self,
-        g: LieAlgebra,
-        sigma: Involution,
-        theta: Involution,
-        l: SubspaceBasis,
-        name: str = "",
-        l_frame: Optional[RatMatrix] = None,
-    ):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "l_frame", l_frame)
+    @cached_property
+    def _sigma_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        return eigenspace_split(self.g, self.sigma)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TripleDescriptor is immutable")
+    @cached_property
+    def _theta_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        return eigenspace_split(self.g, self.theta)
 
     @property
     def h(self) -> SubspaceBasis:
-        return eigenspace_split(self.g, self.sigma)[0]
+        return self._sigma_split[0]
 
     @property
     def q(self) -> SubspaceBasis:
-        return eigenspace_split(self.g, self.sigma)[1]
+        return self._sigma_split[1]
 
     @property
     def k(self) -> SubspaceBasis:
-        return eigenspace_split(self.g, self.theta)[0]
+        return self._theta_split[0]
 
     @property
     def s(self) -> SubspaceBasis:
-        return eigenspace_split(self.g, self.theta)[1]
+        return self._theta_split[1]
+
+    @cached_property
+    def killing(self) -> KillingForm:
+        return killing_form(self.g)
+
+    @cached_property
+    def frame(self) -> RatMatrix:
+        """The columns of l_frame, or the canonical basis of l without one."""
+        return self.l_frame if self.l_frame is not None else self.l.matrix()
+
+    @cached_property
+    def l_alg(self) -> LieAlgebra:
+        """l as a Lie algebra in its own right, on the basis of the frame."""
+        return subalgebra_on_own_basis(self.g, self.frame.columns(), self.l_labels)[0]
+
+    @cached_property
+    def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        """(k_l, s_l) in l-coordinates, from theta restricted to l."""
+        solver = BasisSolver(self.frame)
+        theta_cols = []
+        for col in self.frame.columns():
+            c = solver.coordinates(self.theta.apply(col))
+            if c is None:
+                raise ValueError("theta does not preserve l; no Cartan split available")
+            theta_cols.append(c)
+        theta_l = Involution(RatMatrix.from_columns(self.l.dim, theta_cols))
+        return eigenspace_split(self.l_alg, theta_l)
+
+    @cached_property
+    def l_cap_h(self) -> SubspaceBasis:
+        return subspace_intersection(self.l, self.h)
+
+    @cached_property
+    def l_cap_h_in_l(self) -> SubspaceBasis:
+        """l cap h in the coordinates of the frame."""
+        return subspace_in_subalgebra_coords(self.frame, self.l_cap_h)
 
     def validate(self) -> None:
-        from .liealg import is_subalgebra
-
         self.sigma.validate(self.g)
         self.theta.validate(self.g)
         if not self.sigma.commutes_with(self.theta):
@@ -193,6 +234,8 @@ class TripleDescriptor:
             framed = SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
             if framed != self.l:
                 raise ValueError("l_frame does not span l")
+        if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
+            raise ValueError("l_labels do not match the l frame")
 
     def __repr__(self):
         return f"TripleDescriptor({self.name or 'unnamed'}, dim g = {self.g.dim})"
@@ -209,6 +252,14 @@ class TripleReport:
     @property
     def is_transitive_triple(self) -> bool:
         return self.verdict == "TransitiveTriple"
+
+    def failed_conditions(self) -> list[str]:
+        names = (
+            (self.reductive, "(i) reductively embedded"),
+            (self.transitive, "(ii) infinitesimally transitive"),
+            (self.compact_intersection, "(iii) compact intersection"),
+        )
+        return [name for holds, name in names if not holds]
 
 
 def is_reductively_embedded(g: LieAlgebra, l: SubspaceBasis) -> bool:
@@ -235,8 +286,8 @@ def check_transitive_triple(t: TripleDescriptor) -> TripleReport:
     g = t.g
     h = t.h
     l = t.l
-    lh = subspace_intersection(l, h)
-    b = killing_form(g)
+    lh = t.l_cap_h
+    b = t.killing
     reductive = rank(restrict_form(b, l)) == l.dim
     transitive = subspace_sum(l, h).dim == g.dim
     compact = lh.dim == 0 or signature(restrict_form(b, lh)) == (0, lh.dim, 0)

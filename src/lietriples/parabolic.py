@@ -7,25 +7,14 @@ split raises IrrationalSpectrum rather than approximating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .liealg import (
-    LieAlgebra,
-    centralizer,
-    subalgebra_on_own_basis,
-    subspace_in_subalgebra_coords,
-)
-from .pairs import TripleDescriptor, check_transitive_triple
-from .ratlin import (
-    RatMatrix,
-    SubspaceBasis,
-    kernel,
-    solve,
-    subspace_intersection,
-    subspace_sum,
-)
+from .liealg import LieAlgebra, centralizer
+from .pairs import NotTransitiveTriple, TripleDescriptor, check_transitive_triple
+from .ratlin import BasisSolver, RatMatrix, SubspaceBasis, kernel, subspace_sum
 
 
 class IrrationalSpectrum(ArithmeticError):
@@ -81,11 +70,7 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     not returned; the caller checks eigenspace completeness.
     """
     n = a.rows
-    scale = 1
-    for i in range(n):
-        for j in range(n):
-            d = a[i, j].denominator
-            scale = scale * d // _gcd(scale, d)
+    scale = math.lcm(*(x.denominator for row in a.entries for x in row))
     m = a.scale(scale)
     coeffs = [int(c) for c in char_poly(m)]
     shift = 0
@@ -110,13 +95,6 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
     n = a.rows
     shifted = RatMatrix(
@@ -127,11 +105,10 @@ def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
 
 def _restrict_operator(op: RatMatrix, space: SubspaceBasis) -> RatMatrix:
     """Matrix of an operator on an invariant subspace, in its echelon basis."""
-    mat = space.matrix()
+    solver = BasisSolver(space.matrix())
     cols = []
     for v in space.vectors:
-        image = op.apply(list(v))
-        c = solve(mat, image)
+        c = solver.coordinates(op.apply(list(v)))
         if c is None:
             raise IrrationalSpectrum("operator does not preserve the subspace")
         cols.append(c)
@@ -275,23 +252,8 @@ def cartan_split_of_l(
     Returns (l_alg, P, k_l, s_l) with P the column frame of l in ambient
     coordinates and k_l, s_l in l-coordinates.  Requires theta(l) = l.
     """
-    frame = t.l_frame if t.l_frame is not None else t.l.matrix()
-    labels = None
-    if t.l_frame is None:
-        labels = [f"Z{i}" for i in range(t.l.dim)]
-    l_alg, p = subalgebra_on_own_basis(t.g, [frame.column(j) for j in range(frame.cols)], labels)
-    theta_cols = []
-    for j in range(p.cols):
-        image = t.theta.apply(p.column(j))
-        c = solve(p, image)
-        if c is None:
-            raise ValueError("theta does not preserve l; no Cartan split available")
-        theta_cols.append(c)
-    theta_l = RatMatrix.from_columns(p.cols, theta_cols)
-    ident = RatMatrix.identity(p.cols)
-    k_l = kernel(theta_l - ident)
-    s_l = kernel(theta_l + ident)
-    return l_alg, p, k_l, s_l
+    k_l, s_l = t.cartan_split
+    return t.l_alg, t.frame, k_l, s_l
 
 
 def is_spherical_triple(
@@ -304,11 +266,11 @@ def is_spherical_triple(
     """
     report = check_transitive_triple(t)
     if not report.is_transitive_triple:
-        raise ValueError(f"not a transitive triple: {report}")
-    l_alg, p, k_l, s_l = cartan_split_of_l(t)
+        failed = ", ".join(report.failed_conditions())
+        raise NotTransitiveTriple(f"not a transitive triple; failed: {failed}")
+    l_alg, _, k_l, s_l = cartan_split_of_l(t)
     parabolic, rrs = minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
-    lh_ambient = subspace_intersection(t.l, t.h)
-    lh = subspace_in_subalgebra_coords(p, lh_ambient)
+    lh = t.l_cap_h_in_l
     span = subspace_sum(parabolic.p, lh)
     verdict = span.dim == l_alg.dim
     evidence = {

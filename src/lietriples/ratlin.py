@@ -7,6 +7,7 @@ reductions) runs on top of this module.  All arithmetic uses
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +20,10 @@ class AmbientMismatch(ValueError):
 
 class NonSymmetric(ValueError):
     """A symmetric matrix was required."""
+
+
+class DependentBasis(ValueError):
+    """The proposed basis vectors are linearly dependent."""
 
 
 def _rat(x) -> Fraction:
@@ -226,17 +231,9 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
     out = []
     for row in m.entries:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        scale = math.lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rank(m: RatMatrix) -> int:
@@ -277,6 +274,50 @@ def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
     for r_idx, pc in enumerate(pivots):
         x[pc] = rows[r_idx][n_cols]
     return x
+
+
+class BasisSolver:
+    """Coordinates of vectors in a fixed basis, the columns of a matrix B.
+
+    The basis is reduced once: row reduction of [B^T | I] gives [E B^T | E]
+    with E B^T in reduced echelon form, whose pivot columns p pick out an
+    invertible square block A = B[p] with A^-1 = E^T.  coordinates(v) is
+    then x = E^T v[p] plus an exact check that B x = v: two sparse products
+    per right-hand side instead of an elimination.  Systems whose columns
+    may be dependent go through solve().
+    """
+
+    __slots__ = ("ambient_dim", "_inverse", "_columns")
+
+    def __init__(self, basis: RatMatrix):
+        k, n = basis.cols, basis.rows
+        columns = basis.columns()
+        rows = [
+            list(col) + [Fraction(int(i == j)) for i in range(k)]
+            for j, col in enumerate(columns)
+        ]
+        rows, pivots = _rref(rows)
+        if pivots and pivots[-1] >= n:
+            raise DependentBasis("basis vectors are linearly dependent")
+        # row i of E^T, as sparse (pivot position, coefficient) pairs
+        inv = [
+            [(p, rows[r][n + i]) for r, p in enumerate(pivots) if rows[r][n + i] != 0]
+            for i in range(k)
+        ]
+        cols = [[(r, x) for r, x in enumerate(col) if x != 0] for col in columns]
+        self.ambient_dim, self._inverse, self._columns = n, inv, cols
+
+    def coordinates(self, vec: Sequence) -> Optional[list]:
+        """The unique coefficients of vec in the basis, or None if outside."""
+        v = [_rat(x) for x in vec]
+        if len(v) != self.ambient_dim:
+            raise ValueError("right-hand side of wrong length")
+        x = [sum((c * v[p] for p, c in row), Fraction(0)) for row in self._inverse]
+        for xi, col in zip(x, self._columns):
+            if xi != 0:
+                for r, c in col:
+                    v[r] -= xi * c
+        return x if not any(v) else None
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -408,7 +449,7 @@ class SubspaceBasis:
 
     def coordinates(self, vec: Sequence) -> Optional[list]:
         """Coefficients of vec in this basis, or None if vec is outside."""
-        return solve(self.matrix(), vec)
+        return BasisSolver(self.matrix()).coordinates(vec)
 
     def __eq__(self, other) -> bool:
         return (

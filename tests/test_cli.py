@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lietriples import catalog
 from lietriples.catalog import builtin_entries, canonical_json
 from lietriples.cli import main
@@ -149,6 +151,12 @@ def test_nontransitive_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "triples", "check", str(path))
     assert code == 1
     assert "NotTransitiveTriple" in out
+    code, out, err = run_cli(capsys, "spherical", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: not a transitive triple; failed: (i) reductively embedded, "
+        "(ii) infinitesimally transitive\n"
+    )
 
 
 def test_console_entry_point_runs():
@@ -214,3 +222,22 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
     code, out, err = run_cli(capsys, "triples", "check", str(path))
     assert code == 2
     assert "subalgebra" in err
+
+
+@pytest.mark.parametrize(
+    "algebra, problem",
+    [
+        ({"kind": "so", "p": 2}, "algebra.q: missing"),
+        ({"kind": "so", "p": 2.7, "q": 4}, "algebra.p: expected an integer, got 2.7"),
+        ({"kind": "so", "p": True, "q": 4}, "algebra.p: expected an integer, got True"),
+        ({"kind": "so", "p": "2", "q": 4}, "algebra.p: expected an integer, got '2'"),
+    ],
+)
+def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, problem):
+    entry = builtin_entries()["lorentzian-2"].to_json_dict()
+    entry["algebra"] = algebra
+    path = tmp_path / "bad-algebra.json"
+    path.write_text(json.dumps(entry))
+    for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {problem}\n")

@@ -1,0 +1,54 @@
+"""Each derived object of a triple is computed once across the CLI verbs.
+
+The descriptor owns h, q, k, s, the Killing form, l as an algebra, its
+Cartan split and l cap h; the verbs read them instead of rebuilding them.
+The counts below are taken through every module binding of the counted
+functions, on a fresh build that bypasses the process-wide catalog cache.
+"""
+
+import sys
+from collections import Counter
+
+from lietriples import catalog, cli, env2, liealg, pairs
+
+COUNTED = {
+    "from_matrix_basis": liealg.from_matrix_basis,
+    "killing_form": liealg.killing_form,
+    "subalgebra_on_own_basis": liealg.subalgebra_on_own_basis,
+    "eigenspace_split": pairs.eigenspace_split,
+    "iota_embed": env2.iota_embed,
+}
+
+
+def _count_calls(monkeypatch) -> dict:
+    calls = {name: [] for name in COUNTED}
+    for name, original in COUNTED.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "lietriples":
+                continue
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "_BUILT_CACHE", {})
+    calls = _count_calls(monkeypatch)
+    for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+        assert cli.main([*verb, "--explain", "lorentzian-2"]) == 0
+    capsys.readouterr()
+
+    # so(2,4) and u(1,2), each built from matrices once
+    assert len(calls["from_matrix_basis"]) == 2
+    # embedding_report and embedding_evidence share the default image
+    assert len(calls["iota_embed"]) == 1
+    assert len(calls["killing_form"]) == 1
+    assert len(calls["subalgebra_on_own_basis"]) <= 1
+    # sigma, theta and theta restricted to l: each split at most once
+    per_involution = Counter(inv.matrix for _, inv in calls["eigenspace_split"])
+    assert per_involution and max(per_involution.values()) == 1

@@ -5,6 +5,8 @@ import pytest
 
 from lietriples.ratlin import (
     AmbientMismatch,
+    BasisSolver,
+    DependentBasis,
     NonSymmetric,
     RatMatrix,
     SubspaceBasis,
@@ -211,6 +213,39 @@ def test_solve_returns_exact_solutions_random():
         got = solve(m, v)
         assert got is not None
         assert m.apply(got) == v
+
+
+def _vectorized_span(mats):
+    size = mats[0].rows
+    return RatMatrix.from_columns(
+        size * size, [[x for row in m.entries for x in row] for m in mats]
+    )
+
+
+@pytest.mark.parametrize("algebra", ["so(2,4)", "u(1,2)", "g2"])
+def test_basis_solver_agrees_with_solve(algebra):
+    from lietriples.liealg import g2_split, so, u
+
+    build = {"so(2,4)": lambda: so(2, 4), "u(1,2)": lambda: u(1, 2), "g2": g2_split}
+    span = _vectorized_span(build[algebra]().matrices)
+    solver = BasisSolver(span)
+    rng = random.Random(f"basis-solver/{algebra}")
+    outside = 0
+    for _ in range(25):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(span.cols)]
+        inside = span.apply(x)
+        assert solver.coordinates(inside) == solve(span, inside) == x
+        stray = [Fraction(rng.randint(-2, 2)) for _ in range(span.rows)]
+        expected = solve(span, stray)
+        assert solver.coordinates(stray) == expected
+        outside += expected is None
+    assert outside > 0  # the seeded stray vectors do leave the span
+
+
+def test_basis_solver_rejects_dependent_columns():
+    m = RatMatrix.from_columns(3, [[1, 0, 2], [0, 1, 0], [2, 1, 4]])
+    with pytest.raises(DependentBasis):
+        BasisSolver(m)
 
 
 def test_signature_of_so3_killing_form():

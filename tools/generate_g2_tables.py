@@ -19,13 +19,14 @@ Run from the repository root:  python3 tools/generate_g2_tables.py
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, kernel, solve
+from lietriples.ratlin import BasisSolver, RatMatrix, SubspaceBasis, inverse, kernel
 
 # Basis of the split octonions: index 0 is the unit, 1..7 the imaginary part
 # in the order (u0, v1, v2, v3, w1, w2, w3).
@@ -120,7 +121,7 @@ def main():
     der = kernel(RatMatrix(rows))
     assert der.dim == 14, f"derivation space has dim {der.dim}, expected 14"
 
-    der_span = RatMatrix.from_columns(49, [list(v) for v in der.vectors])
+    der_solver = BasisSolver(RatMatrix.from_columns(49, [list(v) for v in der.vectors]))
 
     def as_matrix(vec49):
         return RatMatrix([[vec49[k * 7 + t] for t in range(7)] for k in range(7)])
@@ -129,7 +130,7 @@ def main():
         return [m[k, t] for k in range(7) for t in range(7)]
 
     def in_der(m):
-        return solve(der_span, as_vec(m)) is not None
+        return der_solver.coordinates(as_vec(m)) is not None
 
     # Split torus from the diagonal sl(3): v_i -> t_i v_i, w_i -> -t_i w_i.
     def torus(t1, t2, t3):
@@ -149,7 +150,7 @@ def main():
         for v in der.vectors:
             d = as_matrix(list(v))
             comm = t_mat @ d - d @ t_mat
-            coeffs = solve(der_span, as_vec(comm))
+            coeffs = der_solver.coordinates(as_vec(comm))
             assert coeffs is not None
             cols.append(coeffs)
         return RatMatrix.from_columns(14, cols)
@@ -174,11 +175,12 @@ def main():
         if e1.dim == 0:
             continue
         sub = RatMatrix.from_columns(14, [list(v) for v in e1.vectors])
+        sub_solver = BasisSolver(sub)
         # restrict A2 to e1
         cols = []
         for v in e1.vectors:
             img = A2.apply(list(v))
-            c = solve(sub, img)
+            c = sub_solver.coordinates(img)
             assert c is not None
             cols.append(c)
         a2r = RatMatrix.from_columns(e1.dim, cols)
@@ -242,13 +244,9 @@ def main():
     for lam, sp in roots:
         v = list(sp.vectors[0])
         # primitive integer scaling with deterministic sign
-        den = 1
-        for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in v))
         ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = math.gcd(*ints)
         ints = [x // g for x in ints]
         first = next(x for x in ints if x != 0)
         if first < 0:
@@ -285,14 +283,14 @@ def main():
         Xr = as_matrix_from_coeffs(root_vec[r], der)
         Xn = as_matrix_from_coeffs(root_vec[neg], der)
         comm = Xr @ Xn - Xn @ Xr
-        coeffs = solve(der_span, as_vec(comm))
+        coeffs = der_solver.coordinates(as_vec(comm))
         val, _ = pairing(r, coeffs)
         assert val != 0
         c = val / 2
         root_vec[neg] = [x / c for x in root_vec[neg]]
         Xn = as_matrix_from_coeffs(root_vec[neg], der)
         comm = Xr @ Xn - Xn @ Xr
-        coeffs = solve(der_span, as_vec(comm))
+        coeffs = der_solver.coordinates(as_vec(comm))
         val, c12 = pairing(r, coeffs)
         assert val == 2
         coroot[r] = comm
@@ -313,13 +311,13 @@ def main():
         basis_mats.append(as_matrix_from_coeffs(root_vec[neg], der))
         labels.append(f"F{idx + 1}")
 
-    span14 = RatMatrix.from_columns(49, [as_vec(m) for m in basis_mats])
+    solver14 = BasisSolver(RatMatrix.from_columns(49, [as_vec(m) for m in basis_mats]))
     table = []
     non_integer = []
     for i in range(14):
         for j in range(i + 1, 14):
             comm = basis_mats[i] @ basis_mats[j] - basis_mats[j] @ basis_mats[i]
-            coeffs = solve(span14, as_vec(comm))
+            coeffs = solver14.coordinates(as_vec(comm))
             assert coeffs is not None
             for k, c in enumerate(coeffs):
                 if c != 0:
@@ -379,13 +377,6 @@ def main():
     print(f"wrote {out_path}")
     print("labels:", labels)
     print("roots in order:", order)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def as_matrix_from_coeffs(coeffs14, der):
