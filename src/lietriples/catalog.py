@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import env2
 from .env2 import Quad2, casimir
@@ -41,6 +41,7 @@ from .liealg import (
     su,
     subspace_in_subalgebra_coords,
     u,
+    u_matrices,
 )
 from .pairs import (
     Involution,
@@ -88,25 +89,52 @@ class CatalogEntry:
         }
 
 
-def _parse_vec(v: Sequence) -> list:
-    return [Fraction(str(x)) for x in v]
+def _field(recipe: dict, key: str, where: str):
+    """recipe[key]; where locates the recipe in messages."""
+    if key not in recipe:
+        raise CatalogError(f"{where}.{key}: missing")
+    return recipe[key]
+
+
+def _typed(value, kind: type, where: str, length: Optional[int] = None):
+    """value as a JSON object, list or integer (never a bool), of a given length."""
+    if type(value) is not kind:
+        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise CatalogError(f"{where}: expected {name}, got {value!r}")
+    if length is not None and len(value) != length:
+        raise CatalogError(f"{where}: expected {length} entries, got {len(value)}")
+    return value
 
 
 def _int_field(recipe: dict, key: str, where: str) -> int:
-    """recipe[key] as a JSON integer; where locates the recipe in messages."""
-    if key not in recipe:
-        raise CatalogError(f"{where}.{key}: missing")
-    value = recipe[key]
-    if type(value) is not int:  # rejects floats, strings and bools alike
-        raise CatalogError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
+    return _typed(_field(recipe, key, where), int, f"{where}.{key}")
+
+
+def _rational(value, where: str) -> Fraction:
+    """A "p/q" string or a JSON integer; floats and bools never pass."""
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CatalogError(f'{where}: expected a rational "p/q" string, got {value!r}')
+
+
+def _vector(value, where: str, length: int) -> list:
+    entries = _typed(value, list, where, length)
+    return [_rational(x, f"{where}[{i}]") for i, x in enumerate(entries)]
+
+
+def _vectors(value, where: str, length: int, count: Optional[int] = None) -> list:
+    vectors = _typed(value, list, where, count)
+    return [_vector(v, f"{where}[{i}]", length) for i, v in enumerate(vectors)]
 
 
 # -- recipe interpreters ----------------------------------------------------
 
 
-def _build_algebra(recipe: dict, where: str = "algebra") -> LieAlgebra:
-    kind = recipe.get("kind")
+def _build_algebra(recipe, where: str = "algebra") -> LieAlgebra:
+    kind = _typed(recipe, dict, where).get("kind")
     if kind in ("so", "u", "su"):
         build = {"so": so, "u": u, "su": su}[kind]
         return build(_int_field(recipe, "p", where), _int_field(recipe, "q", where))
@@ -115,56 +143,54 @@ def _build_algebra(recipe: dict, where: str = "algebra") -> LieAlgebra:
     if kind == "g2split":
         return g2_split()
     if kind == "direct_sum":
-        factors = [
-            _build_algebra(f, f"{where}.factors[{i}]")
-            for i, f in enumerate(recipe["factors"])
-        ]
-        if len(factors) != 2:
-            raise CatalogError("direct_sum wants exactly two factors")
-        return direct_sum(factors[0], factors[1])
-    raise CatalogError(f"unknown algebra recipe kind: {kind!r}")
+        factors = _typed(_field(recipe, "factors", where), list, f"{where}.factors", 2)
+        a, b = (_build_algebra(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
+        return direct_sum(a, b)
+    raise CatalogError(f"{where}: unknown algebra recipe kind: {kind!r}")
 
 
-def _build_involution(g: LieAlgebra, recipe: dict) -> Involution:
-    kind = recipe.get("kind")
+def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
+    kind = _typed(recipe, dict, where).get("kind")
     if kind == "ad_diag":
-        signs = [Fraction(str(s)) for s in recipe["signs"]]
-        if g.matrices is None or g.matrices[0].rows != len(signs):
-            raise CatalogError("ad_diag signs do not match the realization size")
+        if g.matrices is None:
+            raise CatalogError(f"{where}: ad_diag needs an algebra given by matrices")
+        size = g.matrices[0].rows
+        signs = _vector(_field(recipe, "signs", where), f"{where}.signs", size)
         return conjugation_involution(g, RatMatrix.diagonal(signs))
     if kind == "swap_factors":
         return swap_involution(g)
     if kind == "neg_transpose":
         return negative_transpose_involution(g)
     if kind == "matrix":
-        cols = [_parse_vec(c) for c in recipe["columns"]]
+        columns = _field(recipe, "columns", where)
+        cols = _vectors(columns, f"{where}.columns", g.dim, g.dim)
         return Involution(RatMatrix.from_columns(g.dim, cols))
-    raise CatalogError(f"unknown involution recipe kind: {kind!r}")
+    raise CatalogError(f"{where}: unknown involution recipe kind: {kind!r}")
 
 
 def _build_l(
-    g: LieAlgebra, recipe: dict, where: str = "l"
+    g: LieAlgebra, recipe, where: str = "l"
 ) -> tuple[RatMatrix, Optional[list]]:
     """(frame, labels): the columns of the frame are the preferred ordered
     basis of l, and labels names them (None for explicit vectors)."""
-    kind = recipe.get("kind")
+    kind = _typed(recipe, dict, where).get("kind")
     if kind == "first_factor":
         half = g.dim // 2
         cols = RatMatrix.identity(g.dim).entries[:half]
         return RatMatrix.from_columns(g.dim, cols), list(g.basis_labels[:half])
     if kind == "u_realified":
         p_sig, q_sig = _int_field(recipe, "p", where), _int_field(recipe, "q", where)
-        lu = u(p_sig, q_sig)
-        cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in lu.matrices]
-        return RatMatrix.from_columns(g.dim, cols), list(lu.basis_labels)
+        mats, labels = u_matrices(p_sig, q_sig)
+        cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in mats]
+        return RatMatrix.from_columns(g.dim, cols), labels
     if kind == "g2_in_so43":
         lg2 = g2_split()
         cols = [so_coordinates(4, 3, m) for m in lg2.matrices]
         return RatMatrix.from_columns(g.dim, cols), list(lg2.basis_labels)
     if kind == "explicit":
-        cols = [_parse_vec(v) for v in recipe["vectors"]]
+        cols = _vectors(_field(recipe, "vectors", where), f"{where}.vectors", g.dim)
         return RatMatrix.from_columns(g.dim, cols), None
-    raise CatalogError(f"unknown l recipe kind: {kind!r}")
+    raise CatalogError(f"{where}: unknown l recipe kind: {kind!r}")
 
 
 # -- built triples -----------------------------------------------------------
@@ -182,8 +208,8 @@ class BuiltTriple:
         self.entry = entry
         where = entry.source or entry.name
         self.g = _build_algebra(entry.algebra, f"{where}: algebra")
-        sigma = _build_involution(self.g, entry.sigma)
-        theta = _build_involution(self.g, entry.theta)
+        sigma = _build_involution(self.g, entry.sigma, f"{where}: sigma")
+        theta = _build_involution(self.g, entry.theta, f"{where}: theta")
         frame, labels = _build_l(self.g, entry.l, f"{where}: l")
         l_space = SubspaceBasis(self.g.dim, frame.transpose().entries)
         self.descriptor = TripleDescriptor(
@@ -468,7 +494,8 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
     for field in ("name", "algebra", "sigma", "theta", "l"):
         if field not in data:
             raise CatalogError(f"{where}: missing field {field!r}")
-    generators = tuple(data.get("generators", GENERATOR_NAMES))
+    generators = data.get("generators", list(GENERATOR_NAMES))
+    generators = tuple(_typed(generators, list, f"{where}: generators"))
     for gname in generators:
         if gname not in GENERATOR_NAMES:
             raise CatalogError(f"{where}: unknown generator {gname!r}")

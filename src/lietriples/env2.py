@@ -5,10 +5,16 @@ fixed basis: only monomials X_i X_j with i <= j are stored, plus a linear
 part and a constant.  Reordering a product X_j X_i with j > i costs exactly
 one commutator, which keeps everything inside degree two.
 
-The two workhorses are reduction modulo a left ideal U(g) h (delete every
-normal-ordered monomial whose rightmost factor lies in h, after moving to a
-basis adapted to h) and the transfer of an H-invariant element of U(g) into
-U(l) along a decomposition g = l + h.
+The two workhorses, reduction modulo a left ideal U(g) h and the transfer
+of an H-invariant element of U(g) into U(l) along g = l + h, rest on one
+degree-two identity.  Split every basis vector as X_k = f_k + eta_k with f_k
+in a front space complementary to h and eta_k in h.  Since f eta lies in
+U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
+
+    X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]).
+
+The reduction takes the standard complement of h as front space, the
+transfer takes l; neither changes basis.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from typing import Optional, Sequence
 from .liealg import LieAlgebra, is_subalgebra
 from .pairs import TripleDescriptor
 from .ratlin import (
+    BasisSolver,
     RatMatrix,
     SubspaceBasis,
+    _rref,
     inverse,
     rank,
     solve,
-    subspace_sum,
 )
 
 
@@ -225,107 +232,65 @@ def bracket_with(q: Quad2, x) -> Quad2:
     degree <= 2 since [deg 2, deg 1] has degree <= 2.
     """
     algebra = q.algebra
-    if isinstance(x, int):
-        xv = [Fraction(0)] * algebra.dim
-        xv[x] = Fraction(1)
-    else:
-        xv = [Fraction(c) for c in x]
-    out = Quad2.zero(algebra)
-    e = [Fraction(0)] * algebra.dim
+    n = algebra.dim
+    unit = [[int(k == i) for k in range(n)] for i in range(n)]
+    xv = unit[x] if isinstance(x, int) else list(x)
+    ad = [algebra.bracket(e, xv) for e in unit]  # ad[i] = [X_i, x]
+    lin = [sum(c * ad[i][k] for i, c in q.lin.items()) for k in range(n)]
+    out = Quad2.linear(algebra, lin)
     for (i, j), c in q.quad.items():
         # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
-        ei = list(e)
-        ei[i] = Fraction(1)
-        ej = list(e)
-        ej[j] = Fraction(1)
-        bj = algebra.bracket(ej, xv)
-        if any(t != 0 for t in bj):
-            out = out + product_of_linear(algebra, ei, bj).scale(c)
-        bi = algebra.bracket(ei, xv)
-        if any(t != 0 for t in bi):
-            out = out + product_of_linear(algebra, bi, ej).scale(c)
-    lin_acc = [Fraction(0)] * algebra.dim
-    for i, c in q.lin.items():
-        ei = list(e)
-        ei[i] = Fraction(1)
-        for k, d in enumerate(algebra.bracket(ei, xv)):
-            lin_acc[k] += c * d
-    out = out + Quad2.linear(algebra, lin_acc)
+        term = product_of_linear(algebra, unit[i], ad[j])
+        out = out + (term + product_of_linear(algebra, ad[i], unit[j])).scale(c)
     return out
 
 
-class _AdaptedBasis:
-    """Change of coordinates to an ordered basis (front block, back block).
+def _reduce_split(
+    q: Quad2, front_alg: LieAlgebra, front: list, eta: list, to_front
+) -> Quad2:
+    """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
 
-    Columns of T are the new basis vectors in algebra coordinates; S = T^-1.
-    Brackets of new basis vectors, expressed in new coordinates, are cached
-    lazily.  transform() rewrites a Quad2 into normal-ordered coefficients
-    with respect to the new basis order.
+    front[k] is f_k in front_alg coordinates, eta[k] the ambient vector
+    eta_k in h (None when it is zero), and to_front maps an ambient vector
+    to the front coordinates of its front part.  Modulo U(g) h,
+
+        X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]),
+
+    because f eta and eta eta lie in U(g) h and eta_i f_j = f_j eta_i +
+    [eta_i, f_j].  f_i f_j is normal-ordered in front_alg.
     """
-
-    def __init__(self, algebra: LieAlgebra, t: RatMatrix):
-        if rank(t) != algebra.dim:
-            raise ValueError("adapted basis is not a basis")
-        self.algebra = algebra
-        self.t = t
-        self.s = inverse(t)
-        self._bracket_cache: dict = {}
-
-    def bracket_new(self, a: int, b: int) -> list:
-        key = (a, b)
-        if key not in self._bracket_cache:
-            old = self.algebra.bracket(self.t.column(a), self.t.column(b))
-            self._bracket_cache[key] = self.s.apply(old)
-        return self._bracket_cache[key]
-
-    def transform(self, q: Quad2) -> tuple[dict, dict, Fraction]:
-        """Normal-ordered (quad, lin, const) of q in the new coordinates."""
-        n = self.algebra.dim
-        s = self.s
-        # raw quadratic coefficients: Q'_{ab} = sum_{i<=j} c_ij S_ai S_bj
-        raw: dict = {}
-        for (i, j), c in q.quad.items():
-            col_i = [s[a, i] for a in range(n)]
-            col_j = [s[b, j] for b in range(n)]
-            for a, sa in enumerate(col_i):
-                if sa == 0:
-                    continue
-                csa = c * sa
-                for b, sb in enumerate(col_j):
-                    if sb == 0:
-                        continue
-                    key = (a, b)
-                    raw[key] = raw.get(key, Fraction(0)) + csa * sb
-        quad: dict = {}
-        lin = [Fraction(0)] * n
-        for (a, b), c in raw.items():
-            if c == 0:
-                continue
-            if a <= b:
-                key = (a, b)
-                quad[key] = quad.get(key, Fraction(0)) + c
-            else:
-                key = (b, a)
-                quad[key] = quad.get(key, Fraction(0)) + c
-                for k, d in enumerate(self.bracket_new(a, b)):
-                    if d != 0:
-                        lin[k] += c * d
-        for i, c in q.lin.items():
-            for a in range(n):
-                if s[a, i] != 0:
-                    lin[a] += c * s[a, i]
-        return quad, {i: c for i, c in enumerate(lin) if c != 0}, q.const
+    g = q.algebra
+    quad: dict = {}
+    lin: dict = {}
+    rest = [Fraction(0)] * g.dim  # ambient degree-one terms, sent to the front last
+    for k, c in q.lin.items():
+        rest[k] += c
+    for (i, j), c in q.quad.items():
+        prod = product_of_linear(front_alg, front[i], front[j])
+        for key, d in prod.quad.items():
+            quad[key] = quad.get(key, Fraction(0)) + c * d
+        for key, d in prod.lin.items():
+            lin[key] = lin.get(key, Fraction(0)) + c * d
+        if eta[i] is not None:
+            f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
+            f_j[j] += 1
+            for k, d in enumerate(g.bracket(eta[i], f_j)):
+                rest[k] += c * d
+    for k, d in enumerate(to_front(rest)):
+        lin[k] = lin.get(k, Fraction(0)) + d
+    return Quad2(front_alg, quad, lin, q.const)
 
 
 class IdealReducer:
     """Canonical reduction modulo the left ideal U(g) h for a fixed h.
 
-    The adapted order puts the standard coordinate complement of h first and
-    the h basis last; a normal-ordered monomial then lies in U(g) h exactly
-    when its rightmost factor has index in the h block, and those monomials
-    are deleted.  Because the complement consists of standard basis vectors
-    in ascending order, the surviving part maps back to the algebra's own
-    coordinates by relabeling alone.
+    h is in reduced echelon form, so the standard basis vectors off its
+    pivots span a complement, the front space.  Off a pivot X_i = f_i with
+    eta_i = 0; at the pivot p of the h vector v, eta_p = v and f_p = e_p - v.
+    The splitting identity of _reduce_split then leaves only normal-ordered
+    monomials in front indices, which is the canonical form; the brackets
+    picked up when f_i f_j is normal-ordered in g are sent to the front
+    again.  No elimination is needed.
     """
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
@@ -335,28 +300,31 @@ class IdealReducer:
             raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         self.algebra = algebra
         self.h = h
-        pivots = set(h.pivots())
-        self.complement = [i for i in range(algebra.dim) if i not in pivots]
-        cols = []
-        for i in self.complement:
-            e = [Fraction(0)] * algebra.dim
-            e[i] = Fraction(1)
-            cols.append(e)
-        cols.extend(list(v) for v in h.vectors)
-        self.n_front = len(self.complement)
-        self.adapted = _AdaptedBasis(algebra, RatMatrix.from_columns(algebra.dim, cols))
+        n = algebra.dim
+        self._front = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+        self._eta: list = [None] * n
+        self._pivots = list(zip(h.pivots(), h.vectors))
+        for p, v in self._pivots:
+            self._front[p] = [Fraction(int(i == p)) - x for i, x in enumerate(v)]
+            self._eta[p] = list(v)
+
+    def _to_front(self, y: Sequence) -> list:
+        """y minus its h part: zero at every pivot of h."""
+        out = list(y)
+        for p, v in self._pivots:
+            c = y[p]
+            if c != 0:
+                for i, x in enumerate(v):
+                    if x != 0:
+                        out[i] -= c * x
+        return out
 
     def reduce(self, q: Quad2) -> Quad2:
-        if q.is_zero():
-            return q
-        quad, lin, const = self.adapted.transform(q)
-        nf = self.n_front
-        back = self.complement
-        out_quad = {
-            (back[i], back[j]): c for (i, j), c in quad.items() if j < nf and c != 0
-        }
-        out_lin = {back[i]: c for i, c in lin.items() if i < nf and c != 0}
-        return Quad2(self.algebra, out_quad, out_lin, const)
+        g = self.algebra
+        split = _reduce_split(q, g, self._front, self._eta, self._to_front)
+        # the front space is no subalgebra: normal ordering f_i f_j leaves it
+        lin = self._to_front([split.lin.get(k, Fraction(0)) for k in range(g.dim)])
+        return Quad2(g, split.quad, dict(enumerate(lin)), split.const)
 
 
 def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
@@ -372,20 +340,18 @@ def equals_mod_ideal(a: Quad2, b: Quad2, h: SubspaceBasis) -> bool:
 def _greedy_complement(
     g_dim: int, frame_cols: list, candidates: list
 ) -> list:
-    """Extend frame columns to a basis of g by greedily adding candidates."""
-    chosen: list = []
-    current = list(frame_cols)
-    base = SubspaceBasis(g_dim, current)
-    for cand in candidates:
-        if base.dim == g_dim:
-            break
-        if not base.contains(cand):
-            chosen.append(cand)
-            current.append(list(cand))
-            base = SubspaceBasis(g_dim, current)
-    if base.dim != g_dim:
-        raise NotTransitive("l + h does not span the ambient algebra")
-    return chosen
+    """Extend frame columns to a basis of g by greedily adding candidates.
+
+    The pivot columns of [frame | candidates] in reduced echelon form are
+    exactly the candidates that the greedy scan keeps.
+    """
+    n_frame = len(frame_cols)
+    columns = frame_cols + candidates
+    rows = [[col[r] for col in columns] for r in range(g_dim)]
+    _, pivots = _rref(rows)
+    if len(pivots) != g_dim:
+        raise NotTransitive("l + h does not fill g")
+    return [candidates[c - n_frame] for c in pivots if c >= n_frame]
 
 
 def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
@@ -402,23 +368,18 @@ def iota_embed(
 ) -> Quad2:
     """Transfer an H-invariant degree <= 2 element of U(g) into U(l).
 
-    Writes q in an ordered basis (l first, then a complement w inside h),
-    deletes the monomials with rightmost factor in w (all of which lie in
-    U(g) h), and reduces the surviving element of U(l) modulo U(l)(l cap h).
-    The result is the canonical representative of the image of q under the
-    transfer map and does not depend on the choice of w; passing
-    complement_seed picks a randomized valid w for exercising exactly that.
+    Picks a complement w of l inside h and splits each basis vector as
+    X_k = f_k + eta_k with f_k in l and eta_k in w; the splitting identity
+    of _reduce_split writes q modulo U(g) h as an element of U(l), which is
+    then reduced modulo U(l)(l cap h).  The result is the canonical
+    representative of the image of q under the transfer map and does not
+    depend on the choice of w; passing complement_seed picks a randomized
+    valid w for exercising exactly that.
     """
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
         raise ValueError("q is not an element over the ambient algebra")
     h = t.h
-    l = t.l
-    if subspace_sum(l, h).dim != g.dim:
-        raise NotTransitive("l + h does not fill g")
-    if not check_h_invariant(q, h):
-        raise NotInvariant("element is not H-invariant modulo U(g) h")
-
     frame_cols = [list(col) for col in t.frame.columns()]
 
     if complement_seed is None:
@@ -438,13 +399,25 @@ def iota_embed(
         candidates.extend(h_vecs)  # safety net so a basis always completes
 
     w_vecs = _greedy_complement(g.dim, frame_cols, candidates)
+    if not check_h_invariant(q, h):
+        raise NotInvariant("element is not H-invariant modulo U(g) h")
+
     n_l = len(frame_cols)
-    adapted = _AdaptedBasis(g, RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
-    quad, lin, const = adapted.transform(q)
-    surv_quad = {(i, j): c for (i, j), c in quad.items() if j < n_l}
-    surv_lin = {i: c for i, c in lin.items() if i < n_l}
-    survivor = Quad2(t.l_alg, surv_quad, surv_lin, const)
-    return reduce_mod_left_ideal(survivor, t.l_cap_h_in_l)
+    solver = BasisSolver(RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
+
+    def to_front(y):
+        return solver.coordinates(y)[:n_l]
+
+    front, eta = [], []
+    for k in range(g.dim):
+        coords = solver.coordinates([int(i == k) for i in range(g.dim)])
+        front.append(coords[:n_l])
+        w_part = [(c, w) for c, w in zip(coords[n_l:], w_vecs) if c != 0]
+        eta.append(
+            [sum(c * w[i] for c, w in w_part) for i in range(g.dim)] if w_part else None
+        )
+    image = _reduce_split(q, t.l_alg, front, eta, to_front)
+    return reduce_mod_left_ideal(image, t.l_cap_h_in_l)
 
 
 def decompose_in_span(
@@ -459,29 +432,10 @@ def decompose_in_span(
     for gen in generators:
         target._same_algebra(gen)
     reducer = IdealReducer(target.algebra, h)
-    red_target = reducer.reduce(target)
-    red_gens = [reducer.reduce(gen) for gen in generators]
-    keys: list = []
-    seen = set()
-    for elem in red_gens + [red_target]:
-        for k in elem.quad:
-            if ("q", k) not in seen:
-                seen.add(("q", k))
-                keys.append(("q", k))
-        for k in elem.lin:
-            if ("l", k) not in seen:
-                seen.add(("l", k))
-                keys.append(("l", k))
-    keys.append(("c", None))
-
-    def coord(elem: Quad2, key):
-        kind, k = key
-        if kind == "q":
-            return elem.quad.get(k, Fraction(0))
-        if kind == "l":
-            return elem.lin.get(k, Fraction(0))
-        return elem.const
-
-    rows = [[coord(gen, key) for gen in red_gens] for key in keys]
-    rhs = [coord(red_target, key) for key in keys]
-    return solve(RatMatrix(rows), rhs)
+    elems = [reducer.reduce(gen) for gen in generators] + [reducer.reduce(target)]
+    quad_keys = dict.fromkeys(k for e in elems for k in e.quad)
+    lin_keys = dict.fromkeys(k for e in elems for k in e.lin)
+    rows = [[e.quad.get(k, Fraction(0)) for e in elems] for k in quad_keys]
+    rows += [[e.lin.get(k, Fraction(0)) for e in elems] for k in lin_keys]
+    rows.append([e.const for e in elems])
+    return solve(RatMatrix([row[:-1] for row in rows]), [row[-1] for row in rows])

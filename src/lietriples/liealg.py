@@ -325,8 +325,8 @@ def _upq_basis_complex(p: int, q: int) -> tuple[list, list]:
     return basis, labels
 
 
-def u(p: int, q: int) -> LieAlgebra:
-    """Realification of u(p, q), as real (2m x 2m) matrices, m = p + q.
+def u_matrices(p: int, q: int) -> tuple[list, list]:
+    """The realified basis matrices of u(p, q) and their labels, m = p + q.
 
     With the interleaved coordinate convention the image lies inside
     so(2p, 2q) for p = 1 literally (same defining form diag(I_2, -I_2q)).
@@ -334,8 +334,12 @@ def u(p: int, q: int) -> LieAlgebra:
     if p + q < 1:
         raise ValueError("u(p, q) needs p + q >= 1")
     basis, labels = _upq_basis_complex(p, q)
-    mats = [realify(re, im) for re, im in basis]
-    return from_matrix_basis(mats, labels)
+    return [realify(re, im) for re, im in basis], labels
+
+
+def u(p: int, q: int) -> LieAlgebra:
+    """Realification of u(p, q), as real (2m x 2m) matrices (see u_matrices)."""
+    return from_matrix_basis(*u_matrices(p, q))
 
 
 def su(p: int, q: int) -> LieAlgebra:

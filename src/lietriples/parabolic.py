@@ -103,16 +103,17 @@ def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
     return kernel(shifted)
 
 
-def _restrict_operator(op: RatMatrix, space: SubspaceBasis) -> RatMatrix:
-    """Matrix of an operator on an invariant subspace, in its echelon basis."""
-    solver = BasisSolver(space.matrix())
+def _restrict_operator(op: RatMatrix, basis: RatMatrix) -> RatMatrix:
+    """Matrix of an operator on an invariant subspace, in the basis given by
+    the columns of basis."""
+    solver = BasisSolver(basis)
     cols = []
-    for v in space.vectors:
-        c = solver.coordinates(op.apply(list(v)))
+    for v in basis.columns():
+        c = solver.coordinates(op.apply(v))
         if c is None:
             raise IrrationalSpectrum("operator does not preserve the subspace")
         cols.append(c)
-    return RatMatrix.from_columns(space.dim, cols)
+    return RatMatrix.from_columns(basis.cols, cols)
 
 
 def joint_eigenspaces(
@@ -129,7 +130,8 @@ def joint_eigenspaces(
         for tag, space in spaces:
             if space.dim == 0:
                 continue
-            restricted = _restrict_operator(op, space)
+            basis = space.matrix()
+            restricted = _restrict_operator(op, basis)
             eigvals = rational_eigenvalues(restricted)
             covered = 0
             for lam in eigvals:
@@ -137,9 +139,7 @@ def joint_eigenspaces(
                 if sub.dim == 0:
                     continue
                 covered += sub.dim
-                lifted = SubspaceBasis(
-                    ambient_dim, [space.matrix().apply(list(v)) for v in sub.vectors]
-                )
+                lifted = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
                 refined.append((tag + (lam,), lifted))
             if covered != space.dim:
                 raise IrrationalSpectrum(

@@ -236,7 +236,36 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
 def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, problem):
     entry = builtin_entries()["lorentzian-2"].to_json_dict()
     entry["algebra"] = algebra
-    path = tmp_path / "bad-algebra.json"
+    _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def _explicit_l(first_entry):
+    vectors = builtin_entries()["group-compact"].l["vectors"]
+    return {"kind": "explicit", "vectors": [[first_entry, *vectors[0][1:]], *vectors[1:]]}
+
+
+@pytest.mark.parametrize(
+    "field, recipe, problem",
+    [
+        ("l", {"kind": "explicit"}, "l.vectors: missing"),
+        ("algebra", {"kind": "direct_sum"}, "algebra.factors: missing"),
+        ("sigma", {"kind": "matrix"}, "sigma.columns: missing"),
+        ("sigma", {"kind": "ad_diag"}, "sigma.signs: missing"),
+        ("sigma", 3, "sigma: expected an object, got 3"),
+        ("l", _explicit_l(1.5), 'l.vectors[0][0]: expected a rational "p/q" string, got 1.5'),
+        ("l", _explicit_l(True), 'l.vectors[0][0]: expected a rational "p/q" string, got True'),
+        ("l", {"kind": "explicit", "vectors": [["1"]]}, "l.vectors[0]: expected 6 entries, got 1"),
+    ],
+)
+def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe, problem):
+    entry = builtin_entries()["group-compact"].to_json_dict()
+    entry[field] = recipe
+    _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def _assert_located_input_error(capsys, tmp_path, entry, problem):
+    """Every verb exits 2 on the file, naming the file and the field."""
+    path = tmp_path / "bad-field.json"
     path.write_text(json.dumps(entry))
     for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
         code, out, err = run_cli(capsys, *verb, str(path))

@@ -43,8 +43,8 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
         assert cli.main([*verb, "--explain", "lorentzian-2"]) == 0
     capsys.readouterr()
 
-    # so(2,4) and u(1,2), each built from matrices once
-    assert len(calls["from_matrix_basis"]) == 2
+    # so(2,4) is built from matrices once; u(1,2) only as l_alg, on the frame
+    assert len(calls["from_matrix_basis"]) == 1
     # embedding_report and embedding_evidence share the default image
     assert len(calls["iota_embed"]) == 1
     assert len(calls["killing_form"]) == 1

@@ -1,10 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lietriples import ratlin
 from lietriples.env2 import (
     DegenerateForm,
+    IdealReducer,
     NotInvariant,
     NotTransitive,
     Quad2,
@@ -143,6 +146,27 @@ def test_reduce_requires_subalgebra():
     bad = SubspaceBasis(3, [[0, 1, 0], [0, 0, 1]])  # span{E, F}, not closed
     with pytest.raises(ValueError):
         reduce_mod_left_ideal(Quad2.zero(g), bad)
+
+
+def test_ideal_reducer_runs_no_elimination(built_catalog, monkeypatch):
+    """The reduction reads h off its echelon form; it never eliminates."""
+    cases = [(bt.g, bt.descriptor.h, bt.omega_g) for bt in built_catalog.values()]
+    called = []
+    for name in ("_rref", "_bareiss_rank", "inverse", "rank"):
+        original = getattr(ratlin, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "lietriples" and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, recorded)
+    for g, h, omega_g in cases:
+        assert not IdealReducer(g, h).reduce(omega_g).is_zero()
+    assert called == []
 
 
 def test_equals_mod_ideal():

@@ -14,6 +14,9 @@ Zorn vector-matrix model.  The script:
      diag(1,1,1,1,-1,-1,-1), so the matrices land in so(4,3) literally,
   6. emits the structure table and representation matrices as Python data.
 
+render() returns the text of the file and main() writes it; the test suite
+compares render() with the shipped file byte for byte.
+
 Run from the repository root:  python3 tools/generate_g2_tables.py
 """
 
@@ -27,6 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lietriples.ratlin import BasisSolver, RatMatrix, SubspaceBasis, inverse, kernel
+
+OUT_PATH = Path(__file__).resolve().parent.parent / "src" / "lietriples" / "_g2data.py"
 
 # Basis of the split octonions: index 0 is the unit, 1..7 the imaginary part
 # in the order (u0, v1, v2, v3, w1, w2, w3).
@@ -83,7 +88,8 @@ def basis_elem(i):
     return zorn(0, (0, 0, 0), w, 0)
 
 
-def main():
+def render() -> str:
+    """The text of _g2data.py."""
     # Multiplication table of imaginary basis pairs, as 8-coordinate vectors.
     prod = {}
     for i in IM:
@@ -348,35 +354,35 @@ def main():
         assert check.is_zero(), "conjugated matrix is not in so(4,3)"
         rep.append(mp)
 
-    out_path = Path(__file__).resolve().parent.parent / "src" / "lietriples" / "_g2data.py"
-    with open(out_path, "w") as fh:
-        fh.write('"""Hard-coded split G2 tables.\n\n')
-        fh.write(
-            "Generated by tools/generate_g2_tables.py from the derivation algebra\n"
-            "of the split octonions; do not edit by hand.  BASIS_LABELS orders the\n"
-            "basis as (Cartan H1 H2, root vectors E1..E6 by height, F1..F6 the\n"
-            "opposite root vectors).  STRUCTURE holds (i, j, k, num, den) entries\n"
-            "of [X_i, X_j] for i < j.  REP7 holds the 7-dimensional representation\n"
-            "as (num, den) entry pairs; the matrices satisfy X^T J + J X = 0 for\n"
-            "J = diag(1, 1, 1, 1, -1, -1, -1).\n"
-            '"""\n\n'
-        )
-        fh.write(f"BASIS_LABELS = {tuple(labels)!r}\n\n")
-        fh.write("STRUCTURE = [\n")
-        for row in table:
-            fh.write(f"    {row!r},\n")
-        fh.write("]\n\n")
-        fh.write("REP7 = [\n")
-        for m in rep:
-            fh.write("    [\n")
-            for i in range(7):
-                row = [(m[i, j].numerator, m[i, j].denominator) for j in range(7)]
-                fh.write(f"        {row!r},\n")
-            fh.write("    ],\n")
-        fh.write("]\n")
-    print(f"wrote {out_path}")
-    print("labels:", labels)
-    print("roots in order:", order)
+    out = [
+        '"""Hard-coded split G2 tables.\n\n',
+        "Generated by tools/generate_g2_tables.py from the derivation algebra\n"
+        "of the split octonions; do not edit by hand.  BASIS_LABELS orders the\n"
+        "basis as (Cartan H1 H2, root vectors E1..E6 by height, F1..F6 the\n"
+        "opposite root vectors).  STRUCTURE holds (i, j, k, num, den) entries\n"
+        "of [X_i, X_j] for i < j.  REP7 holds the 7-dimensional representation\n"
+        "as (num, den) entry pairs; the matrices satisfy X^T J + J X = 0 for\n"
+        "J = diag(1, 1, 1, 1, -1, -1, -1).\n"
+        '"""\n\n',
+        f"BASIS_LABELS = {tuple(labels)!r}\n\n",
+        "STRUCTURE = [\n",
+    ]
+    out += [f"    {row!r},\n" for row in table]
+    out.append("]\n\nREP7 = [\n")
+    for m in rep:
+        out.append("    [\n")
+        for i in range(7):
+            row = [(m[i, j].numerator, m[i, j].denominator) for j in range(7)]
+            out.append(f"        {row!r},\n")
+        out.append("    ],\n")
+    out.append("]\n")
+    return "".join(out)
+
+
+def main():
+    with open(OUT_PATH, "w") as fh:
+        fh.write(render())
+    print(f"wrote {OUT_PATH}")
 
 
 def as_matrix_from_coeffs(coeffs14, der):
