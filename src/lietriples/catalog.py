@@ -22,6 +22,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,6 +59,12 @@ from .ratlin import (
 )
 
 SCHEMA_VERSION = 1
+
+# Largest matrix size a descriptor may request: p + q for so, u and su (and
+# for l's u_realified), n for sl.  Checked before anything is built.
+MAX_SIZE = 12
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 GENERATOR_NAMES = ("omega_l", "omega_l_cap_k", "omega_l_cap_s_cap_q")
 
@@ -106,13 +113,30 @@ def _typed(value, kind: type, where: str, length: Optional[int] = None):
     return value
 
 
-def _int_field(recipe: dict, key: str, where: str) -> int:
-    return _typed(_field(recipe, key, where), int, f"{where}.{key}")
+def _sizes(recipe: dict, keys: str, where: str) -> list:
+    """The integer fields named by keys (such as "pq"): each non-negative,
+    their sum at most MAX_SIZE."""
+    sizes = []
+    for key in keys:
+        size = _typed(_field(recipe, key, where), int, f"{where}.{key}")
+        if size < 0:
+            raise CatalogError(
+                f"{where}.{key}: expected a non-negative integer, got {size}"
+            )
+        sizes.append(size)
+    if sum(sizes) > MAX_SIZE:
+        total = " + ".join(keys)
+        raise CatalogError(
+            f"{where}: {total} = {sum(sizes)} is above the size cap "
+            f"MAX_SIZE = {MAX_SIZE}"
+        )
+    return sizes
 
 
 def _rational(value, where: str) -> Fraction:
-    """A "p/q" string or a JSON integer; floats and bools never pass."""
-    if type(value) is int or isinstance(value, str):
+    """A JSON integer or an integer or "p/q" string; floats, bools, decimal
+    and exponent strings never pass."""
+    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -137,9 +161,9 @@ def _build_algebra(recipe, where: str = "algebra") -> LieAlgebra:
     kind = _typed(recipe, dict, where).get("kind")
     if kind in ("so", "u", "su"):
         build = {"so": so, "u": u, "su": su}[kind]
-        return build(_int_field(recipe, "p", where), _int_field(recipe, "q", where))
+        return build(*_sizes(recipe, "pq", where))
     if kind == "sl":
-        return sl(_int_field(recipe, "n", where))
+        return sl(*_sizes(recipe, "n", where))
     if kind == "g2split":
         return g2_split()
     if kind == "direct_sum":
@@ -179,7 +203,7 @@ def _build_l(
         cols = RatMatrix.identity(g.dim).entries[:half]
         return RatMatrix.from_columns(g.dim, cols), list(g.basis_labels[:half])
     if kind == "u_realified":
-        p_sig, q_sig = _int_field(recipe, "p", where), _int_field(recipe, "q", where)
+        p_sig, q_sig = _sizes(recipe, "pq", where)
         mats, labels = u_matrices(p_sig, q_sig)
         cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in mats]
         return RatMatrix.from_columns(g.dim, cols), labels

@@ -156,8 +156,8 @@ def product_of_linear(algebra: LieAlgebra, v: Sequence, w: Sequence) -> Quad2:
     """The product (sum v_i X_i)(sum w_j X_j), normal-ordered."""
     quad: dict = {}
     lin: dict = {}
-    nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x != 0]
-    nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x != 0]
+    nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
+    nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
     for i, a in nz_v:
         for j, b in nz_w:
             c = a * b
@@ -354,6 +354,17 @@ def _greedy_complement(
     return [candidates[c - n_frame] for c in pivots if c >= n_frame]
 
 
+def _combination(terms, dim: int) -> list:
+    """sum c v over the (c, v) terms, touching only nonzero c and v[i]."""
+    out = [Fraction(0)] * dim
+    for c, v in terms:
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return out
+
+
 def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     """[q, y] = 0 mod U(g) h for every y in the basis of h."""
     reducer = IdealReducer(q.algebra, h)
@@ -390,11 +401,8 @@ def iota_embed(
         candidates = []
         for _ in range(4 * len(h_vecs)):
             coeffs = [rng.randint(-3, 3) for _ in h_vecs]
-            vec = [
-                sum(c * hv[i] for c, hv in zip(coeffs, h_vecs))
-                for i in range(g.dim)
-            ]
-            if any(x != 0 for x in vec):
+            vec = _combination(zip(coeffs, h_vecs), g.dim)
+            if any(vec):
                 candidates.append(vec)
         candidates.extend(h_vecs)  # safety net so a basis always completes
 
@@ -412,10 +420,9 @@ def iota_embed(
     for k in range(g.dim):
         coords = solver.coordinates([int(i == k) for i in range(g.dim)])
         front.append(coords[:n_l])
-        w_part = [(c, w) for c, w in zip(coords[n_l:], w_vecs) if c != 0]
-        eta.append(
-            [sum(c * w[i] for c, w in w_part) for i in range(g.dim)] if w_part else None
-        )
+        w_coords = coords[n_l:]
+        eta_k = _combination(zip(w_coords, w_vecs), g.dim) if any(w_coords) else None
+        eta.append(eta_k)
     image = _reduce_split(q, t.l_alg, front, eta, to_front)
     return reduce_mod_left_ideal(image, t.l_cap_h_in_l)
 

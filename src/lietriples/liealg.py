@@ -71,8 +71,8 @@ class LieAlgebra:
     def bracket(self, v: Sequence, w: Sequence) -> list:
         """Bracket of two coordinate vectors, as a dense coordinate list."""
         out = [Fraction(0)] * self.dim
-        nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x != 0]
-        nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x != 0]
+        nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
+        nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
         for i, a in nz_v:
             for j, b in nz_w:
                 if i == j:

@@ -41,15 +41,22 @@ class ParabolicSubalgebra:
 
 
 def char_poly(a: RatMatrix) -> list:
-    """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic)."""
+    """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic).
+
+    Faddeev-LeVerrier: M_k = A M_(k-1) + c[n-k+1] I and c[n-k] =
+    -tr(A M_k) / k.  A M_k is kept for the next degree, so each degree
+    costs one product; adding the scalar touches only the diagonal.
+    """
     n = a.rows
     c = [Fraction(0)] * (n + 1)
     c[n] = Fraction(1)
-    m = RatMatrix.zeros(n, n)
-    ident = RatMatrix.identity(n)
+    am = RatMatrix.zeros(n, n)  # A M_0, M_0 = 0
     for k in range(1, n + 1):
-        m = a @ m + ident.scale(c[n - k + 1])
-        c[n - k] = Fraction(-1, k) * (a @ m).trace()
+        m = [list(row) for row in am.entries]
+        for i in range(n):
+            m[i][i] += c[n - k + 1]
+        am = a @ RatMatrix(m)
+        c[n - k] = Fraction(-1, k) * am.trace()
     return c
 
 

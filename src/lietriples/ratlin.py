@@ -111,7 +111,7 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         return RatMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [a + b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -121,7 +121,7 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         return RatMatrix(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [a - b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -131,15 +131,22 @@ class RatMatrix:
 
     def scale(self, c) -> "RatMatrix":
         c = _rat(c)
-        return RatMatrix([[c * a for a in row] for row in self.entries])
+        return RatMatrix([[c * a if a else a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().entries
+        # row k of other as its nonzero (column, entry) pairs, listed once
+        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        zero = Fraction(0)
         out = []
         for ra in self.entries:
-            out.append([sum(a * b for a, b in zip(ra, rc)) for rc in ot])
+            acc = [zero] * other.cols
+            for a, row in zip(ra, support):
+                if a:
+                    for j, b in row:
+                        acc[j] += a * b
+            out.append(acc)
         return RatMatrix(out)
 
     def apply(self, vec: Sequence) -> list:
@@ -147,7 +154,11 @@ class RatMatrix:
         v = [_rat(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector of wrong length")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
+        nz = [(k, x) for k, x in enumerate(v) if x]
+        zero = Fraction(0)
+        return [
+            sum((row[k] * x for k, x in nz if row[k]), zero) for row in self.entries
+        ]
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -158,7 +169,7 @@ class RatMatrix:
         )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def trace(self) -> Fraction:
         return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -169,7 +180,12 @@ class RatMatrix:
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    """In-place reduced row echelon form; returns (rows, pivot column list).
+
+    Rows r and below are zero left of column c when a pivot is sought
+    there, so the pivot row's support starts at c; scaling and every row
+    update touch only that support.
+    """
     if not rows:
         return rows, []
     n_rows, n_cols = len(rows), len(rows[0])
@@ -178,19 +194,24 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     for c in range(n_cols):
         pivot_row = None
         for i in range(r, n_rows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
+        prow = rows[r]
+        support = [j for j in range(c, n_cols) if prow[j]]
+        inv = Fraction(1) / prow[c]
         if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
+            for j in support:
+                prow[j] *= inv
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -283,8 +304,9 @@ class BasisSolver:
     with E B^T in reduced echelon form, whose pivot columns p pick out an
     invertible square block A = B[p] with A^-1 = E^T.  coordinates(v) is
     then x = E^T v[p] plus an exact check that B x = v: two sparse products
-    per right-hand side instead of an elimination.  Systems whose columns
-    may be dependent go through solve().
+    per right-hand side instead of an elimination, each skipping the zero
+    entries of v and x.  Systems whose columns may be dependent go through
+    solve().
     """
 
     __slots__ = ("ambient_dim", "_inverse", "_columns")
@@ -299,12 +321,13 @@ class BasisSolver:
         rows, pivots = _rref(rows)
         if pivots and pivots[-1] >= n:
             raise DependentBasis("basis vectors are linearly dependent")
-        # row i of E^T, as sparse (pivot position, coefficient) pairs
+        # column p of E^T for each pivot position p, as sparse
+        # (coordinate, coefficient) pairs
         inv = [
-            [(p, rows[r][n + i]) for r, p in enumerate(pivots) if rows[r][n + i] != 0]
-            for i in range(k)
+            (p, [(i, x) for i, x in enumerate(rows[r][n:]) if x])
+            for r, p in enumerate(pivots)
         ]
-        cols = [[(r, x) for r, x in enumerate(col) if x != 0] for col in columns]
+        cols = [[(r, x) for r, x in enumerate(col) if x] for col in columns]
         self.ambient_dim, self._inverse, self._columns = n, inv, cols
 
     def coordinates(self, vec: Sequence) -> Optional[list]:
@@ -312,9 +335,14 @@ class BasisSolver:
         v = [_rat(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("right-hand side of wrong length")
-        x = [sum((c * v[p] for p, c in row), Fraction(0)) for row in self._inverse]
+        x = [Fraction(0)] * len(self._columns)
+        for p, col in self._inverse:
+            vp = v[p]
+            if vp:
+                for i, c in col:
+                    x[i] += c * vp
         for xi, col in zip(x, self._columns):
-            if xi != 0:
+            if xi:
                 for r, c in col:
                     v[r] -= xi * c
         return x if not any(v) else None
@@ -426,23 +454,19 @@ class SubspaceBasis:
         return RatMatrix.from_columns(self.ambient_dim, list(self.vectors))
 
     def pivots(self) -> list[int]:
-        out = []
-        for v in self.vectors:
-            for i, x in enumerate(v):
-                if x != 0:
-                    out.append(i)
-                    break
-        return out
+        return [next(i for i, x in enumerate(v) if x) for v in self.vectors]
 
     def contains(self, vec: Sequence) -> bool:
         v = [_rat(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector of wrong ambient dimension")
         for basis_vec, pivot in zip(self.vectors, self.pivots()):
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, basis_vec)]
-        return all(x == 0 for x in v)
+            f = v[pivot]
+            if f:
+                for j, b in enumerate(basis_vec):
+                    if b:
+                        v[j] -= f * b
+        return not any(v)
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(v) for v in other.vectors)

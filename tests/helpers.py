@@ -6,7 +6,57 @@ they stay deliberately naive (dense loops, no reuse of library shortcuts).
 
 from fractions import Fraction
 
-from lietriples.ratlin import RatMatrix, kernel
+from lietriples.ratlin import RatMatrix, _rat, kernel
+
+
+# Dense references for the ratlin kernels: the loops as they were before
+# the kernels learned to skip zero entries, every entry multiplied.
+
+
+def dense_matmul(self, other):
+    if self.cols != other.rows:
+        raise ValueError("shape mismatch")
+    ot = other.transpose().entries
+    out = []
+    for ra in self.entries:
+        out.append([sum(a * b for a, b in zip(ra, rc)) for rc in ot])
+    return RatMatrix(out)
+
+
+def dense_apply(self, vec):
+    v = [_rat(x) for x in vec]
+    if len(v) != self.cols:
+        raise ValueError("vector of wrong length")
+    return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
+
+
+def dense_rref(rows):
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
 
 
 def invariant_form_space(mats):

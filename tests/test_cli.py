@@ -231,6 +231,19 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
         ({"kind": "so", "p": 2.7, "q": 4}, "algebra.p: expected an integer, got 2.7"),
         ({"kind": "so", "p": True, "q": 4}, "algebra.p: expected an integer, got True"),
         ({"kind": "so", "p": "2", "q": 4}, "algebra.p: expected an integer, got '2'"),
+        ({"kind": "so", "p": -1, "q": 5}, "algebra.p: expected a non-negative integer, got -1"),
+        ({"kind": "sl", "n": -2}, "algebra.n: expected a non-negative integer, got -2"),
+        # one past the cap: the message comes before any algebra is built
+        (
+            {"kind": "so", "p": 2, "q": catalog.MAX_SIZE - 1},
+            f"algebra: p + q = {catalog.MAX_SIZE + 1} is above the size cap "
+            f"MAX_SIZE = {catalog.MAX_SIZE}",
+        ),
+        (
+            {"kind": "sl", "n": catalog.MAX_SIZE + 1},
+            f"algebra: n = {catalog.MAX_SIZE + 1} is above the size cap "
+            f"MAX_SIZE = {catalog.MAX_SIZE}",
+        ),
     ],
 )
 def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, problem):
@@ -255,6 +268,9 @@ def _explicit_l(first_entry):
         ("l", _explicit_l(1.5), 'l.vectors[0][0]: expected a rational "p/q" string, got 1.5'),
         ("l", _explicit_l(True), 'l.vectors[0][0]: expected a rational "p/q" string, got True'),
         ("l", {"kind": "explicit", "vectors": [["1"]]}, "l.vectors[0]: expected 6 entries, got 1"),
+        ("l", _explicit_l("1e999999999"), 'l.vectors[0][0]: expected a rational "p/q" string, got \'1e999999999\''),
+        ("l", _explicit_l("0.5"), 'l.vectors[0][0]: expected a rational "p/q" string, got \'0.5\''),
+        ("l", {"kind": "u_realified", "p": 1, "q": -1}, "l.q: expected a non-negative integer, got -1"),
     ],
 )
 def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe, problem):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,42 @@ def test_char_poly_diag():
     m = RatMatrix.diagonal([2, 3])
     # (x - 2)(x - 3) = x^2 - 5x + 6
     assert char_poly(m) == [Fraction(6), Fraction(-5), Fraction(1)]
+
+
+def _det(rows):
+    """Leibniz expansion: independent of every elimination in the library."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_char_poly_one_product_per_degree(monkeypatch):
+    rng = random.Random("char-poly")
+    n = 6
+    a = RatMatrix(
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    )
+    products = []
+    matmul = RatMatrix.__matmul__
+
+    def counting(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    coeffs = char_poly(a)
+    assert len(products) == n
+    assert all(type(c) is Fraction for c in coeffs)
+    # two polynomials of degree n that agree at n + 1 points are equal
+    for x in range(n + 1):
+        shifted = [[int(i == j) * x - a[i, j] for j in range(n)] for i in range(n)]
+        assert sum(c * x**k for k, c in enumerate(coeffs)) == _det(shifted)
 
 
 def test_rational_eigenvalues_with_fractions():

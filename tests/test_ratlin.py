@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_apply, dense_matmul, dense_rref
 from lietriples.ratlin import (
     AmbientMismatch,
     BasisSolver,
@@ -10,6 +11,7 @@ from lietriples.ratlin import (
     NonSymmetric,
     RatMatrix,
     SubspaceBasis,
+    _rref,
     inverse,
     kernel,
     rank,
@@ -252,3 +254,123 @@ def test_signature_of_so3_killing_form():
     from lietriples.liealg import killing_form, so
 
     assert signature(killing_form(so(3, 0)).gram) == (0, 3, 0)
+
+
+# -- zero-skipping kernels against the dense references -------------------
+
+DENSITIES = (0.1, 0.5, 1.0)
+# (rows, cols): empty, 1 x n, n x 1, n x 0, non-square both ways, square
+SHAPES = ((0, 0), (1, 5), (5, 1), (3, 0), (3, 6), (6, 3), (5, 5), (7, 7))
+
+
+def sparse_entries(rng, rows, cols, density, big, zero_lines=False):
+    """Seeded entries, nonzero with probability density; big draws huge
+    numerators and denominators, zero_lines clears a row and a column."""
+
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**15))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if zero_lines and rows and cols:
+        entries[rng.randrange(rows)] = [Fraction(0)] * cols
+        zero_col = rng.randrange(cols)
+        for row in entries:
+            row[zero_col] = Fraction(0)
+    return entries
+
+
+def all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def kernel_cases():
+    for density in DENSITIES:
+        for big in (False, True):
+            rng = random.Random(f"ratlin-kernels/{density}/{big}")
+            for rows, cols in SHAPES:
+                for zero_lines in (True, False, False):
+                    entries = sparse_entries(rng, rows, cols, density, big, zero_lines)
+                    yield rng, rows, cols, entries
+
+
+def test_matmul_and_apply_match_dense():
+    for rng, rows, cols, entries in kernel_cases():
+        a = RatMatrix(entries)
+        for width in (0, 1, 4):
+            b = RatMatrix(sparse_entries(rng, a.cols, width, rng.random(), False))
+            if b.rows != a.cols:  # a 0 x width matrix is stored as 0 x 0
+                continue
+            got = a @ b
+            assert got == dense_matmul(a, b)
+            assert all_fractions(got.entries)
+        vec = sparse_entries(rng, 1, a.cols, 0.5, False)[0] if a.cols else []
+        for v in (vec, [int(j == 0) for j in range(a.cols)]):
+            got = a.apply(v)
+            assert got == dense_apply(a, v)
+            assert all_fractions([got])
+
+
+def test_rref_kernel_and_inverse_match_dense():
+    for _, rows, cols, entries in kernel_cases():
+        got_rows, got_pivots = _rref([list(r) for r in entries])
+        ref_rows, ref_pivots = dense_rref([list(r) for r in entries])
+        assert (got_rows, got_pivots) == (ref_rows, ref_pivots)
+        assert all_fractions(got_rows)
+        m = RatMatrix(entries)
+        basis = []
+        for free in (c for c in range(m.cols) if c not in ref_pivots):
+            v = [Fraction(int(c == free)) for c in range(m.cols)]
+            for r, p in enumerate(ref_pivots):
+                v[p] = -ref_rows[r][free]
+            basis.append(v)
+        canonical, _ = dense_rref(basis)
+        ker = kernel(m)
+        assert [list(v) for v in ker.vectors] == canonical
+        assert all_fractions(ker.vectors)
+        if rows != cols or not rows:
+            continue
+        ident = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+        ref_rows, ref_pivots = dense_rref([list(r) + e for r, e in zip(entries, ident)])
+        if ref_pivots[:rows] != list(range(rows)):
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inv = inverse(m)
+        assert inv == RatMatrix([row[rows:] for row in ref_rows])
+        assert all_fractions(inv.entries)
+
+
+def test_coordinates_and_contains_match_dense():
+    for rng, _, _, entries in kernel_cases():
+        basis = RatMatrix(entries)  # columns are the candidate basis
+        n, k = basis.rows, basis.cols
+        columns = basis.columns()
+        column_rank = len(dense_rref([list(c) for c in columns])[1])
+        span = SubspaceBasis(n, columns)
+        if column_rank < k:
+            with pytest.raises(DependentBasis):
+                BasisSolver(basis)
+            solver = None
+        else:
+            solver = BasisSolver(basis)
+        inside = dense_apply(basis, sparse_entries(rng, 1, k, 0.5, False)[0] if k else [])
+        stray = sparse_entries(rng, 1, n, 0.3, False)[0] if n else []
+        for v in (inside, stray, [Fraction(int(i == 0)) for i in range(n)]):
+            aug, pivots = dense_rref([list(r) + [x] for r, x in zip(entries, v)])
+            consistent = k not in pivots
+            assert span.contains(v) == consistent
+            if solver is None:
+                continue
+            got = solver.coordinates(v)
+            if not consistent:
+                assert got is None
+                continue
+            expected = [Fraction(0)] * k
+            for r, p in enumerate(pivots):
+                expected[p] = aug[r][k]
+            assert got == expected
+            assert all_fractions([got])
