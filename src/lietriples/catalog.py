@@ -12,8 +12,9 @@ Conventions fixed here:
     interleaved coordinates (re_1, im_1, re_2, ...), where the defining forms
     literally agree; sigma is conjugation by diag(-1, 1, ..., 1), whose fixed
     subalgebra is the so(1, 2n) block.
-  * the G2 entry embeds the split G2 matrices (which preserve
-    diag(I_4, -I_3) by construction) in so(4, 3); sigma is conjugation by
+  * the G2 entry embeds the split G2 matrices of liealg.g2_matrices (the
+    derivations of the split octonions, written in a basis where they
+    preserve diag(I_4, -I_3)) in so(4, 3); sigma is conjugation by
     diag(1, 1, 1, 1, 1, -1, -1), fixing so(4, 1) + so(2).  Any other
     negative-definite 2-plane gives an equivalent descriptor, so this choice
     is a recorded convention, not extra data.
@@ -34,6 +35,7 @@ from .liealg import (
     KillingForm,
     LieAlgebra,
     direct_sum,
+    g2_matrices,
     g2_split,
     restrict_form,
     sl,
@@ -61,7 +63,8 @@ from .ratlin import (
 SCHEMA_VERSION = 1
 
 # Largest matrix size a descriptor may request: p + q for so, u and su (and
-# for l's u_realified), n for sl.  Checked before anything is built.
+# for l's u_realified), n for sl.  Checked before anything is built, as are
+# the smallest sizes the constructors accept.
 MAX_SIZE = 12
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -113,9 +116,9 @@ def _typed(value, kind: type, where: str, length: Optional[int] = None):
     return value
 
 
-def _sizes(recipe: dict, keys: str, where: str) -> list:
+def _sizes(recipe: dict, keys: str, where: str, minimum: int) -> list:
     """The integer fields named by keys (such as "pq"): each non-negative,
-    their sum at most MAX_SIZE."""
+    their sum between minimum and MAX_SIZE."""
     sizes = []
     for key in keys:
         size = _typed(_field(recipe, key, where), int, f"{where}.{key}")
@@ -124,8 +127,12 @@ def _sizes(recipe: dict, keys: str, where: str) -> list:
                 f"{where}.{key}: expected a non-negative integer, got {size}"
             )
         sizes.append(size)
+    total = " + ".join(keys)
+    if sum(sizes) < minimum:
+        raise CatalogError(
+            f"{where}: {recipe['kind']} needs {total} >= {minimum}, got {sum(sizes)}"
+        )
     if sum(sizes) > MAX_SIZE:
-        total = " + ".join(keys)
         raise CatalogError(
             f"{where}: {total} = {sum(sizes)} is above the size cap "
             f"MAX_SIZE = {MAX_SIZE}"
@@ -160,10 +167,10 @@ def _vectors(value, where: str, length: int, count: Optional[int] = None) -> lis
 def _build_algebra(recipe, where: str = "algebra") -> LieAlgebra:
     kind = _typed(recipe, dict, where).get("kind")
     if kind in ("so", "u", "su"):
-        build = {"so": so, "u": u, "su": su}[kind]
-        return build(*_sizes(recipe, "pq", where))
+        build, minimum = {"so": (so, 2), "u": (u, 1), "su": (su, 2)}[kind]
+        return build(*_sizes(recipe, "pq", where, minimum))
     if kind == "sl":
-        return sl(*_sizes(recipe, "n", where))
+        return sl(*_sizes(recipe, "n", where, 2))
     if kind == "g2split":
         return g2_split()
     if kind == "direct_sum":
@@ -202,19 +209,24 @@ def _build_l(
         half = g.dim // 2
         cols = RatMatrix.identity(g.dim).entries[:half]
         return RatMatrix.from_columns(g.dim, cols), list(g.basis_labels[:half])
-    if kind == "u_realified":
-        p_sig, q_sig = _sizes(recipe, "pq", where)
-        mats, labels = u_matrices(p_sig, q_sig)
-        cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in mats]
-        return RatMatrix.from_columns(g.dim, cols), labels
-    if kind == "g2_in_so43":
-        lg2 = g2_split()
-        cols = [so_coordinates(4, 3, m) for m in lg2.matrices]
-        return RatMatrix.from_columns(g.dim, cols), list(lg2.basis_labels)
     if kind == "explicit":
         cols = _vectors(_field(recipe, "vectors", where), f"{where}.vectors", g.dim)
         return RatMatrix.from_columns(g.dim, cols), None
-    raise CatalogError(f"{where}: unknown l recipe kind: {kind!r}")
+    if kind == "u_realified":
+        p_sig, q_sig = _sizes(recipe, "pq", where, 1)
+        mats, labels = u_matrices(p_sig, q_sig)
+        cols = [so_coordinates(2 * p_sig, 2 * q_sig, m) for m in mats]
+    elif kind == "g2_in_so43":
+        mats, labels = g2_matrices()
+        cols = [so_coordinates(4, 3, m) for m in mats]
+    else:
+        raise CatalogError(f"{where}: unknown l recipe kind: {kind!r}")
+    if len(cols[0]) != g.dim:
+        raise CatalogError(
+            f"{where}: {kind} gives vectors of length {len(cols[0])}, "
+            f"but the algebra has dimension {g.dim}"
+        )
+    return RatMatrix.from_columns(g.dim, cols), labels
 
 
 # -- built triples -----------------------------------------------------------

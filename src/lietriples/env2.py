@@ -31,7 +31,6 @@ from .ratlin import (
     SubspaceBasis,
     _rref,
     inverse,
-    rank,
     solve,
 )
 
@@ -186,9 +185,10 @@ def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
         raise ValueError("form has the wrong size for the subspace basis")
     if not form.is_symmetric():
         raise DegenerateForm("normalizing form must be symmetric")
-    if rank(form) != sub.dim:
-        raise DegenerateForm("normalizing form is singular on the subspace")
-    ginv = inverse(form)
+    try:
+        ginv = inverse(form)
+    except ValueError:
+        raise DegenerateForm("normalizing form is singular on the subspace") from None
     vectors = [list(v) for v in sub.vectors]
     total = Quad2.zero(algebra)
     for i in range(sub.dim):

@@ -4,7 +4,9 @@ A LieAlgebra is a fixed ordered basis together with the sparse structure
 tensor [X_i, X_j] = sum_k c[i][j][k] X_k and, when available, a matrix
 realization that is kept consistent with the tensor.  The constructors below
 cover everything the shipped catalog needs: sl(n,R), so(p,q), realified
-u(p,q)/su(p,q), split G2 and direct sums.
+u(p,q)/su(p,q), split G2 and direct sums.  Each simple one writes its basis
+as explicit matrices (split G2 as derivations of the split octonions, in
+closed form) and solves the structure constants from them.
 """
 
 from __future__ import annotations
@@ -405,26 +407,75 @@ def diagonal_subalgebra(ab: LieAlgebra) -> SubspaceBasis:
     return SubspaceBasis(ab.dim, vectors)
 
 
-def g2_split() -> LieAlgebra:
-    """Split G2 (dim 14) in a root-graded basis with integer constants.
+def g2_matrices() -> tuple[list, list]:
+    """The split G2 basis as 7 x 7 matrices in so(4, 3), and its labels.
 
-    The hard-coded tables live in _g2data and were generated from the
-    derivation algebra of the split octonions; the accompanying 7-dimensional
-    matrix realization preserves the form diag(I_4, -I_3), so the matrices
-    land literally inside so(4, 3).  Tables are validated by the test suite,
-    not trusted.
+    Split G2 is the derivation algebra of the split octonions.  On the
+    imaginary split octonions, in Zorn coordinates (u0, v1, v2, v3, w1, w2,
+    w3), each basis derivation is one formula; "a -> c b" means that the
+    basis vector a goes to c times b, and unnamed vectors go to 0:
+
+      H1, H2  v_i -> t_i v_i and w_i -> -t_i w_i, with t = (1, 1, -2) for
+              H1 and t = (0, -1, 1) for H2
+      e_ij    v_j -> v_i, w_i -> -w_j  (the sl(3) root vectors)
+      x_k     v_k -> u0, u0 -> -2 w_k, w_a -> -eps(k, a, b) v_b, where eps
+              is the sign of the permutation (k, a, b)
+      y_k     x_k with v and w swapped
+
+    The basis is H1, H2, then E1..E6 = e_32, x_3, x_2, y_1, e_13, e_12 (the
+    positive roots by height) and F1..F6 = e_23, -y_3, -y_2, -x_1, e_31, e_21
+    (the opposite roots), normalised so that [E_r, F_r] = H_r with
+    r(H_r) = 2.  The matrices are conjugated into the basis (u0, v_i + w_i,
+    v_i - w_i), where the octonion norm ab - v.w is -diag(I_4, -I_3); they
+    preserve it, so they lie in so(4, 3) literally.
     """
-    from . import _g2data
 
-    labels = _g2data.BASIS_LABELS
-    table: dict = {}
-    for i, j, k, num, den in _g2data.STRUCTURE:
-        table.setdefault((i, j), {})[k] = Fraction(num, den)
-    mats = [
-        RatMatrix([[Fraction(n, d) for (n, d) in row] for row in m])
-        for m in _g2data.REP7
-    ]
-    return LieAlgebra(labels, table, matrices=mats)
+    def v(i):
+        return i
+
+    def w(i):
+        return 3 + i
+
+    def moves(*images):
+        """The matrix sending each basis vector a to c b, for (a, c, b)."""
+        m = [[Fraction(0)] * 7 for _ in range(7)]
+        for a, c, b in images:
+            m[b][a] = Fraction(c)
+        return RatMatrix(m)
+
+    def torus(*t):
+        return moves(*((v(i), c, v(i)) for i, c in zip((1, 2, 3), t)),
+                     *((w(i), -c, w(i)) for i, c in zip((1, 2, 3), t)))
+
+    def e(i, j):
+        return moves((v(j), 1, v(i)), (w(i), -1, w(j)))
+
+    def x(k, v=v, w=w):
+        a, b = (t for t in (1, 2, 3) if t != k)
+        eps = 1 if (a - k) % 3 == 1 else -1
+        return moves((v(k), 1, 0), (0, -2, w(k)), (w(a), -eps, v(b)), (w(b), eps, v(a)))
+
+    def y(k):
+        return x(k, v=w, w=v)
+
+    es = [e(3, 2), x(3), x(2), y(1), e(1, 3), e(1, 2)]
+    fs = [e(2, 3), -y(3), -y(2), -x(1), e(3, 1), e(2, 1)]
+    # columns of b: u0, then v_i + w_i, then v_i - w_i; b^T b = diag(1, 2, ..., 2)
+    b = RatMatrix.from_columns(
+        7,
+        [[1, 0, 0, 0, 0, 0, 0]]
+        + [[int(t in (v(i), w(i))) for t in range(7)] for i in (1, 2, 3)]
+        + [[(t == v(i)) - (t == w(i)) for t in range(7)] for i in (1, 2, 3)],
+    )
+    b_inv = RatMatrix.diagonal([1] + [Fraction(1, 2)] * 6) @ b.transpose()
+    mats = [b_inv @ m @ b for m in [torus(1, 1, -2), torus(0, -1, 1), *es, *fs]]
+    labels = ["H1", "H2", *(f"E{r}" for r in range(1, 7)), *(f"F{r}" for r in range(1, 7))]
+    return mats, labels
+
+
+def g2_split() -> LieAlgebra:
+    """Split G2 (dim 14) on the basis of g2_matrices, with integer constants."""
+    return from_matrix_basis(*g2_matrices())
 
 
 # -- forms and subspace calculus -------------------------------------------

@@ -222,6 +222,13 @@ class TripleDescriptor:
         return subspace_in_subalgebra_coords(self.frame, self.l_cap_h)
 
     def validate(self) -> None:
+        """Raise ValueError unless the involutions, l and the frame fit
+        together.  The descriptor is immutable, so a descriptor that passes
+        is checked once."""
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
         self.sigma.validate(self.g)
         self.theta.validate(self.g)
         if not self.sigma.commutes_with(self.theta):
@@ -236,6 +243,7 @@ class TripleDescriptor:
                 raise ValueError("l_frame does not span l")
         if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
             raise ValueError("l_labels do not match the l frame")
+        return True
 
     def __repr__(self):
         return f"TripleDescriptor({self.name or 'unnamed'}, dim g = {self.g.dim})"

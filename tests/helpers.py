@@ -59,6 +59,46 @@ def dense_rref(rows):
     return rows, pivots
 
 
+# The split octonions in Zorn's vector-matrix model: an octonion is
+# (a, v, w, b) with scalars a, b and vectors v, w in Q^3.  Split G2 is the
+# algebra of derivations of this product, a route independent of liealg.
+
+
+def zmul(x, y):
+    """Zorn's product of two split octonions."""
+    a, v, w, b = x
+    a2, v2, w2, b2 = y
+
+    def dot(p, q):
+        return sum(pi * qi for pi, qi in zip(p, q))
+
+    def cross(p, q):
+        return (
+            p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0],
+        )
+
+    return (
+        a * a2 + dot(v, w2),
+        tuple(a * v2[i] + b2 * v[i] - cross(w, w2)[i] for i in range(3)),
+        tuple(a2 * w[i] + b * w2[i] + cross(v, v2)[i] for i in range(3)),
+        b * b2 + dot(w, v2),
+    )
+
+
+def zorn_octonion(coords):
+    """The octonion with coordinates in the basis (1, u0, v1..v3, w1..w3)."""
+    unit, u0, *vw = (Fraction(c) for c in coords)
+    return (unit + u0, tuple(vw[:3]), tuple(vw[3:]), unit - u0)
+
+
+def zorn_coords(x):
+    """Coordinates of an octonion in the basis (1, u0, v1..v3, w1..w3)."""
+    a, v, w, b = x
+    return [(a + b) / 2, (a - b) / 2, *v, *w]
+
+
 def invariant_form_space(mats):
     """All symmetric F with X^T F + F X = 0 for every X in mats."""
     n = mats[0].rows

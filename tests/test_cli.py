@@ -244,6 +244,12 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
             f"algebra: n = {catalog.MAX_SIZE + 1} is above the size cap "
             f"MAX_SIZE = {catalog.MAX_SIZE}",
         ),
+        # below the smallest size each constructor accepts
+        ({"kind": "so", "p": 0, "q": 0}, "algebra: so needs p + q >= 2, got 0"),
+        ({"kind": "so", "p": 1, "q": 0}, "algebra: so needs p + q >= 2, got 1"),
+        ({"kind": "u", "p": 0, "q": 0}, "algebra: u needs p + q >= 1, got 0"),
+        ({"kind": "su", "p": 0, "q": 1}, "algebra: su needs p + q >= 2, got 1"),
+        ({"kind": "sl", "n": 1}, "algebra: sl needs n >= 2, got 1"),
     ],
 )
 def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, problem):
@@ -271,10 +277,24 @@ def _explicit_l(first_entry):
         ("l", _explicit_l("1e999999999"), 'l.vectors[0][0]: expected a rational "p/q" string, got \'1e999999999\''),
         ("l", _explicit_l("0.5"), 'l.vectors[0][0]: expected a rational "p/q" string, got \'0.5\''),
         ("l", {"kind": "u_realified", "p": 1, "q": -1}, "l.q: expected a non-negative integer, got -1"),
+        ("l", {"kind": "u_realified", "p": 0, "q": 0}, "l: u_realified needs p + q >= 1, got 0"),
+        # an l recipe of the wrong size for lorentzian-2's so(2,4)
+        (
+            ("lorentzian-2", "l"),
+            {"kind": "u_realified", "p": 1, "q": 1},
+            "l: u_realified gives vectors of length 6, but the algebra has dimension 15",
+        ),
+        (
+            ("lorentzian-2", "l"),
+            {"kind": "g2_in_so43"},
+            "l: g2_in_so43 gives vectors of length 21, but the algebra has dimension 15",
+        ),
     ],
 )
 def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe, problem):
-    entry = builtin_entries()["group-compact"].to_json_dict()
+    # a field given as (entry, field) replaces that field of another shipped entry
+    base, field = field if isinstance(field, tuple) else ("group-compact", field)
+    entry = builtin_entries()[base].to_json_dict()
     entry[field] = recipe
     _assert_located_input_error(capsys, tmp_path, entry, problem)
 

@@ -1,7 +1,8 @@
 """Each derived object of a triple is computed once across the CLI verbs.
 
 The descriptor owns h, q, k, s, the Killing form, l as an algebra, its
-Cartan split and l cap h; the verbs read them instead of rebuilding them.
+Cartan split and l cap h, and checks its involutions once; the verbs read
+them instead of rebuilding them.
 The counts below are taken through every module binding of the counted
 functions, on a fresh build that bypasses the process-wide catalog cache.
 """
@@ -39,6 +40,14 @@ def _count_calls(monkeypatch) -> dict:
 def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "_BUILT_CACHE", {})
     calls = _count_calls(monkeypatch)
+    validated = []
+    original_validate = pairs.Involution.validate
+
+    def counted_validate(self, g):
+        validated.append(self)
+        return original_validate(self, g)
+
+    monkeypatch.setattr(pairs.Involution, "validate", counted_validate)
     for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
         assert cli.main([*verb, "--explain", "lorentzian-2"]) == 0
     capsys.readouterr()
@@ -49,6 +58,8 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     assert len(calls["iota_embed"]) == 1
     assert len(calls["killing_form"]) == 1
     assert len(calls["subalgebra_on_own_basis"]) <= 1
+    # the descriptor checks sigma and theta once, not once per verb
+    assert len(validated) == 2
     # sigma, theta and theta restricted to l: each split at most once
     per_involution = Counter(inv.matrix for _, inv in calls["eigenspace_split"])
     assert per_involution and max(per_involution.values()) == 1

@@ -9,6 +9,7 @@ from lietriples.liealg import (
     diagonal_subalgebra,
     direct_sum,
     from_matrix_basis,
+    g2_matrices,
     g2_split,
     gram_on_vectors,
     is_subalgebra,
@@ -21,7 +22,8 @@ from lietriples.liealg import (
     subalgebra_on_own_basis,
     u,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, kernel, signature
+from helpers import invariant_form_space, zmul, zorn_coords, zorn_octonion
+from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, signature
 
 
 def sl2():
@@ -190,33 +192,49 @@ def test_subalgebra_on_own_basis_matches_ambient_brackets():
 # -- split G2 ---------------------------------------------------------------
 
 
-def invariant_form_space(mats):
-    """Symmetric F with X^T F + F X = 0 for all X, as vectorized kernel."""
-    n = mats[0].rows
-    idx = {}
-    count = 0
-    for i in range(n):
-        for j in range(i, n):
-            idx[(i, j)] = count
-            count += 1
-    rows = []
-    for x in mats:
-        for a in range(n):
-            for b in range(a, n):
-                row = [Fraction(0)] * count
-                for k in range(n):
-                    row[idx[(min(k, b), max(k, b))]] += x[k, a]
-                    row[idx[(min(a, k), max(a, k))]] += x[k, b]
-                rows.append(row)
-    ker = kernel(RatMatrix(rows))
-    forms = []
-    for v in ker.vectors:
-        f = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), t in idx.items():
-            f[i][j] = v[t]
-            f[j][i] = v[t]
-        forms.append(RatMatrix(f))
-    return forms
+def _zorn_derivation(m):
+    """A g2_matrices element as an 8 x 8 matrix on (1, u0, v1..v3, w1..w3).
+
+    The conjugation undoes the change to the basis (u0, v_i + w_i,
+    v_i - w_i), and the unit goes to 0.
+    """
+    cols = [[1, 0, 0, 0, 0, 0, 0]]
+    cols += [[int(t in (i, 3 + i)) for t in range(7)] for i in (1, 2, 3)]
+    cols += [[(t == i) - (t == 3 + i) for t in range(7)] for i in (1, 2, 3)]
+    b = RatMatrix.from_columns(7, cols)
+    im = b @ m @ inverse(b)
+    return RatMatrix([[0] * 8] + [[0, *im.row(i)] for i in range(7)])
+
+
+def test_g2_matrices_are_derivations_of_the_split_octonions():
+    mats, labels = g2_matrices()
+    assert labels == ["H1", "H2", *(f"E{r}" for r in range(1, 7)), *(f"F{r}" for r in range(1, 7))]
+    units = [[int(i == j) for j in range(8)] for i in range(8)]
+    octonion = [zorn_octonion(e) for e in units]
+    for m in mats:
+        d = _zorn_derivation(m)
+        image = [zorn_octonion(d.apply(e)) for e in units]
+        for i in range(8):
+            for j in range(8):
+                lhs = d.apply(zorn_coords(zmul(octonion[i], octonion[j])))
+                rhs = [
+                    s + t
+                    for s, t in zip(
+                        zorn_coords(zmul(image[i], octonion[j])),
+                        zorn_coords(zmul(octonion[i], image[j])),
+                    )
+                ]
+                assert lhs == rhs
+
+
+def test_g2_root_vectors_are_normalised_coroot_pairs():
+    mats, labels = g2_matrices()
+    cartan = SubspaceBasis(49, [[x for row in m.entries for x in row] for m in mats[:2]])
+    for k in range(1, 7):
+        e, f = mats[labels.index(f"E{k}")], mats[labels.index(f"F{k}")]
+        h = e @ f - f @ e
+        assert cartan.contains([x for row in h.entries for x in row])
+        assert h @ e - e @ h == e.scale(2)
 
 
 def test_g2_dimension_and_tables():
