@@ -35,7 +35,7 @@ from . import catalog as cat
 from .catalog import CatalogError, canonical_json
 from .env2 import DegenerateForm, NotInvariant, NotTransitive
 from .parabolic import IrrationalSpectrum, is_spherical_triple
-from .pairs import NotTransitiveTriple, check_transitive_triple
+from .pairs import DescriptorError, NotTransitiveTriple, check_transitive_triple
 from .spectra import lorentzian_spectrum_report
 
 EXIT_OK = 0
@@ -63,8 +63,20 @@ def _resolve(args) -> cat.BuiltTriple:
     # stronger catalog invariants (compact k, positive s, theta-stable l)
     # are enforced where the machinery actually needs them, so a broken
     # descriptor can still be *checked* and reported as failing.
-    built.descriptor.validate()
+    try:
+        built.descriptor.validate()
+    except DescriptorError as exc:
+        raise _located(built.entry, exc) from None
     return built
+
+
+def _located(entry: cat.CatalogEntry, exc: DescriptorError) -> CatalogError:
+    """exc as a CatalogError naming the file and the field at fault."""
+    field = exc.field
+    if field in ("l", "l_frame", "l_labels"):
+        # the frame is the l recipe's vectors, in the order given
+        field = "l.vectors" if entry.l.get("kind") == "explicit" else "l"
+    return CatalogError(f"{entry.source or entry.name}: {field}: {exc}")
 
 
 def _emit(args, payload: dict, table_lines: list) -> None:

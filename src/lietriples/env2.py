@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .liealg import LieAlgebra, is_subalgebra
 from .pairs import TripleDescriptor
@@ -29,7 +29,6 @@ from .ratlin import (
     BasisSolver,
     RatMatrix,
     SubspaceBasis,
-    _rref,
     inverse,
     solve,
 )
@@ -137,6 +136,17 @@ class Quad2:
             and self.quad == other.quad
             and self.lin == other.lin
             and self.const == other.const
+        )
+
+    def __hash__(self):
+        # over exactly what __eq__ compares
+        return hash(
+            (
+                self.algebra.basis_labels,
+                frozenset(self.quad.items()),
+                frozenset(self.lin.items()),
+                self.const,
+            )
         )
 
     def __repr__(self):
@@ -337,21 +347,57 @@ def equals_mod_ideal(a: Quad2, b: Quad2, h: SubspaceBasis) -> bool:
     return reduce_mod_left_ideal(a - b, h).is_zero()
 
 
-def _greedy_complement(
-    g_dim: int, frame_cols: list, candidates: list
-) -> list:
-    """Extend frame columns to a basis of g by greedily adding candidates.
+def _greedy_complement(start: SubspaceBasis, candidates: Iterable[Sequence]) -> list:
+    """Extend start to a basis of the ambient space by greedily picking
+    candidates; the picks span a complement of start.
 
-    The pivot columns of [frame | candidates] in reduced echelon form are
-    exactly the candidates that the greedy scan keeps.
+    An echelon basis is kept, beginning with the reduced echelon basis of
+    start.  Each candidate is reduced against the kept vectors in the order
+    they were kept (every kept vector is zero at the pivots kept before it,
+    so one pass clears them all); a nonzero remainder means the candidate is
+    picked, and the remainder joins the basis, pivoting at its first nonzero
+    entry.  The scan stops once the basis fills the space: the candidates
+    after the last pick are neither reduced nor drawn.  The picks are the
+    candidate pivot columns of [basis of start | candidates] in reduced
+    echelon form.
     """
-    n_frame = len(frame_cols)
-    columns = frame_cols + candidates
-    rows = [[col[r] for col in columns] for r in range(g_dim)]
-    _, pivots = _rref(rows)
-    if len(pivots) != g_dim:
-        raise NotTransitive("l + h does not fill g")
-    return [candidates[c - n_frame] for c in pivots if c >= n_frame]
+    n = start.ambient_dim
+    kept = [
+        (p, [(i, x) for i, x in enumerate(v) if x])
+        for p, v in zip(start.pivots(), start.vectors)
+    ]
+    picks: list = []
+    if len(kept) == n:
+        return picks
+    for cand in candidates:
+        rest = list(cand)
+        for p, support in kept:
+            f = rest[p]
+            if f:
+                for i, x in support:
+                    rest[i] -= f * x
+        p = next((i for i, x in enumerate(rest) if x), None)
+        if p is None:
+            continue
+        inv = 1 / rest[p]
+        kept.append((p, [(i, x * inv) for i, x in enumerate(rest) if x]))
+        picks.append(cand)
+        if len(kept) == n:
+            return picks
+    raise NotTransitive("l + h does not fill g")
+
+
+def _seeded_candidates(h: SubspaceBasis, seed: int) -> Iterator[Sequence]:
+    """Random small integer combinations of the basis of h, then the basis
+    itself so that a complement always completes; drawn lazily, so the
+    random numbers past the last pick are never drawn."""
+    rng = random.Random(seed)
+    for _ in range(4 * h.dim):
+        coeffs = [rng.randint(-3, 3) for _ in h.vectors]
+        vec = _combination(zip(coeffs, h.vectors), h.ambient_dim)
+        if any(vec):
+            yield vec
+    yield from h.vectors
 
 
 def _combination(terms, dim: int) -> list:
@@ -374,6 +420,14 @@ def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     return True
 
 
+def _h_invariant(t: TripleDescriptor, q: Quad2) -> bool:
+    """check_h_invariant(q, t.h), decided once per value of q on t."""
+    verdicts = t.h_invariance
+    if q not in verdicts:
+        verdicts[q] = check_h_invariant(q, t.h)
+    return verdicts[q]
+
+
 def iota_embed(
     t: TripleDescriptor, q: Quad2, complement_seed: Optional[int] = None
 ) -> Quad2:
@@ -386,6 +440,12 @@ def iota_embed(
     representative of the image of q under the transfer map and does not
     depend on the choice of w; passing complement_seed picks a randomized
     valid w for exercising exactly that.
+
+    Only the work that depends on w is done per call.  The descriptor owns
+    the rest: the H-invariance verdict of each q (memoized by value) and the
+    reducer modulo U(l)(l cap h).  w is found by a greedy scan of the
+    candidates (the basis of h, or seeded random combinations of it) that
+    starts from the echelon basis of l and stops once l + w fills g.
     """
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
@@ -394,20 +454,11 @@ def iota_embed(
     frame_cols = [list(col) for col in t.frame.columns()]
 
     if complement_seed is None:
-        candidates = [list(v) for v in h.vectors]
+        candidates: Iterable[Sequence] = h.vectors
     else:
-        rng = random.Random(complement_seed)
-        h_vecs = [list(v) for v in h.vectors]
-        candidates = []
-        for _ in range(4 * len(h_vecs)):
-            coeffs = [rng.randint(-3, 3) for _ in h_vecs]
-            vec = _combination(zip(coeffs, h_vecs), g.dim)
-            if any(vec):
-                candidates.append(vec)
-        candidates.extend(h_vecs)  # safety net so a basis always completes
-
-    w_vecs = _greedy_complement(g.dim, frame_cols, candidates)
-    if not check_h_invariant(q, h):
+        candidates = _seeded_candidates(h, complement_seed)
+    w_vecs = _greedy_complement(t.l, candidates)
+    if not _h_invariant(t, q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
 
     n_l = len(frame_cols)
@@ -424,7 +475,7 @@ def iota_embed(
         eta_k = _combination(zip(w_coords, w_vecs), g.dim) if any(w_coords) else None
         eta.append(eta_k)
     image = _reduce_split(q, t.l_alg, front, eta, to_front)
-    return reduce_mod_left_ideal(image, t.l_cap_h_in_l)
+    return t.l_cap_h_reducer.reduce(image)
 
 
 def decompose_in_span(

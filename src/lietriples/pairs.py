@@ -42,6 +42,18 @@ class NotTransitiveTriple(ValueError):
     """A transitive triple was required and the descriptor is not one."""
 
 
+class DescriptorError(ValueError):
+    """The parts of a descriptor do not fit together.
+
+    field names the part at fault: "sigma", "theta", "sigma, theta" (they do
+    not commute), "l", "l_frame" or "l_labels".
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class Involution:
     """A linear involutive automorphism of a Lie algebra, as a matrix."""
 
@@ -149,8 +161,11 @@ class TripleDescriptor:
     l_frame optionally fixes a preferred ordered basis of l (columns, in
     g-coordinates) used for enveloping-algebra work and evidence records,
     and l_labels names its columns.  Everything else (h, q, k, s, the
-    Killing form, l as an algebra, its Cartan split, l cap h) is derived
-    lazily, once, and kept here, so every verb reads the same objects.
+    Killing form, l as an algebra, its Cartan split, l cap h, the reducer
+    modulo U(l)(l cap h) and the H-invariance verdicts of the elements
+    transferred into U(l)) is derived lazily, once, and kept here, so every
+    verb reads the same objects.  Nothing derived refers back to the
+    descriptor, so reference counting frees it all with the descriptor.
     """
 
     g: LieAlgebra
@@ -221,28 +236,45 @@ class TripleDescriptor:
         """l cap h in the coordinates of the frame."""
         return subspace_in_subalgebra_coords(self.frame, self.l_cap_h)
 
+    @cached_property
+    def l_cap_h_reducer(self):
+        """env2.IdealReducer modulo U(l)(l cap h) on l_alg; its subalgebra
+        check runs once per triple."""
+        from .env2 import IdealReducer  # env2 imports this module
+
+        return IdealReducer(self.l_alg, self.l_cap_h_in_l)
+
+    @cached_property
+    def h_invariance(self) -> dict:
+        """Quad2 -> verdict of env2.check_h_invariant against h, filled by
+        env2.iota_embed."""
+        return {}
+
     def validate(self) -> None:
-        """Raise ValueError unless the involutions, l and the frame fit
+        """Raise DescriptorError unless the involutions, l and the frame fit
         together.  The descriptor is immutable, so a descriptor that passes
         is checked once."""
         self._validated
 
     @cached_property
     def _validated(self) -> bool:
-        self.sigma.validate(self.g)
-        self.theta.validate(self.g)
+        for field, inv in (("sigma", self.sigma), ("theta", self.theta)):
+            try:
+                inv.validate(self.g)
+            except ValueError as exc:
+                raise DescriptorError(field, str(exc)) from None
         if not self.sigma.commutes_with(self.theta):
-            raise ValueError("sigma and theta do not commute")
+            raise DescriptorError("sigma, theta", "sigma and theta do not commute")
         if not is_subalgebra(self.g, self.l):
-            raise ValueError("l is not a subalgebra")
+            raise DescriptorError("l", "l is not a subalgebra")
         if self.l_frame is not None:
             if self.l_frame.cols != self.l.dim or rank(self.l_frame) != self.l.dim:
-                raise ValueError("l_frame does not have full rank")
+                raise DescriptorError("l_frame", "l_frame does not have full rank")
             framed = SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
             if framed != self.l:
-                raise ValueError("l_frame does not span l")
+                raise DescriptorError("l_frame", "l_frame does not span l")
         if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
-            raise ValueError("l_labels do not match the l frame")
+            raise DescriptorError("l_labels", "l_labels do not match the l frame")
         return True
 
     def __repr__(self):

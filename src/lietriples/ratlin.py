@@ -422,7 +422,7 @@ class SubspaceBasis:
     SubspaceBasis values are equal exactly when they span the same subspace.
     """
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "vectors", "_pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         rows = [[_rat(x) for x in v] for v in vectors]
@@ -433,6 +433,8 @@ class SubspaceBasis:
         rows = rows[: len(pivots)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vectors", tuple(tuple(v) for v in rows))
+        # derived from vectors, so equality and hashing ignore it
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
@@ -453,8 +455,9 @@ class SubspaceBasis:
         """Basis vectors as columns of an ambient_dim x dim matrix."""
         return RatMatrix.from_columns(self.ambient_dim, list(self.vectors))
 
-    def pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(v) if x) for v in self.vectors]
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis vector, as the echelon form found it."""
+        return self._pivots
 
     def contains(self, vec: Sequence) -> bool:
         v = [_rat(x) for x in vec]

@@ -4,9 +4,10 @@ These implement independent routes to quantities the library also computes;
 they stay deliberately naive (dense loops, no reuse of library shortcuts).
 """
 
+import random
 from fractions import Fraction
 
-from lietriples.ratlin import RatMatrix, _rat, kernel
+from lietriples.ratlin import RatMatrix, _rat, _rref, kernel
 
 
 # Dense references for the ratlin kernels: the loops as they were before
@@ -57,6 +58,41 @@ def dense_rref(rows):
         if r == n_rows:
             break
     return rows, pivots
+
+
+# References for the greedy complement of env2.iota_embed: every seeded
+# candidate drawn up front, then one elimination of the whole
+# [frame | candidates] matrix (by ratlin._rref, itself checked against
+# dense_rref).
+
+
+def eager_seeded_candidates(h, seed):
+    """All seeded candidates for the complement w of l, random combinations
+    of the basis of h followed by that basis, drawn at once."""
+    rng = random.Random(seed)
+    h_vecs = [list(v) for v in h.vectors]
+    candidates = []
+    for _ in range(4 * len(h_vecs)):
+        coeffs = [rng.randint(-3, 3) for _ in h_vecs]
+        vec = [Fraction(0)] * h.ambient_dim
+        for c, v in zip(coeffs, h_vecs):
+            for i, x in enumerate(v):
+                if c and x:
+                    vec[i] += c * x
+        if any(vec):
+            candidates.append(vec)
+    return candidates + h_vecs
+
+
+def dense_greedy_complement(g_dim, frame_cols, candidates):
+    """The candidates that are pivot columns of [frame | candidates] in
+    reduced echelon form, or None when the columns do not span."""
+    columns = [list(col) for col in frame_cols] + [list(c) for c in candidates]
+    rows = [[Fraction(col[r]) for col in columns] for r in range(g_dim)]
+    _, pivots = _rref(rows)
+    if len(pivots) != g_dim:
+        return None
+    return [list(candidates[c - len(frame_cols)]) for c in pivots if c >= len(frame_cols)]
 
 
 # The split octonions in Zorn's vector-matrix model: an octonion is

@@ -263,6 +263,25 @@ def _explicit_l(first_entry):
     return {"kind": "explicit", "vectors": [[first_entry, *vectors[0][1:]], *vectors[1:]]}
 
 
+def _l_vectors(edit):
+    """group-compact's explicit l with its vector list edited."""
+    return {"kind": "explicit", "vectors": edit(builtin_entries()["group-compact"].l["vectors"])}
+
+
+def _matrix(columns):
+    return {"kind": "matrix", "columns": [[str(x) for x in col] for col in columns]}
+
+
+def _unit(i, sign=1):
+    return [sign if k == i else 0 for k in range(6)]
+
+
+# H_1 -> -H_1 alone breaks [H_1, E_1] = 2 E_1; -X^T on the first sl(2)
+# factor only is an automorphism that does not commute with the factor swap
+_FLIP_H1 = _matrix([_unit(0, -1), *(_unit(i) for i in range(1, 6))])
+_NEG_TRANSPOSE_FIRST = _matrix([_unit(0, -1), _unit(2, -1), _unit(1, -1), *(_unit(i) for i in range(3, 6))])
+
+
 @pytest.mark.parametrize(
     "field, recipe, problem",
     [
@@ -289,6 +308,12 @@ def _explicit_l(first_entry):
             {"kind": "g2_in_so43"},
             "l: g2_in_so43 gives vectors of length 21, but the algebra has dimension 15",
         ),
+        # files that parse but whose parts do not fit together
+        ("l", _l_vectors(lambda v: v + [v[0]]), "l.vectors: l_frame does not have full rank"),
+        ("l", _l_vectors(lambda v: v[1:]), "l.vectors: l is not a subalgebra"),
+        ("theta", _FLIP_H1, "theta: involution is not an automorphism at basis pair (0,1)"),
+        ("sigma", _FLIP_H1, "sigma: involution is not an automorphism at basis pair (0,1)"),
+        ("theta", _NEG_TRANSPOSE_FIRST, "sigma, theta: sigma and theta do not commute"),
     ],
 )
 def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe, problem):

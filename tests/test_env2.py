@@ -1,16 +1,21 @@
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
-
-from lietriples import ratlin
+from conftest import ENTRY_NAMES
+from helpers import dense_greedy_complement, eager_seeded_candidates
+from lietriples import catalog, env2, ratlin
 from lietriples.env2 import (
     DegenerateForm,
     IdealReducer,
     NotInvariant,
     NotTransitive,
     Quad2,
+    _greedy_complement,
+    _seeded_candidates,
     bracket_with,
     casimir,
     check_h_invariant,
@@ -235,14 +240,19 @@ def test_iota_not_transitive():
         iota_embed(small, omega_g)
 
 
-def test_iota_not_invariant():
-    # sigma fixing the torus only: h = span{H}, q = E is not H-invariant
-    g = sl(2)
+def torus_triple(g):
+    """sigma fixing the torus only: h = span{H}; l is all of sl(2)."""
     sigma = involution_from_images(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     theta = negative_transpose_involution(g)
-    t = TripleDescriptor(
+    return TripleDescriptor(
         g=g, sigma=sigma, theta=theta, l=SubspaceBasis.full(3), name="torus"
     )
+
+
+def test_iota_not_invariant():
+    # q = E is not H-invariant
+    g = sl(2)
+    t = torus_triple(g)
     t.validate()
     assert not check_h_invariant(Quad2.basis_element(g, 1), t.h)
     with pytest.raises(NotInvariant):
@@ -320,3 +330,122 @@ def test_iota_is_unital():
     five = Quad2(t.g, const=5)
     image = iota_embed(t, five)
     assert image.quad == {} and image.lin == {} and image.const == 5
+
+
+# -- the transfer's greedy complement ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_greedy_complement_matches_the_dense_elimination(built_catalog, name):
+    d = built_catalog[name].descriptor
+    frame_cols = d.frame.columns()
+    cases = [(None, list(d.h.vectors), d.h.vectors)]
+    cases += [
+        (seed, eager_seeded_candidates(d.h, seed), _seeded_candidates(d.h, seed))
+        for seed in range(20)
+    ]
+    for seed, eager, lazy in cases:
+        expected = dense_greedy_complement(d.g.dim, frame_cols, eager)
+        assert [list(v) for v in _greedy_complement(d.l, lazy)] == expected, seed
+
+
+def test_greedy_complement_draws_no_candidate_past_the_last_pick(built_catalog):
+    d = built_catalog["g2"].descriptor
+    drawn = []
+
+    def recorded(candidates):
+        for v in candidates:
+            drawn.append(v)
+            yield v
+
+    picks = _greedy_complement(d.l, recorded(_seeded_candidates(d.h, 5)))
+    assert len(picks) == d.g.dim - d.l.dim
+    assert drawn[-1] is picks[-1]
+    assert len(drawn) < len(eager_seeded_candidates(d.h, 5))
+
+
+def test_greedy_complement_not_transitive():
+    t = group_triple()
+    line = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]])
+    assert dense_greedy_complement(6, line.vectors, list(t.h.vectors)) is None
+    for candidates in (t.h.vectors, _seeded_candidates(t.h, 1)):
+        with pytest.raises(NotTransitive):
+            _greedy_complement(line, candidates)
+    small = TripleDescriptor(g=t.g, sigma=t.sigma, theta=t.theta, l=line, name="small")
+    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g).gram)
+    with pytest.raises(NotTransitive):
+        iota_embed(small, omega_g, complement_seed=3)
+
+
+# -- work the descriptor owns ------------------------------------------------
+
+
+def test_quad2_hash_agrees_with_equality():
+    g, omega = sl2_casimir()
+    g_again, omega_again = sl2_casimir()  # a second algebra with the same labels
+    equal_pairs = [
+        (omega, omega_again),
+        (omega, symmetrized_casimir(g, SubspaceBasis.full(3), killing_form(g).gram)),
+        (Quad2(g, quad={(0, 0): Fraction(2, 4)}, lin={1: 0}), Quad2(g, quad={(0, 0): "1/2"})),
+        (Quad2(g, lin={0: 1, 2: 3}), Quad2(g, lin={2: 3, 0: 1})),
+        (Quad2(g, const=2), Quad2.zero(g) + Quad2(g, const=Fraction(4, 2))),
+        (omega - omega, Quad2.zero(g_again)),
+    ]
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({omega, omega_again, omega.scale(2)}) == 2
+
+
+def test_memoized_invariance_still_rejects_a_non_invariant_element():
+    g, omega = sl2_casimir()
+    t = torus_triple(g)
+    iota_embed(t, omega)
+    assert t.h_invariance == {omega: True}
+    e = Quad2.basis_element(g, 1)
+    for seed in (None, 4):
+        with pytest.raises(NotInvariant):
+            iota_embed(t, e, complement_seed=seed)
+    assert t.h_invariance == {omega: True, e: False}
+    # an equal value built anew reads the memo; it is still invariant
+    assert iota_embed(t, sl2_casimir()[1].scale(3)) == iota_embed(t, omega).scale(3)
+
+
+def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
+    built = catalog.BuiltTriple(catalog.builtin_entries()["lorentzian-2"])
+    calls = {"is_subalgebra": 0, "check_h_invariant": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(env2, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(env2, name, counted)
+    for seed in (None, 1, 2, 3):
+        built.iota_of_casimir(complement_seed=seed)
+    # one verdict on omega_g, and two reducers: modulo U(g) h inside that
+    # check, modulo U(l)(l cap h) on the descriptor
+    assert calls == {"is_subalgebra": 2, "check_h_invariant": 1}
+
+
+def test_built_triple_is_freed_without_the_cycle_collector():
+    entry = catalog.builtin_entries()["lorentzian-2"]
+    gc.disable()
+    try:
+        built = catalog.BuiltTriple(entry)
+        built.iota_of_casimir(complement_seed=7)
+        built.embedding_report()
+        assert "l_cap_h_reducer" in vars(built.descriptor)
+        assert built.descriptor.h_invariance
+        ref = weakref.ref(built.descriptor)
+        del built
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_seeded_transfers_pin_the_canonical_image(built_catalog, name):
+    bt = built_catalog[name]
+    base = bt.iota_of_casimir()
+    for seed in range(100, 110):
+        assert bt.iota_of_casimir(complement_seed=seed) == base, seed

@@ -374,3 +374,19 @@ def test_coordinates_and_contains_match_dense():
                 expected[p] = aug[r][k]
             assert got == expected
             assert all_fractions([got])
+
+
+def test_stored_pivots_match_the_first_nonzero_scan():
+    rng = random.Random(4242)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        vecs = [
+            [Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(0, n + 2))
+        ]
+        sub = SubspaceBasis(n, vecs)
+        scanned = [next(i for i, x in enumerate(v) if x) for v in sub.vectors]
+        assert list(sub.pivots()) == scanned
+        # the stored pivots are derived data: equality and hashing ignore them
+        again = SubspaceBasis(n, list(reversed(vecs)))
+        assert again == sub and hash(again) == hash(sub)
