@@ -13,8 +13,10 @@ U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
 
     X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]).
 
-The reduction takes the standard complement of h as front space, the
-transfer takes l; neither changes basis.
+The reduction takes the standard complement of h as front space and reads
+the split off the echelon form of h; the transfer takes l and reads it off
+one inverse of the basis [l | w], w a complement of l inside h.  Products
+are collected in a coefficient table and normal-ordered once.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .liealg import LieAlgebra, is_subalgebra
 from .pairs import TripleDescriptor
-from .ratlin import (
-    BasisSolver,
-    RatMatrix,
-    SubspaceBasis,
-    inverse,
-    solve,
-)
+from .ratlin import RatMatrix, SubspaceBasis, inverse, solve
 
 
 class DegenerateForm(ValueError):
@@ -161,24 +157,64 @@ class Quad2:
         return " + ".join(parts)
 
 
+def _pairs(vec: Sequence) -> list:
+    """The nonzero entries of a coordinate vector as (index, value) pairs."""
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def _add_outer(table: dict, v: list, w: list) -> None:
+    """table[(a, b)] += v[a] w[b] over the sparse pairs of v and w."""
+    for a, x in v:
+        for b, y in w:
+            key = (a, b)
+            table[key] = table.get(key, 0) + x * y
+
+
+def _normal_order(
+    algebra: LieAlgebra, table: dict, lin: Optional[dict] = None, const=0
+) -> Quad2:
+    """sum c X_a X_b over the (a, b) -> c table, plus lin and const, in PBW
+    normal order.
+
+    X_a X_b with a <= b is a normal monomial; with a > b it is X_b X_a +
+    [X_a, X_b], one commutator into the linear part.  Callers fill the table
+    first and order it once, so no Quad2 is built per term.
+    """
+    quad: dict = {}
+    lin = dict(lin) if lin else {}
+    for (a, b), c in table.items():
+        if not c:
+            continue
+        if a > b:
+            for k, d in algebra.bracket_basis_sparse(a, b).items():
+                lin[k] = lin.get(k, 0) + c * d
+            a, b = b, a
+        key = (a, b)
+        quad[key] = quad.get(key, 0) + c
+    return Quad2(algebra, quad, lin, const)
+
+
 def product_of_linear(algebra: LieAlgebra, v: Sequence, w: Sequence) -> Quad2:
     """The product (sum v_i X_i)(sum w_j X_j), normal-ordered."""
-    quad: dict = {}
-    lin: dict = {}
-    nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
-    nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
-    for i, a in nz_v:
-        for j, b in nz_w:
-            c = a * b
-            if i <= j:
-                key = (i, j)
-                quad[key] = quad.get(key, Fraction(0)) + c
-            else:
-                key = (j, i)
-                quad[key] = quad.get(key, Fraction(0)) + c
-                for k, d in algebra.bracket_basis_sparse(i, j).items():
-                    lin[k] = lin.get(k, Fraction(0)) + c * d
-    return Quad2(algebra, quad, lin)
+    table: dict = {}
+    _add_outer(table, _pairs(v), _pairs(w))
+    return _normal_order(algebra, table)
+
+
+def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
+    """(Z_i, Y_i) over the basis Z of the subspace and its form-dual basis
+    Y_i = sum_j (G^-1)_ij Z_j, the columns of Z G^-1 (G is the symmetric
+    Gram matrix), as sparse pairs."""
+    if form.rows != sub.dim or form.cols != sub.dim:
+        raise ValueError("form has the wrong size for the subspace basis")
+    if not form.is_symmetric():
+        raise DegenerateForm("normalizing form must be symmetric")
+    try:
+        ginv = inverse(form)
+    except ValueError:
+        raise DegenerateForm("normalizing form is singular on the subspace") from None
+    duals = (sub.matrix() @ ginv).columns()
+    return [(_pairs(z), _pairs(y)) for z, y in zip(sub.vectors, duals)]
 
 
 def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
@@ -191,22 +227,10 @@ def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
     """
     if sub.dim == 0:
         return Quad2.zero(algebra)
-    if form.rows != sub.dim or form.cols != sub.dim:
-        raise ValueError("form has the wrong size for the subspace basis")
-    if not form.is_symmetric():
-        raise DegenerateForm("normalizing form must be symmetric")
-    try:
-        ginv = inverse(form)
-    except ValueError:
-        raise DegenerateForm("normalizing form is singular on the subspace") from None
-    vectors = [list(v) for v in sub.vectors]
-    total = Quad2.zero(algebra)
-    for i in range(sub.dim):
-        for j in range(sub.dim):
-            c = ginv[i, j]
-            if c != 0:
-                total = total + product_of_linear(algebra, vectors[i], vectors[j]).scale(c)
-    return total
+    table: dict = {}
+    for z, y in _dual_pairs(sub, form):
+        _add_outer(table, z, y)
+    return _normal_order(algebra, table)
 
 
 def symmetrized_casimir(
@@ -217,22 +241,18 @@ def symmetrized_casimir(
     Provably equal to casimir() for any symmetric form: the difference is
     half the contraction of the symmetric inverse Gram with the
     antisymmetric bracket.  Provided so the equality is a computed fact
-    rather than a claim.
+    rather than a claim: both orders go into the table, and normal ordering
+    the reversed products is what brings the two together.
     """
     if sub.dim == 0:
         return Quad2.zero(algebra)
-    plain = casimir(algebra, sub, form)
-    ginv = inverse(form)
-    vectors = [list(v) for v in sub.vectors]
-    reversed_total = Quad2.zero(algebra)
-    for i in range(sub.dim):
-        for j in range(sub.dim):
-            c = ginv[i, j]
-            if c != 0:
-                reversed_total = reversed_total + product_of_linear(
-                    algebra, vectors[j], vectors[i]
-                ).scale(c)
-    return (plain + reversed_total).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    table: dict = {}
+    for z, y in _dual_pairs(sub, form):
+        half_z = [(k, half * x) for k, x in z]
+        _add_outer(table, half_z, y)
+        _add_outer(table, y, half_z)
+    return _normal_order(algebra, table)
 
 
 def bracket_with(q: Quad2, x) -> Quad2:
@@ -245,50 +265,87 @@ def bracket_with(q: Quad2, x) -> Quad2:
     n = algebra.dim
     unit = [[int(k == i) for k in range(n)] for i in range(n)]
     xv = unit[x] if isinstance(x, int) else list(x)
-    ad = [algebra.bracket(e, xv) for e in unit]  # ad[i] = [X_i, x]
-    lin = [sum(c * ad[i][k] for i, c in q.lin.items()) for k in range(n)]
-    out = Quad2.linear(algebra, lin)
+    ad = [_pairs(algebra.bracket(e, xv)) for e in unit]  # ad[i] = [X_i, x]
+    lin: dict = {}
+    for i, c in q.lin.items():
+        for k, d in ad[i]:
+            lin[k] = lin.get(k, 0) + c * d
+    table: dict = {}
     for (i, j), c in q.quad.items():
         # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
-        term = product_of_linear(algebra, unit[i], ad[j])
-        out = out + (term + product_of_linear(algebra, ad[i], unit[j])).scale(c)
+        _add_outer(table, [(i, c)], ad[j])
+        _add_outer(table, [(k, c * d) for k, d in ad[i]], [(j, 1)])
+    return _normal_order(algebra, table, lin)
+
+
+def _front_part(y: dict, front: list) -> dict:
+    """sum_k y_k f_k: the front coordinates of the front part of the ambient
+    vector y, since the front part of X_k is f_k."""
+    out: dict = {}
+    for k, c in y.items():
+        if c:
+            for a, x in front[k]:
+                out[a] = out.get(a, 0) + c * x
     return out
 
 
-def _reduce_split(
-    q: Quad2, front_alg: LieAlgebra, front: list, eta: list, to_front
-) -> Quad2:
+def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Quad2:
     """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
 
-    front[k] is f_k in front_alg coordinates, eta[k] the ambient vector
-    eta_k in h (None when it is zero), and to_front maps an ambient vector
-    to the front coordinates of its front part.  Modulo U(g) h,
+    front[k] is f_k in front_alg coordinates and eta[k] is eta_k in h in
+    ambient coordinates, both as sparse (index, value) pairs.  Modulo U(g) h,
 
         X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]),
 
     because f eta and eta eta lie in U(g) h and eta_i f_j = f_j eta_i +
-    [eta_i, f_j].  f_i f_j is normal-ordered in front_alg.
+    [eta_i, f_j].  Both terms are bilinear in (X_i, X_j), so one pass over
+    the quad terms c X_i X_j of q fills two coefficient tables,
+
+        M[a, b] = sum c f_i[a] f_j[b]               in front coordinates,
+        N[a, b] = sum c eta_i[a] (e_j - eta_j)[b]   in ambient coordinates,
+
+    (e_j - eta_j is f_j as an ambient vector).  Grouping the terms by i,
+    M = sum_i f_i (x) (sum_j c_ij f_j) and N likewise, so each f_i and eta_i
+    meets one combined row.  sum M[a, b] X_a X_b is normal-ordered once in
+    front_alg.  The ambient rest, the linear part of q plus sum N[a, b]
+    [X_a, X_b] in g, goes to the front in one step, y -> sum_k y_k f_k.
+    N only enters through the antisymmetric [X_a, X_b], so it is kept on
+    a < b, and the symmetric eta_i (x) eta_i of a square X_i X_i is left out.
     """
     g = q.algebra
-    quad: dict = {}
-    lin: dict = {}
-    rest = [Fraction(0)] * g.dim  # ambient degree-one terms, sent to the front last
-    for k, c in q.lin.items():
-        rest[k] += c
+    rows: dict = {}
     for (i, j), c in q.quad.items():
-        prod = product_of_linear(front_alg, front[i], front[j])
-        for key, d in prod.quad.items():
-            quad[key] = quad.get(key, Fraction(0)) + c * d
-        for key, d in prod.lin.items():
-            lin[key] = lin.get(key, Fraction(0)) + c * d
-        if eta[i] is not None:
-            f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
-            f_j[j] += 1
-            for k, d in enumerate(g.bracket(eta[i], f_j)):
-                rest[k] += c * d
-    for k, d in enumerate(to_front(rest)):
-        lin[k] = lin.get(k, Fraction(0)) + d
-    return Quad2(front_alg, quad, lin, q.const)
+        rows.setdefault(i, []).append((j, c))
+    m_table: dict = {}
+    n_table: dict = {}
+    for i, terms in rows.items():
+        f_row: dict = {}  # sum_j c_ij f_j, front coordinates
+        for j, c in terms:
+            for b, y in front[j]:
+                f_row[b] = f_row.get(b, 0) + c * y
+        _add_outer(m_table, front[i], [(b, y) for b, y in f_row.items() if y])
+        if not eta[i]:
+            continue
+        g_row: dict = {}  # sum_j c_ij (e_j - eta_j), ambient coordinates
+        for j, c in terms:
+            g_row[j] = g_row.get(j, 0) + c
+            if j != i:
+                for b, y in eta[j]:
+                    g_row[b] = g_row.get(b, 0) - c * y
+        for a, x in eta[i]:
+            for b, y in g_row.items():
+                if a < b:
+                    key = (a, b)
+                    n_table[key] = n_table.get(key, 0) + x * y
+                elif a > b:
+                    key = (b, a)
+                    n_table[key] = n_table.get(key, 0) - x * y
+    rest = dict(q.lin)
+    for (a, b), c in n_table.items():
+        if c:
+            for k, d in g.bracket_basis_sparse(a, b).items():
+                rest[k] = rest.get(k, 0) + c * d
+    return _normal_order(front_alg, m_table, _front_part(rest, front), q.const)
 
 
 class IdealReducer:
@@ -311,30 +368,17 @@ class IdealReducer:
         self.algebra = algebra
         self.h = h
         n = algebra.dim
-        self._front = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
-        self._eta: list = [None] * n
-        self._pivots = list(zip(h.pivots(), h.vectors))
-        for p, v in self._pivots:
-            self._front[p] = [Fraction(int(i == p)) - x for i, x in enumerate(v)]
-            self._eta[p] = list(v)
-
-    def _to_front(self, y: Sequence) -> list:
-        """y minus its h part: zero at every pivot of h."""
-        out = list(y)
-        for p, v in self._pivots:
-            c = y[p]
-            if c != 0:
-                for i, x in enumerate(v):
-                    if x != 0:
-                        out[i] -= c * x
-        return out
+        self._front = [[(k, Fraction(1))] for k in range(n)]
+        self._eta: list = [[] for _ in range(n)]
+        for p, v in zip(h.pivots(), h.vectors):
+            self._front[p] = _pairs([int(i == p) - x for i, x in enumerate(v)])
+            self._eta[p] = _pairs(v)
 
     def reduce(self, q: Quad2) -> Quad2:
-        g = self.algebra
-        split = _reduce_split(q, g, self._front, self._eta, self._to_front)
+        split = _reduce_split(q, self.algebra, self._front, self._eta)
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        lin = self._to_front([split.lin.get(k, Fraction(0)) for k in range(g.dim)])
-        return Quad2(g, split.quad, dict(enumerate(lin)), split.const)
+        lin = _front_part(split.lin, self._front)
+        return Quad2(self.algebra, split.quad, lin, split.const)
 
 
 def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
@@ -434,8 +478,11 @@ def iota_embed(
     """Transfer an H-invariant degree <= 2 element of U(g) into U(l).
 
     Picks a complement w of l inside h and splits each basis vector as
-    X_k = f_k + eta_k with f_k in l and eta_k in w; the splitting identity
-    of _reduce_split writes q modulo U(g) h as an element of U(l), which is
+    X_k = f_k + eta_k with f_k in l and eta_k in w, by one inverse: F, the
+    first n_l rows of [frame | w]^-1, has f_k (in frame coordinates) as its
+    column k, and eta_k = e_k - frame f_k lies in w by construction.  The
+    splitting identity of _reduce_split, its two tables M and N filled in
+    one pass over q, writes q modulo U(g) h as an element of U(l), which is
     then reduced modulo U(l)(l cap h).  The result is the canonical
     representative of the image of q under the transfer map and does not
     depend on the choice of w; passing complement_seed picks a randomized
@@ -461,21 +508,34 @@ def iota_embed(
     if not _h_invariant(t, q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
 
-    n_l = len(frame_cols)
-    solver = BasisSolver(RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
+    front, eta = _transfer_split(g, frame_cols, w_vecs)
+    image = _reduce_split(q, t.l_alg, front, eta)
+    return t.l_cap_h_reducer.reduce(image)
 
-    def to_front(y):
-        return solver.coordinates(y)[:n_l]
 
+def _transfer_split(g: LieAlgebra, frame_cols: list, w_vecs: list) -> tuple:
+    """(front, eta) for g = l + w: X_k = f_k + eta_k with f_k in l, in frame
+    coordinates, and eta_k in w, both as sparse pairs.
+
+    The coordinates of e_k in the basis [frame | w] are column k of its
+    inverse, so f_k is column k of F, the first n_l rows of the inverse,
+    and eta_k = e_k - frame f_k lies in w, inside h, by construction.  The
+    front part F y of an ambient y is sum_k y_k f_k, which is how
+    _reduce_split applies it.
+    """
+    basis = RatMatrix.from_columns(g.dim, frame_cols + w_vecs)
+    f_rows = inverse(basis).entries[: len(frame_cols)]
+    frame_pairs = [_pairs(col) for col in frame_cols]
     front, eta = [], []
     for k in range(g.dim):
-        coords = solver.coordinates([int(i == k) for i in range(g.dim)])
-        front.append(coords[:n_l])
-        w_coords = coords[n_l:]
-        eta_k = _combination(zip(w_coords, w_vecs), g.dim) if any(w_coords) else None
-        eta.append(eta_k)
-    image = _reduce_split(q, t.l_alg, front, eta, to_front)
-    return t.l_cap_h_reducer.reduce(image)
+        f_k = [(a, row[k]) for a, row in enumerate(f_rows) if row[k]]
+        eta_k = {k: Fraction(1)}
+        for a, x in f_k:
+            for i, y in frame_pairs[a]:
+                eta_k[i] = eta_k.get(i, 0) - x * y
+        front.append(f_k)
+        eta.append([(i, x) for i, x in sorted(eta_k.items()) if x])
+    return front, eta
 
 
 def decompose_in_span(

@@ -76,11 +76,22 @@ class Involution:
             raise ValueError("involution has wrong dimension")
         if m @ m != RatMatrix.identity(g.dim):
             raise ValueError("involution does not square to the identity")
+        # m[X_i, X_j] from the nonzero structure constants against
+        # [m X_i, m X_j], both over the sparse columns of m, read once
+        cols = [[(r, x) for r, x in enumerate(col) if x] for col in m.columns()]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = m.apply(g.bracket_basis(i, j))
-                rhs = g.bracket(m.column(i), m.column(j))
-                if lhs != rhs:
+                diff: dict = {}
+                for k, c in g.bracket_basis_sparse(i, j).items():
+                    for r, x in cols[k]:
+                        diff[r] = diff.get(r, 0) + c * x
+                for a, x in cols[i]:
+                    for b, y in cols[j]:
+                        if a != b:
+                            xy = x * y
+                            for r, c in g.bracket_basis_sparse(a, b).items():
+                                diff[r] = diff.get(r, 0) - xy * c
+                if any(diff.values()):
                     raise ValueError(
                         f"involution is not an automorphism at basis pair ({i},{j})"
                     )

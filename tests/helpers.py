@@ -7,7 +7,8 @@ they stay deliberately naive (dense loops, no reuse of library shortcuts).
 import random
 from fractions import Fraction
 
-from lietriples.ratlin import RatMatrix, _rat, _rref, kernel
+from lietriples.env2 import Quad2
+from lietriples.ratlin import BasisSolver, RatMatrix, _rat, _rref, inverse, kernel
 
 
 # Dense references for the ratlin kernels: the loops as they were before
@@ -93,6 +94,188 @@ def dense_greedy_complement(g_dim, frame_cols, candidates):
     if len(pivots) != g_dim:
         return None
     return [list(candidates[c - len(frame_cols)]) for c in pivots if c >= len(frame_cols)]
+
+
+# References for the normal ordering and the Casimir transfer of env2, as
+# they were before both went through one bilinear table: a Quad2 built and
+# added per term (termwise_*), the transfer's basis change by BasisSolver
+# (basis_solver_split) and the dense front/eta split of IdealReducer
+# (echelon_split).
+
+
+def termwise_product_of_linear(algebra, v, w):
+    """The product (sum v_i X_i)(sum w_j X_j), normal-ordered."""
+    quad: dict = {}
+    lin: dict = {}
+    nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
+    nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
+    for i, a in nz_v:
+        for j, b in nz_w:
+            c = a * b
+            if i <= j:
+                key = (i, j)
+                quad[key] = quad.get(key, Fraction(0)) + c
+            else:
+                key = (j, i)
+                quad[key] = quad.get(key, Fraction(0)) + c
+                for k, d in algebra.bracket_basis_sparse(i, j).items():
+                    lin[k] = lin.get(k, Fraction(0)) + c * d
+    return Quad2(algebra, quad, lin)
+
+
+def termwise_casimir(algebra, sub, form):
+    """Sum of X_i Y_i over form-dual bases, one product per Gram pair."""
+    ginv = inverse(form)
+    vectors = [list(v) for v in sub.vectors]
+    total = Quad2.zero(algebra)
+    for i in range(sub.dim):
+        for j in range(sub.dim):
+            c = ginv[i, j]
+            if c != 0:
+                total = total + termwise_product_of_linear(algebra, vectors[i], vectors[j]).scale(c)
+    return total
+
+
+def termwise_bracket_with(q, x):
+    """Commutator [q, x] with a degree-one element, normal-ordered."""
+    algebra = q.algebra
+    n = algebra.dim
+    unit = [[int(k == i) for k in range(n)] for i in range(n)]
+    xv = unit[x] if isinstance(x, int) else list(x)
+    ad = [algebra.bracket(e, xv) for e in unit]  # ad[i] = [X_i, x]
+    lin = [sum(c * ad[i][k] for i, c in q.lin.items()) for k in range(n)]
+    out = Quad2.linear(algebra, lin)
+    for (i, j), c in q.quad.items():
+        # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
+        term = termwise_product_of_linear(algebra, unit[i], ad[j])
+        out = out + (term + termwise_product_of_linear(algebra, ad[i], unit[j])).scale(c)
+    return out
+
+
+def termwise_reduce_split(q, front_alg, front, eta, to_front):
+    """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
+
+    front[k] is f_k in front_alg coordinates, eta[k] the ambient vector
+    eta_k in h (None when it is zero), and to_front maps an ambient vector
+    to the front coordinates of its front part.
+    """
+    g = q.algebra
+    quad: dict = {}
+    lin: dict = {}
+    rest = [Fraction(0)] * g.dim  # ambient degree-one terms, sent to the front last
+    for k, c in q.lin.items():
+        rest[k] += c
+    for (i, j), c in q.quad.items():
+        prod = termwise_product_of_linear(front_alg, front[i], front[j])
+        for key, d in prod.quad.items():
+            quad[key] = quad.get(key, Fraction(0)) + c * d
+        for key, d in prod.lin.items():
+            lin[key] = lin.get(key, Fraction(0)) + c * d
+        if eta[i] is not None:
+            f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
+            f_j[j] += 1
+            for k, d in enumerate(g.bracket(eta[i], f_j)):
+                rest[k] += c * d
+    for k, d in enumerate(to_front(rest)):
+        lin[k] = lin.get(k, Fraction(0)) + d
+    return Quad2(front_alg, quad, lin, q.const)
+
+
+def echelon_split(algebra, h):
+    """(front, eta, to_front) of the reduction modulo U(g) h: the standard
+    basis off the pivots of h spans the front space."""
+    n = algebra.dim
+    front = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    eta = [None] * n
+    pivots = list(zip(h.pivots(), h.vectors))
+    for p, v in pivots:
+        front[p] = [Fraction(int(i == p)) - x for i, x in enumerate(v)]
+        eta[p] = list(v)
+
+    def to_front(y):
+        """y minus its h part: zero at every pivot of h."""
+        out = list(y)
+        for p, v in pivots:
+            c = y[p]
+            if c != 0:
+                for i, x in enumerate(v):
+                    if x != 0:
+                        out[i] -= c * x
+        return out
+
+    return front, eta, to_front
+
+
+def termwise_reduce(q, h):
+    """Canonical representative of q modulo U(g) h."""
+    g = q.algebra
+    front, eta, to_front = echelon_split(g, h)
+    split = termwise_reduce_split(q, g, front, eta, to_front)
+    # the front space is no subalgebra: normal ordering f_i f_j leaves it
+    lin = to_front([split.lin.get(k, Fraction(0)) for k in range(g.dim)])
+    return Quad2(g, split.quad, dict(enumerate(lin)), split.const)
+
+
+def basis_solver_split(g, frame_cols, w_vecs):
+    """(front, eta, to_front) of the transfer along g = l + w, every basis
+    vector and every ambient rest solved in the basis [frame | w]."""
+    n_l = len(frame_cols)
+    solver = BasisSolver(RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
+
+    def to_front(y):
+        return solver.coordinates(y)[:n_l]
+
+    front, eta = [], []
+    for k in range(g.dim):
+        coords = solver.coordinates([int(i == k) for i in range(g.dim)])
+        front.append(coords[:n_l])
+        w_coords = coords[n_l:]
+        eta_k = None
+        if any(w_coords):
+            eta_k = [Fraction(0)] * g.dim
+            for c, v in zip(w_coords, w_vecs):
+                if c:
+                    for i, x in enumerate(v):
+                        if x:
+                            eta_k[i] += c * x
+        eta.append(eta_k)
+    return front, eta, to_front
+
+
+def random_quad2(algebra, rng, terms=6):
+    """A seeded element with quad, lin and const parts."""
+    n = algebra.dim
+
+    def coefficient():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    square = rng.randrange(n)
+    quad = {(square, square): coefficient()}
+    for _ in range(terms):
+        i, j = sorted((rng.randrange(n), rng.randrange(n)))
+        quad[(i, j)] = coefficient()
+    lin = {rng.randrange(n): coefficient() for _ in range(3)}
+    return Quad2(algebra, quad, lin, coefficient())
+
+
+# The automorphism check of pairs.Involution.validate as a dense loop: an
+# apply and a bracket of dense vectors for every basis pair.
+
+
+def dense_involution_validate(inv, g):
+    m = inv.matrix
+    if m.rows != g.dim:
+        raise ValueError("involution has wrong dimension")
+    if m @ m != RatMatrix.identity(g.dim):
+        raise ValueError("involution does not square to the identity")
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = m.apply(g.bracket_basis(i, j))
+            rhs = g.bracket(m.column(i), m.column(j))
+            if lhs != rhs:
+                raise ValueError(
+                    f"involution is not an automorphism at basis pair ({i},{j})"
+                )
 
 
 # The split octonions in Zorn's vector-matrix model: an octonion is

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 from conftest import ENTRY_NAMES
-from helpers import dense_greedy_complement, eager_seeded_candidates
+from helpers import (
+    basis_solver_split,
+    dense_greedy_complement,
+    eager_seeded_candidates,
+    random_quad2,
+    termwise_bracket_with,
+    termwise_casimir,
+    termwise_reduce,
+    termwise_reduce_split,
+)
 from lietriples import catalog, env2, ratlin
 from lietriples.env2 import (
     DegenerateForm,
@@ -15,7 +24,9 @@ from lietriples.env2 import (
     NotTransitive,
     Quad2,
     _greedy_complement,
+    _reduce_split,
     _seeded_candidates,
+    _transfer_split,
     bracket_with,
     casimir,
     check_h_invariant,
@@ -449,3 +460,99 @@ def test_seeded_transfers_pin_the_canonical_image(built_catalog, name):
     base = bt.iota_of_casimir()
     for seed in range(100, 110):
         assert bt.iota_of_casimir(complement_seed=seed) == base, seed
+
+
+# -- the bilinear split against the termwise one ----------------------------
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_casimir_and_bracket_match_the_termwise_products(built_catalog, name):
+    bt = built_catalog[name]
+    g, gram = bt.g, bt.descriptor.killing.gram
+    full = SubspaceBasis.full(g.dim)
+    assert casimir(g, full, gram) == termwise_casimir(g, full, gram)
+    rng = random.Random(f"bracket/{name}")
+    for _ in range(5):
+        q = random_quad2(g, rng)
+        x = [rng.randint(-2, 2) for _ in range(g.dim)]
+        assert bracket_with(q, x) == termwise_bracket_with(q, x)
+        i = rng.randrange(g.dim)
+        assert bracket_with(q, i) == termwise_bracket_with(q, i)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_ideal_reduction_matches_the_termwise_split(built_catalog, name):
+    bt = built_catalog[name]
+    d = bt.descriptor
+    rng = random.Random(f"reduce/{name}")
+    for algebra, h, reducer in (
+        (d.g, d.h, IdealReducer(d.g, d.h)),
+        (d.l_alg, d.l_cap_h_in_l, d.l_cap_h_reducer),
+    ):
+        for _ in range(10):
+            q = random_quad2(algebra, rng)
+            assert reducer.reduce(q) == termwise_reduce(q, h)
+    assert IdealReducer(d.g, d.h).reduce(bt.omega_g) == termwise_reduce(bt.omega_g, d.h)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_transfer_split_matches_the_basis_solver_split(built_catalog, name):
+    """frame f_k + eta_k = e_k with eta_k in h, and the bilinear split equals
+    the termwise one over the BasisSolver split, for every complement."""
+    bt = built_catalog[name]
+    d = bt.descriptor
+    n = d.g.dim
+    frame_cols = [list(col) for col in d.frame.columns()]
+    rng = random.Random(f"transfer/{name}")
+    for seed in [None, *range(20)]:
+        candidates = d.h.vectors if seed is None else _seeded_candidates(d.h, seed)
+        w_vecs = _greedy_complement(d.l, candidates)
+        front, eta = _transfer_split(d.g, frame_cols, w_vecs)
+        for k in range(n):
+            total = [Fraction(0)] * n
+            for a, x in front[k]:
+                for i, y in enumerate(frame_cols[a]):
+                    total[i] += x * y
+            eta_k = [Fraction(0)] * n
+            for i, x in eta[k]:
+                eta_k[i] = x
+                total[i] += x
+            assert total == [Fraction(int(i == k)) for i in range(n)], (seed, k)
+            assert d.h.contains(eta_k), (seed, k)
+        old = basis_solver_split(d.g, frame_cols, w_vecs)
+        # the ambient Casimir on a few complements, seeded elements on all
+        elements = [random_quad2(d.g, rng)]
+        if seed is None or seed < 3:
+            elements.append(bt.omega_g)
+        for q in elements:
+            new_image = _reduce_split(q, d.l_alg, front, eta)
+            assert new_image == termwise_reduce_split(q, d.l_alg, *old), seed
+
+
+def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypatch):
+    """One inverse of [frame | w] replaces the per-vector BasisSolver calls."""
+    calls = {"inverse": 0, "coordinates": 0}
+    original = ratlin.inverse
+
+    def counted_inverse(*args, **kwargs):
+        calls["inverse"] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "lietriples" and (
+            getattr(module, "inverse", None) is original
+        ):
+            monkeypatch.setattr(module, "inverse", counted_inverse)
+    original_coordinates = ratlin.BasisSolver.coordinates
+
+    def counted_coordinates(self, vec):
+        calls["coordinates"] += 1
+        return original_coordinates(self, vec)
+
+    monkeypatch.setattr(ratlin.BasisSolver, "coordinates", counted_coordinates)
+    for name in ENTRY_NAMES:
+        bt = built_catalog[name]
+        base = bt.iota_of_casimir()  # the descriptor's verdict and reducer, once
+        calls.update(inverse=0, coordinates=0)
+        assert bt.iota_of_casimir(complement_seed=11) == base
+        assert calls == {"inverse": 1, "coordinates": 0}, name

@@ -1,4 +1,11 @@
+import random
+
 import pytest
+from conftest import ENTRY_NAMES
+from helpers import dense_involution_validate
+from test_cli import _FLIP_H1, _NEG_TRANSPOSE_FIRST
+
+from lietriples import catalog
 
 from lietriples.liealg import (
     diagonal_subalgebra,
@@ -195,3 +202,58 @@ def test_graded_inclusions_all_catalog_involutions(built_catalog):
             for a in minus.vectors:
                 for b in minus.vectors:
                     assert plus.contains(g.bracket(a, b)), name
+
+
+def _validation_outcome(check, inv, g):
+    """None when the check passes, else its message."""
+    try:
+        check(inv, g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _sparse_check(inv, g):
+    inv.validate(g)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_sparse_involution_check_matches_the_dense_loop(built_catalog, name):
+    """Same verdict and same first failing pair on the shipped involutions,
+    on transpositions of two basis vectors and on single sign flips (both
+    square to the identity, so the pair loop decides)."""
+    d = built_catalog[name].descriptor
+    g = d.g
+    rng = random.Random(f"involution/{name}")
+    cases = [d.sigma, d.theta]
+    for _ in range(3):
+        i, j = rng.sample(range(g.dim), 2)
+        cols = [[int(r == k) for r in range(g.dim)] for k in range(g.dim)]
+        cols[i], cols[j] = cols[j], cols[i]
+        cases.append(involution_from_images(g, cols))
+        flip = [[int(r == k) for r in range(g.dim)] for k in range(g.dim)]
+        flip[i][i] = -1
+        cases.append(involution_from_images(g, flip))
+    outcomes = []
+    for inv in cases:
+        dense = _validation_outcome(dense_involution_validate, inv, g)
+        assert _validation_outcome(_sparse_check, inv, g) == dense
+        outcomes.append(dense)
+    assert outcomes[:2] == [None, None]
+    assert all(o is None or "basis pair" in o for o in outcomes)
+    assert any(o is not None for o in outcomes)
+
+
+def test_sparse_involution_check_matches_the_dense_loop_on_the_rejected_files():
+    g = catalog.BuiltTriple(catalog.builtin_entries()["group-compact"]).g
+    for recipe in (_FLIP_H1, _NEG_TRANSPOSE_FIRST):
+        inv = catalog._build_involution(g, recipe, "sigma")
+        dense = _validation_outcome(dense_involution_validate, inv, g)
+        assert _validation_outcome(_sparse_check, inv, g) == dense
+    # the flip is rejected at (0, 1); the partial transpose is an automorphism
+    flip = catalog._build_involution(g, _FLIP_H1, "theta")
+    assert _validation_outcome(_sparse_check, flip, g) == (
+        "involution is not an automorphism at basis pair (0,1)"
+    )
+    partial = catalog._build_involution(g, _NEG_TRANSPOSE_FIRST, "theta")
+    assert _validation_outcome(_sparse_check, partial, g) is None
