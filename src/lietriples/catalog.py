@@ -63,8 +63,9 @@ from .ratlin import (
 SCHEMA_VERSION = 1
 
 # Largest matrix size a descriptor may request: p + q for so, u and su (and
-# for l's u_realified), n for sl.  Checked before anything is built, as are
-# the smallest sizes the constructors accept.
+# for l's u_realified), n for sl, the sum over the factors for a direct sum.
+# Checked before anything is built, as are the smallest sizes the
+# constructors accept.
 MAX_SIZE = 12
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -164,20 +165,51 @@ def _vectors(value, where: str, length: int, count: Optional[int] = None) -> lis
 # -- recipe interpreters ----------------------------------------------------
 
 
+# algebra recipe kind -> (constructor, size fields, smallest size)
+_SIZED_ALGEBRAS = {"so": (so, "pq", 2), "u": (u, "pq", 1), "su": (su, "pq", 2), "sl": (sl, "n", 2)}
+
+
 def _build_algebra(recipe, where: str = "algebra") -> LieAlgebra:
-    kind = _typed(recipe, dict, where).get("kind")
-    if kind in ("so", "u", "su"):
-        build, minimum = {"so": (so, 2), "u": (u, 1), "su": (su, 2)}[kind]
-        return build(*_sizes(recipe, "pq", where, minimum))
-    if kind == "sl":
-        return sl(*_sizes(recipe, "n", where, 2))
+    _check_algebra_size(recipe, where)
+    return _construct_algebra(recipe)
+
+
+def _check_algebra_size(recipe, where: str) -> None:
+    """Check the matrix size of an algebra recipe against MAX_SIZE before
+    anything is built: p + q or n, 7 for split G2, and the sum over the
+    factors of a direct sum.  Nested direct sums are walked with a stack,
+    which stops at the first factor past the cap; every factor has size at
+    least 1, so a recipe that passes nests at most MAX_SIZE deep."""
+    total, stack = 0, [(recipe, where)]
+    while stack:
+        node, at = stack.pop()
+        kind = _typed(node, dict, at).get("kind")
+        if kind == "direct_sum":
+            factors = _typed(_field(node, "factors", at), list, f"{at}.factors", 2)
+            stack += [(factors[i], f"{at}.factors[{i}]") for i in (1, 0)]
+            continue
+        if kind == "g2split":
+            total += 7  # liealg.g2_matrices are 7 x 7
+        elif isinstance(kind, str) and kind in _SIZED_ALGEBRAS:
+            _, keys, minimum = _SIZED_ALGEBRAS[kind]
+            total += sum(_sizes(node, keys, at, minimum))
+        else:
+            raise CatalogError(f"{at}: unknown algebra recipe kind: {kind!r}")
+        if total > MAX_SIZE:
+            raise CatalogError(
+                f"{at}: the direct sum reaches matrix size {total} here, "
+                f"above the size cap MAX_SIZE = {MAX_SIZE}"
+            )
+
+
+def _construct_algebra(recipe: dict) -> LieAlgebra:
+    kind = recipe["kind"]
+    if kind == "direct_sum":
+        return direct_sum(*map(_construct_algebra, recipe["factors"]))
     if kind == "g2split":
         return g2_split()
-    if kind == "direct_sum":
-        factors = _typed(_field(recipe, "factors", where), list, f"{where}.factors", 2)
-        a, b = (_build_algebra(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
-        return direct_sum(a, b)
-    raise CatalogError(f"{where}: unknown algebra recipe kind: {kind!r}")
+    build, keys, _ = _SIZED_ALGEBRAS[kind]
+    return build(*(recipe[key] for key in keys))
 
 
 def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
@@ -334,7 +366,7 @@ class BuiltTriple:
 
     @cached_property
     def _canonical_image(self) -> Quad2:
-        """iota(Omega_G) through the default complement."""
+        """iota(Omega_G) through the canonical split."""
         return env2.iota_embed(self.descriptor, self.omega_g)
 
     def embedding_report(self) -> dict:
@@ -550,7 +582,8 @@ def load_entries(path: str) -> dict:
     """Load {name: CatalogEntry} from a JSON descriptor file.
 
     The file holds either one entry object or {"entries": [...]}; JSON parse
-    errors are re-raised with line/column diagnostics.
+    errors are re-raised with line/column diagnostics, and nesting too deep
+    for the parser as a CatalogError.
     """
     try:
         with open(path) as fh:
@@ -563,6 +596,8 @@ def load_entries(path: str) -> dict:
         raise CatalogError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise CatalogError(f"{path}: invalid JSON: nested too deeply") from None
     if isinstance(data, dict) and "entries" in data:
         items = data["entries"]
         if not isinstance(items, list):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from .catalog import CatalogError, canonical_json
@@ -224,8 +223,8 @@ def cmd_spectrum(args) -> int:
         print("spectrum: --n must be at least 2", file=sys.stderr)
         return EXIT_INPUT
     try:
-        cutoff = Fraction(args.cutoff)
-    except (ValueError, ZeroDivisionError):
+        cutoff = cat._rational(args.cutoff, "--cutoff")
+    except CatalogError:
         print(f"spectrum: bad --cutoff value {args.cutoff!r}", file=sys.stderr)
         return EXIT_INPUT
     report = lorentzian_spectrum_report(args.n, cutoff)

@@ -14,8 +14,10 @@ U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
     X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]).
 
 The reduction takes the standard complement of h as front space and reads
-the split off the echelon form of h; the transfer takes l and reads it off
-one inverse of the basis [l | w], w a complement of l inside h.  Products
+the split off the echelon form of h.  The transfer takes a section of g/h
+inside l, the frame vectors off the pivots of l cap h, and reads the split
+off one inverse of size dim g - dim h.  Any split gives the same canonical
+image, because U(l) cap U(g) h = U(l)(l cap h) when l + h = g.  Products
 are collected in a coefficient table and normal-ordered once.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .liealg import LieAlgebra, is_subalgebra
 from .pairs import TripleDescriptor
@@ -278,9 +280,10 @@ def bracket_with(q: Quad2, x) -> Quad2:
     return _normal_order(algebra, table, lin)
 
 
-def _front_part(y: dict, front: list) -> dict:
-    """sum_k y_k f_k: the front coordinates of the front part of the ambient
-    vector y, since the front part of X_k is f_k."""
+def _front_part(y: dict, front) -> dict:
+    """sum_k y_k front[k] over sparse vectors front[k].  With front[k] = f_k
+    it is the front part of the ambient vector y, in front coordinates,
+    since the front part of X_k is f_k."""
     out: dict = {}
     for k, c in y.items():
         if c:
@@ -301,16 +304,18 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
     [eta_i, f_j].  Both terms are bilinear in (X_i, X_j), so one pass over
     the quad terms c X_i X_j of q fills two coefficient tables,
 
-        M[a, b] = sum c f_i[a] f_j[b]               in front coordinates,
-        N[a, b] = sum c eta_i[a] (e_j - eta_j)[b]   in ambient coordinates,
+        M[a, b] = sum c f_i[a] f_j[b]      in front coordinates,
+        N[a, b] = sum c eta_i[a] e_j[b]    in ambient coordinates.
 
-    (e_j - eta_j is f_j as an ambient vector).  Grouping the terms by i,
-    M = sum_i f_i (x) (sum_j c_ij f_j) and N likewise, so each f_i and eta_i
-    meets one combined row.  sum M[a, b] X_a X_b is normal-ordered once in
-    front_alg.  The ambient rest, the linear part of q plus sum N[a, b]
-    [X_a, X_b] in g, goes to the front in one step, y -> sum_k y_k f_k.
-    N only enters through the antisymmetric [X_a, X_b], so it is kept on
-    a < b, and the symmetric eta_i (x) eta_i of a square X_i X_i is left out.
+    N brackets eta_i with X_j = f_j + eta_j rather than with f_j.  The extra
+    [eta_i, eta_j] lies in h, so its front part is zero when the front space
+    is the standard complement of h, and lies in l cap h in the transfer,
+    where the final reduction modulo U(l)(l cap h) removes it.  Grouping the
+    terms by i, M = sum_i f_i (x) (sum_j c_ij f_j), so each f_i meets one
+    combined row.  sum M[a, b] X_a X_b is normal-ordered once in front_alg.
+    The ambient rest, the linear part of q plus sum N[a, b] [X_a, X_b] in g,
+    goes to the front in one step, y -> sum_k y_k f_k.  N only enters
+    through the antisymmetric [X_a, X_b], so it is kept on a < b.
     """
     g = q.algebra
     rows: dict = {}
@@ -324,16 +329,8 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
             for b, y in front[j]:
                 f_row[b] = f_row.get(b, 0) + c * y
         _add_outer(m_table, front[i], [(b, y) for b, y in f_row.items() if y])
-        if not eta[i]:
-            continue
-        g_row: dict = {}  # sum_j c_ij (e_j - eta_j), ambient coordinates
-        for j, c in terms:
-            g_row[j] = g_row.get(j, 0) + c
-            if j != i:
-                for b, y in eta[j]:
-                    g_row[b] = g_row.get(b, 0) - c * y
         for a, x in eta[i]:
-            for b, y in g_row.items():
+            for b, y in terms:  # sum_j c_ij e_j
                 if a < b:
                     key = (a, b)
                     n_table[key] = n_table.get(key, 0) + x * y
@@ -348,16 +345,32 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
     return _normal_order(front_alg, m_table, _front_part(rest, front), q.const)
 
 
+def _echelon_split(h: SubspaceBasis) -> tuple:
+    """(front, eta) of the split X_k = f_k + eta_k whose front space is the
+    standard complement of h, both as sparse pairs in ambient coordinates.
+
+    h is in reduced echelon form, so the standard basis vectors off its
+    pivots span a complement.  Off a pivot X_i = f_i with eta_i = 0; at the
+    pivot p of the h vector v, eta_p = v and f_p = e_p - v, zero at every
+    pivot.  The front part y -> sum_k y_k f_k is the projection of g onto
+    the coordinates off the pivots, with kernel h.  No elimination is needed.
+    """
+    n = h.ambient_dim
+    front = [[(k, Fraction(1))] for k in range(n)]
+    eta: list = [[] for _ in range(n)]
+    for p, v in zip(h.pivots(), h.vectors):
+        front[p] = _pairs([int(i == p) - x for i, x in enumerate(v)])
+        eta[p] = _pairs(v)
+    return front, eta
+
+
 class IdealReducer:
     """Canonical reduction modulo the left ideal U(g) h for a fixed h.
 
-    h is in reduced echelon form, so the standard basis vectors off its
-    pivots span a complement, the front space.  Off a pivot X_i = f_i with
-    eta_i = 0; at the pivot p of the h vector v, eta_p = v and f_p = e_p - v.
-    The splitting identity of _reduce_split then leaves only normal-ordered
-    monomials in front indices, which is the canonical form; the brackets
-    picked up when f_i f_j is normal-ordered in g are sent to the front
-    again.  No elimination is needed.
+    The split is _echelon_split(h).  The splitting identity of
+    _reduce_split then leaves only normal-ordered monomials in front
+    indices, which is the canonical form; the brackets picked up when
+    f_i f_j is normal-ordered in g are sent to the front again.
     """
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
@@ -367,12 +380,7 @@ class IdealReducer:
             raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         self.algebra = algebra
         self.h = h
-        n = algebra.dim
-        self._front = [[(k, Fraction(1))] for k in range(n)]
-        self._eta: list = [[] for _ in range(n)]
-        for p, v in zip(h.pivots(), h.vectors):
-            self._front[p] = _pairs([int(i == p) - x for i, x in enumerate(v)])
-            self._eta[p] = _pairs(v)
+        self._front, self._eta = _echelon_split(h)
 
     def reduce(self, q: Quad2) -> Quad2:
         split = _reduce_split(q, self.algebra, self._front, self._eta)
@@ -389,70 +397,6 @@ def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
 def equals_mod_ideal(a: Quad2, b: Quad2, h: SubspaceBasis) -> bool:
     a._same_algebra(b)
     return reduce_mod_left_ideal(a - b, h).is_zero()
-
-
-def _greedy_complement(start: SubspaceBasis, candidates: Iterable[Sequence]) -> list:
-    """Extend start to a basis of the ambient space by greedily picking
-    candidates; the picks span a complement of start.
-
-    An echelon basis is kept, beginning with the reduced echelon basis of
-    start.  Each candidate is reduced against the kept vectors in the order
-    they were kept (every kept vector is zero at the pivots kept before it,
-    so one pass clears them all); a nonzero remainder means the candidate is
-    picked, and the remainder joins the basis, pivoting at its first nonzero
-    entry.  The scan stops once the basis fills the space: the candidates
-    after the last pick are neither reduced nor drawn.  The picks are the
-    candidate pivot columns of [basis of start | candidates] in reduced
-    echelon form.
-    """
-    n = start.ambient_dim
-    kept = [
-        (p, [(i, x) for i, x in enumerate(v) if x])
-        for p, v in zip(start.pivots(), start.vectors)
-    ]
-    picks: list = []
-    if len(kept) == n:
-        return picks
-    for cand in candidates:
-        rest = list(cand)
-        for p, support in kept:
-            f = rest[p]
-            if f:
-                for i, x in support:
-                    rest[i] -= f * x
-        p = next((i for i, x in enumerate(rest) if x), None)
-        if p is None:
-            continue
-        inv = 1 / rest[p]
-        kept.append((p, [(i, x * inv) for i, x in enumerate(rest) if x]))
-        picks.append(cand)
-        if len(kept) == n:
-            return picks
-    raise NotTransitive("l + h does not fill g")
-
-
-def _seeded_candidates(h: SubspaceBasis, seed: int) -> Iterator[Sequence]:
-    """Random small integer combinations of the basis of h, then the basis
-    itself so that a complement always completes; drawn lazily, so the
-    random numbers past the last pick are never drawn."""
-    rng = random.Random(seed)
-    for _ in range(4 * h.dim):
-        coeffs = [rng.randint(-3, 3) for _ in h.vectors]
-        vec = _combination(zip(coeffs, h.vectors), h.ambient_dim)
-        if any(vec):
-            yield vec
-    yield from h.vectors
-
-
-def _combination(terms, dim: int) -> list:
-    """sum c v over the (c, v) terms, touching only nonzero c and v[i]."""
-    out = [Fraction(0)] * dim
-    for c, v in terms:
-        if c:
-            for i, x in enumerate(v):
-                if x:
-                    out[i] += c * x
-    return out
 
 
 def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
@@ -477,63 +421,70 @@ def iota_embed(
 ) -> Quad2:
     """Transfer an H-invariant degree <= 2 element of U(g) into U(l).
 
-    Picks a complement w of l inside h and splits each basis vector as
-    X_k = f_k + eta_k with f_k in l and eta_k in w, by one inverse: F, the
-    first n_l rows of [frame | w]^-1, has f_k (in frame coordinates) as its
-    column k, and eta_k = e_k - frame f_k lies in w by construction.  The
-    splitting identity of _reduce_split, its two tables M and N filled in
-    one pass over q, writes q modulo U(g) h as an element of U(l), which is
-    then reduced modulo U(l)(l cap h).  The result is the canonical
-    representative of the image of q under the transfer map and does not
-    depend on the choice of w; passing complement_seed picks a randomized
-    valid w for exercising exactly that.
+    Splits each basis vector as X_k = f_k + eta_k with f_k in l and eta_k
+    in h (_transfer_split).  The splitting identity of _reduce_split, its
+    two tables M and N filled in one pass over q, writes q modulo U(g) h as
+    an element of U(l), which is then reduced modulo U(l)(l cap h).  Since
+    U(l) cap U(g) h = U(l)(l cap h) when l + h = g, the result is the
+    canonical representative of the image of q under the transfer map
+    whatever split is used; passing complement_seed moves each f_k by a
+    seeded element of l cap h, for exercising exactly that.
 
-    Only the work that depends on w is done per call.  The descriptor owns
-    the rest: the H-invariance verdict of each q (memoized by value) and the
-    reducer modulo U(l)(l cap h).  w is found by a greedy scan of the
-    candidates (the basis of h, or seeded random combinations of it) that
-    starts from the echelon basis of l and stops once l + w fills g.
+    Only the split is built per call.  The descriptor owns the rest: the
+    H-invariance verdict of each q (memoized by value) and the reducer
+    modulo U(l)(l cap h).
     """
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
         raise ValueError("q is not an element over the ambient algebra")
-    h = t.h
-    frame_cols = [list(col) for col in t.frame.columns()]
-
-    if complement_seed is None:
-        candidates: Iterable[Sequence] = h.vectors
-    else:
-        candidates = _seeded_candidates(h, complement_seed)
-    w_vecs = _greedy_complement(t.l, candidates)
+    front, eta = _transfer_split(t, complement_seed)
     if not _h_invariant(t, q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
-
-    front, eta = _transfer_split(g, frame_cols, w_vecs)
     image = _reduce_split(q, t.l_alg, front, eta)
     return t.l_cap_h_reducer.reduce(image)
 
 
-def _transfer_split(g: LieAlgebra, frame_cols: list, w_vecs: list) -> tuple:
-    """(front, eta) for g = l + w: X_k = f_k + eta_k with f_k in l, in frame
-    coordinates, and eta_k in w, both as sparse pairs.
+def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
+    """(front, eta) for g = l + h: X_k = f_k + eta_k with f_k in l, in frame
+    coordinates, and eta_k in h, both as sparse pairs.
 
-    The coordinates of e_k in the basis [frame | w] are column k of its
-    inverse, so f_k is column k of F, the first n_l rows of the inverse,
-    and eta_k = e_k - frame f_k lies in w, inside h, by construction.  The
-    front part F y of an ambient y is sum_k y_k f_k, which is how
-    _reduce_split applies it.
+    The frame vectors off the pivots of l cap h (in frame coordinates) span
+    a complement of l cap h in l.  When dim l - dim(l cap h) = dim g - dim h
+    they map onto g/h isomorphically, a section of g/h inside l; otherwise
+    l + h does not fill g.  The front part pi of _echelon_split(h) reads g/h
+    as the coordinates off the pivots of h, so the section is the square
+    matrix M with columns pi(frame_a), f_k = M^-1 pi(e_k), and eta_k =
+    e_k - frame f_k lies in the kernel of pi, h.  A seed adds a seeded
+    integer combination of the basis of l cap h to each f_k, which moves
+    eta_k inside h, so the split stays valid.
     """
-    basis = RatMatrix.from_columns(g.dim, frame_cols + w_vecs)
-    f_rows = inverse(basis).entries[: len(frame_cols)]
-    frame_pairs = [_pairs(col) for col in frame_cols]
+    g, h, lh = t.g, t.h, t.l_cap_h_in_l
+    section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
+    rows = [i for i in range(g.dim) if i not in h.pivots()]
+    if len(section) != len(rows):
+        raise NotTransitive("l + h does not fill g")
+    pi, _ = _echelon_split(h)
+    frame_pairs = [_pairs(col) for col in t.frame.columns()]
+    m_cols = [_front_part(dict(frame_pairs[a]), pi) for a in section]
+    m = RatMatrix.from_columns(len(rows), [[c.get(i, 0) for i in rows] for c in m_cols])
+    # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates
+    lift = {
+        i: [(section[b], y) for b, y in _pairs(col)]
+        for i, col in zip(rows, inverse(m).columns())
+    }
+    rng = None if seed is None else random.Random(seed)
+    lh_pairs = [_pairs(u) for u in lh.vectors]
     front, eta = [], []
     for k in range(g.dim):
-        f_k = [(a, row[k]) for a, row in enumerate(f_rows) if row[k]]
-        eta_k = {k: Fraction(1)}
-        for a, x in f_k:
-            for i, y in frame_pairs[a]:
-                eta_k[i] = eta_k.get(i, 0) - x * y
-        front.append(f_k)
+        f_k = _front_part(dict(pi[k]), lift)
+        if rng is not None:
+            for u in lh_pairs:
+                c = rng.randint(-3, 3)
+                for a, x in u:
+                    f_k[a] = f_k.get(a, 0) + c * x
+        eta_k = {i: -x for i, x in _front_part(f_k, frame_pairs).items()}
+        eta_k[k] = eta_k.get(k, 0) + 1  # e_k - frame f_k
+        front.append([(a, x) for a, x in sorted(f_k.items()) if x])
         eta.append([(i, x) for i, x in sorted(eta_k.items()) if x])
     return front, eta
 

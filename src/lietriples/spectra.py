@@ -10,11 +10,16 @@ attributions as plain metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ratlin import RatMatrix, signature
+
+
+# Most discrete eigenvalues a report lists; a larger cutoff is an input error.
+MAX_EIGENVALUES = 10_000
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,20 @@ def lorentzian_spectrum_report(n: int, cutoff) -> SpectrumReport:
 
     Requires n >= 2.  The positive discrete eigenvalues are l^2 - n^2 for
     l = n+1, n+2, ... up to the cutoff; the three bands partition the real
-    eigenvalue axis as (-inf, -n^2], (-n^2, 0], (0, +inf).
+    eigenvalue axis as (-inf, -n^2], (-n^2, 0], (0, +inf).  They are
+    counted before any is listed: l^2 <= n^2 + floor(cutoff) gives
+    isqrt(n^2 + floor(cutoff)) - n of them, and more than MAX_EIGENVALUES
+    is a ValueError.
     """
     if n < 2:
         raise ValueError("the Lorentzian family needs n >= 2")
     cutoff = Fraction(cutoff)
+    count = max(0, math.isqrt(max(0, n * n + math.floor(cutoff))) - n)
+    if count > MAX_EIGENVALUES:
+        raise ValueError(
+            f"cutoff {cutoff} lists {count} discrete eigenvalues, more than "
+            f"MAX_EIGENVALUES = {MAX_EIGENVALUES}"
+        )
     minus_n_sq = Fraction(-n * n)
     bands = (
         Band(
@@ -160,11 +174,9 @@ def lorentzian_spectrum_report(n: int, cutoff) -> SpectrumReport:
             attribution="integrable discrete series",
         ),
     )
-    discrete = []
-    ell = n + 1
-    while Fraction(ell * ell - n * n) <= cutoff:
-        discrete.append((ell, Fraction(ell * ell - n * n)))
-        ell += 1
+    discrete = [
+        (ell, Fraction(ell * ell - n * n)) for ell in range(n + 1, n + 1 + count)
+    ]
     note = (
         "eigenspaces of the positive discrete eigenvalues are infinite "
         "dimensional; the boundary value -n^2 is listed with the first band "

@@ -61,10 +61,10 @@ def dense_rref(rows):
     return rows, pivots
 
 
-# References for the greedy complement of env2.iota_embed: every seeded
-# candidate drawn up front, then one elimination of the whole
-# [frame | candidates] matrix (by ratlin._rref, itself checked against
-# dense_rref).
+# References for a complement w of l inside h, the route by which
+# env2.iota_embed once split g = l + w: seeded candidates drawn up front,
+# then one elimination of the whole [frame | candidates] matrix (by
+# ratlin._rref, itself checked against dense_rref).
 
 
 def eager_seeded_candidates(h, seed):

@@ -65,6 +65,43 @@ def test_spectrum_zero_cutoff_keeps_bands(capsys):
     assert "none up to the cutoff" in out
 
 
+@pytest.mark.parametrize(
+    "n, cutoff, problem",
+    [
+        pytest.param("2", "1e20", "spectrum: bad --cutoff value '1e20'", id="1e20"),
+        pytest.param(
+            "2",
+            "1e999999999",
+            "spectrum: bad --cutoff value '1e999999999'",
+            id="1e999999999",
+        ),
+        pytest.param(
+            "2",
+            str(10**20),
+            f"error: cutoff {10**20} lists 9999999998 discrete eigenvalues, "
+            "more than MAX_EIGENVALUES = 10000",
+            id="21-digit-integer",
+        ),
+        pytest.param(
+            "100000000",
+            str(10**17),
+            f"error: cutoff {10**17} lists 231662479 discrete eigenvalues, "
+            "more than MAX_EIGENVALUES = 10000",
+            id="n-1e8-cutoff-1e17",
+        ),
+    ],
+)
+def test_spectrum_large_cutoff_is_a_quick_input_error(n, cutoff, problem):
+    # a fresh process, so that a cutoff that hangs fails on the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "lietriples", "spectrum", "--n", n, "--cutoff", cutoff],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", problem + "\n")
+
+
 def test_spectrum_rejects_n1(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--n", "1")
     assert code == 2
@@ -224,6 +261,21 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
     assert "subalgebra" in err
 
 
+def _nested_direct_sum(factor, depth):
+    """factor summed with itself, depth times over: 2**depth copies."""
+    for _ in range(depth):
+        factor = {"kind": "direct_sum", "factors": [factor, factor]}
+    return factor
+
+
+def _direct_sum_chain(factor, length):
+    """((factor + factor) + factor) + ..., length direct sums deep."""
+    chain = factor
+    for _ in range(length):
+        chain = {"kind": "direct_sum", "factors": [chain, factor]}
+    return chain
+
+
 @pytest.mark.parametrize(
     "algebra, problem",
     [
@@ -250,6 +302,19 @@ def test_non_subalgebra_l_rejected(capsys, tmp_path):
         ({"kind": "u", "p": 0, "q": 0}, "algebra: u needs p + q >= 1, got 0"),
         ({"kind": "su", "p": 0, "q": 1}, "algebra: su needs p + q >= 2, got 1"),
         ({"kind": "sl", "n": 1}, "algebra: sl needs n >= 2, got 1"),
+        # a direct sum is capped as a whole, each factor within MAX_SIZE or not
+        pytest.param(
+            _nested_direct_sum({"kind": "so", "p": 6, "q": 6}, 3),
+            "algebra.factors[0].factors[0].factors[1]: the direct sum reaches "
+            f"matrix size 24 here, above the size cap MAX_SIZE = {catalog.MAX_SIZE}",
+            id="direct-sum-of-8-so66",
+        ),
+        pytest.param(
+            _direct_sum_chain({"kind": "so", "p": 1, "q": 1}, 200),
+            f"algebra{'.factors[0]' * 194}.factors[1]: the direct sum reaches "
+            f"matrix size 14 here, above the size cap MAX_SIZE = {catalog.MAX_SIZE}",
+            id="direct-sum-chain-200-deep",
+        ),
     ],
 )
 def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, problem):
@@ -322,6 +387,14 @@ def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe,
     entry = builtin_entries()[base].to_json_dict()
     entry[field] = recipe
     _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def test_json_nested_too_deeply_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: nested too deeply\n")
 
 
 def _assert_located_input_error(capsys, tmp_path, entry, problem):

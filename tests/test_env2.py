@@ -23,9 +23,7 @@ from lietriples.env2 import (
     NotInvariant,
     NotTransitive,
     Quad2,
-    _greedy_complement,
     _reduce_split,
-    _seeded_candidates,
     _transfer_split,
     bracket_with,
     casimir,
@@ -343,49 +341,20 @@ def test_iota_is_unital():
     assert image.quad == {} and image.lin == {} and image.const == 5
 
 
-# -- the transfer's greedy complement ---------------------------------------
+# -- the transfer's split -------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ENTRY_NAMES)
-def test_greedy_complement_matches_the_dense_elimination(built_catalog, name):
-    d = built_catalog[name].descriptor
-    frame_cols = d.frame.columns()
-    cases = [(None, list(d.h.vectors), d.h.vectors)]
-    cases += [
-        (seed, eager_seeded_candidates(d.h, seed), _seeded_candidates(d.h, seed))
-        for seed in range(20)
-    ]
-    for seed, eager, lazy in cases:
-        expected = dense_greedy_complement(d.g.dim, frame_cols, eager)
-        assert [list(v) for v in _greedy_complement(d.l, lazy)] == expected, seed
-
-
-def test_greedy_complement_draws_no_candidate_past_the_last_pick(built_catalog):
-    d = built_catalog["g2"].descriptor
-    drawn = []
-
-    def recorded(candidates):
-        for v in candidates:
-            drawn.append(v)
-            yield v
-
-    picks = _greedy_complement(d.l, recorded(_seeded_candidates(d.h, 5)))
-    assert len(picks) == d.g.dim - d.l.dim
-    assert drawn[-1] is picks[-1]
-    assert len(drawn) < len(eager_seeded_candidates(d.h, 5))
-
-
-def test_greedy_complement_not_transitive():
+def test_transfer_split_not_transitive():
     t = group_triple()
     line = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]])
     assert dense_greedy_complement(6, line.vectors, list(t.h.vectors)) is None
-    for candidates in (t.h.vectors, _seeded_candidates(t.h, 1)):
-        with pytest.raises(NotTransitive):
-            _greedy_complement(line, candidates)
     small = TripleDescriptor(g=t.g, sigma=t.sigma, theta=t.theta, l=line, name="small")
     omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g).gram)
-    with pytest.raises(NotTransitive):
-        iota_embed(small, omega_g, complement_seed=3)
+    for seed in (None, 3):
+        with pytest.raises(NotTransitive, match="l \\+ h does not fill g"):
+            _transfer_split(small, seed)
+        with pytest.raises(NotTransitive):
+            iota_embed(small, omega_g, complement_seed=seed)
 
 
 # -- work the descriptor owns ------------------------------------------------
@@ -496,18 +465,14 @@ def test_ideal_reduction_matches_the_termwise_split(built_catalog, name):
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
-def test_transfer_split_matches_the_basis_solver_split(built_catalog, name):
-    """frame f_k + eta_k = e_k with eta_k in h, and the bilinear split equals
-    the termwise one over the BasisSolver split, for every complement."""
-    bt = built_catalog[name]
-    d = bt.descriptor
+def test_transfer_split_splits_every_basis_vector_along_l_and_h(built_catalog, name):
+    """frame f_k + eta_k = e_k with eta_k in h, for the canonical split and
+    20 seeded ones."""
+    d = built_catalog[name].descriptor
     n = d.g.dim
     frame_cols = [list(col) for col in d.frame.columns()]
-    rng = random.Random(f"transfer/{name}")
     for seed in [None, *range(20)]:
-        candidates = d.h.vectors if seed is None else _seeded_candidates(d.h, seed)
-        w_vecs = _greedy_complement(d.l, candidates)
-        front, eta = _transfer_split(d.g, frame_cols, w_vecs)
+        front, eta = _transfer_split(d, seed)
         for k in range(n):
             total = [Fraction(0)] * n
             for a, x in front[k]:
@@ -519,24 +484,43 @@ def test_transfer_split_matches_the_basis_solver_split(built_catalog, name):
                 total[i] += x
             assert total == [Fraction(int(i == k)) for i in range(n)], (seed, k)
             assert d.h.contains(eta_k), (seed, k)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
+    """Modulo U(l)(l cap h), the bilinear reduction over the section split
+    equals the termwise one over the BasisSolver split that a complement w
+    of l inside h defines, the complement drawn with the same seed."""
+    bt = built_catalog[name]
+    d = bt.descriptor
+    frame_cols = [list(col) for col in d.frame.columns()]
+    reduce = d.l_cap_h_reducer.reduce
+    rng = random.Random(f"transfer/{name}")
+    for seed in [None, *range(20)]:
+        front, eta = _transfer_split(d, seed)
+        candidates = list(d.h.vectors) if seed is None else eager_seeded_candidates(d.h, seed)
+        w_vecs = dense_greedy_complement(d.g.dim, frame_cols, candidates)
         old = basis_solver_split(d.g, frame_cols, w_vecs)
-        # the ambient Casimir on a few complements, seeded elements on all
+        # the ambient Casimir on a few splits, seeded elements on all
         elements = [random_quad2(d.g, rng)]
         if seed is None or seed < 3:
             elements.append(bt.omega_g)
         for q in elements:
-            new_image = _reduce_split(q, d.l_alg, front, eta)
-            assert new_image == termwise_reduce_split(q, d.l_alg, *old), seed
+            new_image = reduce(_reduce_split(q, d.l_alg, front, eta))
+            assert new_image == reduce(termwise_reduce_split(q, d.l_alg, *old)), seed
 
 
 def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypatch):
-    """One inverse of [frame | w] replaces the per-vector BasisSolver calls."""
+    """A seeded transfer inverts one matrix, of size dim g - dim h, and
+    solves nothing."""
     calls = {"inverse": 0, "coordinates": 0}
+    sizes = []
     original = ratlin.inverse
 
-    def counted_inverse(*args, **kwargs):
+    def counted_inverse(m, *args, **kwargs):
         calls["inverse"] += 1
-        return original(*args, **kwargs)
+        sizes.append(m.rows)
+        return original(m, *args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "lietriples" and (
@@ -556,3 +540,4 @@ def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypa
         calls.update(inverse=0, coordinates=0)
         assert bt.iota_of_casimir(complement_seed=11) == base
         assert calls == {"inverse": 1, "coordinates": 0}, name
+        assert sizes[-1] == bt.g.dim - bt.descriptor.h.dim, name
