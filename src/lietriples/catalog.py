@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -77,6 +78,24 @@ class CatalogError(ValueError):
     """A descriptor failed to parse or validate."""
 
 
+class _BoundedRepr(reprlib.Repr):
+    """repr for values echoed in messages: containers cut after a few items
+    and three levels, the whole cut to 80 characters; short values read as
+    repr() gives them."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = 3
+        self.maxstring = self.maxother = 40
+
+    def repr(self, x) -> str:
+        text = super().repr(x)
+        return text if len(text) <= 80 else text[:77] + "..."
+
+
+_show = _BoundedRepr().repr
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -111,7 +130,7 @@ def _typed(value, kind: type, where: str, length: Optional[int] = None):
     """value as a JSON object, list or integer (never a bool), of a given length."""
     if type(value) is not kind:
         name = {dict: "an object", list: "a list", int: "an integer"}[kind]
-        raise CatalogError(f"{where}: expected {name}, got {value!r}")
+        raise CatalogError(f"{where}: expected {name}, got {_show(value)}")
     if length is not None and len(value) != length:
         raise CatalogError(f"{where}: expected {length} entries, got {len(value)}")
     return value
@@ -149,7 +168,7 @@ def _rational(value, where: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise CatalogError(f'{where}: expected a rational "p/q" string, got {value!r}')
+    raise CatalogError(f'{where}: expected a rational "p/q" string, got {_show(value)}')
 
 
 def _vector(value, where: str, length: int) -> list:
@@ -178,15 +197,22 @@ def _check_algebra_size(recipe, where: str) -> None:
     """Check the matrix size of an algebra recipe against MAX_SIZE before
     anything is built: p + q or n, 7 for split G2, and the sum over the
     factors of a direct sum.  Nested direct sums are walked with a stack,
-    which stops at the first factor past the cap; every factor has size at
-    least 1, so a recipe that passes nests at most MAX_SIZE deep."""
-    total, stack = 0, [(recipe, where)]
+    which stops at the first factor past the cap.  Every factor has size at
+    least 1, so direct sums nested k deep have size at least k + 1; the walk
+    also stops at the first direct sum nested deeper than MAX_SIZE - 1, and
+    the path it names stays short."""
+    total, stack = 0, [(recipe, where, 1)]
     while stack:
-        node, at = stack.pop()
+        node, at, depth = stack.pop()
         kind = _typed(node, dict, at).get("kind")
         if kind == "direct_sum":
+            if depth >= MAX_SIZE:
+                raise CatalogError(
+                    f"{at}: {depth} nested direct sums are above the size cap "
+                    f"MAX_SIZE = {MAX_SIZE}"
+                )
             factors = _typed(_field(node, "factors", at), list, f"{at}.factors", 2)
-            stack += [(factors[i], f"{at}.factors[{i}]") for i in (1, 0)]
+            stack += [(factors[i], f"{at}.factors[{i}]", depth + 1) for i in (1, 0)]
             continue
         if kind == "g2split":
             total += 7  # liealg.g2_matrices are 7 x 7
@@ -194,7 +220,7 @@ def _check_algebra_size(recipe, where: str) -> None:
             _, keys, minimum = _SIZED_ALGEBRAS[kind]
             total += sum(_sizes(node, keys, at, minimum))
         else:
-            raise CatalogError(f"{at}: unknown algebra recipe kind: {kind!r}")
+            raise CatalogError(f"{at}: unknown algebra recipe kind: {_show(kind)}")
         if total > MAX_SIZE:
             raise CatalogError(
                 f"{at}: the direct sum reaches matrix size {total} here, "
@@ -228,7 +254,7 @@ def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
         columns = _field(recipe, "columns", where)
         cols = _vectors(columns, f"{where}.columns", g.dim, g.dim)
         return Involution(RatMatrix.from_columns(g.dim, cols))
-    raise CatalogError(f"{where}: unknown involution recipe kind: {kind!r}")
+    raise CatalogError(f"{where}: unknown involution recipe kind: {_show(kind)}")
 
 
 def _build_l(
@@ -252,7 +278,7 @@ def _build_l(
         mats, labels = g2_matrices()
         cols = [so_coordinates(4, 3, m) for m in mats]
     else:
-        raise CatalogError(f"{where}: unknown l recipe kind: {kind!r}")
+        raise CatalogError(f"{where}: unknown l recipe kind: {_show(kind)}")
     if len(cols[0]) != g.dim:
         raise CatalogError(
             f"{where}: {kind} gives vectors of length {len(cols[0])}, "
@@ -557,7 +583,7 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CatalogError(
-            f"{where}: unsupported schema_version {version!r} (want {SCHEMA_VERSION})"
+            f"{where}: unsupported schema_version {_show(version)} (want {SCHEMA_VERSION})"
         )
     for field in ("name", "algebra", "sigma", "theta", "l"):
         if field not in data:
@@ -566,7 +592,7 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
     generators = tuple(_typed(generators, list, f"{where}: generators"))
     for gname in generators:
         if gname not in GENERATOR_NAMES:
-            raise CatalogError(f"{where}: unknown generator {gname!r}")
+            raise CatalogError(f"{where}: unknown generator {_show(gname)}")
     return CatalogEntry(
         name=str(data["name"]),
         algebra=data["algebra"],

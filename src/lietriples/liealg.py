@@ -525,29 +525,29 @@ def gram_on_vectors(form, vectors: Sequence[Sequence]) -> RatMatrix:
 def centralizer(
     g: LieAlgebra, s: SubspaceBasis, within: Optional[SubspaceBasis] = None
 ) -> SubspaceBasis:
-    """{x in within : [x, s] = 0}, via the kernel of the stacked ad system."""
+    """{x in within : [x, s] = 0}, via the kernel of the stacked bracket
+    system: for each vector of s, one block of rows whose column a is
+    [within_a, s_vector], a sparse bracket."""
     if within is None:
         within = SubspaceBasis.full(g.dim)
     if within.dim == 0:
         return within
     if s.dim == 0:
         return within
-    w_vecs = [list(v) for v in within.vectors]
+    w_vecs = within.vectors
     rows = []
     for sv in s.vectors:
-        ad_s = g.ad(sv)
-        # column a of the block is [within_a, sv] = -ad(sv) within_a
-        images = [ad_s.apply(wv) for wv in w_vecs]
-        for coord in range(g.dim):
-            rows.append([-img[coord] for img in images])
+        images = [g.bracket(wv, sv) for wv in w_vecs]
+        rows.extend(map(list, zip(*images)))
     ker = kernel(RatMatrix(rows))
     vectors = []
     for kv in ker.vectors:
         out = [Fraction(0)] * g.dim
-        for a, c in enumerate(kv):
-            if c != 0:
-                for t in range(g.dim):
-                    out[t] += c * w_vecs[a][t]
+        for c, wv in zip(kv, w_vecs):
+            if c:
+                for t, x in enumerate(wv):
+                    if x:
+                        out[t] += c * x
         vectors.append(out)
     return SubspaceBasis(g.dim, vectors)
 

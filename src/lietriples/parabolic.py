@@ -43,21 +43,37 @@ class ParabolicSubalgebra:
 def char_poly(a: RatMatrix) -> list:
     """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic).
 
-    Faddeev-LeVerrier: M_k = A M_(k-1) + c[n-k+1] I and c[n-k] =
-    -tr(A M_k) / k.  A M_k is kept for the next degree, so each degree
-    costs one product; adding the scalar touches only the diagonal.
+    Faddeev-LeVerrier in Python ints on B = dA, d the lcm of the
+    denominators of A: M_k = B M_(k-1) + c[n-k+1] I and c[n-k] =
+    -tr(B M_k) / k, where the division is exact because an integer matrix
+    has an integer characteristic polynomial.  B is read row by row as its
+    nonzero (column, entry) pairs, and B M_k skips the zero entries of
+    both factors.  c_k(A) = c_k(B) / d^(n-k).
     """
     n = a.rows
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    am = RatMatrix.zeros(n, n)  # A M_0, M_0 = 0
+    d = math.lcm(*(x.denominator for row in a.entries for x in row))
+    support = [
+        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+        for row in a.entries
+    ]
+    c = [0] * (n + 1)
+    c[n] = 1
+    bm = [[0] * n for _ in range(n)]  # B M_0, M_0 = 0
     for k in range(1, n + 1):
-        m = [list(row) for row in am.entries]
+        m = bm
+        shift = c[n - k + 1]
         for i in range(n):
-            m[i][i] += c[n - k + 1]
-        am = a @ RatMatrix(m)
-        c[n - k] = Fraction(-1, k) * am.trace()
-    return c
+            m[i][i] += shift
+        bm = []
+        for row in support:
+            acc = [0] * n
+            for j, b in row:
+                for col, x in enumerate(m[j]):
+                    if x:
+                        acc[col] += b * x
+            bm.append(acc)
+        c[n - k] = -sum(bm[i][i] for i in range(n)) // k
+    return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
 
 
 def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
@@ -70,16 +86,16 @@ def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
 def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     """Distinct rational roots of the characteristic polynomial.
 
-    The matrix is scaled to integer entries, whose monic integer
-    characteristic polynomial can only have integer rational roots; those
-    are bounded by the Gershgorin radius, so candidates are scanned with a
-    divisibility filter and no factoring.  Irrational eigenvalues are simply
-    not returned; the caller checks eigenspace completeness.
+    The matrix scaled to integer entries has a monic integer characteristic
+    polynomial, whose rational roots are integers; those are bounded by the
+    Gershgorin radius, so candidates are scanned with a divisibility filter
+    and no factoring.  Irrational eigenvalues are simply not returned; the
+    caller checks eigenspace completeness.
     """
     n = a.rows
     scale = math.lcm(*(x.denominator for row in a.entries for x in row))
-    m = a.scale(scale)
-    coeffs = [int(c) for c in char_poly(m)]
+    # coefficients of the characteristic polynomial of scale * A
+    coeffs = [int(c * scale ** (n - k)) for k, c in enumerate(char_poly(a))]
     shift = 0
     while shift <= n and coeffs[shift] == 0:
         shift += 1
@@ -91,7 +107,7 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
         return sorted(roots)
     const = reduced[0]
     radius = max(
-        sum(abs(int(m[i, j])) for j in range(n)) for i in range(n)
+        sum(abs(x.numerator) * (scale // x.denominator) for x in row) for row in a.entries
     )
     for t in range(1, radius + 1):
         if const % t:
@@ -103,11 +119,12 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
 
 
 def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
-    n = a.rows
-    shifted = RatMatrix(
-        [[a[i, j] - (lam if i == j else Fraction(0)) for j in range(n)] for i in range(n)]
-    )
-    return kernel(shifted)
+    """Kernel of A - lam I; only the diagonal is shifted."""
+    rows = [list(row) for row in a.entries]
+    if lam:
+        for i, row in enumerate(rows):
+            row[i] -= lam
+    return kernel(RatMatrix(rows))
 
 
 def _restrict_operator(op: RatMatrix, basis: RatMatrix) -> RatMatrix:
@@ -128,30 +145,36 @@ def joint_eigenspaces(
 ) -> list[tuple[tuple, SubspaceBasis]]:
     """Simultaneous rational eigenspace decomposition of commuting operators.
 
-    Raises IrrationalSpectrum when the eigenspaces of any operator fail to
-    fill the space it acts on.
+    An operator acts on the whole space as itself, and its eigenspaces there
+    are already in ambient coordinates; only on a proper subspace is it
+    restricted and are its eigenspaces lifted back.  Raises
+    IrrationalSpectrum when the eigenspaces of any operator fail to fill the
+    space it acts on.
     """
-    spaces: list[tuple[tuple, SubspaceBasis]] = [((), SubspaceBasis.full(ambient_dim))]
+    if not operators:
+        return [((), SubspaceBasis.full(ambient_dim))]
+    spaces: list = [((), None)]  # None: the whole space, never built
     for op in operators:
         refined = []
         for tag, space in spaces:
-            if space.dim == 0:
-                continue
-            basis = space.matrix()
-            restricted = _restrict_operator(op, basis)
-            eigvals = rational_eigenvalues(restricted)
+            if space is None or space.dim == ambient_dim:
+                dim, restricted = ambient_dim, op
+            else:
+                dim, basis = space.dim, space.matrix()
+                restricted = _restrict_operator(op, basis)
             covered = 0
-            for lam in eigvals:
+            for lam in rational_eigenvalues(restricted):
                 sub = _eigenspace(restricted, lam)
                 if sub.dim == 0:
                     continue
                 covered += sub.dim
-                lifted = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
-                refined.append((tag + (lam,), lifted))
-            if covered != space.dim:
+                if restricted is not op:
+                    sub = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
+                refined.append((tag + (lam,), sub))
+            if covered != dim:
                 raise IrrationalSpectrum(
                     "ad action does not split over the rationals "
-                    f"(covered {covered} of {space.dim} dimensions)"
+                    f"(covered {covered} of {dim} dimensions)"
                 )
         spaces = refined
     return spaces
@@ -242,12 +265,12 @@ def minimal_parabolic(
     """
     a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
     rrs = restricted_roots(l_alg, a)
-    n_space = SubspaceBasis.zero(l_alg.dim)
-    for root in rrs.roots:
-        if _lex_positive(root):
-            n_space = subspace_sum(n_space, rrs.root_spaces[root])
+    positive = [
+        v for root in rrs.roots if _lex_positive(root) for v in rrs.root_spaces[root].vectors
+    ]
+    n_space = SubspaceBasis(l_alg.dim, positive)
     m_space = centralizer(l_alg, a, within=k_l)
-    p_space = subspace_sum(subspace_sum(m_space, a), n_space)
+    p_space = SubspaceBasis(l_alg.dim, m_space.vectors + a.vectors + n_space.vectors)
     return ParabolicSubalgebra(m=m_space, a=a, n=n_space, p=p_space), rrs
 
 

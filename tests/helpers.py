@@ -4,11 +4,22 @@ These implement independent routes to quantities the library also computes;
 they stay deliberately naive (dense loops, no reuse of library shortcuts).
 """
 
+import math
 import random
 from fractions import Fraction
 
 from lietriples.env2 import Quad2
-from lietriples.ratlin import BasisSolver, RatMatrix, _rat, _rref, inverse, kernel
+from lietriples.parabolic import IrrationalSpectrum, _lex_positive, _restrict_operator
+from lietriples.ratlin import (
+    BasisSolver,
+    RatMatrix,
+    SubspaceBasis,
+    _rat,
+    _rref,
+    inverse,
+    kernel,
+    subspace_sum,
+)
 
 
 # Dense references for the ratlin kernels: the loops as they were before
@@ -276,6 +287,126 @@ def dense_involution_validate(inv, g):
                 raise ValueError(
                     f"involution is not an automorphism at basis pair ({i},{j})"
                 )
+
+
+# References for the restricted-root path of parabolic, as it was before
+# char_poly ran in integers: Faddeev-LeVerrier on RatMatrix, every integer
+# in the Gershgorin range tried as a root, eigenspaces of an operator taken
+# after restricting it to every space (the whole space included), the shift
+# by lambda built entry by entry, the centralizer from dense ad matrices,
+# and n and p of the minimal parabolic as chains of subspace_sum.
+
+
+def ratmatrix_char_poly(a):
+    """det(x I - A) by Faddeev-LeVerrier with one RatMatrix product per
+    degree: M_k = A M_(k-1) + c[n-k+1] I, c[n-k] = -tr(A M_k) / k."""
+    n = a.rows
+    c = [Fraction(0)] * (n + 1)
+    c[n] = Fraction(1)
+    am = RatMatrix.zeros(n, n)  # A M_0, M_0 = 0
+    for k in range(1, n + 1):
+        am = a @ (am + RatMatrix.identity(n).scale(c[n - k + 1]))
+        c[n - k] = Fraction(-1, k) * am.trace()
+    return c
+
+
+def scanned_rational_eigenvalues(a):
+    """Distinct rational eigenvalues: the matrix scaled to integers has only
+    integer rational eigenvalues, inside its Gershgorin radius, and each
+    integer there is evaluated."""
+    n = a.rows
+    scale = math.lcm(*(x.denominator for row in a.entries for x in row))
+    m = a.scale(scale)
+    coeffs = ratmatrix_char_poly(m)
+    radius = max(sum(abs(x) for x in row) for row in m.entries)
+    return [
+        Fraction(t, scale)
+        for t in range(-int(radius), int(radius) + 1)
+        if sum(c * t**k for k, c in enumerate(coeffs)) == 0
+    ]
+
+
+def dense_eigenspace(a, lam):
+    n = a.rows
+    return kernel(
+        RatMatrix(
+            [[a[i, j] - (lam if i == j else Fraction(0)) for j in range(n)] for i in range(n)]
+        )
+    )
+
+
+def restricting_joint_eigenspaces(ambient_dim, operators):
+    spaces = [((), SubspaceBasis.full(ambient_dim))]
+    for op in operators:
+        refined = []
+        for tag, space in spaces:
+            if space.dim == 0:
+                continue
+            basis = space.matrix()
+            restricted = _restrict_operator(op, basis)
+            covered = 0
+            for lam in scanned_rational_eigenvalues(restricted):
+                sub = dense_eigenspace(restricted, lam)
+                if sub.dim == 0:
+                    continue
+                covered += sub.dim
+                lifted = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
+                refined.append((tag + (lam,), lifted))
+            if covered != space.dim:
+                raise IrrationalSpectrum("ad action does not split over the rationals")
+        spaces = refined
+    return spaces
+
+
+def ad_matrix_centralizer(g, s, within=None):
+    if within is None:
+        within = SubspaceBasis.full(g.dim)
+    if within.dim == 0 or s.dim == 0:
+        return within
+    w_vecs = [list(v) for v in within.vectors]
+    rows = []
+    for sv in s.vectors:
+        ad_s = g.ad(sv)
+        # column a of the block is [within_a, sv] = -ad(sv) within_a
+        images = [ad_s.apply(wv) for wv in w_vecs]
+        for coord in range(g.dim):
+            rows.append([-img[coord] for img in images])
+    vectors = []
+    for kv in kernel(RatMatrix(rows)).vectors:
+        out = [Fraction(0)] * g.dim
+        for a, c in enumerate(kv):
+            for t in range(g.dim):
+                out[t] += c * w_vecs[a][t]
+        vectors.append(out)
+    return SubspaceBasis(g.dim, vectors)
+
+
+def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):
+    """(m, a, n, p, decomposition) with every step on the references above;
+    decomposition maps each joint ad(a) eigenvalue tag to its space."""
+    a = s_l
+    if s_l.dim:
+        order = list(s_l.vectors)[:: -1 if reverse else 1]
+        chosen = [list(order[0])]
+        while True:
+            a = SubspaceBasis(l_alg.dim, chosen)
+            candidates = list(ad_matrix_centralizer(l_alg, a, within=s_l).vectors)
+            if reverse:
+                candidates.reverse()
+            ext = next((v for v in candidates if not a.contains(v)), None)
+            if ext is None:
+                break
+            chosen.append(list(ext))
+    decomposition = dict(
+        restricting_joint_eigenspaces(l_alg.dim, [l_alg.ad(v) for v in a.vectors])
+    )
+    n_space = SubspaceBasis.zero(l_alg.dim)
+    for tag in sorted(decomposition):
+        if _lex_positive(tag):
+            n_space = subspace_sum(n_space, decomposition[tag])
+    m_space = ad_matrix_centralizer(l_alg, a, within=k_l)
+    p_space = subspace_sum(subspace_sum(m_space, a), n_space)
+    return m_space, a, n_space, p_space, decomposition
 
 
 # The split octonions in Zorn's vector-matrix model: an octonion is

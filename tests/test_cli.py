@@ -309,10 +309,12 @@ def _direct_sum_chain(factor, length):
             f"matrix size 24 here, above the size cap MAX_SIZE = {catalog.MAX_SIZE}",
             id="direct-sum-of-8-so66",
         ),
+        # direct sums nested MAX_SIZE deep need more than MAX_SIZE factors:
+        # the walk stops there, before any factor is read
         pytest.param(
             _direct_sum_chain({"kind": "so", "p": 1, "q": 1}, 200),
-            f"algebra{'.factors[0]' * 194}.factors[1]: the direct sum reaches "
-            f"matrix size 14 here, above the size cap MAX_SIZE = {catalog.MAX_SIZE}",
+            f"algebra{'.factors[0]' * (catalog.MAX_SIZE - 1)}: {catalog.MAX_SIZE} "
+            f"nested direct sums are above the size cap MAX_SIZE = {catalog.MAX_SIZE}",
             id="direct-sum-chain-200-deep",
         ),
     ],
@@ -321,6 +323,15 @@ def test_integer_fields_are_located_input_errors(capsys, tmp_path, algebra, prob
     entry = builtin_entries()["lorentzian-2"].to_json_dict()
     entry["algebra"] = algebra
     _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def test_direct_sum_nested_to_the_cap_passes_the_size_check():
+    # MAX_SIZE - 1 nested direct sums of the 1 x 1 algebra u(1, 0) fill the
+    # cap exactly; one more level is rejected by depth alone
+    leaf = {"kind": "u", "p": 1, "q": 0}
+    catalog._check_algebra_size(_direct_sum_chain(leaf, catalog.MAX_SIZE - 1), "algebra")
+    with pytest.raises(catalog.CatalogError, match="nested direct sums"):
+        catalog._check_algebra_size(_direct_sum_chain(leaf, catalog.MAX_SIZE), "algebra")
 
 
 def _explicit_l(first_entry):
@@ -387,6 +398,42 @@ def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe,
     entry = builtin_entries()[base].to_json_dict()
     entry[field] = recipe
     _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def _nested_list(depth):
+    value = "1"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "base, field, recipe, located",
+    [
+        ("group-compact", "l", _explicit_l(_nested_list(900)), "l.vectors[0][0]: "),
+        ("group-compact", "l", _explicit_l(["1/2"] * 10_000), "l.vectors[0][0]: "),
+        ("group-compact", "sigma", {"kind": "x" * 10_000}, "sigma: "),
+        ("group-compact", "l", {"kind": _nested_list(900)}, "l: "),
+        ("lorentzian-2", "algebra", {"kind": [{"k": "v" * 500}] * 500}, "algebra: "),
+        (
+            "lorentzian-2",
+            "algebra",
+            _direct_sum_chain({"kind": "so", "p": 1, "q": 1}, 200),
+            "algebra.factors[0]",
+        ),
+    ],
+    ids=["deep-list", "long-list", "long-kind", "deep-kind", "wide-kind", "direct-sum-chain"],
+)
+def test_echoed_values_and_paths_are_bounded(capsys, tmp_path, base, field, recipe, located):
+    entry = builtin_entries()[base].to_json_dict()
+    entry[field] = recipe
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(entry))
+    for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {located}")
+        assert err.count("\n") == 1 and len(err) < 300, err
 
 
 def test_json_nested_too_deeply_is_an_input_error(capsys, tmp_path):

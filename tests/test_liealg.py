@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,13 @@ from lietriples.liealg import (
     subalgebra_on_own_basis,
     u,
 )
-from helpers import invariant_form_space, zmul, zorn_coords, zorn_octonion
+from helpers import (
+    ad_matrix_centralizer,
+    invariant_form_space,
+    zmul,
+    zorn_coords,
+    zorn_octonion,
+)
 from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, signature
 
 
@@ -153,6 +160,44 @@ def test_centralizer_of_torus_is_torus():
     g = sl2()
     torus = SubspaceBasis(3, [[1, 0, 0]])
     assert centralizer(g, torus) == torus
+
+
+def _random_sparse_vector(rng, dim, density=0.25):
+    return [
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < density else Fraction(0)
+        for _ in range(dim)
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: sl(3), lambda: u(1, 2), g2_split], ids=["sl3", "u12", "g2"])
+def test_centralizer_matches_ad_matrix_oracle(make):
+    g = make()
+    rng = random.Random(f"centralizer/{g.dim}")
+    unit = [[Fraction(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
+    for trial in range(12):
+        # basis vectors and sums of two have large centralizers; random
+        # sparse vectors mostly small ones
+        s_vecs = rng.choice(
+            [
+                [rng.choice(unit)],
+                [[a + b for a, b in zip(rng.choice(unit), rng.choice(unit))]],
+                [_random_sparse_vector(rng, g.dim)],
+                [_random_sparse_vector(rng, g.dim) for _ in range(2)],
+            ]
+        )
+        s = SubspaceBasis(g.dim, s_vecs)
+        within = rng.choice(
+            [
+                None,
+                SubspaceBasis(g.dim, rng.sample(unit, rng.randint(1, g.dim))),
+                SubspaceBasis(
+                    g.dim, [_random_sparse_vector(rng, g.dim, 0.5) for _ in range(g.dim // 2)]
+                ),
+            ]
+        )
+        z = centralizer(g, s, within)
+        assert z == ad_matrix_centralizer(g, s, within), trial
+        assert all(type(x) is Fraction for v in z.vectors for x in v)
 
 
 def test_is_subalgebra_cases():

@@ -16,7 +16,14 @@ from lietriples.parabolic import (
     rational_eigenvalues,
     restricted_roots,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, subspace_sum
+from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, subspace_sum
+
+from conftest import ENTRY_NAMES
+from helpers import (
+    chained_minimal_parabolic,
+    ratmatrix_char_poly,
+    restricting_joint_eigenspaces,
+)
 
 
 def test_char_poly_diag():
@@ -38,12 +45,16 @@ def _det(rows):
     return total
 
 
-def test_char_poly_one_product_per_degree(monkeypatch):
-    rng = random.Random("char-poly")
-    n = 6
-    a = RatMatrix(
+def _random_rational_matrix(rng, n):
+    return RatMatrix(
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
     )
+
+
+def test_char_poly_makes_no_matrix_products(monkeypatch):
+    rng = random.Random("char-poly")
+    n = 6
+    a = _random_rational_matrix(rng, n)
     products = []
     matmul = RatMatrix.__matmul__
 
@@ -53,12 +64,24 @@ def test_char_poly_one_product_per_degree(monkeypatch):
 
     monkeypatch.setattr(RatMatrix, "__matmul__", counting)
     coeffs = char_poly(a)
-    assert len(products) == n
+    assert products == []
     assert all(type(c) is Fraction for c in coeffs)
     # two polynomials of degree n that agree at n + 1 points are equal
     for x in range(n + 1):
         shifted = [[int(i == j) * x - a[i, j] for j in range(n)] for i in range(n)]
         assert sum(c * x**k for k, c in enumerate(coeffs)) == _det(shifted)
+
+
+def test_char_poly_matches_ratmatrix_oracle():
+    rng = random.Random("char-poly-oracle")
+    for n in (1, 1, 2, 3, 4, 5, 7):
+        a = _random_rational_matrix(rng, n)
+        coeffs = char_poly(a)
+        assert coeffs == ratmatrix_char_poly(a), n
+        assert all(type(c) is Fraction for c in coeffs)
+    for entries in ([[Fraction(-5, 6)]], [[0]], [[0, 0], [0, 0]]):
+        a = RatMatrix(entries)
+        assert char_poly(a) == ratmatrix_char_poly(a)
 
 
 def test_rational_eigenvalues_with_fractions():
@@ -85,6 +108,62 @@ def test_joint_eigenspaces_commuting_diagonals():
         (Fraction(1), Fraction(5)): 1,
         (Fraction(2), Fraction(5)): 1,
     }
+
+
+def test_joint_eigenspaces_irrational_on_a_proper_subspace_raises():
+    # diag(1, 1, 2) splits off span{e0, e1}, where the second operator has
+    # eigenvalues +-sqrt(2); the two commute
+    first = RatMatrix.diagonal([1, 1, 2])
+    second = RatMatrix([[0, 2, 0], [1, 0, 0], [0, 0, 5]])
+    with pytest.raises(IrrationalSpectrum):
+        joint_eigenspaces(3, [first, second])
+    with pytest.raises(IrrationalSpectrum):
+        restricting_joint_eigenspaces(3, [first, second])
+
+
+def _invertible_rational_matrix(rng, n):
+    while True:
+        p = RatMatrix(
+            [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+        )
+        try:
+            return p, inverse(p)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_joint_eigenspaces_match_restricting_oracle(seed):
+    # a commuting family P D_i P^-1 with repeated eigenvalues, some with
+    # denominators; the joint eigenspaces are spans of columns of P
+    rng = random.Random(f"joint-eigenspaces/{seed}")
+    n = rng.randint(1, 5)
+    p, p_inv = _invertible_rational_matrix(rng, n)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+    diagonals = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    diagonals[0][-1] = diagonals[0][0]  # a repeated eigenvalue once n > 1
+    operators = [p @ RatMatrix.diagonal(d) @ p_inv for d in diagonals]
+    spaces = joint_eigenspaces(n, operators)
+    assert spaces == restricting_joint_eigenspaces(n, operators)
+    expected = {}
+    for j, col in enumerate(p.columns()):
+        expected.setdefault(tuple(d[j] for d in diagonals), []).append(col)
+    assert dict(spaces) == {tag: SubspaceBasis(n, cols) for tag, cols in expected.items()}
+    assert all(type(x) is Fraction for _, sp in spaces for v in sp.vectors for x in v)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_minimal_parabolic_matches_chained_oracle(built_catalog, name, reverse):
+    l_alg, _, k_l, s_l = cartan_split_of_l(built_catalog[name].descriptor)
+    parabolic, rrs = minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
+    m, a, n, p, decomposition = chained_minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
+    assert (parabolic.m, parabolic.a, parabolic.n, parabolic.p) == (m, a, n, p)
+    nonzero = {tag: sp for tag, sp in decomposition.items() if any(tag)}
+    assert rrs.roots == tuple(sorted(nonzero))
+    assert rrs.root_spaces == nonzero
+    zero_tag = tuple(Fraction(0) for _ in range(a.dim))
+    assert rrs.zero_space == decomposition.get(zero_tag, SubspaceBasis.zero(l_alg.dim))
 
 
 def sl2_split():
