@@ -128,7 +128,10 @@ def cmd_triples_check(args) -> int:
 
 def cmd_spherical(args) -> int:
     built = _resolve(args)
-    verdict, ev = is_spherical_triple(built.descriptor)
+    try:
+        verdict, ev = is_spherical_triple(built.descriptor)
+    except DescriptorError as exc:  # theta does not preserve l
+        raise _located(built.entry, exc) from None
     payload = {
         "schema_version": cat.SCHEMA_VERSION,
         "command": "spherical",

@@ -12,9 +12,10 @@ closed form) and solves the structure constants from them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Callable, Optional, Sequence
 
-from .ratlin import BasisSolver, DependentBasis, RatMatrix, SubspaceBasis, kernel
+from .ratlin import DependentBasis, RatMatrix, SubspaceBasis, coordinates_in, kernel
 
 Rat = Fraction
 
@@ -172,6 +173,22 @@ def _vectorize(m: RatMatrix) -> list:
     return [x for row in m.entries for x in row]
 
 
+def _structure_table(
+    basis: RatMatrix, bracket: Callable[[int, int], Sequence], not_closed: str
+) -> dict:
+    """Structure table {(i, j): {k: c}}, i < j, of the span of the columns
+    of basis, where bracket(i, j) is the bracket of columns i and j; one
+    outside the span raises NotClosed(not_closed.format(i, j))."""
+    pairs = list(combinations(range(basis.cols), 2))
+    coords = coordinates_in(
+        basis,
+        (bracket(i, j) for i, j in pairs),
+        lambda n: NotClosed(not_closed.format(*pairs[n])),
+    )
+    entries = ({k: c for k, c in enumerate(x) if c} for x in coords)
+    return {pair: entry for pair, entry in zip(pairs, entries) if entry}
+
+
 def from_matrix_basis(
     mats: Sequence[RatMatrix], labels: Optional[Sequence[str]] = None
 ) -> LieAlgebra:
@@ -186,21 +203,13 @@ def from_matrix_basis(
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("basis matrices must be square of equal size")
-    solver = BasisSolver(RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats]))
+    table = _structure_table(
+        RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats]),
+        lambda i, j: _vectorize(mats[i] @ mats[j] - mats[j] @ mats[i]),
+        "commutator of basis elements {} and {} leaves the span",
+    )
     if labels is None:
         labels = [f"X{i}" for i in range(len(mats))]
-    table: dict = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coeffs = solver.coordinates(_vectorize(comm))
-            if coeffs is None:
-                raise NotClosed(
-                    f"commutator of basis elements {i} and {j} leaves the span"
-                )
-            entry = {k: c for k, c in enumerate(coeffs) if c != 0}
-            if entry:
-                table[(i, j)] = entry
     return LieAlgebra(labels, table, matrices=mats)
 
 
@@ -571,20 +580,12 @@ def subalgebra_on_own_basis(
     are re-solved through P; raises NotClosed when the span is not closed.
     """
     p = RatMatrix.from_columns(g.dim, [list(v) for v in basis_vectors])
-    solver = BasisSolver(p)
+    cols = p.columns()
+    table = _structure_table(
+        p, lambda i, j: g.bracket(cols[i], cols[j]), "span is not closed under the bracket"
+    )
     if labels is None:
         labels = [f"Z{i}" for i in range(p.cols)]
-    table: dict = {}
-    cols = [p.column(j) for j in range(p.cols)]
-    for i in range(p.cols):
-        for j in range(i + 1, p.cols):
-            br = g.bracket(cols[i], cols[j])
-            coeffs = solver.coordinates(br)
-            if coeffs is None:
-                raise NotClosed("span is not closed under the bracket")
-            entry = {k: c for k, c in enumerate(coeffs) if c != 0}
-            if entry:
-                table[(i, j)] = entry
     mats = None
     if g.matrices is not None:
         mats = []
@@ -597,15 +598,9 @@ def subalgebra_on_own_basis(
     return LieAlgebra(labels, table, matrices=mats), p
 
 
-def subspace_in_subalgebra_coords(
-    p: RatMatrix, s: SubspaceBasis
-) -> SubspaceBasis:
+def subspace_in_subalgebra_coords(p: RatMatrix, s: SubspaceBasis) -> SubspaceBasis:
     """Re-express a subspace of g contained in span(P) in P-coordinates."""
-    solver = BasisSolver(p)
-    vectors = []
-    for v in s.vectors:
-        coeffs = solver.coordinates(v)
-        if coeffs is None:
-            raise ValueError("subspace is not contained in the subalgebra")
-        vectors.append(coeffs)
+    vectors = coordinates_in(
+        p, s.vectors, lambda _: ValueError("subspace is not contained in the subalgebra")
+    )
     return SubspaceBasis(p.cols, vectors)

@@ -26,12 +26,13 @@ from .liealg import (
     subspace_in_subalgebra_coords,
 )
 from .ratlin import (
-    BasisSolver,
     RatMatrix,
     SubspaceBasis,
+    coordinates_in,
     inverse,
     kernel,
     rank,
+    restrict_operator,
     signature,
     subspace_intersection,
     subspace_sum,
@@ -114,16 +115,11 @@ def _matrix_map_involution(
     """
     if g.matrices is None:
         raise ValueError(f"{what} needs a matrix realization")
-    size = g.matrices[0].rows ** 2
-    solver = BasisSolver(
-        RatMatrix.from_columns(size, [_vectorize(m) for m in g.matrices])
+    images = coordinates_in(
+        RatMatrix.from_columns(g.matrices[0].rows ** 2, [_vectorize(m) for m in g.matrices]),
+        (_vectorize(image_of(m)) for m in g.matrices),
+        lambda _: ValueError(f"{what} does not preserve the algebra"),
     )
-    images = []
-    for m in g.matrices:
-        coords = solver.coordinates(_vectorize(image_of(m)))
-        if coords is None:
-            raise ValueError(f"{what} does not preserve the algebra")
-        images.append(coords)
     return involution_from_images(g, images)
 
 
@@ -172,11 +168,11 @@ class TripleDescriptor:
     l_frame optionally fixes a preferred ordered basis of l (columns, in
     g-coordinates) used for enveloping-algebra work and evidence records,
     and l_labels names its columns.  Everything else (h, q, k, s, the
-    Killing form, l as an algebra, its Cartan split, l cap h, the reducer
-    modulo U(l)(l cap h) and the H-invariance verdicts of the elements
-    transferred into U(l)) is derived lazily, once, and kept here, so every
-    verb reads the same objects.  Nothing derived refers back to the
-    descriptor, so reference counting frees it all with the descriptor.
+    Killing form, l as an algebra, its Cartan split, l cap h, the report on
+    the three conditions, the reducer modulo U(l)(l cap h) and the
+    H-invariance verdicts of elements transferred into U(l)) is derived
+    lazily, once, and kept here, so every verb reads the same objects; none
+    of it refers back to the descriptor, so reference counting frees it all.
     """
 
     g: LieAlgebra
@@ -227,16 +223,16 @@ class TripleDescriptor:
 
     @cached_property
     def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """(k_l, s_l) in l-coordinates, from theta restricted to l."""
-        solver = BasisSolver(self.frame)
-        theta_cols = []
-        for col in self.frame.columns():
-            c = solver.coordinates(self.theta.apply(col))
-            if c is None:
-                raise ValueError("theta does not preserve l; no Cartan split available")
-            theta_cols.append(c)
-        theta_l = Involution(RatMatrix.from_columns(self.l.dim, theta_cols))
-        return eigenspace_split(self.l_alg, theta_l)
+        """(k_l, s_l) in l-coordinates, from theta restricted to l.  Raises
+        DescriptorError naming theta when theta does not preserve l."""
+        theta_l = restrict_operator(
+            self.theta.matrix,
+            self.frame,
+            lambda _: DescriptorError(
+                "theta", "theta does not preserve l; no Cartan split available"
+            ),
+        )
+        return eigenspace_split(self.l_alg, Involution(theta_l))
 
     @cached_property
     def l_cap_h(self) -> SubspaceBasis:
@@ -246,6 +242,18 @@ class TripleDescriptor:
     def l_cap_h_in_l(self) -> SubspaceBasis:
         """l cap h in the coordinates of the frame."""
         return subspace_in_subalgebra_coords(self.frame, self.l_cap_h)
+
+    @cached_property
+    def triple_report(self) -> TripleReport:
+        """Conditions (i), (ii) and (iii), decided once."""
+        g, h, l, lh, b = self.g, self.h, self.l, self.l_cap_h, self.killing
+        reductive = rank(restrict_form(b, l)) == l.dim
+        transitive = subspace_sum(l, h).dim == g.dim
+        compact = lh.dim == 0 or signature(restrict_form(b, lh)) == (0, lh.dim, 0)
+        dims = {"g": g.dim, "h": h.dim, "l": l.dim, "l_cap_h": lh.dim}
+        holds = reductive and transitive and compact
+        verdict = "TransitiveTriple" if holds else "NotTransitiveTriple"
+        return TripleReport(reductive, transitive, compact, dims, verdict)
 
     @cached_property
     def l_cap_h_reducer(self):
@@ -334,27 +342,5 @@ def is_compact_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
 
 
 def check_transitive_triple(t: TripleDescriptor) -> TripleReport:
-    g = t.g
-    h = t.h
-    l = t.l
-    lh = t.l_cap_h
-    b = t.killing
-    reductive = rank(restrict_form(b, l)) == l.dim
-    transitive = subspace_sum(l, h).dim == g.dim
-    compact = lh.dim == 0 or signature(restrict_form(b, lh)) == (0, lh.dim, 0)
-    dims = {
-        "g": g.dim,
-        "h": h.dim,
-        "l": l.dim,
-        "l_cap_h": lh.dim,
-    }
-    verdict = (
-        "TransitiveTriple" if (reductive and transitive and compact) else "NotTransitiveTriple"
-    )
-    return TripleReport(
-        reductive=reductive,
-        transitive=transitive,
-        compact_intersection=compact,
-        dims=dims,
-        verdict=verdict,
-    )
+    """The descriptor's report on the three conditions."""
+    return t.triple_report

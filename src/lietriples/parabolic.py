@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .liealg import LieAlgebra, centralizer
-from .pairs import NotTransitiveTriple, TripleDescriptor, check_transitive_triple
-from .ratlin import BasisSolver, RatMatrix, SubspaceBasis, kernel, subspace_sum
+from .pairs import NotTransitiveTriple, TripleDescriptor
+from .ratlin import RatMatrix, SubspaceBasis, kernel, restrict_operator, subspace_sum
 
 
 class IrrationalSpectrum(ArithmeticError):
@@ -127,17 +127,8 @@ def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
     return kernel(RatMatrix(rows))
 
 
-def _restrict_operator(op: RatMatrix, basis: RatMatrix) -> RatMatrix:
-    """Matrix of an operator on an invariant subspace, in the basis given by
-    the columns of basis."""
-    solver = BasisSolver(basis)
-    cols = []
-    for v in basis.columns():
-        c = solver.coordinates(op.apply(v))
-        if c is None:
-            raise IrrationalSpectrum("operator does not preserve the subspace")
-        cols.append(c)
-    return RatMatrix.from_columns(basis.cols, cols)
+def _not_preserved(_) -> IrrationalSpectrum:
+    return IrrationalSpectrum("operator does not preserve the subspace")
 
 
 def joint_eigenspaces(
@@ -149,7 +140,7 @@ def joint_eigenspaces(
     are already in ambient coordinates; only on a proper subspace is it
     restricted and are its eigenspaces lifted back.  Raises
     IrrationalSpectrum when the eigenspaces of any operator fail to fill the
-    space it acts on.
+    space it acts on, or when one does not preserve the spaces before it.
     """
     if not operators:
         return [((), SubspaceBasis.full(ambient_dim))]
@@ -161,7 +152,7 @@ def joint_eigenspaces(
                 dim, restricted = ambient_dim, op
             else:
                 dim, basis = space.dim, space.matrix()
-                restricted = _restrict_operator(op, basis)
+                restricted = restrict_operator(op, basis, _not_preserved)
             covered = 0
             for lam in rational_eigenvalues(restricted):
                 sub = _eigenspace(restricted, lam)
@@ -294,7 +285,7 @@ def is_spherical_triple(
     Returns (verdict, evidence); evidence holds every dimension entering the
     count plus the restricted root data.  Requires a transitive triple.
     """
-    report = check_transitive_triple(t)
+    report = t.triple_report
     if not report.is_transitive_triple:
         failed = ", ".join(report.failed_conditions())
         raise NotTransitiveTriple(f"not a transitive triple; failed: {failed}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Rat = Fraction
 
@@ -348,6 +348,34 @@ class BasisSolver:
         return x if not any(v) else None
 
 
+def coordinates_in(
+    basis: RatMatrix, vectors: Iterable[Sequence], outside: Callable[[int], Exception]
+) -> Iterator[list]:
+    """Coordinates of each vector in the basis formed by the columns of
+    basis, each vector read and solved in turn as the result is iterated.
+    Dependent columns raise DependentBasis at the call; vector k outside the
+    span raises outside(k)."""
+    solver = BasisSolver(basis)
+
+    def solved():
+        for k, vec in enumerate(vectors):
+            x = solver.coordinates(vec)
+            if x is None:
+                raise outside(k)
+            yield x
+
+    return solved()
+
+
+def restrict_operator(
+    op: RatMatrix, basis: RatMatrix, outside: Callable[[int], Exception]
+) -> RatMatrix:
+    """Matrix of an operator on the span of the columns of basis, in that
+    basis; raises outside(k) when the operator moves column k out of it."""
+    images = map(op.apply, basis.columns())
+    return RatMatrix.from_columns(basis.cols, coordinates_in(basis, images, outside))
+
+
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("not square")
@@ -473,10 +501,6 @@ class SubspaceBasis:
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(v) for v in other.vectors)
-
-    def coordinates(self, vec: Sequence) -> Optional[list]:
-        """Coefficients of vec in this basis, or None if vec is outside."""
-        return BasisSolver(self.matrix()).coordinates(vec)
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from lietriples.env2 import Quad2
-from lietriples.parabolic import IrrationalSpectrum, _lex_positive, _restrict_operator
+from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
     RatMatrix,
@@ -18,6 +18,7 @@ from lietriples.ratlin import (
     _rref,
     inverse,
     kernel,
+    restrict_operator,
     subspace_sum,
 )
 
@@ -343,7 +344,9 @@ def restricting_joint_eigenspaces(ambient_dim, operators):
             if space.dim == 0:
                 continue
             basis = space.matrix()
-            restricted = _restrict_operator(op, basis)
+            restricted = restrict_operator(
+                op, basis, lambda _: IrrationalSpectrum("operator does not preserve the subspace")
+            )
             covered = 0
             for lam in scanned_rational_eigenvalues(restricted):
                 sub = dense_eigenspace(restricted, lam)

@@ -196,6 +196,22 @@ def test_nontransitive_exit_code(capsys, tmp_path):
     )
 
 
+def test_l_not_theta_stable_is_a_located_input_error_for_spherical(capsys, tmp_path):
+    # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but theta = -X^T
+    # sends E - 4F to 4E - F, outside l, so l has no Cartan split
+    entry = builtin_entries()["group"].to_json_dict()
+    entry["name"] = "tilted-l"
+    vectors = [[str(int(k == i)) for k in range(6)] for i in range(3)]
+    entry["l"] = {"kind": "explicit", "vectors": vectors + [["0", "0", "0", "0", "1", "-4"]]}
+    path = tmp_path / "tilted.json"
+    path.write_text(canonical_json(entry))
+    code, out, err = run_cli(capsys, "triples", "check", str(path))
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "spherical", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: theta: theta does not preserve l; no Cartan split available\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lietriples", "spectrum", "--n", "2", "--cutoff", "5"],

@@ -18,6 +18,7 @@ COUNTED = {
     "subalgebra_on_own_basis": liealg.subalgebra_on_own_basis,
     "eigenspace_split": pairs.eigenspace_split,
     "iota_embed": env2.iota_embed,
+    "check_transitive_triple": pairs.check_transitive_triple,
 }
 
 
@@ -58,6 +59,8 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     assert len(calls["iota_embed"]) == 1
     assert len(calls["killing_form"]) == 1
     assert len(calls["subalgebra_on_own_basis"]) <= 1
+    # triples check asks for the report; spherical reads the one it cached
+    assert len(calls["check_transitive_triple"]) == 1
     # the descriptor checks sigma and theta once, not once per verb
     assert len(validated) == 2
     # sigma, theta and theta restricted to l: each split at most once

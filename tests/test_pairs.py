@@ -157,6 +157,8 @@ def test_check_transitive_triple_catalog(built_catalog):
         d = report.dims
         assert (d["g"], d["h"], d["l"], d["l_cap_h"]) == expected_dims[name]
         assert d["l"] + d["h"] - d["l_cap_h"] == d["g"]
+        # the descriptor decides the conditions once and keeps the report
+        assert check_transitive_triple(bt.descriptor) is report
 
 
 def test_broken_descriptor_reports_failure():

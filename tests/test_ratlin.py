@@ -12,9 +12,11 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     _rref,
+    coordinates_in,
     inverse,
     kernel,
     rank,
+    restrict_operator,
     signature,
     solve,
     subspace_intersection,
@@ -248,6 +250,116 @@ def test_basis_solver_rejects_dependent_columns():
     m = RatMatrix.from_columns(3, [[1, 0, 2], [0, 1, 0], [2, 1, 4]])
     with pytest.raises(DependentBasis):
         BasisSolver(m)
+
+
+class Outside(Exception):
+    pass
+
+
+def test_coordinates_in_reads_vectors_in_turn():
+    basis = RatMatrix.from_columns(3, [[1, 0, 0], [0, 1, 1]])
+    read = []
+
+    def vectors():
+        for v in ([2, 3, 3], [0, 0, 1], [0, 0, 2]):
+            read.append(v)
+            yield v
+
+    coords = coordinates_in(basis, vectors(), Outside)
+    assert read == []
+    assert next(coords) == [2, 3] and len(read) == 1
+    with pytest.raises(Outside) as err:
+        next(coords)
+    assert err.value.args == (1,) and len(read) == 2
+    # a dependent basis is refused at the call, before any vector is read
+    with pytest.raises(DependentBasis):
+        coordinates_in(RatMatrix.from_columns(2, [[1, 1], [2, 2]]), [], Outside)
+
+
+def test_restrict_operator_on_an_invariant_plane():
+    op = RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
+    basis = RatMatrix.from_columns(3, [[1, 1, 0], [1, -1, 0]])
+    assert restrict_operator(op, basis, Outside) == RatMatrix([[1, 0], [0, -1]])
+    with pytest.raises(Outside):
+        restrict_operator(op, RatMatrix.from_columns(3, [[1, 0, 0]]), Outside)
+
+
+def _change_of_basis_sites():
+    """(call, exception type, message) for each caller of coordinates_in
+    given a vector outside its basis."""
+    from lietriples.liealg import (
+        NotClosed,
+        direct_sum,
+        from_matrix_basis,
+        sl,
+        so,
+        subalgebra_on_own_basis,
+        subspace_in_subalgebra_coords,
+    )
+    from lietriples.pairs import (
+        DescriptorError,
+        TripleDescriptor,
+        conjugation_involution,
+        negative_transpose_involution,
+        swap_involution,
+    )
+    from lietriples.parabolic import IrrationalSpectrum, joint_eigenspaces
+
+    def unit(i, n=6):
+        return [int(k == i) for k in range(n)]
+
+    e, f = RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0], [1, 0]])
+    group = direct_sum(sl(2), sl(2))
+    # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but -X^T leaves l
+    tilted = TripleDescriptor(
+        group,
+        swap_involution(group),
+        negative_transpose_involution(group),
+        SubspaceBasis(6, [unit(0), unit(1), unit(2), [0, 0, 0, 0, 1, -4]]),
+    )
+    first_factor = RatMatrix.from_columns(6, [unit(0), unit(1), unit(2)])
+    shear = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    return {
+        "from_matrix_basis": (
+            lambda: from_matrix_basis([e, f]),
+            NotClosed,
+            "commutator of basis elements 0 and 1 leaves the span",
+        ),
+        "subalgebra_on_own_basis": (
+            lambda: subalgebra_on_own_basis(sl(2), [[0, 1, 0], [0, 0, 1]]),
+            NotClosed,
+            "span is not closed under the bracket",
+        ),
+        "subspace_in_subalgebra_coords": (
+            lambda: subspace_in_subalgebra_coords(first_factor, SubspaceBasis(6, [unit(4)])),
+            ValueError,
+            "subspace is not contained in the subalgebra",
+        ),
+        "conjugation_involution": (
+            lambda: conjugation_involution(so(2, 1), shear),
+            ValueError,
+            "conjugation does not preserve the algebra",
+        ),
+        "cartan_split": (
+            lambda: tilted.cartan_split,
+            DescriptorError,
+            "theta does not preserve l; no Cartan split available",
+        ),
+        # ad E moves the ad H eigenvector F to H: the two do not commute
+        "joint_eigenspaces": (
+            lambda: joint_eigenspaces(3, [sl(2).ad_basis(0), sl(2).ad_basis(1)]),
+            IrrationalSpectrum,
+            "operator does not preserve the subspace",
+        ),
+    }
+
+
+@pytest.mark.parametrize("site", list(_change_of_basis_sites()))
+def test_change_of_basis_sites_keep_their_errors(site):
+    call, kind, message = _change_of_basis_sites()[site]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
 
 
 def test_signature_of_so3_killing_form():
