@@ -38,9 +38,6 @@ from .pairs import (
     TripleReport,
     NotTransitiveTriple,
     eigenspace_split,
-    is_reductively_embedded,
-    is_infinitesimally_transitive,
-    is_compact_subalgebra,
     check_transitive_triple,
 )
 from .parabolic import (

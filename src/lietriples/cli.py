@@ -55,18 +55,25 @@ def _resolve(args) -> cat.BuiltTriple:
                 f"{name}: file holds {len(entries)} entries; "
                 "pass a single-entry file or use --catalog plus the entry name"
             )
-        built = cat.build(next(iter(entries.values())))
-    else:
-        built = cat.get(name, extra)
-    # pairs-level invariants must hold for every loaded descriptor; the
-    # stronger catalog invariants (compact k, positive s, theta-stable l)
-    # are enforced where the machinery actually needs them, so a broken
-    # descriptor can still be *checked* and reported as failing.
-    try:
-        built.descriptor.validate()
-    except DescriptorError as exc:
-        raise _located(built.entry, exc) from None
-    return built
+        return cat.build(next(iter(entries.values())))
+    return cat.get(name, extra)
+
+
+def _on_entry(verb):
+    """verb(args, built) on the resolved entry, after the descriptor's
+    checks.  A DescriptorError from those checks or from the verb (such as
+    the Cartan split of l that spherical and casimir embed read) is an
+    input error naming the file and the field at fault."""
+
+    def run(args) -> int:
+        built = _resolve(args)
+        try:
+            built.descriptor.validate()
+            return verb(args, built)
+        except DescriptorError as exc:
+            raise _located(built.entry, exc) from None
+
+    return run
 
 
 def _located(entry: cat.CatalogEntry, exc: DescriptorError) -> CatalogError:
@@ -86,8 +93,7 @@ def _emit(args, payload: dict, table_lines: list) -> None:
             print(line)
 
 
-def cmd_triples_check(args) -> int:
-    built = _resolve(args)
+def cmd_triples_check(args, built: cat.BuiltTriple) -> int:
     report = check_transitive_triple(built.descriptor)
     payload = {
         "schema_version": cat.SCHEMA_VERSION,
@@ -126,12 +132,8 @@ def cmd_triples_check(args) -> int:
     return EXIT_OK if report.is_transitive_triple else EXIT_VERIFICATION
 
 
-def cmd_spherical(args) -> int:
-    built = _resolve(args)
-    try:
-        verdict, ev = is_spherical_triple(built.descriptor)
-    except DescriptorError as exc:  # theta does not preserve l
-        raise _located(built.entry, exc) from None
+def cmd_spherical(args, built: cat.BuiltTriple) -> int:
+    verdict, ev = is_spherical_triple(built.descriptor)
     payload = {
         "schema_version": cat.SCHEMA_VERSION,
         "command": "spherical",
@@ -169,8 +171,7 @@ def cmd_spherical(args) -> int:
     return EXIT_OK
 
 
-def cmd_casimir_embed(args) -> int:
-    built = _resolve(args)
+def cmd_casimir_embed(args, built: cat.BuiltTriple) -> int:
     report = built.embedding_report()
     coeffs = report["coefficients"]
     payload = {
@@ -309,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="check conditions (i)(ii)(iii)"
     )
     p_check.add_argument("entry", help="catalog entry name or descriptor file")
-    p_check.set_defaults(func=cmd_triples_check)
+    p_check.set_defaults(func=_on_entry(cmd_triples_check))
 
     p_spherical = sub.add_parser(
         "spherical", parents=[common], help="sphericity verdict"
     )
     p_spherical.add_argument("entry", help="catalog entry name or descriptor file")
-    p_spherical.set_defaults(func=cmd_spherical)
+    p_spherical.set_defaults(func=_on_entry(cmd_spherical))
 
     p_casimir = sub.add_parser("casimir", help="Casimir embedding")
     sub_casimir = p_casimir.add_subparsers(dest="subcommand", required=True)
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "embed", parents=[common], help="coefficients of the embedded ambient Casimir"
     )
     p_embed.add_argument("entry", help="catalog entry name or descriptor file")
-    p_embed.set_defaults(func=cmd_casimir_embed)
+    p_embed.set_defaults(func=_on_entry(cmd_casimir_embed))
 
     p_spectrum = sub.add_parser(
         "spectrum", parents=[common], help="Lorentzian spectrum report"

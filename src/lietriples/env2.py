@@ -449,20 +449,20 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     coordinates, and eta_k in h, both as sparse pairs.
 
     The frame vectors off the pivots of l cap h (in frame coordinates) span
-    a complement of l cap h in l.  When dim l - dim(l cap h) = dim g - dim h
-    they map onto g/h isomorphically, a section of g/h inside l; otherwise
-    l + h does not fill g.  The front part pi of _echelon_split(h) reads g/h
+    a complement of l cap h in l.  When l + h = g (condition (ii) of the
+    descriptor's report) they map onto g/h isomorphically, a section of g/h
+    inside l.  The front part pi of _echelon_split(h) reads g/h
     as the coordinates off the pivots of h, so the section is the square
     matrix M with columns pi(frame_a), f_k = M^-1 pi(e_k), and eta_k =
     e_k - frame f_k lies in the kernel of pi, h.  A seed adds a seeded
     integer combination of the basis of l cap h to each f_k, which moves
     eta_k inside h, so the split stays valid.
     """
+    if not t.triple_report.transitive:
+        raise NotTransitive("l + h does not fill g")
     g, h, lh = t.g, t.h, t.l_cap_h_in_l
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
     rows = [i for i in range(g.dim) if i not in h.pivots()]
-    if len(section) != len(rows):
-        raise NotTransitive("l + h does not fill g")
     pi, _ = _echelon_split(h)
     frame_pairs = [_pairs(col) for col in t.frame.columns()]
     m_cols = [_front_part(dict(frame_pairs[a]), pi) for a in section]

@@ -31,11 +31,9 @@ from .ratlin import (
     coordinates_in,
     inverse,
     kernel,
-    rank,
     restrict_operator,
     signature,
     subspace_intersection,
-    subspace_sum,
 )
 
 
@@ -223,8 +221,17 @@ class TripleDescriptor:
 
     @cached_property
     def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """(k_l, s_l) in l-coordinates, from theta restricted to l.  Raises
-        DescriptorError naming theta when theta does not preserve l."""
+        """(k_l, s_l) in l-coordinates, from theta restricted to l.
+
+        Raises DescriptorError naming theta unless theta is a Cartan
+        involution of g (the Killing form negative definite on fix(theta)
+        and positive definite on the minus-space) that preserves l, so that
+        l inherits a Cartan decomposition."""
+        b, k, s = self.killing, self.k, self.s
+        if signature(restrict_form(b, k)) != (0, k.dim, 0):
+            raise DescriptorError("theta", "fix(theta) is not compact")
+        if signature(restrict_form(b, s)) != (s.dim, 0, 0):
+            raise DescriptorError("theta", "theta minus-space is not positive definite")
         theta_l = restrict_operator(
             self.theta.matrix,
             self.frame,
@@ -245,15 +252,19 @@ class TripleDescriptor:
 
     @cached_property
     def triple_report(self) -> TripleReport:
-        """Conditions (i), (ii) and (iii), decided once."""
+        """Conditions (i), (ii) and (iii), decided once from the Killing
+        signatures on l and on l cap h, which the report keeps."""
         g, h, l, lh, b = self.g, self.h, self.l, self.l_cap_h, self.killing
-        reductive = rank(restrict_form(b, l)) == l.dim
-        transitive = subspace_sum(l, h).dim == g.dim
-        compact = lh.dim == 0 or signature(restrict_form(b, lh)) == (0, lh.dim, 0)
+        sig_l = signature(restrict_form(b, l))
+        sig_lh = signature(restrict_form(b, lh))
+        reductive = sig_l[2] == 0
+        # dim (l + h) = dim l + dim h - dim (l cap h)
+        transitive = l.dim + h.dim - lh.dim == g.dim
+        compact = sig_lh == (0, lh.dim, 0)
         dims = {"g": g.dim, "h": h.dim, "l": l.dim, "l_cap_h": lh.dim}
         holds = reductive and transitive and compact
         verdict = "TransitiveTriple" if holds else "NotTransitiveTriple"
-        return TripleReport(reductive, transitive, compact, dims, verdict)
+        return TripleReport(reductive, transitive, compact, dims, verdict, sig_l, sig_lh)
 
     @cached_property
     def l_cap_h_reducer(self):
@@ -287,9 +298,9 @@ class TripleDescriptor:
         if not is_subalgebra(self.g, self.l):
             raise DescriptorError("l", "l is not a subalgebra")
         if self.l_frame is not None:
-            if self.l_frame.cols != self.l.dim or rank(self.l_frame) != self.l.dim:
-                raise DescriptorError("l_frame", "l_frame does not have full rank")
             framed = SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
+            if self.l_frame.cols != self.l.dim or framed.dim != self.l.dim:
+                raise DescriptorError("l_frame", "l_frame does not have full rank")
             if framed != self.l:
                 raise DescriptorError("l_frame", "l_frame does not span l")
         if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
@@ -307,6 +318,9 @@ class TripleReport:
     compact_intersection: bool
     dims: dict
     verdict: str
+    # Killing signatures (pos, neg, zero) on l and on l cap h
+    signature_on_l: tuple
+    signature_on_l_cap_h: tuple
 
     @property
     def is_transitive_triple(self) -> bool:
@@ -319,26 +333,6 @@ class TripleReport:
             (self.compact_intersection, "(iii) compact intersection"),
         )
         return [name for holds, name in names if not holds]
-
-
-def is_reductively_embedded(g: LieAlgebra, l: SubspaceBasis) -> bool:
-    """True when the ambient Killing form restricted to l is nondegenerate."""
-    gram = restrict_form(killing_form(g), l)
-    return rank(gram) == l.dim
-
-
-def is_infinitesimally_transitive(
-    g: LieAlgebra, h: SubspaceBasis, l: SubspaceBasis
-) -> bool:
-    return subspace_sum(l, h).dim == g.dim
-
-
-def is_compact_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
-    """Negative definiteness of the restricted Killing form; 0 is compact."""
-    if s.dim == 0:
-        return True
-    gram = restrict_form(killing_form(g), s)
-    return signature(gram) == (0, s.dim, 0)
 
 
 def check_transitive_triple(t: TripleDescriptor) -> TripleReport:

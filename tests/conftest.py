@@ -7,11 +7,13 @@ ENTRY_NAMES = ("group", "group-compact", "lorentzian-2", "lorentzian-3", "g2")
 
 @pytest.fixture(scope="session")
 def built_catalog():
-    """All shipped entries, built and validated once per session."""
+    """All shipped entries, built once per session; each descriptor passes
+    its checks and has a Cartan split of l."""
     out = {}
     for name in ENTRY_NAMES:
         bt = catalog.get(name)
-        bt.validate()
+        bt.descriptor.validate()
+        bt.descriptor.cartan_split
         out[name] = bt
     return out
 

@@ -196,20 +196,46 @@ def test_nontransitive_exit_code(capsys, tmp_path):
     )
 
 
-def test_l_not_theta_stable_is_a_located_input_error_for_spherical(capsys, tmp_path):
+def _tilted_l() -> dict:
     # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but theta = -X^T
     # sends E - 4F to 4E - F, outside l, so l has no Cartan split
     entry = builtin_entries()["group"].to_json_dict()
-    entry["name"] = "tilted-l"
     vectors = [[str(int(k == i)) for k in range(6)] for i in range(3)]
     entry["l"] = {"kind": "explicit", "vectors": vectors + [["0", "0", "0", "0", "1", "-4"]]}
-    path = tmp_path / "tilted.json"
+    return entry
+
+
+def _identity_theta() -> dict:
+    # theta = 1 preserves l and commutes with sigma, so every descriptor check
+    # passes, but fix(theta) = so(2, 4) is not compact: a = 0 and m = l would
+    # read as spherical
+    entry = builtin_entries()["lorentzian-2"].to_json_dict()
+    entry["theta"] = {"kind": "ad_diag", "signs": ["1"] * 6}
+    return entry
+
+
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (_tilted_l, "theta does not preserve l; no Cartan split available"),
+        (_identity_theta, "fix(theta) is not compact"),
+    ],
+    ids=["tilted-l", "identity-theta"],
+)
+def test_theta_without_a_cartan_split_of_l_is_a_located_input_error(
+    capsys, tmp_path, make, problem
+):
+    entry = make()
+    entry["name"] = "no-cartan-split"
+    path = tmp_path / "entry.json"
     path.write_text(canonical_json(entry))
     code, out, err = run_cli(capsys, "triples", "check", str(path))
     assert (code, err) == (0, "")
-    code, out, err = run_cli(capsys, "spherical", str(path))
-    assert (code, out) == (2, "")
-    assert err == f"error: {path}: theta: theta does not preserve l; no Cartan split available\n"
+    assert "verdict: TransitiveTriple" in out
+    for verb in (["spherical"], ["casimir", "embed"]):
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out) == (2, ""), verb
+        assert err == f"error: {path}: theta: {problem}\n", verb
 
 
 def test_console_entry_point_runs():

@@ -1,8 +1,8 @@
 """Each derived object of a triple is computed once across the CLI verbs.
 
 The descriptor owns h, q, k, s, the Killing form, l as an algebra, its
-Cartan split and l cap h, and checks its involutions once; the verbs read
-them instead of rebuilding them.
+Cartan split, l cap h and the Killing signatures behind the conditions, and
+checks its involutions once; the verbs read them instead of rebuilding them.
 The counts below are taken through every module binding of the counted
 functions, on a fresh build that bypasses the process-wide catalog cache.
 """
@@ -19,6 +19,7 @@ COUNTED = {
     "eigenspace_split": pairs.eigenspace_split,
     "iota_embed": env2.iota_embed,
     "check_transitive_triple": pairs.check_transitive_triple,
+    "restrict_form": liealg.restrict_form,
 }
 
 
@@ -66,3 +67,10 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     # sigma, theta and theta restricted to l: each split at most once
     per_involution = Counter(inv.matrix for _, inv in calls["eigenspace_split"])
     assert per_involution and max(per_involution.values()) == 1
+    # each form is restricted to each subspace once: the Killing signatures
+    # on l, l cap h, k and s, and the generators' normalizing forms
+    per_restriction = Counter(
+        (form.gram if isinstance(form, liealg.KillingForm) else form, sub)
+        for form, sub in calls["restrict_form"]
+    )
+    assert per_restriction and max(per_restriction.values()) == 1

@@ -22,9 +22,6 @@ from lietriples.pairs import (
     conjugation_involution,
     eigenspace_split,
     involution_from_images,
-    is_compact_subalgebra,
-    is_infinitesimally_transitive,
-    is_reductively_embedded,
     negative_transpose_involution,
     swap_involution,
 )
@@ -32,7 +29,6 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     signature,
-    subspace_intersection,
     subspace_sum,
 )
 
@@ -95,52 +91,68 @@ def test_involution_validation_rejects_non_automorphism():
         bad.validate(g)
 
 
-def test_reductive_embedding_cases():
+def _sl2_descriptor(vectors):
+    """sl(2) with sigma = identity, so h = g and l cap h = l."""
     g = sl(2)
-    assert is_reductively_embedded(g, SubspaceBasis.full(3))
-    assert not is_reductively_embedded(g, SubspaceBasis(3, [[0, 1, 0]]))
+    return TripleDescriptor(
+        g=g,
+        sigma=Involution(RatMatrix.identity(3)),
+        theta=negative_transpose_involution(g),
+        l=SubspaceBasis(3, vectors),
+    )
 
 
-def test_reductive_u12_in_so24(built_catalog):
-    bt = built_catalog["lorentzian-2"]
-    assert is_reductively_embedded(bt.g, bt.descriptor.l)
-
-
-def test_transitivity_group_case():
+def _group_descriptor(l):
+    """sl(2) + sl(2) with h the diagonal."""
     g = direct_sum(sl(2), sl(2))
-    h = diagonal_subalgebra(g)
-    l = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
-    assert is_infinitesimally_transitive(g, h, l)
-    assert is_infinitesimally_transitive(g, h, SubspaceBasis.full(6))
+    return TripleDescriptor(
+        g=g, sigma=swap_involution(g), theta=negative_transpose_involution(g), l=l
+    )
 
 
-def test_transitivity_dimension_count_lorentzian(built_catalog):
-    bt = built_catalog["lorentzian-2"]
-    d = bt.descriptor
-    lh = subspace_intersection(d.l, d.h)
-    assert (d.l.dim, d.h.dim, lh.dim) == (9, 10, 4)
-    assert d.l.dim + d.h.dim - lh.dim == 15
-    assert is_infinitesimally_transitive(bt.g, d.h, d.l)
+_FIRST_FACTOR = [[int(k == i) for k in range(6)] for i in range(3)]
+
+# name -> (descriptor, (i), (ii), (iii), Killing signature on l, on l cap h);
+# sl(2) has the basis (H, E, F), B(H, H) = 8 and B(E, F) = 4
+_REPORT_CASES = {
+    "sl2-line-E": (lambda: _sl2_descriptor([[0, 1, 0]]), False, True, False, (0, 0, 1), (0, 0, 1)),
+    "sl2-line-H": (lambda: _sl2_descriptor([[1, 0, 0]]), True, True, False, (1, 0, 0), (1, 0, 0)),
+    "sl2-E-minus-F": (lambda: _sl2_descriptor([[0, 1, -1]]), True, True, True, (0, 1, 0), (0, 1, 0)),
+    "sl2-zero": (lambda: _sl2_descriptor([]), True, True, True, (0, 0, 0), (0, 0, 0)),
+    "sl2-full": (
+        lambda: _sl2_descriptor([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        True, True, False, (2, 1, 0), (2, 1, 0),
+    ),
+    "sl2-squared-first-factor": (
+        lambda: _group_descriptor(SubspaceBasis(6, _FIRST_FACTOR)),
+        True, True, True, (2, 1, 0), (0, 0, 0),
+    ),
+    # l = g, so l cap h is the diagonal sl(2)
+    "sl2-squared-full": (
+        lambda: _group_descriptor(SubspaceBasis.full(6)),
+        True, True, False, (4, 2, 0), (2, 1, 0),
+    ),
+}
 
 
-def test_compactness_cases():
-    g = sl(2)
-    assert is_compact_subalgebra(g, SubspaceBasis.zero(3))
-    assert is_compact_subalgebra(g, SubspaceBasis(3, [[0, 1, -1]]))  # span{E-F}
-    assert not is_compact_subalgebra(g, SubspaceBasis(3, [[1, 0, 0]]))
+@pytest.mark.parametrize("name", list(_REPORT_CASES))
+def test_triple_report_decides_each_condition(name):
+    build, reductive, transitive, compact, sig_l, sig_lh = _REPORT_CASES[name]
+    report = build().triple_report
+    assert (report.reductive, report.transitive, report.compact_intersection) == (
+        reductive, transitive, compact,
+    )
+    assert (report.signature_on_l, report.signature_on_l_cap_h) == (sig_l, sig_lh)
 
 
-def test_compact_intersection_u2(built_catalog):
-    bt = built_catalog["lorentzian-2"]
-    d = bt.descriptor
-    lh = subspace_intersection(d.l, d.h)
-    assert lh.dim == 4
-    assert is_compact_subalgebra(bt.g, lh)
-
-
-def test_diagonal_sl2_not_compact():
-    g = direct_sum(sl(2), sl(2))
-    assert not is_compact_subalgebra(g, diagonal_subalgebra(g))
+def test_triple_report_u12_in_so24(built_catalog):
+    report = built_catalog["lorentzian-2"].descriptor.triple_report
+    assert report.is_transitive_triple
+    d = report.dims
+    assert (d["g"], d["h"], d["l"], d["l_cap_h"]) == (15, 10, 9, 4)
+    # u(1, 2): noncompact part 4, compact part u(1) + u(2); l cap h = u(2)
+    assert report.signature_on_l == (4, 5, 0)
+    assert report.signature_on_l_cap_h == (0, 4, 0)
 
 
 def test_check_transitive_triple_catalog(built_catalog):
