@@ -28,7 +28,7 @@ import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from . import env2
 from .env2 import Quad2, casimir
@@ -43,7 +43,6 @@ from .liealg import (
     so,
     so_coordinates,
     su,
-    subspace_in_subalgebra_coords,
     u,
     u_matrices,
 )
@@ -54,7 +53,7 @@ from .pairs import (
     negative_transpose_involution,
     swap_involution,
 )
-from .ratlin import RatMatrix, SubspaceBasis, subspace_intersection
+from .ratlin import RatMatrix, SubspaceBasis
 
 SCHEMA_VERSION = 1
 
@@ -184,53 +183,46 @@ _SIZED_ALGEBRAS = {"so": (so, "pq", 2), "u": (u, "pq", 1), "su": (su, "pq", 2), 
 
 
 def _build_algebra(recipe, where: str = "algebra") -> LieAlgebra:
-    _check_algebra_size(recipe, where)
-    return _construct_algebra(recipe)
+    return _algebra(recipe, where, 1, 0)[1]()
 
 
-def _check_algebra_size(recipe, where: str) -> None:
-    """Check the matrix size of an algebra recipe against MAX_SIZE before
-    anything is built: p + q or n, 7 for split G2, and the sum over the
-    factors of a direct sum.  Nested direct sums are walked with a stack,
-    which stops at the first factor past the cap.  Every factor has size at
-    least 1, so direct sums nested k deep have size at least k + 1; the walk
-    also stops at the first direct sum nested deeper than MAX_SIZE - 1, and
-    the path it names stays short."""
-    total, stack = 0, [(recipe, where, 1)]
-    while stack:
-        node, at, depth = stack.pop()
-        kind = _typed(node, dict, at).get("kind")
-        if kind == "direct_sum":
-            if depth >= MAX_SIZE:
-                raise CatalogError(
-                    f"{at}: {depth} nested direct sums are above the size cap "
-                    f"MAX_SIZE = {MAX_SIZE}"
-                )
-            factors = _typed(_field(node, "factors", at), list, f"{at}.factors", 2)
-            stack += [(factors[i], f"{at}.factors[{i}]", depth + 1) for i in (1, 0)]
-            continue
-        if kind == "g2split":
-            total += 7  # liealg.g2_matrices are 7 x 7
-        elif isinstance(kind, str) and kind in _SIZED_ALGEBRAS:
-            _, keys, minimum = _SIZED_ALGEBRAS[kind]
-            total += sum(_sizes(node, keys, at, minimum))
-        else:
-            raise CatalogError(f"{at}: unknown algebra recipe kind: {_show(kind)}")
-        if total > MAX_SIZE:
-            raise CatalogError(
-                f"{at}: the direct sum reaches matrix size {total} here, "
-                f"above the size cap MAX_SIZE = {MAX_SIZE}"
-            )
-
-
-def _construct_algebra(recipe: dict) -> LieAlgebra:
-    kind = recipe["kind"]
+def _algebra(
+    node, at: str, depth: int, total: int
+) -> tuple[int, Callable[[], LieAlgebra]]:
+    """(size, build) for an algebra recipe met at depth, where total is the
+    matrix size of the factors before it: size adds its own (p + q or n, 7
+    for split G2, the sum over the factors of a direct sum), and build()
+    constructs it.  The walk is depth first and stops at the first factor
+    past MAX_SIZE; nothing is built until the whole walk has passed.  Every
+    factor has size at least 1, so direct sums nested k deep have size at
+    least k + 1; the walk also stops at the first direct sum nested deeper
+    than MAX_SIZE - 1, which bounds the recursion and keeps the path it
+    names short."""
+    kind = _typed(node, dict, at).get("kind")
     if kind == "direct_sum":
-        return direct_sum(*map(_construct_algebra, recipe["factors"]))
+        if depth >= MAX_SIZE:
+            raise CatalogError(
+                f"{at}: {depth} nested direct sums are above the size cap "
+                f"MAX_SIZE = {MAX_SIZE}"
+            )
+        factors = _typed(_field(node, "factors", at), list, f"{at}.factors", 2)
+        total, first = _algebra(factors[0], f"{at}.factors[0]", depth + 1, total)
+        total, second = _algebra(factors[1], f"{at}.factors[1]", depth + 1, total)
+        return total, lambda: direct_sum(first(), second())
     if kind == "g2split":
-        return g2_split()
-    build, keys, _ = _SIZED_ALGEBRAS[kind]
-    return build(*(recipe[key] for key in keys))
+        total, build = total + 7, g2_split  # liealg.g2_matrices are 7 x 7
+    elif isinstance(kind, str) and kind in _SIZED_ALGEBRAS:
+        construct, keys, minimum = _SIZED_ALGEBRAS[kind]
+        sizes = _sizes(node, keys, at, minimum)
+        total, build = total + sum(sizes), lambda: construct(*sizes)
+    else:
+        raise CatalogError(f"{at}: unknown algebra recipe kind: {_show(kind)}")
+    if total > MAX_SIZE:
+        raise CatalogError(
+            f"{at}: the direct sum reaches matrix size {total} here, "
+            f"above the size cap MAX_SIZE = {MAX_SIZE}"
+        )
+    return total, build
 
 
 def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
@@ -335,41 +327,36 @@ class BuiltTriple:
 
     def generator_subspace(self, name: str) -> SubspaceBasis:
         """The subspace of l (in l-coordinates) normalizing each generator:
-        all of l, l cap k = k_l, or l cap s cap q = s_l cap (l cap q), read
-        off the descriptor's Cartan split of l."""
+        all of l, l cap k = k_l from the descriptor's Cartan split of l, or
+        l cap s cap q, one kernel inside l (TripleDescriptor.in_l)."""
         d = self.descriptor
-        k_l, s_l = d.cartan_split
+        k_l, _ = d.cartan_split
         if name == "omega_l":
             return SubspaceBasis.full(self.l_alg.dim)
         if name == "omega_l_cap_k":
             return k_l
         if name == "omega_l_cap_s_cap_q":
-            l_cap_q = subspace_intersection(d.l, d.q)
-            return subspace_intersection(
-                s_l, subspace_in_subalgebra_coords(self.frame, l_cap_q)
-            )
+            return d.in_l(theta=-1, sigma=-1)
         raise CatalogError(f"unknown generator name: {name!r}")
 
     @cached_property
     def _normalized_subspaces(self) -> list:
         """[(name, subspace of l, normalizing form on it)] per generator.
 
-        The forms are Grams on the l frame, in l-coordinates (see
-        generators).  B(X, theta Y) agrees with the Killing form on compact
-        directions (theta fixes them) and is its negative on s-directions, so
-        it is negative definite wherever we use it; the plain restriction
-        would flip the sign of the mixed subspace generator.  The subspaces
-        come from the descriptor's Cartan split, which raises DescriptorError
-        on theta unless theta is a Cartan involution that preserves l.
+        The forms are restrictions of the descriptor's Killing Gram on the
+        frame, in l-coordinates (see generators).  B(X, theta Y) is the
+        Killing form on compact directions (theta fixes them) and its
+        negative on s-directions, so it is negative definite wherever we use
+        it; the plain restriction would flip the sign of the mixed subspace
+        generator.  The subspaces read the descriptor's Cartan split, which
+        raises DescriptorError on theta unless theta is a Cartan involution
+        that preserves l.
         """
-        f = self.frame
-        b_l = f.transpose() @ self.killing.gram @ f
-        b_twist = f.transpose() @ self.killing.gram @ self.descriptor.theta.matrix @ f
         out = []
         for name in self.entry.generators:
             sub = self.generator_subspace(name)
-            form = restrict_form(b_l if name == "omega_l" else b_twist, sub)
-            out.append((name, sub, form))
+            form = restrict_form(self.descriptor.frame_gram, sub)
+            out.append((name, sub, -form if name == "omega_l_cap_s_cap_q" else form))
         return out
 
     @cached_property
@@ -541,7 +528,9 @@ _BUILT_CACHE: dict = {}
 
 
 def build(entry: CatalogEntry) -> BuiltTriple:
-    key = canonical_json(entry.to_json_dict())
+    """The built triple of an entry, one per content and source: an equal
+    entry read from another file names that file in its errors."""
+    key = (entry.source, canonical_json(entry.to_json_dict()))
     if key not in _BUILT_CACHE:
         _BUILT_CACHE[key] = BuiltTriple(entry)
     return _BUILT_CACHE[key]

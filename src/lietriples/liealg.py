@@ -572,13 +572,10 @@ def is_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
 
 def subalgebra_on_own_basis(
     g: LieAlgebra, basis_vectors: Sequence[Sequence], labels: Optional[Sequence[str]] = None
-) -> tuple[LieAlgebra, RatMatrix]:
-    """A subalgebra of g as a LieAlgebra in its own right.
-
-    Returns (algebra, P) where the columns of P are the chosen basis vectors
-    in g-coordinates, so P maps new coordinates to ambient ones.  Brackets
-    are re-solved through P; raises NotClosed when the span is not closed.
-    """
+) -> LieAlgebra:
+    """A subalgebra of g as a LieAlgebra in its own right, on the given basis
+    vectors (in g-coordinates), with no matrix realization.  Brackets are
+    re-solved in that basis; raises NotClosed when the span is not closed."""
     p = RatMatrix.from_columns(g.dim, [list(v) for v in basis_vectors])
     cols = p.columns()
     table = _structure_table(
@@ -586,21 +583,4 @@ def subalgebra_on_own_basis(
     )
     if labels is None:
         labels = [f"Z{i}" for i in range(p.cols)]
-    mats = None
-    if g.matrices is not None:
-        mats = []
-        for j in range(p.cols):
-            acc = RatMatrix.zeros(g.matrices[0].rows, g.matrices[0].cols)
-            for i, c in enumerate(p.column(j)):
-                if c != 0:
-                    acc = acc + g.matrices[i].scale(c)
-            mats.append(acc)
-    return LieAlgebra(labels, table, matrices=mats), p
-
-
-def subspace_in_subalgebra_coords(p: RatMatrix, s: SubspaceBasis) -> SubspaceBasis:
-    """Re-express a subspace of g contained in span(P) in P-coordinates."""
-    vectors = coordinates_in(
-        p, s.vectors, lambda _: ValueError("subspace is not contained in the subalgebra")
-    )
-    return SubspaceBasis(p.cols, vectors)
+    return LieAlgebra(labels, table)

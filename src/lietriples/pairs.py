@@ -18,23 +18,13 @@ from typing import Callable, Optional, Sequence
 from .liealg import (
     KillingForm,
     LieAlgebra,
+    NotClosed,
     _vectorize,
-    is_subalgebra,
     killing_form,
     restrict_form,
     subalgebra_on_own_basis,
-    subspace_in_subalgebra_coords,
 )
-from .ratlin import (
-    RatMatrix,
-    SubspaceBasis,
-    coordinates_in,
-    inverse,
-    kernel,
-    restrict_operator,
-    signature,
-    subspace_intersection,
-)
+from .ratlin import RatMatrix, SubspaceBasis, coordinates_in, inverse, kernel, signature
 
 
 class NotTransitiveTriple(ValueError):
@@ -171,6 +161,8 @@ class TripleDescriptor:
     H-invariance verdicts of elements transferred into U(l)) is derived
     lazily, once, and kept here, so every verb reads the same objects; none
     of it refers back to the descriptor, so reference counting frees it all.
+    Whatever lies in l is in the coordinates of the frame: each subspace is
+    one kernel (in_l) and each form restricts the one Gram frame_gram.
     """
 
     g: LieAlgebra
@@ -217,51 +209,66 @@ class TripleDescriptor:
     @cached_property
     def l_alg(self) -> LieAlgebra:
         """l as a Lie algebra in its own right, on the basis of the frame."""
-        return subalgebra_on_own_basis(self.g, self.frame.columns(), self.l_labels)[0]
+        return subalgebra_on_own_basis(self.g, self.frame.columns(), self.l_labels)
+
+    def in_l(self, theta: int = 0, sigma: int = 0) -> SubspaceBasis:
+        """The x in frame coordinates with theta(Fx) = theta * Fx and
+        sigma(Fx) = sigma * Fx, for the signs given (0 leaves an involution
+        out; at least one is given): one kernel of the stacked (inv - sign) F.
+        With F of full rank, this is l cap k (theta=1), l cap s (theta=-1),
+        l cap h (sigma=1) or l cap s cap q (both -1) in the coordinates of l."""
+        f = self.frame
+        rows = []
+        for sign, inv in ((theta, self.theta), (sigma, self.sigma)):
+            if sign:
+                rows += (inv.matrix @ f - f.scale(sign)).entries
+        return kernel(RatMatrix(rows))
+
+    @cached_property
+    def frame_gram(self) -> RatMatrix:
+        """The Killing form on the frame of l, F^T B F; every form on l
+        reads it."""
+        f = self.frame
+        return f.transpose() @ self.killing.gram @ f if f.cols else RatMatrix([])
 
     @cached_property
     def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """(k_l, s_l) in l-coordinates, from theta restricted to l.
+        """(k_l, s_l) = (l cap k, l cap s) in l-coordinates.
 
         Raises DescriptorError naming theta unless theta is a Cartan
         involution of g (the Killing form negative definite on fix(theta)
-        and positive definite on the minus-space) that preserves l, so that
-        l inherits a Cartan decomposition."""
+        and positive definite on the minus-space) that preserves l, that is
+        l = k_l + s_l, so that l inherits a Cartan decomposition."""
         b, k, s = self.killing, self.k, self.s
         if signature(restrict_form(b, k)) != (0, k.dim, 0):
             raise DescriptorError("theta", "fix(theta) is not compact")
         if signature(restrict_form(b, s)) != (s.dim, 0, 0):
             raise DescriptorError("theta", "theta minus-space is not positive definite")
-        theta_l = restrict_operator(
-            self.theta.matrix,
-            self.frame,
-            lambda _: DescriptorError(
+        k_l, s_l = self.in_l(theta=1), self.in_l(theta=-1)
+        if k_l.dim + s_l.dim != self.frame.cols:
+            raise DescriptorError(
                 "theta", "theta does not preserve l; no Cartan split available"
-            ),
-        )
-        return eigenspace_split(self.l_alg, Involution(theta_l))
-
-    @cached_property
-    def l_cap_h(self) -> SubspaceBasis:
-        return subspace_intersection(self.l, self.h)
+            )
+        return k_l, s_l
 
     @cached_property
     def l_cap_h_in_l(self) -> SubspaceBasis:
         """l cap h in the coordinates of the frame."""
-        return subspace_in_subalgebra_coords(self.frame, self.l_cap_h)
+        return self.in_l(sigma=1)
 
     @cached_property
     def triple_report(self) -> TripleReport:
         """Conditions (i), (ii) and (iii), decided once from the Killing
-        signatures on l and on l cap h, which the report keeps."""
-        g, h, l, lh, b = self.g, self.h, self.l, self.l_cap_h, self.killing
-        sig_l = signature(restrict_form(b, l))
-        sig_lh = signature(restrict_form(b, lh))
+        signatures on l and on l cap h, which the report keeps; both read
+        the frame's Gram, whose inertia does not depend on the basis."""
+        g, h, lh = self.g, self.h, self.l_cap_h_in_l
+        sig_l = signature(self.frame_gram)
+        sig_lh = signature(restrict_form(self.frame_gram, lh))
         reductive = sig_l[2] == 0
         # dim (l + h) = dim l + dim h - dim (l cap h)
-        transitive = l.dim + h.dim - lh.dim == g.dim
+        transitive = self.l.dim + h.dim - lh.dim == g.dim
         compact = sig_lh == (0, lh.dim, 0)
-        dims = {"g": g.dim, "h": h.dim, "l": l.dim, "l_cap_h": lh.dim}
+        dims = {"g": g.dim, "h": h.dim, "l": self.l.dim, "l_cap_h": lh.dim}
         holds = reductive and transitive and compact
         verdict = "TransitiveTriple" if holds else "NotTransitiveTriple"
         return TripleReport(reductive, transitive, compact, dims, verdict, sig_l, sig_lh)
@@ -295,8 +302,6 @@ class TripleDescriptor:
                 raise DescriptorError(field, str(exc)) from None
         if not self.sigma.commutes_with(self.theta):
             raise DescriptorError("sigma, theta", "sigma and theta do not commute")
-        if not is_subalgebra(self.g, self.l):
-            raise DescriptorError("l", "l is not a subalgebra")
         if self.l_frame is not None:
             framed = SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
             if self.l_frame.cols != self.l.dim or framed.dim != self.l.dim:
@@ -305,6 +310,10 @@ class TripleDescriptor:
                 raise DescriptorError("l_frame", "l_frame does not span l")
         if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
             raise DescriptorError("l_labels", "l_labels do not match the l frame")
+        try:
+            self.l_alg
+        except NotClosed:
+            raise DescriptorError("l", "l is not a subalgebra") from None
         return True
 
     def __repr__(self):

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from lietriples.env2 import Quad2
+from lietriples.liealg import restrict_form
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
@@ -16,9 +17,12 @@ from lietriples.ratlin import (
     SubspaceBasis,
     _rat,
     _rref,
+    coordinates_in,
     inverse,
     kernel,
     restrict_operator,
+    signature,
+    subspace_intersection,
     subspace_sum,
 )
 
@@ -268,6 +272,52 @@ def random_quad2(algebra, rng, terms=6):
         quad[(i, j)] = coefficient()
     lin = {rng.randrange(n): coefficient() for _ in range(3)}
     return Quad2(algebra, quad, lin, coefficient())
+
+
+# The routes by which a TripleDescriptor reached the subspaces of l and the
+# forms on them before each subspace was one kernel in the frame F of l and
+# each form read the one Gram F^T B F: theta restricted to the frame, then
+# split; intersections in g, then coordinates in the frame; the ambient
+# Killing form restricted to l and to l cap h; the theta-twisted Gram
+# F^T B theta F of the auxiliary generators.
+
+
+def restricted_theta_split(d):
+    """(k_l, s_l) from theta restricted to the frame of l."""
+    theta_l = restrict_operator(
+        d.theta.matrix, d.frame, lambda _: ValueError("theta does not preserve l")
+    )
+    ident = RatMatrix.identity(d.frame.cols)
+    return kernel(theta_l - ident), kernel(theta_l + ident)
+
+
+def in_frame(d, sub):
+    """A subspace of g inside l, in the coordinates of the frame."""
+    outside = lambda _: ValueError("subspace is not contained in l")  # noqa: E731
+    return SubspaceBasis(d.frame.cols, coordinates_in(d.frame, sub.vectors, outside))
+
+
+def intersected_l_cap_h(d):
+    return in_frame(d, subspace_intersection(d.l, d.h))
+
+
+def intersected_l_cap_s_cap_q(d):
+    return in_frame(d, subspace_intersection(subspace_intersection(d.l, d.s), d.q))
+
+
+def ambient_signatures(d):
+    """Killing signatures on l and on l cap h, in their canonical bases."""
+    b = d.killing
+    return (
+        signature(restrict_form(b, d.l)),
+        signature(restrict_form(b, subspace_intersection(d.l, d.h))),
+    )
+
+
+def twisted_gram(d):
+    """B(X, theta Y) on the frame of l."""
+    f = d.frame
+    return f.transpose() @ d.killing.gram @ d.theta.matrix @ f
 
 
 # The automorphism check of pairs.Involution.validate as a dense loop: an
@@ -644,7 +694,7 @@ def naive_transfer(built):
     if const != 0:
         surv.append((const, ()))
 
-    from lietriples.ratlin import solve, subspace_intersection
+    from lietriples.ratlin import solve
 
     lh_ambient = subspace_intersection(d.l, d.h)
     lh = SubspaceBasis(n_l, [solve(frame, list(v)) for v in lh_ambient.vectors])

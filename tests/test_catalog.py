@@ -133,7 +133,11 @@ def test_custom_entry_through_loader(tmp_path, built_catalog):
     path.write_text(canonical_json(entry.to_json_dict()))
     loaded = load_entries(str(path))["lorentzian-2"]
     bt = catalog.build(loaded)
-    assert bt is built_catalog["lorentzian-2"]  # same cache key, same object
+    # one build per file, apart from the built-in's, whose errors name no file
+    assert catalog.build(load_entries(str(path))["lorentzian-2"]) is bt
+    assert bt is not built_catalog["lorentzian-2"]
+    builtin = built_catalog["lorentzian-2"].descriptor.triple_report
+    assert bt.descriptor.triple_report == builtin
 
 
 def test_embedding_reports(embeddings):

@@ -371,9 +371,10 @@ def test_direct_sum_nested_to_the_cap_passes_the_size_check():
     # MAX_SIZE - 1 nested direct sums of the 1 x 1 algebra u(1, 0) fill the
     # cap exactly; one more level is rejected by depth alone
     leaf = {"kind": "u", "p": 1, "q": 0}
-    catalog._check_algebra_size(_direct_sum_chain(leaf, catalog.MAX_SIZE - 1), "algebra")
+    size, _ = catalog._algebra(_direct_sum_chain(leaf, catalog.MAX_SIZE - 1), "algebra", 1, 0)
+    assert size == catalog.MAX_SIZE
     with pytest.raises(catalog.CatalogError, match="nested direct sums"):
-        catalog._check_algebra_size(_direct_sum_chain(leaf, catalog.MAX_SIZE), "algebra")
+        catalog._algebra(_direct_sum_chain(leaf, catalog.MAX_SIZE), "algebra", 1, 0)
 
 
 def _explicit_l(first_entry):
@@ -440,6 +441,18 @@ def test_recipe_fields_are_located_input_errors(capsys, tmp_path, field, recipe,
     entry = builtin_entries()[base].to_json_dict()
     entry[field] = recipe
     _assert_located_input_error(capsys, tmp_path, entry, problem)
+
+
+def test_equal_files_each_name_themselves_in_their_errors(capsys, tmp_path):
+    # two copies of group with l = span{E, F}, which is not closed: the
+    # build of the first file is not reused for the second
+    entry = builtin_entries()["group"].to_json_dict()
+    entry["l"] = {"kind": "explicit", "vectors": [_unit(1), _unit(2)]}
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(entry))
+        code, out, err = run_cli(capsys, "triples", "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: l.vectors: l is not a subalgebra\n")
 
 
 def _nested_list(depth):

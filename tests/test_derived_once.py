@@ -14,6 +14,7 @@ from lietriples import catalog, cli, env2, liealg, pairs
 
 COUNTED = {
     "from_matrix_basis": liealg.from_matrix_basis,
+    "is_subalgebra": liealg.is_subalgebra,
     "killing_form": liealg.killing_form,
     "subalgebra_on_own_basis": liealg.subalgebra_on_own_basis,
     "eigenspace_split": pairs.eigenspace_split,
@@ -54,8 +55,11 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
         assert cli.main([*verb, "--explain", "lorentzian-2"]) == 0
     capsys.readouterr()
 
+    (built,) = catalog._BUILT_CACHE.values()
     # so(2,4) is built from matrices once; u(1,2) only as l_alg, on the frame
     assert len(calls["from_matrix_basis"]) == 1
+    # building l_alg decides that l is closed; no subalgebra check sees l
+    assert all(sub != built.descriptor.l for _, sub in calls["is_subalgebra"])
     # embedding_report and embedding_evidence share the default image
     assert len(calls["iota_embed"]) == 1
     assert len(calls["killing_form"]) == 1
@@ -64,11 +68,11 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     assert len(calls["check_transitive_triple"]) == 1
     # the descriptor checks sigma and theta once, not once per verb
     assert len(validated) == 2
-    # sigma, theta and theta restricted to l: each split at most once
+    # sigma and theta: each split at most once
     per_involution = Counter(inv.matrix for _, inv in calls["eigenspace_split"])
     assert per_involution and max(per_involution.values()) == 1
     # each form is restricted to each subspace once: the Killing signatures
-    # on l, l cap h, k and s, and the generators' normalizing forms
+    # on k, s and l cap h, and the generators' normalizing forms
     per_restriction = Counter(
         (form.gram if isinstance(form, liealg.KillingForm) else form, sub)
         for form, sub in calls["restrict_form"]

@@ -2,7 +2,14 @@ import random
 
 import pytest
 from conftest import ENTRY_NAMES
-from helpers import dense_involution_validate
+from helpers import (
+    ambient_signatures,
+    dense_involution_validate,
+    intersected_l_cap_h,
+    intersected_l_cap_s_cap_q,
+    restricted_theta_split,
+    twisted_gram,
+)
 from test_cli import _FLIP_H1, _NEG_TRANSPOSE_FIRST
 
 from lietriples import catalog
@@ -16,6 +23,7 @@ from lietriples.liealg import (
     so,
 )
 from lietriples.pairs import (
+    DescriptorError,
     Involution,
     TripleDescriptor,
     check_transitive_triple,
@@ -143,6 +151,34 @@ def test_triple_report_decides_each_condition(name):
         reductive, transitive, compact,
     )
     assert (report.signature_on_l, report.signature_on_l_cap_h) == (sig_l, sig_lh)
+
+
+def test_theta_that_moves_l_gives_no_cartan_split():
+    # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but -X^T leaves l
+    tilted = _group_descriptor(SubspaceBasis(6, [*_FIRST_FACTOR, [0, 0, 0, 0, 1, -4]]))
+    with pytest.raises(DescriptorError) as err:
+        tilted.cartan_split
+    assert (err.value.field, str(err.value)) == (
+        "theta", "theta does not preserve l; no Cartan split available",
+    )
+    assert tilted.triple_report.is_transitive_triple
+
+
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4"])
+def test_subspaces_and_forms_of_l_match_the_ambient_routes(built_catalog, name):
+    # each subspace of l is one kernel in the frame and each form on l reads
+    # the frame's Gram; the routes through g and the theta-twisted Gram agree
+    bt = built_catalog.get(name) or catalog.build(catalog._lorentzian_entry(4))
+    d = bt.descriptor
+    assert d.cartan_split == restricted_theta_split(d)
+    assert d.l_cap_h_in_l == intersected_l_cap_h(d)
+    assert bt.generator_subspace("omega_l_cap_s_cap_q") == intersected_l_cap_s_cap_q(d)
+    report = d.triple_report
+    assert (report.signature_on_l, report.signature_on_l_cap_h) == ambient_signatures(d)
+    twisted = twisted_gram(d)
+    for gen, sub, form in bt._normalized_subspaces:
+        gram = d.frame_gram if gen == "omega_l" else twisted
+        assert form == restrict_form(gram, sub), (name, gen)
 
 
 def test_triple_report_u12_in_so24(built_catalog):

@@ -289,35 +289,15 @@ def _change_of_basis_sites():
     given a vector outside its basis."""
     from lietriples.liealg import (
         NotClosed,
-        direct_sum,
         from_matrix_basis,
         sl,
         so,
         subalgebra_on_own_basis,
-        subspace_in_subalgebra_coords,
     )
-    from lietriples.pairs import (
-        DescriptorError,
-        TripleDescriptor,
-        conjugation_involution,
-        negative_transpose_involution,
-        swap_involution,
-    )
+    from lietriples.pairs import conjugation_involution
     from lietriples.parabolic import IrrationalSpectrum, joint_eigenspaces
 
-    def unit(i, n=6):
-        return [int(k == i) for k in range(n)]
-
     e, f = RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0], [1, 0]])
-    group = direct_sum(sl(2), sl(2))
-    # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but -X^T leaves l
-    tilted = TripleDescriptor(
-        group,
-        swap_involution(group),
-        negative_transpose_involution(group),
-        SubspaceBasis(6, [unit(0), unit(1), unit(2), [0, 0, 0, 0, 1, -4]]),
-    )
-    first_factor = RatMatrix.from_columns(6, [unit(0), unit(1), unit(2)])
     shear = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     return {
         "from_matrix_basis": (
@@ -330,20 +310,10 @@ def _change_of_basis_sites():
             NotClosed,
             "span is not closed under the bracket",
         ),
-        "subspace_in_subalgebra_coords": (
-            lambda: subspace_in_subalgebra_coords(first_factor, SubspaceBasis(6, [unit(4)])),
-            ValueError,
-            "subspace is not contained in the subalgebra",
-        ),
         "conjugation_involution": (
             lambda: conjugation_involution(so(2, 1), shear),
             ValueError,
             "conjugation does not preserve the algebra",
-        ),
-        "cartan_split": (
-            lambda: tilted.cartan_split,
-            DescriptorError,
-            "theta does not preserve l; no Cartan split available",
         ),
         # ad E moves the ad H eigenvector F to H: the two do not commute
         "joint_eigenspaces": (
