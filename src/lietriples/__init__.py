@@ -61,12 +61,6 @@ from .env2 import (
     equals_mod_ideal,
     decompose_in_span,
 )
-from .spectra import (
-    WeightFrame,
-    SpectrumReport,
-    casimir_scalar_lowest_type,
-    infinitesimal_character_scalar,
-    lorentzian_spectrum_report,
-)
+from .spectra import SpectrumReport, lorentzian_spectrum_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

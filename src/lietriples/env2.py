@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .liealg import LieAlgebra, is_subalgebra
-from .pairs import TripleDescriptor
 from .ratlin import RatMatrix, SubspaceBasis, inverse, solve
+
+if TYPE_CHECKING:
+    from .pairs import TripleDescriptor
 
 
 class DegenerateForm(ValueError):

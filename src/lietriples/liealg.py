@@ -64,13 +64,6 @@ class LieAlgebra:
             return self._table.get((i, j), {})
         return {k: -v for k, v in self._table.get((j, i), {}).items()}
 
-    def bracket_basis(self, i: int, j: int) -> list:
-        """[X_i, X_j] as a dense coordinate list."""
-        out = [Fraction(0)] * self.dim
-        for k, c in self.bracket_basis_sparse(i, j).items():
-            out[k] = c
-        return out
-
     def bracket(self, v: Sequence, w: Sequence) -> list:
         """Bracket of two coordinate vectors, as a dense coordinate list."""
         out = [Fraction(0)] * self.dim
@@ -97,11 +90,6 @@ class LieAlgebra:
                     col[k] += Fraction(a) * c
             cols.append(col)
         return RatMatrix.from_columns(self.dim, cols)
-
-    def ad_basis(self, i: int) -> RatMatrix:
-        v = [0] * self.dim
-        v[i] = 1
-        return self.ad(v)
 
     # -- validation -------------------------------------------------------
 
@@ -521,13 +509,6 @@ def restrict_form(form, s: SubspaceBasis) -> RatMatrix:
     if s.dim == 0:
         return RatMatrix([])
     p = s.matrix()
-    return p.transpose() @ gram @ p
-
-
-def gram_on_vectors(form, vectors: Sequence[Sequence]) -> RatMatrix:
-    """Gram matrix of a symmetric form on an explicit list of vectors."""
-    gram = form.gram if isinstance(form, KillingForm) else form
-    p = RatMatrix.from_columns(gram.rows, [list(v) for v in vectors])
     return p.transpose() @ gram @ p
 
 

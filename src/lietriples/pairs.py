@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
+from .env2 import IdealReducer
 from .liealg import (
     KillingForm,
     LieAlgebra,
@@ -277,8 +278,6 @@ class TripleDescriptor:
     def l_cap_h_reducer(self):
         """env2.IdealReducer modulo U(l)(l cap h) on l_alg; its subalgebra
         check runs once per triple."""
-        from .env2 import IdealReducer  # env2 imports this module
-
         return IdealReducer(self.l_alg, self.l_cap_h_in_l)
 
     @cached_property

@@ -1,8 +1,8 @@
 """Restricted roots, minimal parabolic subalgebras, and sphericity.
 
 All spectra are required to be rational: eigenvalues of ad(a) are found by
-exact characteristic polynomials and integer root search, and any failure to
-split raises IrrationalSpectrum rather than approximating.
+exact characteristic polynomials and integer root isolation, and any failure
+to split raises IrrationalSpectrum rather than approximating.
 """
 
 from __future__ import annotations
@@ -76,11 +76,45 @@ def char_poly(a: RatMatrix) -> list:
     return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
 
 
-def _poly_eval_int(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _taylor_shift(coeffs: Sequence[int], t: int) -> list[int]:
+    """Coefficients (lowest degree first) of P(x + t), in integers."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += t * a[j + 1]
+    return a
+
+
+def _integer_roots(coeffs: Sequence[int], bound: int) -> list[int]:
+    """Integer roots in [-bound, bound] of an integer polynomial.
+
+    Budan bisection: with V(t) the sign changes of the coefficients of
+    P(x + t), P has at most V(lo) - V(hi) roots in (lo, hi].  An interval
+    where the two agree holds no root and is dropped, every other one is
+    halved, and at width 1 the end hi is a root when P(hi) = 0, the
+    constant term of P(x + hi).  The work grows with log(bound), not bound.
+    """
+    memo: dict = {}
+
+    def at(t: int) -> tuple[int, bool]:
+        """(V(t), whether P(t) = 0)."""
+        if t not in memo:
+            c = _taylor_shift(coeffs, t)
+            signs = [x > 0 for x in c if x]
+            memo[t] = (sum(u != v for u, v in zip(signs, signs[1:])), c[0] == 0)
+        return memo[t]
+
+    roots, intervals = [], [(-bound - 1, bound)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if at(lo)[0] == at(hi)[0]:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            intervals += [(lo, mid), (mid, hi)]
+        elif at(hi)[1]:
+            roots.append(hi)
+    return roots
 
 
 def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
@@ -88,9 +122,9 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
 
     The matrix scaled to integer entries has a monic integer characteristic
     polynomial, whose rational roots are integers; those are bounded by the
-    Gershgorin radius, so candidates are scanned with a divisibility filter
-    and no factoring.  Irrational eigenvalues are simply not returned; the
-    caller checks eigenspace completeness.
+    Gershgorin radius and isolated by Budan bisection, with no factoring.
+    Irrational eigenvalues are simply not returned; the caller checks
+    eigenspace completeness.
     """
     n = a.rows
     scale = math.lcm(*(x.denominator for row in a.entries for x in row))
@@ -99,22 +133,14 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     shift = 0
     while shift <= n and coeffs[shift] == 0:
         shift += 1
-    roots = set()
-    if shift > 0:
-        roots.add(Fraction(0))
+    roots = {Fraction(0)} if shift else set()
     reduced = coeffs[shift:]
     if len(reduced) <= 1:
         return sorted(roots)
-    const = reduced[0]
     radius = max(
         sum(abs(x.numerator) * (scale // x.denominator) for x in row) for row in a.entries
     )
-    for t in range(1, radius + 1):
-        if const % t:
-            continue
-        for cand in (t, -t):
-            if _poly_eval_int(reduced, cand) == 0:
-                roots.add(Fraction(cand, scale))
+    roots.update(Fraction(t, scale) for t in _integer_roots(reduced, radius))
     return sorted(roots)
 
 

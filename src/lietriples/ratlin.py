@@ -499,9 +499,6 @@ class SubspaceBasis:
                         v[j] -= f * b
         return not any(v)
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceBasis)

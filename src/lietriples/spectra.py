@@ -1,11 +1,8 @@
-"""Casimir eigenvalue bookkeeping and the Lorentzian spectrum report.
+"""The Lorentzian spectrum report.
 
-WeightFrame fixes exact inner-product data on the dual of a Cartan
-subalgebra (Killing normalization), so that lowest-type and
-infinitesimal-character scalars are pure rational arithmetic.  The
-Lorentzian report enumerates the positive discrete Laplace eigenvalues
-l^2 - n^2 and carries the three spectral bands with their series
-attributions as plain metadata.
+The report enumerates the positive discrete Laplace eigenvalues l^2 - n^2
+of the compact quotients of SO(2,2n)/SO(1,2n) and carries the three
+spectral bands with their series attributions as plain metadata.
 """
 
 from __future__ import annotations
@@ -13,90 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-from .ratlin import RatMatrix, signature
+from typing import Optional
 
 
 # Most discrete eigenvalues a report lists; a larger cutoff is an input error.
 MAX_EIGENVALUES = 10_000
-
-
-@dataclass(frozen=True)
-class WeightFrame:
-    """Inner product and rho vector on a rational weight coordinate system."""
-
-    rank: int
-    gram: RatMatrix
-    rho: tuple
-
-    def __post_init__(self):
-        if self.gram.rows != self.rank or self.gram.cols != self.rank:
-            raise ValueError("gram has the wrong size")
-        if signature(self.gram) != (self.rank, 0, 0):
-            raise ValueError("gram must be positive definite")
-        if len(self.rho) != self.rank:
-            raise ValueError("rho has the wrong length")
-        object.__setattr__(self, "rho", tuple(Fraction(x) for x in self.rho))
-
-    def pairing(self, a: Sequence, b: Sequence) -> Fraction:
-        av = [Fraction(x) for x in a]
-        bv = [Fraction(x) for x in b]
-        if len(av) != self.rank or len(bv) != self.rank:
-            raise ValueError("weight vector of wrong length")
-        return sum(av[i] * self.gram[i, j] * bv[j] for i in range(self.rank) for j in range(self.rank))
-
-
-def casimir_scalar_lowest_type(frame: WeightFrame, mu: Sequence) -> Fraction:
-    """<mu + 2 rho, mu>: the Casimir scalar on the type with lowest weight mu."""
-    shifted = [Fraction(m) + 2 * r for m, r in zip(mu, frame.rho)]
-    return frame.pairing(shifted, mu)
-
-
-def infinitesimal_character_scalar(frame: WeightFrame, lam: Sequence) -> Fraction:
-    """<Lambda, Lambda> - <rho, rho> for a Harish-Chandra parameter Lambda."""
-    return frame.pairing(lam, lam) - frame.pairing(frame.rho, frame.rho)
-
-
-def _rank_one_frame(b_norm: Fraction, root_coordinate: Fraction) -> WeightFrame:
-    # <alpha, alpha> = alpha(T)^2 / B(T, T) on the appropriate real line;
-    # coordinates are in units of the fundamental weight omega = alpha / 2.
-    alpha_sq = root_coordinate * root_coordinate / b_norm
-    omega_sq = alpha_sq / 4
-    return WeightFrame(rank=1, gram=RatMatrix([[omega_sq]]), rho=(Fraction(1),))
-
-
-def frame_sl2r() -> WeightFrame:
-    """Rank-one frame of sl(2,R) with Killing normalization.
-
-    Weights are integers in fundamental-weight units: mu = (m,) means
-    m * (alpha / 2) where alpha is the root with alpha(H) = 2.
-    """
-    from .liealg import killing_form, sl
-
-    g = sl(2)
-    b = killing_form(g).gram[0, 0]  # B(H, H)
-    return _rank_one_frame(b, Fraction(2))
-
-
-def frame_su2() -> WeightFrame:
-    """Rank-one frame of su(2); same dual data as sl(2,R) by complexification."""
-    from .liealg import killing_form, su
-
-    g = su(2, 0)
-    b = killing_form(g).gram[0, 0]  # B(iH1, iH1), negative
-    # roots take the value +-2i on iH1, so +-2 on the real line -i*iH1 whose
-    # squared norm is -B.
-    return _rank_one_frame(-b, Fraction(2))
-
-
-def frame_so3() -> WeightFrame:
-    """Rank-one frame of so(3); ad(M[1,2]) has eigenvalues +-i."""
-    from .liealg import killing_form, so
-
-    g = so(3, 0)
-    b = killing_form(g).gram[0, 0]  # B(M[1,2], M[1,2]), negative
-    return _rank_one_frame(-b, Fraction(1))
 
 
 @dataclass(frozen=True)

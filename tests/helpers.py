@@ -27,6 +27,11 @@ from lietriples.ratlin import (
 )
 
 
+def unit(n, i):
+    """The i-th standard basis vector of length n."""
+    return [int(k == i) for k in range(n)]
+
+
 # Dense references for the ratlin kernels: the loops as they were before
 # the kernels learned to skip zero entries, every entry multiplied.
 
@@ -332,7 +337,7 @@ def dense_involution_validate(inv, g):
         raise ValueError("involution does not square to the identity")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply(g.bracket_basis(i, j))
+            lhs = m.apply(g.bracket(unit(g.dim, i), unit(g.dim, j)))
             rhs = g.bracket(m.column(i), m.column(j))
             if lhs != rhs:
                 raise ValueError(
@@ -540,7 +545,7 @@ def adjoint_casimir_matrix(g):
     ginv = inverse(gram)
     n = g.dim
     total = RatMatrix.zeros(n, n)
-    ads = [g.ad_basis(i) for i in range(n)]
+    ads = [g.ad(unit(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             if ginv[i, j] != 0:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,35 @@ def test_spherical_verdicts(capsys):
         code, out, _ = run_cli(capsys, "spherical", name)
         assert code == 0
         assert f"spherical: {expected}" in out
+
+
+def test_spherical_on_a_frame_scaled_by_10_to_the_12(capsys, tmp_path):
+    # the same l, written as its frame columns times c: the dims stay, the
+    # restricted roots grow by c, and the root search must not grow with c
+    c = 10**12
+    entry = builtin_entries()["lorentzian-2"]
+    frame = catalog.build(entry).descriptor.l_frame
+    scaled = entry.to_json_dict()
+    scaled["name"] = "lorentzian-2-scaled"
+    scaled["l"] = {
+        "kind": "explicit",
+        "vectors": [[str(c * x) for x in col] for col in frame.columns()],
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(canonical_json(scaled))
+    code, out, _ = run_cli(capsys, "--format", "machine", "--explain", "spherical", str(path))
+    assert code == 0
+    got = json.loads(out)
+    code, out, _ = run_cli(capsys, "--format", "machine", "--explain", "spherical", "lorentzian-2")
+    want = json.loads(out)
+    assert got["spherical"] is want["spherical"] is True
+    dims = ("dim_p", "dim_l_cap_h", "dim_p_plus_l_cap_h", "dim_l")
+    assert [got[k] for k in dims] == [want[k] for k in dims] == [6, 4, 9, 9]
+    roots = [
+        ([str(c * Fraction(x)) for x in r["root"]], r["multiplicity"])
+        for r in want["evidence"]["restricted_roots"]
+    ]
+    assert [(r["root"], r["multiplicity"]) for r in got["evidence"]["restricted_roots"]] == roots
 
 
 def test_casimir_embed_goldens(capsys):

@@ -12,7 +12,6 @@ from lietriples.liealg import (
     from_matrix_basis,
     g2_matrices,
     g2_split,
-    gram_on_vectors,
     is_subalgebra,
     killing_form,
     restrict_form,
@@ -40,9 +39,9 @@ def sl2():
 def test_sl2_structure_constants():
     g = sl2()
     # [H,E] = 2E, [H,F] = -2F, [E,F] = H
-    assert g.bracket_basis(0, 1) == [Fraction(0), Fraction(2), Fraction(0)]
-    assert g.bracket_basis(0, 2) == [Fraction(0), Fraction(0), Fraction(-2)]
-    assert g.bracket_basis(1, 2) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert g.bracket_basis_sparse(0, 1) == {1: Fraction(2)}
+    assert g.bracket_basis_sparse(0, 2) == {2: Fraction(-2)}
+    assert g.bracket_basis_sparse(1, 2) == {0: Fraction(1)}
 
 
 def test_single_matrix_is_abelian():
@@ -309,11 +308,17 @@ def test_g2_matrices_land_in_so43():
 
 
 def test_gram_on_vectors_matches_restrict():
+    # the Gram of B on two vectors, read through restrict_form on their span
     g = sl2()
     b = killing_form(g)
     vecs = [[1, 0, 0], [0, 1, 1]]
-    gram = gram_on_vectors(b, vecs)
-    assert gram[0, 0] == 8 and gram[1, 1] == 8 and gram[0, 1] == 0
+    s = SubspaceBasis(3, vecs)
+    assert [list(v) for v in s.vectors] == vecs
+    gram = restrict_form(b, s)
+    assert gram[0, 0] == 8 and gram[1, 1] == 8 and gram[0, 1] == gram[1, 0] == 0
+    for i, u in enumerate(vecs):
+        for j, v in enumerate(vecs):
+            assert gram[i, j] == sum(x * b.gram[r, c] * y for r, x in enumerate(u) for c, y in enumerate(v))
 
 
 @pytest.mark.parametrize("p,q", [(2, 4), (2, 6), (4, 3), (3, 2)])

@@ -13,6 +13,7 @@ from lietriples.parabolic import (
     joint_eigenspaces,
     maximal_abelian_in_s,
     minimal_parabolic,
+    _integer_roots,
     rational_eigenvalues,
     restricted_roots,
 )
@@ -23,6 +24,7 @@ from helpers import (
     chained_minimal_parabolic,
     ratmatrix_char_poly,
     restricting_joint_eigenspaces,
+    scanned_rational_eigenvalues,
 )
 
 
@@ -92,6 +94,75 @@ def test_rational_eigenvalues_with_fractions():
 def test_rational_eigenvalues_skips_irrational():
     m = RatMatrix([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
     assert rational_eigenvalues(m) == []
+
+
+def test_rational_eigenvalues_match_scanned_oracle():
+    # small entries keep the Gershgorin radius small enough to scan; a
+    # triangular matrix with repeated diagonal entries, conjugated by an
+    # elementary matrix, has rational and repeated eigenvalues
+    rng = random.Random("budan")
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            diag = [rng.choice([-2, -1, 0, 1, Fraction(3, 2)]) for _ in range(n)]
+            a = [[diag[i] if i == j else (a[i][j] if j > i else 0) for j in range(n)] for i in range(n)]
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                e = RatMatrix([[int(r == c) + int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+                a = (e @ RatMatrix(a) @ inverse(e)).entries
+        m = RatMatrix(a)
+        assert rational_eigenvalues(m) == scanned_rational_eigenvalues(m), a
+
+
+def test_rational_eigenvalues_isolate_roots_far_out():
+    # a scan up to the Gershgorin radius would try 10^15 candidates
+    m = RatMatrix.diagonal([10**15, -(10**15), 0, 3])
+    assert rational_eigenvalues(m) == [-(10**15), 0, 3, 10**15]
+    # 10^12 +- i: sign changes survive to width-one intervals, no root found
+    assert rational_eigenvalues(RatMatrix([[10**12, -1], [1, 10**12]])) == []
+
+
+def test_rational_eigenvalues_non_integer_far_out():
+    # rational eigenvalues come back through the lcm of the denominators;
+    # far out they must still be told apart from their neighbours
+    big = 10**12
+    m = RatMatrix.diagonal([big + Fraction(1, 3), Fraction(-big, 7), Fraction(5, 2), big + Fraction(1, 3)])
+    assert rational_eigenvalues(m) == [Fraction(-big, 7), Fraction(5, 2), big + Fraction(1, 3)]
+    # adjacent integers next to a pair of complex roots at big + 2 +- i
+    m = RatMatrix(
+        [
+            [big, 0, 0, 0],
+            [0, big + 1, 0, 0],
+            [0, 0, big + 2, -1],
+            [0, 0, 1, big + 2],
+        ]
+    )
+    assert rational_eigenvalues(m) == [big, big + 1]
+
+
+@pytest.mark.parametrize(
+    "roots,others",
+    [
+        ([1, 2, 3], []),
+        ([-3, 1, 3], []),
+        ([2, 2, -1], []),
+        ([], [(-1, 2), (1, 2), (-3, 2)]),
+        ([-5, 5], [(1, 0, 1)]),
+    ],
+)
+def test_integer_roots_up_to_the_bound(roots, others):
+    # coefficients lowest degree first; `others` are factors with no integer
+    # root, written the same way; roots at exactly +-bound are found
+    coeffs = [1]
+    for factor in [(-r, 1) for r in roots] + others:
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        coeffs = out
+    bound = max([abs(r) for r in roots] + [5])
+    assert sorted(_integer_roots(coeffs, bound)) == sorted(set(roots))
 
 
 def test_joint_eigenspaces_irrational_raises():

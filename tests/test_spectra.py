@@ -2,59 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from lietriples.liealg import killing_form, so, su
+from helpers import adjoint_casimir_matrix
+from lietriples.liealg import killing_form, sl, so, su
 from lietriples.ratlin import RatMatrix, inverse
-from lietriples.spectra import (
-    WeightFrame,
-    casimir_scalar_lowest_type,
-    frame_sl2r,
-    frame_so3,
-    frame_su2,
-    infinitesimal_character_scalar,
-    lorentzian_spectrum_report,
-)
-
-
-def test_frames_agree():
-    # sl(2,R), su(2) and so(3) share a complexification, so the dual data match
-    for frame in (frame_sl2r(), frame_su2(), frame_so3()):
-        assert frame.rank == 1
-        assert frame.gram[0, 0] == Fraction(1, 8)
-        assert frame.rho == (Fraction(1),)
-
-
-def test_frame_requires_positive_definite():
-    with pytest.raises(ValueError):
-        WeightFrame(rank=1, gram=RatMatrix([[-1]]), rho=(1,))
-
-
-def test_lowest_type_trivial():
-    frame = frame_su2()
-    assert casimir_scalar_lowest_type(frame, (0,)) == 0
-
-
-def test_lowest_type_adjoint_is_one():
-    # adjoint lowest type is the root alpha = 2 omega
-    for frame in (frame_su2(), frame_so3()):
-        assert casimir_scalar_lowest_type(frame, (2,)) == 1
-
-
-def adjoint_casimir_matrix(g):
-    gram = killing_form(g).gram
-    ginv = inverse(gram)
-    n = g.dim
-    total = RatMatrix.zeros(n, n)
-    ads = [g.ad_basis(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if ginv[i, j] != 0:
-                total = total + (ads[i] @ ads[j]).scale(ginv[i, j])
-    return total
+from lietriples.spectra import lorentzian_spectrum_report
 
 
 def test_adjoint_casimir_identity_matrix():
-    # brute-force oracle: sum ad(X_i) ad(Y_i) over Killing-dual bases
-    for g in (su(2, 0), so(3, 0)):
+    # with the Killing normalization the Casimir acts on each simple ideal of
+    # the adjoint by 1: split real forms, a non-compact su and a sum of two
+    # ideals, next to the compact su(2) and so(3) of acceptance criterion 6
+    for g in (sl(2), so(2, 1), su(2, 1), so(2, 2)):
         assert adjoint_casimir_matrix(g) == RatMatrix.identity(g.dim)
 
 
@@ -73,15 +31,7 @@ def defining_casimir_matrix(g):
 def test_su2_fundamental_matches_matrix_oracle():
     # the defining representation of su(2) realified: Casimir acts by 3/8
     g = su(2, 0)
-    value = casimir_scalar_lowest_type(frame_su2(), (1,))
-    assert value == Fraction(3, 8)
-    assert defining_casimir_matrix(g) == RatMatrix.identity(4).scale(value)
-
-
-def test_infinitesimal_character_trivial_cases():
-    frame = frame_sl2r()
-    assert infinitesimal_character_scalar(frame, frame.rho) == 0
-    assert infinitesimal_character_scalar(frame, (0,)) == -Fraction(1, 8)
+    assert defining_casimir_matrix(g) == RatMatrix.identity(4).scale(Fraction(3, 8))
 
 
 def lowest_weight_model(lam: Fraction, levels: int):
@@ -116,9 +66,6 @@ def test_sl2_lowest_weight_oracle(lam):
     )
     expected = ((lam - 1) ** 2 - 1) / 8
     assert omega == RatMatrix.identity(levels).scale(expected)
-    # matches the frame scalar at Harish-Chandra parameter (lam - 1) omega
-    frame = frame_sl2r()
-    assert infinitesimal_character_scalar(frame, (lam - 1,)) == expected
 
 
 # -- spectrum reports ---------------------------------------------------------
