@@ -63,4 +63,58 @@ from .env2 import (
 )
 from .spectra import SpectrumReport, lorentzian_spectrum_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # ratlin
+    "RatMatrix",
+    "SubspaceBasis",
+    "rank",
+    "kernel",
+    "solve",
+    "signature",
+    "subspace_sum",
+    "subspace_intersection",
+    # liealg
+    "LieAlgebra",
+    "KillingForm",
+    "from_matrix_basis",
+    "so",
+    "u",
+    "su",
+    "sl",
+    "g2_split",
+    "direct_sum",
+    "diagonal_subalgebra",
+    "killing_form",
+    "restrict_form",
+    "centralizer",
+    "is_subalgebra",
+    # pairs
+    "Involution",
+    "TripleDescriptor",
+    "TripleReport",
+    "NotTransitiveTriple",
+    "eigenspace_split",
+    "check_transitive_triple",
+    # parabolic
+    "RestrictedRootSystem",
+    "ParabolicSubalgebra",
+    "IrrationalSpectrum",
+    "maximal_abelian_in_s",
+    "restricted_roots",
+    "minimal_parabolic",
+    "is_spherical_triple",
+    # env2
+    "Quad2",
+    "DegenerateForm",
+    "NotInvariant",
+    "NotTransitive",
+    "casimir",
+    "bracket_with",
+    "reduce_mod_left_ideal",
+    "iota_embed",
+    "equals_mod_ideal",
+    "decompose_in_span",
+    # spectra
+    "SpectrumReport",
+    "lorentzian_spectrum_report",
+]

@@ -121,9 +121,10 @@ def _field(recipe: dict, key: str, where: str):
 
 
 def _typed(value, kind: type, where: str, length: Optional[int] = None):
-    """value as a JSON object, list or integer (never a bool), of a given length."""
+    """value as a JSON object, list, string or integer (never a bool), of a
+    given length."""
     if type(value) is not kind:
-        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        name = {dict: "an object", list: "a list", str: "a string", int: "an integer"}[kind]
         raise CatalogError(f"{where}: expected {name}, got {_show(value)}")
     if length is not None and len(value) != length:
         raise CatalogError(f"{where}: expected {length} entries, got {len(value)}")
@@ -567,11 +568,15 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
             raise CatalogError(f"{where}: missing field {field!r}")
     generators = data.get("generators", list(GENERATOR_NAMES))
     generators = tuple(_typed(generators, list, f"{where}: generators"))
-    for gname in generators:
+    for k, gname in enumerate(generators):
         if gname not in GENERATOR_NAMES:
             raise CatalogError(f"{where}: unknown generator {_show(gname)}")
+        # a generator listed twice makes the list dependent, so no
+        # decomposition over it is unique
+        if gname in generators[:k]:
+            raise CatalogError(f"{where}: generators: {_show(gname)} listed twice")
     return CatalogEntry(
-        name=str(data["name"]),
+        name=_typed(data["name"], str, f"{where}: name"),
         algebra=data["algebra"],
         sigma=data["sigma"],
         theta=data["theta"],

@@ -41,7 +41,7 @@ class LieAlgebra:
         for (i, j), comps in table.items():
             if not (0 <= i < j < dim):
                 raise ValueError("structure table must be indexed by i < j")
-            entry = {k: Fraction(v) for k, v in comps.items() if Fraction(v) != 0}
+            entry = {k: c for k, v in comps.items() if (c := Fraction(v))}
             if entry:
                 clean[(i, j)] = entry
         object.__setattr__(self, "dim", dim)
@@ -161,6 +161,32 @@ def _vectorize(m: RatMatrix) -> list:
     return [x for row in m.entries for x in row]
 
 
+def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], list]:
+    """[X_i, X_j] of n x n basis matrices, as a flat vector of length n^2.
+
+    Each matrix's nonzero entries are listed once, grouped by row; a
+    commutator accumulates X_i X_j - X_j X_i over the nonzero products only.
+    """
+    n = mats[0].rows
+    # row r of each matrix as its nonzero (column, value) pairs
+    support = [[[(c, x) for c, x in enumerate(row) if x] for row in m.entries] for m in mats]
+    zero = Fraction(0)
+
+    def commutator(i: int, j: int) -> list:
+        out = [zero] * (n * n)
+        for r, row in enumerate(support[i]):
+            for k, x in row:
+                for c, y in support[j][k]:
+                    out[r * n + c] += x * y
+        for r, row in enumerate(support[j]):
+            for k, x in row:
+                for c, y in support[i][k]:
+                    out[r * n + c] -= x * y
+        return out
+
+    return commutator
+
+
 def _structure_table(
     basis: RatMatrix, bracket: Callable[[int, int], Sequence], not_closed: str
 ) -> dict:
@@ -193,7 +219,7 @@ def from_matrix_basis(
         raise ValueError("basis matrices must be square of equal size")
     table = _structure_table(
         RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats]),
-        lambda i, j: _vectorize(mats[i] @ mats[j] - mats[j] @ mats[i]),
+        _commutators(mats),
         "commutator of basis elements {} and {} leaves the span",
     )
     if labels is None:

@@ -35,21 +35,34 @@ def _rat(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals.
+
+    The constructor coerces every entry (ints, "p/q" strings, Fractions) and
+    checks the rows; the kernels below build their results from Fractions
+    they computed themselves and wrap them with _of_rows, unchecked.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(_rat(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        rows = [[_rat(x) for x in row] for row in entries]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        self._set(rows)
+
+    @classmethod
+    def _of_rows(cls, rows: Iterable[Sequence[Fraction]]) -> "RatMatrix":
+        """The matrix with these rows, which must be equal-length sequences
+        of Fractions: no entry is coerced and no row checked."""
+        m = object.__new__(cls)
+        m._set(rows)
+        return m
+
+    def _set(self, rows: Iterable[Sequence[Fraction]]) -> None:
+        entries = tuple(map(tuple, rows))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -75,7 +88,7 @@ class RatMatrix:
         for c in cols:
             if len(c) != ambient:
                 raise ValueError("column of wrong length")
-        return RatMatrix([[c[i] for c in cols] for i in range(ambient)])
+        return RatMatrix._of_rows([c[i] for c in cols] for i in range(ambient))
 
     def __getitem__(self, idx):
         i, j = idx
@@ -91,9 +104,7 @@ class RatMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return RatMatrix._of_rows(zip(*self.entries))
 
     def __eq__(self, other) -> bool:
         return (
@@ -109,29 +120,25 @@ class RatMatrix:
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a + b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return RatMatrix._of_rows(
+            [a + b if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a - b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return RatMatrix._of_rows(
+            [a - b if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
         )
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self.entries])
+        return RatMatrix._of_rows([-a for a in row] for row in self.entries)
 
     def scale(self, c) -> "RatMatrix":
         c = _rat(c)
-        return RatMatrix([[c * a if a else a for a in row] for row in self.entries])
+        return RatMatrix._of_rows([c * a if a else a for a in row] for row in self.entries)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -147,7 +154,7 @@ class RatMatrix:
                     for j, b in row:
                         acc[j] += a * b
             out.append(acc)
-        return RatMatrix(out)
+        return RatMatrix._of_rows(out)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector, returned as a list of Fractions."""

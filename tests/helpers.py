@@ -7,12 +7,14 @@ they stay deliberately naive (dense loops, no reuse of library shortcuts).
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from lietriples.env2 import Quad2
-from lietriples.liealg import restrict_form
+from lietriples.liealg import NotClosed, restrict_form
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
+    DependentBasis,
     RatMatrix,
     SubspaceBasis,
     _rat,
@@ -80,6 +82,35 @@ def dense_rref(rows):
         if r == n_rows:
             break
     return rows, pivots
+
+
+# Reference for liealg.from_matrix_basis as it was before it read the
+# basis matrices' nonzero entries: every commutator from two dense
+# products, solved in the flattened basis by dense elimination.
+
+
+def dense_structure_table(mats):
+    """Structure table {(i, j): {k: c}}, i < j, of the span of the square
+    matrices mats; raises DependentBasis if they are dependent and NotClosed,
+    with from_matrix_basis's message, for the first pair (i, j) whose
+    commutator leaves the span."""
+    k = len(mats)
+    flat = [[x for row in m.entries for x in row] for m in mats]
+    rows = [list(r) for r in zip(*flat)]  # one row per matrix position
+    if len(dense_rref([list(r) for r in rows])[1]) < k:
+        raise DependentBasis("basis vectors are linearly dependent")
+    table = {}
+    for i, j in combinations(range(k), 2):
+        ij = dense_matmul(mats[i], mats[j]).entries
+        ji = dense_matmul(mats[j], mats[i]).entries
+        comm = [a - b for ra, rb in zip(ij, ji) for a, b in zip(ra, rb)]
+        aug, pivots = dense_rref([r + [x] for r, x in zip(rows, comm)])
+        if k in pivots:
+            raise NotClosed(f"commutator of basis elements {i} and {j} leaves the span")
+        entry = {p: aug[r][k] for r, p in enumerate(pivots) if aug[r][k]}
+        if entry:
+            table[(i, j)] = entry
+    return table
 
 
 # References for a complement w of l inside h, the route by which

@@ -457,6 +457,10 @@ _NEG_TRANSPOSE_FIRST = _matrix([_unit(0, -1), _unit(2, -1), _unit(1, -1), *(_uni
             {"kind": "g2_in_so43"},
             "l: g2_in_so43 gives vectors of length 21, but the algebra has dimension 15",
         ),
+        # a repeated generator makes the list dependent, so no decomposition
+        # over it is unique; a name is a string, not coerced to one
+        (("lorentzian-2", "generators"), ["omega_l", "omega_l"], "generators: 'omega_l' listed twice"),
+        ("name", 5, "name: expected a string, got 5"),
         # files that parse but whose parts do not fit together
         ("l", _l_vectors(lambda v: v + [v[0]]), "l.vectors: l_frame does not have full rank"),
         ("l", _l_vectors(lambda v: v[1:]), "l.vectors: l is not a subalgebra"),

@@ -24,6 +24,7 @@ from lietriples.liealg import (
 )
 from helpers import (
     ad_matrix_centralizer,
+    dense_structure_table,
     invariant_form_space,
     zmul,
     zorn_coords,
@@ -60,6 +61,91 @@ def test_dependent_basis():
     e = RatMatrix([[0, 1], [0, 0]])
     with pytest.raises(DependentBasis):
         from_matrix_basis([e, e.scale(2)])
+
+
+# -- from_matrix_basis against the dense-product oracle ----------------------
+
+ORACLE_ALGEBRAS = {
+    "sl(2)": lambda: sl(2),
+    "sl(3)": lambda: sl(3),
+    "so(2,4)": lambda: so(2, 4),
+    "so(4,3)": lambda: so(4, 3),
+    "so(1,3)": lambda: so(1, 3),
+    "u(1,2)": lambda: u(1, 2),
+    "su(1,2)": lambda: su(1, 2),
+    "split G2": g2_split,
+    "sl(2) + so(1,3)": lambda: direct_sum(sl(2), so(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_structure_tables_match_the_dense_product_oracle(name):
+    g = ORACLE_ALGEBRAS[name]()
+    assert g._table == dense_structure_table(g.matrices)
+    assert all(type(c) is Fraction for entry in g._table.values() for c in entry.values())
+    rebuilt = from_matrix_basis(g.matrices, g.basis_labels)
+    assert (rebuilt._table, rebuilt.basis_labels, rebuilt.matrices) == (
+        g._table,
+        g.basis_labels,
+        g.matrices,
+    )
+
+
+def _dense_conjugates(mats, seed):
+    """P X P^-1 for each matrix X, with P a seeded integer matrix whose
+    inverse has no zero entry, so every conjugate is dense."""
+    rng = random.Random(seed)
+    n = mats[0].rows
+    while True:
+        p = RatMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        try:
+            p_inv = inverse(p)
+        except ValueError:
+            continue
+        if all(x for row in p_inv.entries for x in row):
+            return [p @ m @ p_inv for m in mats]
+
+
+@pytest.mark.parametrize("make", [lambda: so(2, 3), lambda: sl(3)], ids=["so(2,3)", "sl(3)"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_conjugate_bases_match_the_oracle(make, seed):
+    g = make()
+    mats = _dense_conjugates(g.matrices, seed)
+    n = mats[0].rows
+    nonzero = sum(1 for m in mats for row in m.entries for x in row if x)
+    assert nonzero > len(mats) * n * n // 2
+    conjugate = from_matrix_basis(mats)
+    # conjugation is an isomorphism, so the constants do not change
+    assert conjugate._table == dense_structure_table(mats) == g._table
+
+
+@pytest.mark.parametrize(
+    "make, drop, conjugated",
+    [
+        (lambda: so(2, 3), 0, False),
+        (lambda: so(2, 3), 7, False),
+        (lambda: so(2, 3), 7, True),
+        (lambda: sl(3), 4, False),
+        (lambda: sl(3), 4, True),
+        (g2_split, 13, False),
+    ],
+    ids=["so(2,3)-0", "so(2,3)-7", "so(2,3)-7-conjugated", "sl(3)-4", "sl(3)-4-conjugated", "g2-13"],
+)
+def test_non_closed_and_dependent_bases_fail_as_the_oracle(make, drop, conjugated):
+    mats = list(make().matrices)
+    if conjugated:
+        mats = _dense_conjugates(mats, drop)
+    # a simple algebra of dimension above 3 has no subalgebra of codimension 1
+    open_basis = mats[:drop] + mats[drop + 1 :]
+    with pytest.raises(NotClosed) as expected:
+        dense_structure_table(open_basis)
+    with pytest.raises(NotClosed) as got:
+        from_matrix_basis(open_basis)
+    assert str(got.value) == str(expected.value)
+    dependent = mats + [mats[0] + mats[-1]]
+    for build in (dense_structure_table, from_matrix_basis):
+        with pytest.raises(DependentBasis):
+            build(dependent)
 
 
 def test_so_dimensions():

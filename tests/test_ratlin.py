@@ -396,6 +396,44 @@ def test_matmul_and_apply_match_dense():
             assert all_fractions([got])
 
 
+def test_kernels_build_checked_fraction_matrices():
+    # the kernels wrap their rows unchecked, so each result must be what
+    # the checked public constructor makes of its own entries
+    for rng, rows, cols, entries in kernel_cases():
+        a = RatMatrix(entries)
+        other = RatMatrix(sparse_entries(rng, rows, cols, 0.5, False))
+        columns = [[rng.choice((0, 1, "-3/2", Fraction(2, 7))) for _ in range(rows)] for _ in range(3)]
+        results = {
+            "@": a @ a.transpose(),
+            "+": a + other,
+            "-": a - other,
+            "neg": -a,
+            "scale": a.scale("3/2"),
+            "scale by 0": a.scale(0),
+            "transpose": a.transpose(),
+            "from_columns": RatMatrix.from_columns(rows, columns),
+        }
+        for name, got in results.items():
+            assert all_fractions(got.entries), name
+            assert got == RatMatrix(got.entries), name
+        assert results["+"] == RatMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(entries, other.entries)])
+        assert results["-"] == RatMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(entries, other.entries)])
+        assert results["neg"] == RatMatrix([[-x for x in r] for r in entries])
+        assert results["scale"] == RatMatrix([[Fraction(3, 2) * x for x in r] for r in entries])
+        assert results["transpose"].entries == tuple(zip(*entries))
+        assert results["from_columns"] == RatMatrix([list(r) for r in zip(*columns)] if rows else [])
+
+
+@pytest.mark.parametrize("bad", [0.5, None, 1j])
+def test_the_public_constructors_still_reject_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        RatMatrix([[bad]])
+    with pytest.raises(TypeError):
+        RatMatrix.from_columns(2, [[1, bad]])
+    with pytest.raises(TypeError):
+        RatMatrix([[1]]).scale(bad)
+
+
 def test_rref_kernel_and_inverse_match_dense():
     for _, rows, cols, entries in kernel_cases():
         got_rows, got_pivots = _rref([list(r) for r in entries])
