@@ -18,7 +18,6 @@ from .ratlin import (
 )
 from .liealg import (
     LieAlgebra,
-    KillingForm,
     from_matrix_basis,
     so,
     u,
@@ -75,7 +74,6 @@ __all__ = [
     "subspace_intersection",
     # liealg
     "LieAlgebra",
-    "KillingForm",
     "from_matrix_basis",
     "so",
     "u",

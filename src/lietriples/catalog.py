@@ -33,7 +33,6 @@ from typing import Callable, Optional
 from . import env2
 from .env2 import Quad2, casimir
 from .liealg import (
-    KillingForm,
     LieAlgebra,
     direct_sum,
     g2_matrices,
@@ -227,22 +226,30 @@ def _algebra(
 
 
 def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
+    """The involution of a recipe.  What its constructor rejects (a singular
+    or non-preserving conjugation, a swap on an algebra that is no direct
+    sum of two equal factors) is an input error at where."""
     kind = _typed(recipe, dict, where).get("kind")
     if kind == "ad_diag":
         if g.matrices is None:
             raise CatalogError(f"{where}: ad_diag needs an algebra given by matrices")
         size = g.matrices[0].rows
         signs = _vector(_field(recipe, "signs", where), f"{where}.signs", size)
-        return conjugation_involution(g, RatMatrix.diagonal(signs))
-    if kind == "swap_factors":
-        return swap_involution(g)
-    if kind == "neg_transpose":
-        return negative_transpose_involution(g)
-    if kind == "matrix":
+        build = lambda: conjugation_involution(g, RatMatrix.diagonal(signs))
+    elif kind == "swap_factors":
+        build = lambda: swap_involution(g)
+    elif kind == "neg_transpose":
+        build = lambda: negative_transpose_involution(g)
+    elif kind == "matrix":
         columns = _field(recipe, "columns", where)
         cols = _vectors(columns, f"{where}.columns", g.dim, g.dim)
-        return Involution(RatMatrix.from_columns(g.dim, cols))
-    raise CatalogError(f"{where}: unknown involution recipe kind: {_show(kind)}")
+        build = lambda: Involution(RatMatrix.from_columns(g.dim, cols))
+    else:
+        raise CatalogError(f"{where}: unknown involution recipe kind: {_show(kind)}")
+    try:
+        return build()
+    except ValueError as exc:
+        raise CatalogError(f"{where}: {exc}") from None
 
 
 def _build_l(
@@ -293,28 +300,18 @@ class BuiltTriple:
         sigma = _build_involution(self.g, entry.sigma, f"{where}: sigma")
         theta = _build_involution(self.g, entry.theta, f"{where}: theta")
         frame, labels = _build_l(self.g, entry.l, f"{where}: l")
-        l_space = SubspaceBasis(self.g.dim, frame.transpose().entries)
         self.descriptor = TripleDescriptor(
             g=self.g,
             sigma=sigma,
             theta=theta,
-            l=l_space,
-            name=entry.name,
             l_frame=frame,
+            name=entry.name,
             l_labels=labels,
         )
 
     @property
-    def killing(self) -> KillingForm:
-        return self.descriptor.killing
-
-    @property
     def l_alg(self) -> LieAlgebra:
         return self.descriptor.l_alg
-
-    @property
-    def frame(self) -> RatMatrix:
-        return self.descriptor.frame
 
     @property
     def l_cap_h(self) -> SubspaceBasis:
@@ -324,7 +321,7 @@ class BuiltTriple:
     @cached_property
     def omega_g(self) -> Quad2:
         full = SubspaceBasis.full(self.g.dim)
-        return casimir(self.g, full, self.killing.gram)
+        return casimir(self.g, full, self.descriptor.killing)
 
     def generator_subspace(self, name: str) -> SubspaceBasis:
         """The subspace of l (in l-coordinates) normalizing each generator:

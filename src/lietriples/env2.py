@@ -466,7 +466,7 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
     rows = [i for i in range(g.dim) if i not in h.pivots()]
     pi, _ = _echelon_split(h)
-    frame_pairs = [_pairs(col) for col in t.frame.columns()]
+    frame_pairs = [_pairs(col) for col in t.l_frame.columns()]
     m_cols = [_front_part(dict(frame_pairs[a]), pi) for a in section]
     m = RatMatrix.from_columns(len(rows), [[c.get(i, 0) for i in rows] for c in m_cols])
     # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates

@@ -140,23 +140,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.basis_labels)})"
 
 
-class KillingForm:
-    """Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j) of a Lie algebra."""
-
-    __slots__ = ("gram",)
-
-    def __init__(self, gram: RatMatrix):
-        if not gram.is_symmetric():
-            raise ValueError("Killing gram must be symmetric")
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KillingForm is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, KillingForm) and self.gram == other.gram
-
-
 def _vectorize(m: RatMatrix) -> list:
     return [x for row in m.entries for x in row]
 
@@ -504,8 +487,9 @@ def g2_split() -> LieAlgebra:
 # -- forms and subspace calculus -------------------------------------------
 
 
-def killing_form(g: LieAlgebra) -> KillingForm:
-    """B(X_i, X_j) = trace(ad X_i ad X_j), computed exactly and sparsely."""
+def killing_form(g: LieAlgebra) -> RatMatrix:
+    """The symmetric Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j),
+    computed exactly and sparsely."""
     n = g.dim
     # ad_i as sparse column maps: ad[i][j] = {k: c} means [X_i, X_j] has
     # coefficient c on X_k.
@@ -526,12 +510,11 @@ def killing_form(g: LieAlgebra) -> KillingForm:
                         total += c * d
             gram[i][j] = total
             gram[j][i] = total
-    return KillingForm(RatMatrix(gram))
+    return RatMatrix(gram)
 
 
-def restrict_form(form, s: SubspaceBasis) -> RatMatrix:
+def restrict_form(gram: RatMatrix, s: SubspaceBasis) -> RatMatrix:
     """Gram matrix of a symmetric form on the canonical basis of s."""
-    gram = form.gram if isinstance(form, KillingForm) else form
     if s.dim == 0:
         return RatMatrix([])
     p = s.matrix()

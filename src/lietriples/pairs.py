@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 
 from .env2 import IdealReducer
 from .liealg import (
-    KillingForm,
     LieAlgebra,
     NotClosed,
     _vectorize,
@@ -154,12 +153,12 @@ def eigenspace_split(
 class TripleDescriptor:
     """A candidate triple: ambient g, involutions sigma / theta, subalgebra l.
 
-    l_frame optionally fixes a preferred ordered basis of l (columns, in
-    g-coordinates) used for enveloping-algebra work and evidence records,
-    and l_labels names its columns.  Everything else (h, q, k, s, the
-    Killing form, l as an algebra, its Cartan split, l cap h, the report on
-    the three conditions, the reducer modulo U(l)(l cap h) and the
-    H-invariance verdicts of elements transferred into U(l)) is derived
+    l is given once, by l_frame: its columns (in g-coordinates) are the
+    ordered basis of l used for enveloping-algebra work and evidence
+    records, and l_labels names them.  Everything else (h, q, k, s, l as a
+    subspace, the Killing form, l as an algebra, its Cartan split, l cap h,
+    the report on the three conditions, the reducer modulo U(l)(l cap h) and
+    the H-invariance verdicts of elements transferred into U(l)) is derived
     lazily, once, and kept here, so every verb reads the same objects; none
     of it refers back to the descriptor, so reference counting frees it all.
     Whatever lies in l is in the coordinates of the frame: each subspace is
@@ -169,9 +168,8 @@ class TripleDescriptor:
     g: LieAlgebra
     sigma: Involution
     theta: Involution
-    l: SubspaceBasis
+    l_frame: RatMatrix
     name: str = ""
-    l_frame: Optional[RatMatrix] = None
     l_labels: Optional[Sequence[str]] = None
 
     @cached_property
@@ -199,18 +197,19 @@ class TripleDescriptor:
         return self._theta_split[1]
 
     @cached_property
-    def killing(self) -> KillingForm:
+    def killing(self) -> RatMatrix:
+        """The Killing Gram of g."""
         return killing_form(self.g)
 
     @cached_property
-    def frame(self) -> RatMatrix:
-        """The columns of l_frame, or the canonical basis of l without one."""
-        return self.l_frame if self.l_frame is not None else self.l.matrix()
+    def l(self) -> SubspaceBasis:
+        """The span of the frame's columns, in canonical form."""
+        return SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
 
     @cached_property
     def l_alg(self) -> LieAlgebra:
         """l as a Lie algebra in its own right, on the basis of the frame."""
-        return subalgebra_on_own_basis(self.g, self.frame.columns(), self.l_labels)
+        return subalgebra_on_own_basis(self.g, self.l_frame.columns(), self.l_labels)
 
     def in_l(self, theta: int = 0, sigma: int = 0) -> SubspaceBasis:
         """The x in frame coordinates with theta(Fx) = theta * Fx and
@@ -218,7 +217,7 @@ class TripleDescriptor:
         out; at least one is given): one kernel of the stacked (inv - sign) F.
         With F of full rank, this is l cap k (theta=1), l cap s (theta=-1),
         l cap h (sigma=1) or l cap s cap q (both -1) in the coordinates of l."""
-        f = self.frame
+        f = self.l_frame
         rows = []
         for sign, inv in ((theta, self.theta), (sigma, self.sigma)):
             if sign:
@@ -229,8 +228,8 @@ class TripleDescriptor:
     def frame_gram(self) -> RatMatrix:
         """The Killing form on the frame of l, F^T B F; every form on l
         reads it."""
-        f = self.frame
-        return f.transpose() @ self.killing.gram @ f if f.cols else RatMatrix([])
+        f = self.l_frame
+        return f.transpose() @ self.killing @ f if f.cols else RatMatrix([])
 
     @cached_property
     def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -246,7 +245,7 @@ class TripleDescriptor:
         if signature(restrict_form(b, s)) != (s.dim, 0, 0):
             raise DescriptorError("theta", "theta minus-space is not positive definite")
         k_l, s_l = self.in_l(theta=1), self.in_l(theta=-1)
-        if k_l.dim + s_l.dim != self.frame.cols:
+        if k_l.dim + s_l.dim != self.l_frame.cols:
             raise DescriptorError(
                 "theta", "theta does not preserve l; no Cartan split available"
             )
@@ -287,8 +286,8 @@ class TripleDescriptor:
         return {}
 
     def validate(self) -> None:
-        """Raise DescriptorError unless the involutions, l and the frame fit
-        together.  The descriptor is immutable, so a descriptor that passes
+        """Raise DescriptorError unless the involutions, the frame of l and
+        its labels fit together and l is a subalgebra.  The descriptor is immutable, so a descriptor that passes
         is checked once."""
         self._validated
 
@@ -301,13 +300,9 @@ class TripleDescriptor:
                 raise DescriptorError(field, str(exc)) from None
         if not self.sigma.commutes_with(self.theta):
             raise DescriptorError("sigma, theta", "sigma and theta do not commute")
-        if self.l_frame is not None:
-            framed = SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
-            if self.l_frame.cols != self.l.dim or framed.dim != self.l.dim:
-                raise DescriptorError("l_frame", "l_frame does not have full rank")
-            if framed != self.l:
-                raise DescriptorError("l_frame", "l_frame does not span l")
-        if self.l_labels is not None and len(self.l_labels) != self.frame.cols:
+        if self.l.dim != self.l_frame.cols:
+            raise DescriptorError("l_frame", "l_frame does not have full rank")
+        if self.l_labels is not None and len(self.l_labels) != self.l_frame.cols:
             raise DescriptorError("l_labels", "l_labels do not match the l frame")
         try:
             self.l_alg

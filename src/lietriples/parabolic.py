@@ -14,7 +14,15 @@ from typing import Sequence
 
 from .liealg import LieAlgebra, centralizer
 from .pairs import NotTransitiveTriple, TripleDescriptor
-from .ratlin import RatMatrix, SubspaceBasis, kernel, restrict_operator, subspace_sum
+from .ratlin import (
+    RatMatrix,
+    SubspaceBasis,
+    char_poly,
+    kernel,
+    restrict_operator,
+    sign_changes,
+    subspace_sum,
+)
 
 
 class IrrationalSpectrum(ArithmeticError):
@@ -38,42 +46,6 @@ class ParabolicSubalgebra:
     a: SubspaceBasis
     n: SubspaceBasis
     p: SubspaceBasis
-
-
-def char_poly(a: RatMatrix) -> list:
-    """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic).
-
-    Faddeev-LeVerrier in Python ints on B = dA, d the lcm of the
-    denominators of A: M_k = B M_(k-1) + c[n-k+1] I and c[n-k] =
-    -tr(B M_k) / k, where the division is exact because an integer matrix
-    has an integer characteristic polynomial.  B is read row by row as its
-    nonzero (column, entry) pairs, and B M_k skips the zero entries of
-    both factors.  c_k(A) = c_k(B) / d^(n-k).
-    """
-    n = a.rows
-    d = math.lcm(*(x.denominator for row in a.entries for x in row))
-    support = [
-        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
-        for row in a.entries
-    ]
-    c = [0] * (n + 1)
-    c[n] = 1
-    bm = [[0] * n for _ in range(n)]  # B M_0, M_0 = 0
-    for k in range(1, n + 1):
-        m = bm
-        shift = c[n - k + 1]
-        for i in range(n):
-            m[i][i] += shift
-        bm = []
-        for row in support:
-            acc = [0] * n
-            for j, b in row:
-                for col, x in enumerate(m[j]):
-                    if x:
-                        acc[col] += b * x
-            bm.append(acc)
-        c[n - k] = -sum(bm[i][i] for i in range(n)) // k
-    return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
 
 
 def _taylor_shift(coeffs: Sequence[int], t: int) -> list[int]:
@@ -100,8 +72,7 @@ def _integer_roots(coeffs: Sequence[int], bound: int) -> list[int]:
         """(V(t), whether P(t) = 0)."""
         if t not in memo:
             c = _taylor_shift(coeffs, t)
-            signs = [x > 0 for x in c if x]
-            memo[t] = (sum(u != v for u, v in zip(signs, signs[1:])), c[0] == 0)
+            memo[t] = (sign_changes(c), c[0] == 0)
         return memo[t]
 
     roots, intervals = [], [(-bound - 1, bound)]
@@ -300,7 +271,7 @@ def cartan_split_of_l(
     coordinates and k_l, s_l in l-coordinates.  Requires theta(l) = l.
     """
     k_l, s_l = t.cartan_split
-    return t.l_alg, t.frame, k_l, s_l
+    return t.l_alg, t.l_frame, k_l, s_l
 
 
 def is_spherical_triple(

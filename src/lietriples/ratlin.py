@@ -397,56 +397,62 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in rows])
 
 
+def char_poly(a: RatMatrix) -> list:
+    """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic).
+
+    Faddeev-LeVerrier in Python ints on B = dA, d the lcm of the
+    denominators of A: M_k = B M_(k-1) + c[n-k+1] I and c[n-k] =
+    -tr(B M_k) / k, where the division is exact because an integer matrix
+    has an integer characteristic polynomial.  B is read row by row as its
+    nonzero (column, entry) pairs, and B M_k skips the zero entries of
+    both factors.  c_k(A) = c_k(B) / d^(n-k).
+    """
+    n = a.rows
+    d = math.lcm(*(x.denominator for row in a.entries for x in row))
+    support = [
+        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+        for row in a.entries
+    ]
+    c = [0] * (n + 1)
+    c[n] = 1
+    bm = [[0] * n for _ in range(n)]  # B M_0, M_0 = 0
+    for k in range(1, n + 1):
+        m = bm
+        shift = c[n - k + 1]
+        for i in range(n):
+            m[i][i] += shift
+        bm = []
+        for row in support:
+            acc = [0] * n
+            for j, b in row:
+                for col, x in enumerate(m[j]):
+                    if x:
+                        acc[col] += b * x
+            bm.append(acc)
+        c[n - k] = -sum(bm[i][i] for i in range(n)) // k
+    return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
+
+
+def sign_changes(coeffs: Sequence) -> int:
+    """Sign changes along the nonzero entries of a coefficient list."""
+    signs = [x > 0 for x in coeffs if x]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def signature(s: RatMatrix) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric matrix.
 
-    Exact symmetric congruence diagonalization; no characteristic polynomial
-    and no floating point anywhere.
+    A symmetric matrix is diagonalizable with real eigenvalues, so its
+    characteristic polynomial is x^zero, zero the nullity, times a factor
+    with a nonzero constant term and only real roots; Descartes' rule of
+    signs counts the positive ones exactly.
     """
     if not s.is_symmetric():
         raise NonSymmetric("signature requires a symmetric matrix")
-    n = s.rows
-    a = [list(row) for row in s.entries]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            # Try to bring a nonzero entry onto the diagonal by congruence.
-            swapped = False
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    for t in range(n):
-                        a[k][t], a[j][t] = a[j][t], a[k][t]
-                    for t in range(n):
-                        a[t][k], a[t][j] = a[t][j], a[t][k]
-                    swapped = True
-                    break
-            if not swapped:
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        # row/col k += row/col j turns the 2x2 hyperbolic
-                        # block into one with nonzero diagonal.
-                        for t in range(n):
-                            a[k][t] = a[k][t] + a[j][t]
-                        for t in range(n):
-                            a[t][k] = a[t][k] + a[t][j]
-                        swapped = True
-                        break
-        piv = a[k][k]
-        if piv == 0:
-            zero += 1
-            continue
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / piv
-                for t in range(n):
-                    a[i][t] = a[i][t] - f * a[k][t]
-                for t in range(n):
-                    a[t][i] = a[t][i] - f * a[t][k]
-    return pos, neg, zero
+    c = char_poly(s)
+    zero = next(k for k, ck in enumerate(c) if ck)
+    pos = sign_changes(c)
+    return pos, s.rows - zero - pos, zero
 
 
 class SubspaceBasis:

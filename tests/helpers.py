@@ -15,6 +15,7 @@ from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
     DependentBasis,
+    NonSymmetric,
     RatMatrix,
     SubspaceBasis,
     _rat,
@@ -82,6 +83,63 @@ def dense_rref(rows):
         if r == n_rows:
             break
     return rows, pivots
+
+
+# Reference for ratlin.signature as it was before it read the signs of the
+# characteristic polynomial: exact symmetric congruence diagonalization,
+# with row and column swaps and a hyperbolic fix-up for a zero diagonal.
+
+
+def congruence_signature(s: RatMatrix) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric matrix.
+
+    Exact symmetric congruence diagonalization; no characteristic polynomial
+    and no floating point anywhere.
+    """
+    if not s.is_symmetric():
+        raise NonSymmetric("signature requires a symmetric matrix")
+    n = s.rows
+    a = [list(row) for row in s.entries]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            # Try to bring a nonzero entry onto the diagonal by congruence.
+            swapped = False
+            for j in range(k + 1, n):
+                if a[j][j] != 0:
+                    for t in range(n):
+                        a[k][t], a[j][t] = a[j][t], a[k][t]
+                    for t in range(n):
+                        a[t][k], a[t][j] = a[t][j], a[t][k]
+                    swapped = True
+                    break
+            if not swapped:
+                for j in range(k + 1, n):
+                    if a[k][j] != 0:
+                        # row/col k += row/col j turns the 2x2 hyperbolic
+                        # block into one with nonzero diagonal.
+                        for t in range(n):
+                            a[k][t] = a[k][t] + a[j][t]
+                        for t in range(n):
+                            a[t][k] = a[t][k] + a[t][j]
+                        swapped = True
+                        break
+        piv = a[k][k]
+        if piv == 0:
+            zero += 1
+            continue
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / piv
+                for t in range(n):
+                    a[i][t] = a[i][t] - f * a[k][t]
+                for t in range(n):
+                    a[t][i] = a[t][i] - f * a[t][k]
+    return pos, neg, zero
 
 
 # Reference for liealg.from_matrix_basis as it was before it read the
@@ -321,16 +379,16 @@ def random_quad2(algebra, rng, terms=6):
 def restricted_theta_split(d):
     """(k_l, s_l) from theta restricted to the frame of l."""
     theta_l = restrict_operator(
-        d.theta.matrix, d.frame, lambda _: ValueError("theta does not preserve l")
+        d.theta.matrix, d.l_frame, lambda _: ValueError("theta does not preserve l")
     )
-    ident = RatMatrix.identity(d.frame.cols)
+    ident = RatMatrix.identity(d.l_frame.cols)
     return kernel(theta_l - ident), kernel(theta_l + ident)
 
 
 def in_frame(d, sub):
     """A subspace of g inside l, in the coordinates of the frame."""
     outside = lambda _: ValueError("subspace is not contained in l")  # noqa: E731
-    return SubspaceBasis(d.frame.cols, coordinates_in(d.frame, sub.vectors, outside))
+    return SubspaceBasis(d.l_frame.cols, coordinates_in(d.l_frame, sub.vectors, outside))
 
 
 def intersected_l_cap_h(d):
@@ -352,8 +410,8 @@ def ambient_signatures(d):
 
 def twisted_gram(d):
     """B(X, theta Y) on the frame of l."""
-    f = d.frame
-    return f.transpose() @ d.killing.gram @ d.theta.matrix @ f
+    f = d.l_frame
+    return f.transpose() @ d.killing @ d.theta.matrix @ f
 
 
 # The automorphism check of pairs.Involution.validate as a dense loop: an
@@ -572,7 +630,7 @@ def adjoint_casimir_matrix(g):
     from lietriples.liealg import killing_form
     from lietriples.ratlin import inverse
 
-    gram = killing_form(g).gram
+    gram = killing_form(g)
     ginv = inverse(gram)
     n = g.dim
     total = RatMatrix.zeros(n, n)
@@ -694,7 +752,7 @@ def naive_transfer(built):
 
     g = built.g
     d = built.descriptor
-    gram = killing_form(g).gram
+    gram = killing_form(g)
     ginv = inverse(gram)
     words = [
         (ginv[i, j], (i, j))
@@ -703,7 +761,7 @@ def naive_transfer(built):
         if ginv[i, j] != 0
     ]
 
-    frame = built.frame
+    frame = built.descriptor.l_frame
     frame_cols = [list(frame.column(j)) for j in range(frame.cols)]
     chosen = list(frame_cols)
     base = SubspaceBasis(g.dim, chosen)

@@ -127,7 +127,7 @@ def test_criterion_5a_jacobi_and_ad_invariance(built_catalog):
     checks = 0
     for label, g in _catalog_algebras(built_catalog).items():
         g.check_jacobi()  # exhaustive over basis triples, raises on failure
-        gram = killing_form(g).gram
+        gram = killing_form(g)
         brackets = {}
         for i in range(g.dim):
             for j in range(g.dim):
@@ -246,7 +246,7 @@ def test_criterion_6_oracles(built_catalog):
             ]
         ].g
         m = p + q
-        gram = killing_form(g).gram
+        gram = killing_form(g)
         for i in range(g.dim):
             for j in range(g.dim):
                 assert gram[i, j] == (m - 2) * (g.matrices[i] @ g.matrices[j]).trace()

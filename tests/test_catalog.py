@@ -28,7 +28,7 @@ def test_entries_build_and_validate(built_catalog):
     for name, bt in built_catalog.items():
         assert bt.descriptor.name == name
         # validate() ran in the fixture; spot check core facts again
-        assert bt.descriptor.l.dim == bt.frame.cols
+        assert bt.descriptor.l.dim == bt.descriptor.l_frame.cols
 
 
 def test_expected_dimensions(built_catalog):
@@ -48,7 +48,7 @@ def test_compact_intersections(built_catalog):
     for name, bt in built_catalog.items():
         d = bt.descriptor
         lh = subspace_intersection(d.l, d.h)
-        gram = restrict_form(bt.killing, lh)
+        gram = restrict_form(bt.descriptor.killing, lh)
         if lh.dim:
             assert signature(gram) == (0, lh.dim, 0), name
 

@@ -461,6 +461,21 @@ _NEG_TRANSPOSE_FIRST = _matrix([_unit(0, -1), _unit(2, -1), _unit(1, -1), *(_uni
         # over it is unique; a name is a string, not coerced to one
         (("lorentzian-2", "generators"), ["omega_l", "omega_l"], "generators: 'omega_l' listed twice"),
         ("name", 5, "name: expected a string, got 5"),
+        # recipes whose involution constructor rejects them on so(2,4): a
+        # singular conjugation, one that leaves the algebra, a swap on an
+        # algebra that is no direct sum
+        *(
+            (("lorentzian-2", field), recipe, f"{field}: {problem}")
+            for field in ("sigma", "theta")
+            for recipe, problem in (
+                ({"kind": "ad_diag", "signs": ["0"] + ["1"] * 5}, "matrix not invertible"),
+                (
+                    {"kind": "ad_diag", "signs": ["2"] + ["1"] * 5},
+                    "conjugation does not preserve the algebra",
+                ),
+                ({"kind": "swap_factors"}, "not a direct sum of two equal factors"),
+            )
+        ),
         # files that parse but whose parts do not fit together
         ("l", _l_vectors(lambda v: v + [v[0]]), "l.vectors: l_frame does not have full rank"),
         ("l", _l_vectors(lambda v: v[1:]), "l.vectors: l is not a subalgebra"),

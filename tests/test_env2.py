@@ -54,7 +54,7 @@ from lietriples.ratlin import RatMatrix, SubspaceBasis
 
 def sl2_casimir():
     g = sl(2)
-    return g, casimir(g, SubspaceBasis.full(3), killing_form(g).gram)
+    return g, casimir(g, SubspaceBasis.full(3), killing_form(g))
 
 
 def test_casimir_rank_one():
@@ -98,7 +98,7 @@ def test_casimir_basis_independence():
 def test_symmetrized_casimir_equal():
     g, omega = sl2_casimir()
     b = killing_form(g)
-    assert symmetrized_casimir(g, SubspaceBasis.full(3), b.gram) == omega
+    assert symmetrized_casimir(g, SubspaceBasis.full(3), b) == omega
     g2 = g2_split()
     b2 = killing_form(g2)
     sub = SubspaceBasis(14, [[1 if i == t else 0 for i in range(14)] for t in (0, 1, 2, 8)])
@@ -209,19 +209,18 @@ def group_triple():
     sigma = swap_involution(g)
     theta = negative_transpose_involution(g)
     cols = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
-    l = SubspaceBasis(6, cols)
     frame = RatMatrix.from_columns(6, cols)
-    return TripleDescriptor(g=g, sigma=sigma, theta=theta, l=l, name="t", l_frame=frame)
+    return TripleDescriptor(g=g, sigma=sigma, theta=theta, l_frame=frame, name="t")
 
 
 def test_iota_group_case_is_twice_omega_l():
     t = group_triple()
     g = t.g
-    omega_g = casimir(g, SubspaceBasis.full(6), killing_form(g).gram)
+    omega_g = casimir(g, SubspaceBasis.full(6), killing_form(g))
     image = iota_embed(t, omega_g)
     # Omega_L over l in its own coordinates, normalized by B_g restricted
     frame = t.l_frame
-    gram = frame.transpose() @ killing_form(g).gram @ frame
+    gram = frame.transpose() @ killing_form(g) @ frame
     omega_l = casimir(image.algebra, SubspaceBasis.full(3), gram)
     assert image == omega_l.scale(2)
 
@@ -229,7 +228,7 @@ def test_iota_group_case_is_twice_omega_l():
 def test_iota_complement_seeds_agree_group():
     t = group_triple()
     g = t.g
-    omega_g = casimir(g, SubspaceBasis.full(6), killing_form(g).gram)
+    omega_g = casimir(g, SubspaceBasis.full(6), killing_form(g))
     base = iota_embed(t, omega_g)
     for seed in range(5):
         assert iota_embed(t, omega_g, complement_seed=seed) == base
@@ -241,10 +240,10 @@ def test_iota_not_transitive():
         g=t.g,
         sigma=t.sigma,
         theta=t.theta,
-        l=SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]]),
+        l_frame=RatMatrix.from_columns(6, [[1, 0, 0, 0, 0, 0]]),
         name="small",
     )
-    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g).gram)
+    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g))
     with pytest.raises(NotTransitive):
         iota_embed(small, omega_g)
 
@@ -254,7 +253,7 @@ def torus_triple(g):
     sigma = involution_from_images(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     theta = negative_transpose_involution(g)
     return TripleDescriptor(
-        g=g, sigma=sigma, theta=theta, l=SubspaceBasis.full(3), name="torus"
+        g=g, sigma=sigma, theta=theta, l_frame=RatMatrix.identity(3), name="torus"
     )
 
 
@@ -270,7 +269,7 @@ def test_iota_not_invariant():
 
 def test_h_invariance_of_casimir():
     t = group_triple()
-    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g).gram)
+    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g))
     assert check_h_invariant(omega_g, t.h)
 
 
@@ -348,8 +347,10 @@ def test_transfer_split_not_transitive():
     t = group_triple()
     line = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]])
     assert dense_greedy_complement(6, line.vectors, list(t.h.vectors)) is None
-    small = TripleDescriptor(g=t.g, sigma=t.sigma, theta=t.theta, l=line, name="small")
-    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g).gram)
+    small = TripleDescriptor(
+        g=t.g, sigma=t.sigma, theta=t.theta, l_frame=line.matrix(), name="small"
+    )
+    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g))
     for seed in (None, 3):
         with pytest.raises(NotTransitive, match="l \\+ h does not fill g"):
             _transfer_split(small, seed)
@@ -365,7 +366,7 @@ def test_quad2_hash_agrees_with_equality():
     g_again, omega_again = sl2_casimir()  # a second algebra with the same labels
     equal_pairs = [
         (omega, omega_again),
-        (omega, symmetrized_casimir(g, SubspaceBasis.full(3), killing_form(g).gram)),
+        (omega, symmetrized_casimir(g, SubspaceBasis.full(3), killing_form(g))),
         (Quad2(g, quad={(0, 0): Fraction(2, 4)}, lin={1: 0}), Quad2(g, quad={(0, 0): "1/2"})),
         (Quad2(g, lin={0: 1, 2: 3}), Quad2(g, lin={2: 3, 0: 1})),
         (Quad2(g, const=2), Quad2.zero(g) + Quad2(g, const=Fraction(4, 2))),
@@ -437,7 +438,7 @@ def test_seeded_transfers_pin_the_canonical_image(built_catalog, name):
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_casimir_and_bracket_match_the_termwise_products(built_catalog, name):
     bt = built_catalog[name]
-    g, gram = bt.g, bt.descriptor.killing.gram
+    g, gram = bt.g, bt.descriptor.killing
     full = SubspaceBasis.full(g.dim)
     assert casimir(g, full, gram) == termwise_casimir(g, full, gram)
     rng = random.Random(f"bracket/{name}")
@@ -470,7 +471,7 @@ def test_transfer_split_splits_every_basis_vector_along_l_and_h(built_catalog, n
     20 seeded ones."""
     d = built_catalog[name].descriptor
     n = d.g.dim
-    frame_cols = [list(col) for col in d.frame.columns()]
+    frame_cols = [list(col) for col in d.l_frame.columns()]
     for seed in [None, *range(20)]:
         front, eta = _transfer_split(d, seed)
         for k in range(n):
@@ -493,7 +494,7 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
     of l inside h defines, the complement drawn with the same seed."""
     bt = built_catalog[name]
     d = bt.descriptor
-    frame_cols = [list(col) for col in d.frame.columns()]
+    frame_cols = [list(col) for col in d.l_frame.columns()]
     reduce = d.l_cap_h_reducer.reduce
     rng = random.Random(f"transfer/{name}")
     for seed in [None, *range(20)]:

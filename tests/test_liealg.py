@@ -172,14 +172,14 @@ def test_direct_sum_and_diagonal():
 
 
 def test_killing_sl2_values():
-    b = killing_form(sl2()).gram
+    b = killing_form(sl2())
     assert b[0, 0] == 8 and b[1, 2] == 4 and b[2, 1] == 4
     assert b[0, 1] == 0 and b[0, 2] == 0 and b[1, 1] == 0 and b[2, 2] == 0
 
 
 def test_killing_abelian_zero():
     g = from_matrix_basis([RatMatrix([[1, 0], [0, 0]]), RatMatrix([[0, 0], [0, 1]])])
-    assert killing_form(g).gram.is_zero()
+    assert killing_form(g).is_zero()
 
 
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (1, 4)])
@@ -187,7 +187,7 @@ def test_killing_so_closed_form(p, q):
     # classical oracle: B(X, Y) = (m - 2) tr(XY) on so(p, q)
     g = so(p, q)
     m = p + q
-    b = killing_form(g).gram
+    b = killing_form(g)
     for i in range(g.dim):
         for j in range(g.dim):
             assert b[i, j] == (m - 2) * (g.matrices[i] @ g.matrices[j]).trace()
@@ -196,8 +196,8 @@ def test_killing_so_closed_form(p, q):
 def test_killing_direct_sum_block_diagonal():
     a = sl2()
     g = direct_sum(a, a)
-    b = killing_form(g).gram
-    ba = killing_form(a).gram
+    b = killing_form(g)
+    ba = killing_form(a)
     for i in range(6):
         for j in range(6):
             if (i < 3) != (j < 3):
@@ -209,7 +209,7 @@ def test_killing_direct_sum_block_diagonal():
 def test_restrict_full_space_is_identity_operation():
     g = sl2()
     b = killing_form(g)
-    assert restrict_form(b, SubspaceBasis.full(3)) == b.gram
+    assert restrict_form(b, SubspaceBasis.full(3)) == b
 
 
 def test_restrict_isotropic_line():
@@ -375,7 +375,7 @@ def test_g2_dimension_and_tables():
 
 def test_g2_killing_signature():
     g2 = g2_split()
-    assert signature(killing_form(g2).gram) == (8, 6, 0)
+    assert signature(killing_form(g2)) == (8, 6, 0)
 
 
 def test_g2_seven_dim_invariant_form():
@@ -404,7 +404,7 @@ def test_gram_on_vectors_matches_restrict():
     assert gram[0, 0] == 8 and gram[1, 1] == 8 and gram[0, 1] == gram[1, 0] == 0
     for i, u in enumerate(vecs):
         for j, v in enumerate(vecs):
-            assert gram[i, j] == sum(x * b.gram[r, c] * y for r, x in enumerate(u) for c, y in enumerate(v))
+            assert gram[i, j] == sum(x * b[r, c] * y for r, x in enumerate(u) for c, y in enumerate(v))
 
 
 @pytest.mark.parametrize("p,q", [(2, 4), (2, 6), (4, 3), (3, 2)])
@@ -412,7 +412,7 @@ def test_so_semisimple_zero_radical(p, q):
     g = so(p, q)
     m = p + q
     assert g.dim == m * (m - 1) // 2
-    sig = signature(killing_form(g).gram)
+    sig = signature(killing_form(g))
     assert sig[2] == 0
 
 
@@ -425,11 +425,11 @@ def test_catalog_realizations_consistent(built_catalog):
 def test_su11_is_a_split_rank_one_form():
     g = su(1, 1)
     assert g.dim == 3
-    assert signature(killing_form(g).gram) == (2, 1, 0)
+    assert signature(killing_form(g)) == (2, 1, 0)
 
 
 def test_sl3_structure_is_valid():
     g = sl(3)
     assert g.dim == 8
     g.validate()
-    assert signature(killing_form(g).gram) == (5, 3, 0)
+    assert signature(killing_form(g)) == (5, 3, 0)

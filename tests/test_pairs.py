@@ -4,6 +4,7 @@ import pytest
 from conftest import ENTRY_NAMES
 from helpers import (
     ambient_signatures,
+    congruence_signature,
     dense_involution_validate,
     intersected_l_cap_h,
     intersected_l_cap_s_cap_q,
@@ -106,7 +107,7 @@ def _sl2_descriptor(vectors):
         g=g,
         sigma=Involution(RatMatrix.identity(3)),
         theta=negative_transpose_involution(g),
-        l=SubspaceBasis(3, vectors),
+        l_frame=SubspaceBasis(3, vectors).matrix(),
     )
 
 
@@ -114,7 +115,10 @@ def _group_descriptor(l):
     """sl(2) + sl(2) with h the diagonal."""
     g = direct_sum(sl(2), sl(2))
     return TripleDescriptor(
-        g=g, sigma=swap_involution(g), theta=negative_transpose_involution(g), l=l
+        g=g,
+        sigma=swap_involution(g),
+        theta=negative_transpose_involution(g),
+        l_frame=l.matrix(),
     )
 
 
@@ -181,6 +185,36 @@ def test_subspaces_and_forms_of_l_match_the_ambient_routes(built_catalog, name):
         assert form == restrict_form(gram, sub), (name, gen)
 
 
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4", "lorentzian-5"])
+def test_signatures_of_the_grams_the_verbs_read_match_the_congruence_oracle(
+    built_catalog, name
+):
+    # the Killing Gram on g, k and s, the frame's Gram and its restrictions
+    # to l cap h and to l cap s cap q
+    if name in built_catalog:
+        d = built_catalog[name].descriptor
+    else:
+        d = catalog.build(catalog._lorentzian_entry(int(name[-1]))).descriptor
+    b, f = d.killing, d.frame_gram
+    grams = [
+        b,
+        restrict_form(b, d.k),
+        restrict_form(b, d.s),
+        f,
+        restrict_form(f, d.l_cap_h_in_l),
+        restrict_form(f, d.in_l(theta=-1, sigma=-1)),
+    ]
+    for gram in grams:
+        assert signature(gram) == congruence_signature(gram), name
+    if name.startswith("lorentzian-"):
+        # u(1, n) in so(2, 2n): a noncompact part of dimension 2n, and
+        # l cap h = u(n) compact
+        n = int(name[-1])
+        report = d.triple_report
+        assert report.signature_on_l == (2 * n, (n + 1) ** 2 - 2 * n, 0)
+        assert report.signature_on_l_cap_h == (0, n * n, 0)
+
+
 def test_triple_report_u12_in_so24(built_catalog):
     report = built_catalog["lorentzian-2"].descriptor.triple_report
     assert report.is_transitive_triple
@@ -214,7 +248,11 @@ def test_broken_descriptor_reports_failure():
     ident = Involution(RatMatrix.identity(3))
     theta = negative_transpose_involution(g)
     broken = TripleDescriptor(
-        g=g, sigma=ident, theta=theta, l=SubspaceBasis(3, [[0, 1, 0]]), name="broken"
+        g=g,
+        sigma=ident,
+        theta=theta,
+        l_frame=RatMatrix.from_columns(3, [[0, 1, 0]]),
+        name="broken",
     )
     report = check_transitive_triple(broken)
     assert not report.reductive

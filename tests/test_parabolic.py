@@ -381,8 +381,8 @@ def test_sphericity_requires_transitive():
     sigma = swap_involution(g)
     theta = negative_transpose_involution(g)
     # l too small to act transitively
-    l = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]])
-    t = TripleDescriptor(g=g, sigma=sigma, theta=theta, l=l, name="tiny")
+    frame = RatMatrix.from_columns(6, [[1, 0, 0, 0, 0, 0]])
+    t = TripleDescriptor(g=g, sigma=sigma, theta=theta, l_frame=frame, name="tiny")
     with pytest.raises(ValueError):
         is_spherical_triple(t)
 

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import dense_apply, dense_matmul, dense_rref
+from helpers import congruence_signature, dense_apply, dense_matmul, dense_rref
 from lietriples.ratlin import (
     AmbientMismatch,
     BasisSolver,
@@ -106,9 +107,56 @@ def test_signature_hyperbolic_block():
     assert signature(RatMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
-def test_signature_requires_symmetric():
+@pytest.mark.parametrize("m", [[[0, 1], [0, 0]], [[1, 2]]], ids=["asymmetric", "non-square"])
+def test_signature_requires_symmetric(m):
     with pytest.raises(NonSymmetric):
-        signature(RatMatrix([[0, 1], [0, 0]]))
+        signature(RatMatrix(m))
+
+
+# signature reads the signs of the characteristic polynomial; the cases
+# below compare it with the congruence diagonalization it replaced
+
+
+def test_signature_of_the_empty_matrix():
+    empty = RatMatrix([])
+    assert signature(empty) == congruence_signature(empty) == (0, 0, 0)
+
+
+def test_signature_matches_the_congruence_oracle_on_seeded_congruences():
+    # P^T D P, with P rational and invertible, has the inertia of D; D has
+    # zero and negative entries
+    rng = random.Random(515)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        d = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        p = rand_matrix(rng, n, n, span=3)
+        while rank(p) < n:
+            p = rand_matrix(rng, n, n, span=3)
+        s = p.transpose() @ RatMatrix.diagonal(d) @ p
+        inertia = (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+        assert signature(s) == congruence_signature(s) == inertia, (d, p)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_signature_matches_the_congruence_oracle_on_bordered_hyperbolic_blocks(n):
+    # [[0, c], [c, 0]] on coordinates (i, j), zeros elsewhere, alone and with
+    # a diagonal entry or a second block on other coordinates: a zero
+    # diagonal, which the oracle first fixes up by congruence
+    for i, j in itertools.combinations(range(n), 2):
+        rest = [k for k in range(n) if k not in (i, j)]
+        for c in (1, -2, Fraction(1, 3)):
+            cases = [({}, (1, 1, n - 2))]
+            for k in rest[:1]:
+                cases += [({(k, k): 5}, (2, 1, n - 3)), ({(k, k): -1}, (1, 2, n - 3))]
+            for a, b in itertools.combinations(rest, 2):
+                cases.append(({(a, b): c, (b, a): c}, (2, 2, n - 4)))
+            for extra, inertia in cases:
+                rows = [[Fraction(0)] * n for _ in range(n)]
+                rows[i][j] = rows[j][i] = c
+                for (a, b), x in extra.items():
+                    rows[a][b] = x
+                s = RatMatrix(rows)
+                assert signature(s) == congruence_signature(s) == inertia, (i, j, extra)
 
 
 # -- subspaces ----------------------------------------------------------
@@ -335,7 +383,7 @@ def test_change_of_basis_sites_keep_their_errors(site):
 def test_signature_of_so3_killing_form():
     from lietriples.liealg import killing_form, so
 
-    assert signature(killing_form(so(3, 0)).gram) == (0, 3, 0)
+    assert signature(killing_form(so(3, 0))) == (0, 3, 0)
 
 
 # -- zero-skipping kernels against the dense references -------------------

@@ -17,7 +17,7 @@ def test_adjoint_casimir_identity_matrix():
 
 
 def defining_casimir_matrix(g):
-    gram = killing_form(g).gram
+    gram = killing_form(g)
     ginv = inverse(gram)
     size = g.matrices[0].rows
     total = RatMatrix.zeros(size, size)
