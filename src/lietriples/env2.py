@@ -28,7 +28,16 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .liealg import LieAlgebra, is_subalgebra
-from .ratlin import RatMatrix, SubspaceBasis, inverse, solve
+from .ratlin import (
+    RatMatrix,
+    SubspaceBasis,
+    _rat,
+    combination,
+    dense,
+    inverse,
+    solve,
+    sparse,
+)
 
 if TYPE_CHECKING:
     from .pairs import TripleDescriptor
@@ -62,18 +71,18 @@ class Quad2:
         for (i, j), c in (quad or {}).items():
             if i > j:
                 raise ValueError("quad keys must satisfy i <= j")
-            c = Fraction(c)
+            c = _rat(c)
             if c != 0:
                 q[(i, j)] = c
         ln = {}
         for i, c in (lin or {}).items():
-            c = Fraction(c)
+            c = _rat(c)
             if c != 0:
                 ln[i] = c
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "quad", q)
         object.__setattr__(self, "lin", ln)
-        object.__setattr__(self, "const", Fraction(const))
+        object.__setattr__(self, "const", _rat(const))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quad2 is immutable")
@@ -87,8 +96,9 @@ class Quad2:
         return Quad2(algebra, lin={i: 1})
 
     @staticmethod
-    def linear(algebra: LieAlgebra, vec: Sequence) -> "Quad2":
-        return Quad2(algebra, lin={i: Fraction(x) for i, x in enumerate(vec) if x != 0})
+    def linear(algebra: LieAlgebra, vec: dict) -> "Quad2":
+        """The degree-one element of a sparse vector."""
+        return Quad2(algebra, lin=vec)
 
     def _same_algebra(self, other: "Quad2") -> None:
         if self.algebra is not other.algebra and (
@@ -111,7 +121,7 @@ class Quad2:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Quad2":
-        c = Fraction(c)
+        c = _rat(c)
         return Quad2(
             self.algebra,
             {k: c * v for k, v in self.quad.items()},
@@ -161,15 +171,10 @@ class Quad2:
         return " + ".join(parts)
 
 
-def _pairs(vec: Sequence) -> list:
-    """The nonzero entries of a coordinate vector as (index, value) pairs."""
-    return [(i, x) for i, x in enumerate(vec) if x]
-
-
-def _add_outer(table: dict, v: list, w: list) -> None:
-    """table[(a, b)] += v[a] w[b] over the sparse pairs of v and w."""
-    for a, x in v:
-        for b, y in w:
+def _add_outer(table: dict, v: dict, w: dict) -> None:
+    """table[(a, b)] += v[a] w[b] over the sparse vectors v and w."""
+    for a, x in v.items():
+        for b, y in w.items():
             key = (a, b)
             table[key] = table.get(key, 0) + x * y
 
@@ -198,17 +203,18 @@ def _normal_order(
     return Quad2(algebra, quad, lin, const)
 
 
-def product_of_linear(algebra: LieAlgebra, v: Sequence, w: Sequence) -> Quad2:
-    """The product (sum v_i X_i)(sum w_j X_j), normal-ordered."""
+def product_of_linear(algebra: LieAlgebra, v: dict, w: dict) -> Quad2:
+    """The product (sum v_i X_i)(sum w_j X_j) of two sparse vectors,
+    normal-ordered."""
     table: dict = {}
-    _add_outer(table, _pairs(v), _pairs(w))
+    _add_outer(table, v, w)
     return _normal_order(algebra, table)
 
 
 def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
     """(Z_i, Y_i) over the basis Z of the subspace and its form-dual basis
     Y_i = sum_j (G^-1)_ij Z_j, the columns of Z G^-1 (G is the symmetric
-    Gram matrix), as sparse pairs."""
+    Gram matrix), as sparse vectors."""
     if form.rows != sub.dim or form.cols != sub.dim:
         raise ValueError("form has the wrong size for the subspace basis")
     if not form.is_symmetric():
@@ -218,7 +224,7 @@ def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
     except ValueError:
         raise DegenerateForm("normalizing form is singular on the subspace") from None
     duals = (sub.matrix() @ ginv).columns()
-    return [(_pairs(z), _pairs(y)) for z, y in zip(sub.vectors, duals)]
+    return [(sparse(z), sparse(y)) for z, y in zip(sub.vectors, duals)]
 
 
 def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
@@ -253,7 +259,7 @@ def symmetrized_casimir(
     half = Fraction(1, 2)
     table: dict = {}
     for z, y in _dual_pairs(sub, form):
-        half_z = [(k, half * x) for k, x in z]
+        half_z = {k: half * x for k, x in z.items()}
         _add_outer(table, half_z, y)
         _add_outer(table, y, half_z)
     return _normal_order(algebra, table)
@@ -262,43 +268,27 @@ def symmetrized_casimir(
 def bracket_with(q: Quad2, x) -> Quad2:
     """Commutator [q, x] with a degree-one element, normal-ordered.
 
-    x may be a basis index or a coordinate vector; the result stays in
-    degree <= 2 since [deg 2, deg 1] has degree <= 2.
+    x may be a basis index or a sparse vector; the result stays in degree
+    <= 2 since [deg 2, deg 1] has degree <= 2.  Only the basis vectors X_i
+    that occur in q are bracketed with x.
     """
     algebra = q.algebra
-    n = algebra.dim
-    unit = [[int(k == i) for k in range(n)] for i in range(n)]
-    xv = unit[x] if isinstance(x, int) else list(x)
-    ad = [_pairs(algebra.bracket(e, xv)) for e in unit]  # ad[i] = [X_i, x]
-    lin: dict = {}
-    for i, c in q.lin.items():
-        for k, d in ad[i]:
-            lin[k] = lin.get(k, 0) + c * d
+    xv = {x: 1} if isinstance(x, int) else x
+    support = set(q.lin).union(*q.quad)
+    ad = {i: algebra.bracket({i: 1}, xv) for i in support}  # ad[i] = [X_i, x]
     table: dict = {}
     for (i, j), c in q.quad.items():
         # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
-        _add_outer(table, [(i, c)], ad[j])
-        _add_outer(table, [(k, c * d) for k, d in ad[i]], [(j, 1)])
-    return _normal_order(algebra, table, lin)
-
-
-def _front_part(y: dict, front) -> dict:
-    """sum_k y_k front[k] over sparse vectors front[k].  With front[k] = f_k
-    it is the front part of the ambient vector y, in front coordinates,
-    since the front part of X_k is f_k."""
-    out: dict = {}
-    for k, c in y.items():
-        if c:
-            for a, x in front[k]:
-                out[a] = out.get(a, 0) + c * x
-    return out
+        _add_outer(table, {i: c}, ad[j])
+        _add_outer(table, ad[i], {j: c})
+    return _normal_order(algebra, table, combination(q.lin, ad))
 
 
 def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Quad2:
     """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
 
     front[k] is f_k in front_alg coordinates and eta[k] is eta_k in h in
-    ambient coordinates, both as sparse (index, value) pairs.  Modulo U(g) h,
+    ambient coordinates, both as sparse vectors.  Modulo U(g) h,
 
         X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]),
 
@@ -322,17 +312,14 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
     g = q.algebra
     rows: dict = {}
     for (i, j), c in q.quad.items():
-        rows.setdefault(i, []).append((j, c))
+        rows.setdefault(i, {})[j] = c
     m_table: dict = {}
     n_table: dict = {}
     for i, terms in rows.items():
-        f_row: dict = {}  # sum_j c_ij f_j, front coordinates
-        for j, c in terms:
-            for b, y in front[j]:
-                f_row[b] = f_row.get(b, 0) + c * y
-        _add_outer(m_table, front[i], [(b, y) for b, y in f_row.items() if y])
-        for a, x in eta[i]:
-            for b, y in terms:  # sum_j c_ij e_j
+        # sum_j c_ij f_j, front coordinates
+        _add_outer(m_table, front[i], combination(terms, front))
+        for a, x in eta[i].items():
+            for b, y in terms.items():  # sum_j c_ij e_j
                 if a < b:
                     key = (a, b)
                     n_table[key] = n_table.get(key, 0) + x * y
@@ -344,12 +331,12 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
         if c:
             for k, d in g.bracket_basis_sparse(a, b).items():
                 rest[k] = rest.get(k, 0) + c * d
-    return _normal_order(front_alg, m_table, _front_part(rest, front), q.const)
+    return _normal_order(front_alg, m_table, combination(rest, front), q.const)
 
 
 def _echelon_split(h: SubspaceBasis) -> tuple:
     """(front, eta) of the split X_k = f_k + eta_k whose front space is the
-    standard complement of h, both as sparse pairs in ambient coordinates.
+    standard complement of h, both as sparse vectors in ambient coordinates.
 
     h is in reduced echelon form, so the standard basis vectors off its
     pivots span a complement.  Off a pivot X_i = f_i with eta_i = 0; at the
@@ -358,11 +345,11 @@ def _echelon_split(h: SubspaceBasis) -> tuple:
     the coordinates off the pivots, with kernel h.  No elimination is needed.
     """
     n = h.ambient_dim
-    front = [[(k, Fraction(1))] for k in range(n)]
-    eta: list = [[] for _ in range(n)]
+    front = [{k: Fraction(1)} for k in range(n)]
+    eta: list = [{} for _ in range(n)]
     for p, v in zip(h.pivots(), h.vectors):
-        front[p] = _pairs([int(i == p) - x for i, x in enumerate(v)])
-        eta[p] = _pairs(v)
+        eta[p] = sparse(v)
+        front[p] = {i: -x for i, x in eta[p].items() if i != p}  # v[p] = 1
     return front, eta
 
 
@@ -387,7 +374,7 @@ class IdealReducer:
     def reduce(self, q: Quad2) -> Quad2:
         split = _reduce_split(q, self.algebra, self._front, self._eta)
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        lin = _front_part(split.lin, self._front)
+        lin = combination(split.lin, self._front)
         return Quad2(self.algebra, split.quad, lin, split.const)
 
 
@@ -405,7 +392,7 @@ def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     """[q, y] = 0 mod U(g) h for every y in the basis of h."""
     reducer = IdealReducer(q.algebra, h)
     for y in h.vectors:
-        if not reducer.reduce(bracket_with(q, list(y))).is_zero():
+        if not reducer.reduce(bracket_with(q, sparse(y))).is_zero():
             return False
     return True
 
@@ -448,7 +435,7 @@ def iota_embed(
 
 def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     """(front, eta) for g = l + h: X_k = f_k + eta_k with f_k in l, in frame
-    coordinates, and eta_k in h, both as sparse pairs.
+    coordinates, and eta_k in h, both as sparse vectors.
 
     The frame vectors off the pivots of l cap h (in frame coordinates) span
     a complement of l cap h in l.  When l + h = g (condition (ii) of the
@@ -465,29 +452,36 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     g, h, lh = t.g, t.h, t.l_cap_h_in_l
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
     rows = [i for i in range(g.dim) if i not in h.pivots()]
+    row_of = {i: r for r, i in enumerate(rows)}
     pi, _ = _echelon_split(h)
-    frame_pairs = [_pairs(col) for col in t.l_frame.columns()]
-    m_cols = [_front_part(dict(frame_pairs[a]), pi) for a in section]
-    m = RatMatrix.from_columns(len(rows), [[c.get(i, 0) for i in rows] for c in m_cols])
+    frame = [sparse(col) for col in t.l_frame.columns()]
+    m_cols = [
+        dense({row_of[i]: x for i, x in combination(frame[a], pi).items()}, len(rows))
+        for a in section
+    ]
+    m_inv = inverse(RatMatrix.from_columns(len(rows), m_cols))
     # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates
     lift = {
-        i: [(section[b], y) for b, y in _pairs(col)]
-        for i, col in zip(rows, inverse(m).columns())
+        i: {section[b]: y for b, y in sparse(col).items()}
+        for i, col in zip(rows, m_inv.columns())
     }
     rng = None if seed is None else random.Random(seed)
-    lh_pairs = [_pairs(u) for u in lh.vectors]
+    lh_vectors = [sparse(u) for u in lh.vectors]
     front, eta = [], []
     for k in range(g.dim):
-        f_k = _front_part(dict(pi[k]), lift)
+        f_k = combination(pi[k], lift)
         if rng is not None:
-            for u in lh_pairs:
+            for u in lh_vectors:
                 c = rng.randint(-3, 3)
-                for a, x in u:
-                    f_k[a] = f_k.get(a, 0) + c * x
-        eta_k = {i: -x for i, x in _front_part(f_k, frame_pairs).items()}
+                for a, y in u.items():
+                    f_k[a] = f_k.get(a, 0) + c * y
+            f_k = {a: y for a, y in f_k.items() if y}
+        eta_k = {i: -y for i, y in combination(f_k, frame).items()}
         eta_k[k] = eta_k.get(k, 0) + 1  # e_k - frame f_k
-        front.append([(a, x) for a, x in sorted(f_k.items()) if x])
-        eta.append([(i, x) for i, x in sorted(eta_k.items()) if x])
+        if not eta_k[k]:
+            del eta_k[k]
+        front.append(f_k)
+        eta.append(eta_k)
     return front, eta
 
 

@@ -15,9 +15,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .ratlin import DependentBasis, RatMatrix, SubspaceBasis, coordinates_in, kernel
-
-Rat = Fraction
+from .ratlin import (
+    DependentBasis,
+    RatMatrix,
+    SubspaceBasis,
+    _rat,
+    coordinates_in,
+    dense,
+    kernel,
+    sparse,
+)
 
 
 class NotClosed(ValueError):
@@ -25,7 +32,10 @@ class NotClosed(ValueError):
 
 
 class LieAlgebra:
-    """Finite-dimensional real Lie algebra over an ordered rational basis."""
+    """Finite-dimensional real Lie algebra over an ordered rational basis.
+
+    A vector of the algebra is sparse, {index: coefficient}.
+    """
 
     __slots__ = ("dim", "basis_labels", "_table", "matrices")
 
@@ -41,7 +51,7 @@ class LieAlgebra:
         for (i, j), comps in table.items():
             if not (0 <= i < j < dim):
                 raise ValueError("structure table must be indexed by i < j")
-            entry = {k: c for k, v in comps.items() if (c := Fraction(v))}
+            entry = {k: c for k, v in comps.items() if (c := _rat(v))}
             if entry:
                 clean[(i, j)] = entry
         object.__setattr__(self, "dim", dim)
@@ -64,57 +74,45 @@ class LieAlgebra:
             return self._table.get((i, j), {})
         return {k: -v for k, v in self._table.get((j, i), {}).items()}
 
-    def bracket(self, v: Sequence, w: Sequence) -> list:
-        """Bracket of two coordinate vectors, as a dense coordinate list."""
-        out = [Fraction(0)] * self.dim
-        nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
-        nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
-        for i, a in nz_v:
-            for j, b in nz_w:
-                if i == j:
-                    continue
-                ab = a * b
-                for k, c in self.bracket_basis_sparse(i, j).items():
-                    out[k] += ab * c
-        return out
+    def bracket(self, v: dict, w: dict) -> dict:
+        """[v, w] of two sparse vectors, as a sparse vector with no zero
+        coefficient."""
+        table = self._table
+        w_terms = [(j, _rat(b)) for j, b in w.items() if b]
+        out: dict = {}
+        for i, a in v.items():
+            if not a:
+                continue
+            a = _rat(a)
+            for j, b in w_terms:
+                # [X_i, X_j] is table[(i, j)] for i < j; no key has i = j
+                comps = table.get((i, j) if i < j else (j, i))
+                if comps:
+                    ab = a * b if i < j else -a * b
+                    for k, c in comps.items():
+                        x = ab * c
+                        prev = out.get(k)
+                        out[k] = x if prev is None else prev + x
+        return {k: c for k, c in out.items() if c}
 
-    def ad(self, v: Sequence) -> RatMatrix:
-        """Matrix of ad(v) acting on coordinates."""
-        cols = []
-        for j in range(self.dim):
-            col = [Fraction(0)] * self.dim
-            for i, a in enumerate(v):
-                if a == 0:
-                    continue
-                for k, c in self.bracket_basis_sparse(i, j).items():
-                    col[k] += Fraction(a) * c
-            cols.append(col)
-        return RatMatrix.from_columns(self.dim, cols)
+    def ad(self, v: dict) -> RatMatrix:
+        """Matrix of ad(v) acting on coordinates: column j is [v, X_j]."""
+        n = self.dim
+        return RatMatrix.from_columns(n, [dense(self.bracket(v, {j: 1}), n) for j in range(n)])
 
     # -- validation -------------------------------------------------------
 
     def check_jacobi(self) -> None:
-        """Jacobi identity on all basis triples i < j < k (others follow)."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.bracket_basis_sparse(i, j)
-                for k in range(j + 1, self.dim):
-                    acc = [Fraction(0)] * self.dim
-                    for m, c in bij.items():
-                        for t, d in self.bracket_basis_sparse(m, k).items():
-                            acc[t] += c * d
-                    for m, c in self.bracket_basis_sparse(j, k).items():
-                        for t, d in self.bracket_basis_sparse(i, m).items():
-                            acc[t] -= c * d
-                    for m, c in self.bracket_basis_sparse(i, k).items():
-                        for t, d in self.bracket_basis_sparse(j, m).items():
-                            acc[t] += c * d
-                    # [[i,j],k] - [i,[j,k]] + [j,[i,k]] rewritten: the three
-                    # cyclic terms with [x,[y,z]] expanded via ad.
-                    if any(x != 0 for x in acc):
-                        raise ValueError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                        )
+        """Jacobi identity on all basis triples i < j < k (others follow):
+        [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] = 0."""
+        for i, j, k in combinations(range(self.dim), 3):
+            total: dict = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                nested = self.bracket(self.bracket_basis_sparse(a, b), {c: 1})
+                for t, x in nested.items():
+                    total[t] = total.get(t, 0) + x
+            if any(total.values()):
+                raise ValueError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def check_matrix_consistency(self) -> None:
         if self.matrices is None:
@@ -144,46 +142,48 @@ def _vectorize(m: RatMatrix) -> list:
     return [x for row in m.entries for x in row]
 
 
-def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], list]:
-    """[X_i, X_j] of n x n basis matrices, as a flat vector of length n^2.
+def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
+    """[X_i, X_j] of n x n basis matrices, as a sparse vector over the n^2
+    flattened entries.
 
     Each matrix's nonzero entries are listed once, grouped by row; a
     commutator accumulates X_i X_j - X_j X_i over the nonzero products only.
     """
     n = mats[0].rows
-    # row r of each matrix as its nonzero (column, value) pairs
-    support = [[[(c, x) for c, x in enumerate(row) if x] for row in m.entries] for m in mats]
-    zero = Fraction(0)
+    # row r of each matrix as a sparse vector {column: value}
+    support = [[sparse(row) for row in m.entries] for m in mats]
 
-    def commutator(i: int, j: int) -> list:
-        out = [zero] * (n * n)
+    def commutator(i: int, j: int) -> dict:
+        out: dict = {}
         for r, row in enumerate(support[i]):
-            for k, x in row:
-                for c, y in support[j][k]:
-                    out[r * n + c] += x * y
+            for k, x in row.items():
+                for c, y in support[j][k].items():
+                    key = r * n + c
+                    out[key] = out.get(key, 0) + x * y
         for r, row in enumerate(support[j]):
-            for k, x in row:
-                for c, y in support[i][k]:
-                    out[r * n + c] -= x * y
+            for k, x in row.items():
+                for c, y in support[i][k].items():
+                    key = r * n + c
+                    out[key] = out.get(key, 0) - x * y
         return out
 
     return commutator
 
 
 def _structure_table(
-    basis: RatMatrix, bracket: Callable[[int, int], Sequence], not_closed: str
+    basis: RatMatrix, bracket: Callable[[int, int], dict], not_closed: str
 ) -> dict:
     """Structure table {(i, j): {k: c}}, i < j, of the span of the columns
-    of basis, where bracket(i, j) is the bracket of columns i and j; one
-    outside the span raises NotClosed(not_closed.format(i, j))."""
+    of basis, where bracket(i, j) is the bracket of columns i and j as a
+    sparse vector; one outside the span raises
+    NotClosed(not_closed.format(i, j))."""
     pairs = list(combinations(range(basis.cols), 2))
     coords = coordinates_in(
         basis,
         (bracket(i, j) for i, j in pairs),
         lambda n: NotClosed(not_closed.format(*pairs[n])),
     )
-    entries = ({k: c for k, c in enumerate(x) if c} for x in coords)
-    return {pair: entry for pair, entry in zip(pairs, entries) if entry}
+    return {pair: entry for pair, entry in zip(pairs, coords) if entry}
 
 
 def from_matrix_basis(
@@ -404,13 +404,7 @@ def diagonal_subalgebra(ab: LieAlgebra) -> SubspaceBasis:
     if ab.dim % 2 != 0:
         raise ValueError("not a direct sum of two equal factors")
     half = ab.dim // 2
-    vectors = []
-    for i in range(half):
-        v = [Fraction(0)] * ab.dim
-        v[i] = Fraction(1)
-        v[i + half] = Fraction(1)
-        vectors.append(v)
-    return SubspaceBasis(ab.dim, vectors)
+    return SubspaceBasis(ab.dim, [dense({i: 1, i + half: 1}, ab.dim) for i in range(half)])
 
 
 def g2_matrices() -> tuple[list, list]:
@@ -529,45 +523,31 @@ def centralizer(
     [within_a, s_vector], a sparse bracket."""
     if within is None:
         within = SubspaceBasis.full(g.dim)
-    if within.dim == 0:
+    if within.dim == 0 or s.dim == 0:
         return within
-    if s.dim == 0:
-        return within
-    w_vecs = within.vectors
+    w_vecs = [sparse(v) for v in within.vectors]
     rows = []
-    for sv in s.vectors:
-        images = [g.bracket(wv, sv) for wv in w_vecs]
-        rows.extend(map(list, zip(*images)))
-    ker = kernel(RatMatrix(rows))
-    vectors = []
-    for kv in ker.vectors:
-        out = [Fraction(0)] * g.dim
-        for c, wv in zip(kv, w_vecs):
-            if c:
-                for t, x in enumerate(wv):
-                    if x:
-                        out[t] += c * x
-        vectors.append(out)
-    return SubspaceBasis(g.dim, vectors)
+    for sv in map(sparse, s.vectors):
+        images = [dense(g.bracket(wv, sv), g.dim) for wv in w_vecs]
+        rows.extend(zip(*images))
+    w = within.matrix()
+    return SubspaceBasis(g.dim, map(w.apply, kernel(RatMatrix(rows)).vectors))
 
 
 def is_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
-    vecs = list(s.vectors)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not s.contains(g.bracket(vecs[i], vecs[j])):
-                return False
-    return True
+    vecs = [sparse(v) for v in s.vectors]
+    return all(s.contains(g.bracket(a, b)) for a, b in combinations(vecs, 2))
 
 
 def subalgebra_on_own_basis(
     g: LieAlgebra, basis_vectors: Sequence[Sequence], labels: Optional[Sequence[str]] = None
 ) -> LieAlgebra:
     """A subalgebra of g as a LieAlgebra in its own right, on the given basis
-    vectors (in g-coordinates), with no matrix realization.  Brackets are
-    re-solved in that basis; raises NotClosed when the span is not closed."""
-    p = RatMatrix.from_columns(g.dim, [list(v) for v in basis_vectors])
-    cols = p.columns()
+    vectors (dense, in g-coordinates), with no matrix realization.  Brackets
+    are re-solved in that basis; raises NotClosed when the span is not
+    closed."""
+    p = RatMatrix.from_columns(g.dim, basis_vectors)
+    cols = [sparse(c) for c in p.columns()]
     table = _structure_table(
         p, lambda i, j: g.bracket(cols[i], cols[j]), "span is not closed under the bracket"
     )

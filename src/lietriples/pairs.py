@@ -11,8 +11,8 @@ ambient Killing form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .env2 import IdealReducer
@@ -24,7 +24,17 @@ from .liealg import (
     restrict_form,
     subalgebra_on_own_basis,
 )
-from .ratlin import RatMatrix, SubspaceBasis, coordinates_in, inverse, kernel, signature
+from .ratlin import (
+    RatMatrix,
+    SubspaceBasis,
+    combination,
+    coordinates_in,
+    dense,
+    inverse,
+    kernel,
+    signature,
+    sparse,
+)
 
 
 class NotTransitiveTriple(ValueError):
@@ -56,34 +66,17 @@ class Involution:
     def __setattr__(self, name, value):
         raise AttributeError("Involution is immutable")
 
-    def apply(self, vec: Sequence) -> list:
-        return self.matrix.apply(vec)
-
     def validate(self, g: LieAlgebra) -> None:
         m = self.matrix
         if m.rows != g.dim:
             raise ValueError("involution has wrong dimension")
         if m @ m != RatMatrix.identity(g.dim):
             raise ValueError("involution does not square to the identity")
-        # m[X_i, X_j] from the nonzero structure constants against
-        # [m X_i, m X_j], both over the sparse columns of m, read once
-        cols = [[(r, x) for r, x in enumerate(col) if x] for col in m.columns()]
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                diff: dict = {}
-                for k, c in g.bracket_basis_sparse(i, j).items():
-                    for r, x in cols[k]:
-                        diff[r] = diff.get(r, 0) + c * x
-                for a, x in cols[i]:
-                    for b, y in cols[j]:
-                        if a != b:
-                            xy = x * y
-                            for r, c in g.bracket_basis_sparse(a, b).items():
-                                diff[r] = diff.get(r, 0) - xy * c
-                if any(diff.values()):
-                    raise ValueError(
-                        f"involution is not an automorphism at basis pair ({i},{j})"
-                    )
+        # m[X_i, X_j] against [m X_i, m X_j], over the sparse columns of m
+        cols = [sparse(col) for col in m.columns()]
+        for i, j in combinations(range(g.dim), 2):
+            if combination(g.bracket_basis_sparse(i, j), cols) != g.bracket(cols[i], cols[j]):
+                raise ValueError(f"involution is not an automorphism at basis pair ({i},{j})")
 
     def commutes_with(self, other: "Involution") -> bool:
         return self.matrix @ other.matrix == other.matrix @ self.matrix
@@ -105,10 +98,10 @@ def _matrix_map_involution(
         raise ValueError(f"{what} needs a matrix realization")
     images = coordinates_in(
         RatMatrix.from_columns(g.matrices[0].rows ** 2, [_vectorize(m) for m in g.matrices]),
-        (_vectorize(image_of(m)) for m in g.matrices),
+        (sparse(_vectorize(image_of(m))) for m in g.matrices),
         lambda _: ValueError(f"{what} does not preserve the algebra"),
     )
-    return involution_from_images(g, images)
+    return involution_from_images(g, [dense(x, g.dim) for x in images])
 
 
 def conjugation_involution(g: LieAlgebra, s: RatMatrix) -> Involution:
@@ -131,12 +124,7 @@ def swap_involution(g: LieAlgebra) -> Involution:
     if g.dim % 2 != 0:
         raise ValueError("not a direct sum of two equal factors")
     half = g.dim // 2
-    images = []
-    for i in range(g.dim):
-        v = [Fraction(0)] * g.dim
-        v[(i + half) % g.dim] = Fraction(1)
-        images.append(v)
-    return involution_from_images(g, images)
+    return involution_from_images(g, [dense({(i + half) % g.dim: 1}, g.dim) for i in range(g.dim)])
 
 
 def eigenspace_split(

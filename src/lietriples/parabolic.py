@@ -21,6 +21,7 @@ from .ratlin import (
     kernel,
     restrict_operator,
     sign_changes,
+    sparse,
     subspace_sum,
 )
 
@@ -189,7 +190,7 @@ def maximal_abelian_in_s(
         candidates = list(z.vectors)
         if reverse:
             candidates.reverse()
-        ext = next((v for v in candidates if not a.contains(v)), None)
+        ext = next((v for v in candidates if not a.contains(sparse(v))), None)
         if ext is None:
             return a
         chosen.append(list(ext))
@@ -209,7 +210,7 @@ def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSyste
             root_spaces={},
             zero_space=SubspaceBasis.full(l_alg.dim),
         )
-    operators = [l_alg.ad(list(v)) for v in a.vectors]
+    operators = [l_alg.ad(sparse(v)) for v in a.vectors]
     decomposition = joint_eigenspaces(l_alg.dim, operators)
     root_spaces = {}
     zero_space = SubspaceBasis.zero(l_alg.dim)

@@ -11,8 +11,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-Rat = Fraction
-
 
 class AmbientMismatch(ValueError):
     """Two subspaces of different ambient dimension were combined."""
@@ -32,6 +30,37 @@ def _rat(x) -> Fraction:
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+# A vector of the algebra layer is sparse, {index: coefficient}; rows of a
+# RatMatrix, SubspaceBasis.vectors and the rows _rref works on are dense.
+# These two are where the forms meet.
+
+
+def sparse(vec: Sequence) -> dict:
+    """The nonzero entries of a dense vector, as {index: coefficient}."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(vec: dict, n: int) -> list:
+    """The sparse vector vec as a list of length n."""
+    out = [Fraction(0)] * n
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def combination(coeffs: dict, vectors) -> dict:
+    """sum_k coeffs[k] vectors[k] over sparse vectors (vectors is indexed by
+    the keys of coeffs), with no zero coefficient."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        if c:
+            for i, x in vectors[k].items():
+                y = c * x
+                prev = out.get(i)
+                out[i] = y if prev is None else prev + y
+    return {i: x for i, x in out.items() if x}
 
 
 class RatMatrix:
@@ -305,18 +334,19 @@ def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
 
 
 class BasisSolver:
-    """Coordinates of vectors in a fixed basis, the columns of a matrix B.
+    """Coordinates of sparse vectors in a fixed basis, the columns of a
+    matrix B.
 
     The basis is reduced once: row reduction of [B^T | I] gives [E B^T | E]
     with E B^T in reduced echelon form, whose pivot columns p pick out an
     invertible square block A = B[p] with A^-1 = E^T.  coordinates(v) is
     then x = E^T v[p] plus an exact check that B x = v: two sparse products
-    per right-hand side instead of an elimination, each skipping the zero
-    entries of v and x.  Systems whose columns may be dependent go through
-    solve().
+    per right-hand side instead of an elimination, each over the nonzero
+    entries of v and x only.  Systems whose columns may be dependent go
+    through solve().
     """
 
-    __slots__ = ("ambient_dim", "_inverse", "_columns")
+    __slots__ = ("_inverse", "_columns")
 
     def __init__(self, basis: RatMatrix):
         k, n = basis.cols, basis.rows
@@ -328,38 +358,33 @@ class BasisSolver:
         rows, pivots = _rref(rows)
         if pivots and pivots[-1] >= n:
             raise DependentBasis("basis vectors are linearly dependent")
-        # column p of E^T for each pivot position p, as sparse
-        # (coordinate, coefficient) pairs
-        inv = [
-            (p, [(i, x) for i, x in enumerate(rows[r][n:]) if x])
-            for r, p in enumerate(pivots)
-        ]
-        cols = [[(r, x) for r, x in enumerate(col) if x] for col in columns]
-        self.ambient_dim, self._inverse, self._columns = n, inv, cols
+        # column p of E^T for each pivot position p, and each basis column,
+        # as sparse vectors
+        self._inverse = [(p, sparse(rows[r][n:])) for r, p in enumerate(pivots)]
+        self._columns = [sparse(col) for col in columns]
 
-    def coordinates(self, vec: Sequence) -> Optional[list]:
-        """The unique coefficients of vec in the basis, or None if outside."""
-        v = [_rat(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("right-hand side of wrong length")
-        x = [Fraction(0)] * len(self._columns)
+    def coordinates(self, vec: dict) -> Optional[dict]:
+        """The unique coefficients of the sparse vector vec in the basis, as
+        a sparse vector, or None if vec lies outside the span."""
+        x: dict = {}
         for p, col in self._inverse:
-            vp = v[p]
+            vp = vec.get(p)
             if vp:
-                for i, c in col:
-                    x[i] += c * vp
-        for xi, col in zip(x, self._columns):
-            if xi:
-                for r, c in col:
-                    v[r] -= xi * c
-        return x if not any(v) else None
+                for i, c in col.items():
+                    x[i] = x.get(i, 0) + c * vp
+        x = {i: c for i, c in x.items() if c}
+        rest = dict(vec)
+        for i, xi in x.items():
+            for r, c in self._columns[i].items():
+                rest[r] = rest.get(r, 0) - xi * c
+        return None if any(rest.values()) else x
 
 
 def coordinates_in(
-    basis: RatMatrix, vectors: Iterable[Sequence], outside: Callable[[int], Exception]
-) -> Iterator[list]:
-    """Coordinates of each vector in the basis formed by the columns of
-    basis, each vector read and solved in turn as the result is iterated.
+    basis: RatMatrix, vectors: Iterable[dict], outside: Callable[[int], Exception]
+) -> Iterator[dict]:
+    """Coordinates of each sparse vector in the basis formed by the columns
+    of basis, each vector read and solved in turn as the result is iterated.
     Dependent columns raise DependentBasis at the call; vector k outside the
     span raises outside(k)."""
     solver = BasisSolver(basis)
@@ -379,8 +404,9 @@ def restrict_operator(
 ) -> RatMatrix:
     """Matrix of an operator on the span of the columns of basis, in that
     basis; raises outside(k) when the operator moves column k out of it."""
-    images = map(op.apply, basis.columns())
-    return RatMatrix.from_columns(basis.cols, coordinates_in(basis, images, outside))
+    images = (sparse(op.apply(col)) for col in basis.columns())
+    coords = coordinates_in(basis, images, outside)
+    return RatMatrix.from_columns(basis.cols, [dense(x, basis.cols) for x in coords])
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -405,7 +431,8 @@ def char_poly(a: RatMatrix) -> list:
     -tr(B M_k) / k, where the division is exact because an integer matrix
     has an integer characteristic polynomial.  B is read row by row as its
     nonzero (column, entry) pairs, and B M_k skips the zero entries of
-    both factors.  c_k(A) = c_k(B) / d^(n-k).
+    both factors: M_k is kept as rows {column: entry}, which stay about as
+    sparse as B.  c_k(A) = c_k(B) / d^(n-k).
     """
     n = a.rows
     d = math.lcm(*(x.denominator for row in a.entries for x in row))
@@ -415,21 +442,22 @@ def char_poly(a: RatMatrix) -> list:
     ]
     c = [0] * (n + 1)
     c[n] = 1
-    bm = [[0] * n for _ in range(n)]  # B M_0, M_0 = 0
+    bm: list = [{} for _ in range(n)]  # B M_0, M_0 = 0, rows as {column: entry}
     for k in range(1, n + 1):
         m = bm
         shift = c[n - k + 1]
-        for i in range(n):
-            m[i][i] += shift
+        if shift:
+            for i in range(n):
+                m[i][i] = m[i].get(i, 0) + shift
         bm = []
         for row in support:
-            acc = [0] * n
+            acc: dict = {}
             for j, b in row:
-                for col, x in enumerate(m[j]):
+                for col, x in m[j].items():
                     if x:
-                        acc[col] += b * x
+                        acc[col] = acc.get(col, 0) + b * x
             bm.append(acc)
-        c[n - k] = -sum(bm[i][i] for i in range(n)) // k
+        c[n - k] = -sum(bm[i].get(i, 0) for i in range(n)) // k
     return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
 
 
@@ -500,17 +528,16 @@ class SubspaceBasis:
         """The pivot column of each basis vector, as the echelon form found it."""
         return self._pivots
 
-    def contains(self, vec: Sequence) -> bool:
-        v = [_rat(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector of wrong ambient dimension")
-        for basis_vec, pivot in zip(self.vectors, self.pivots()):
-            f = v[pivot]
+    def contains(self, vec: dict) -> bool:
+        """Whether the sparse vector vec lies in the subspace."""
+        v = dict(vec)
+        for basis_vec, pivot in zip(self.vectors, self._pivots):
+            f = v.get(pivot)
             if f:
                 for j, b in enumerate(basis_vec):
                     if b:
-                        v[j] -= f * b
-        return not any(v)
+                        v[j] = v.get(j, 0) - f * b
+        return not any(v.values())
 
     def __eq__(self, other) -> bool:
         return (
@@ -533,7 +560,8 @@ def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """aranged as the kernel of the concatenated coefficient system.
+    """The intersection of two subspaces, as the kernel of the concatenated
+    coefficient system.
 
     A vector in the intersection is A x = B y; solve for (x, y) in the kernel
     of [A | -B] and map x back through A.

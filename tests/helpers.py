@@ -21,10 +21,12 @@ from lietriples.ratlin import (
     _rat,
     _rref,
     coordinates_in,
+    dense,
     inverse,
     kernel,
     restrict_operator,
     signature,
+    sparse,
     subspace_intersection,
     subspace_sum,
 )
@@ -33,6 +35,27 @@ from lietriples.ratlin import (
 def unit(n, i):
     """The i-th standard basis vector of length n."""
     return [int(k == i) for k in range(n)]
+
+
+# Dense references for LieAlgebra.bracket and LieAlgebra.ad, which take and
+# return sparse vectors: every pair of coordinates multiplied, each basis
+# bracket read from bracket_basis_sparse.  The oracles below call these.
+
+
+def dense_bracket(g, v, w):
+    """[v, w] of two dense coordinate vectors, as a dense list."""
+    out = [Fraction(0)] * g.dim
+    for i, a in enumerate(v):
+        for j, b in enumerate(w):
+            if a and b:
+                for k, c in g.bracket_basis_sparse(i, j).items():
+                    out[k] += Fraction(a) * Fraction(b) * c
+    return out
+
+
+def dense_ad(g, v):
+    """Matrix of ad(v) for a dense coordinate vector v: column j is [v, X_j]."""
+    return RatMatrix.from_columns(g.dim, [dense_bracket(g, v, unit(g.dim, j)) for j in range(g.dim)])
 
 
 # Dense references for the ratlin kernels: the loops as they were before
@@ -252,9 +275,9 @@ def termwise_bracket_with(q, x):
     n = algebra.dim
     unit = [[int(k == i) for k in range(n)] for i in range(n)]
     xv = unit[x] if isinstance(x, int) else list(x)
-    ad = [algebra.bracket(e, xv) for e in unit]  # ad[i] = [X_i, x]
+    ad = [dense_bracket(algebra, e, xv) for e in unit]  # ad[i] = [X_i, x]
     lin = [sum(c * ad[i][k] for i, c in q.lin.items()) for k in range(n)]
-    out = Quad2.linear(algebra, lin)
+    out = Quad2(algebra, lin=dict(enumerate(lin)))
     for (i, j), c in q.quad.items():
         # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
         term = termwise_product_of_linear(algebra, unit[i], ad[j])
@@ -284,7 +307,7 @@ def termwise_reduce_split(q, front_alg, front, eta, to_front):
         if eta[i] is not None:
             f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
             f_j[j] += 1
-            for k, d in enumerate(g.bracket(eta[i], f_j)):
+            for k, d in enumerate(dense_bracket(g, eta[i], f_j)):
                 rest[k] += c * d
     for k, d in enumerate(to_front(rest)):
         lin[k] = lin.get(k, Fraction(0)) + d
@@ -333,11 +356,11 @@ def basis_solver_split(g, frame_cols, w_vecs):
     solver = BasisSolver(RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
 
     def to_front(y):
-        return solver.coordinates(y)[:n_l]
+        return dense(solver.coordinates(sparse(y)), g.dim)[:n_l]
 
     front, eta = [], []
     for k in range(g.dim):
-        coords = solver.coordinates([int(i == k) for i in range(g.dim)])
+        coords = dense(solver.coordinates({k: Fraction(1)}), g.dim)
         front.append(coords[:n_l])
         w_coords = coords[n_l:]
         eta_k = None
@@ -388,7 +411,8 @@ def restricted_theta_split(d):
 def in_frame(d, sub):
     """A subspace of g inside l, in the coordinates of the frame."""
     outside = lambda _: ValueError("subspace is not contained in l")  # noqa: E731
-    return SubspaceBasis(d.l_frame.cols, coordinates_in(d.l_frame, sub.vectors, outside))
+    coords = coordinates_in(d.l_frame, map(sparse, sub.vectors), outside)
+    return SubspaceBasis(d.l_frame.cols, [dense(x, d.l_frame.cols) for x in coords])
 
 
 def intersected_l_cap_h(d):
@@ -426,8 +450,8 @@ def dense_involution_validate(inv, g):
         raise ValueError("involution does not square to the identity")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply(g.bracket(unit(g.dim, i), unit(g.dim, j)))
-            rhs = g.bracket(m.column(i), m.column(j))
+            lhs = m.apply(dense_bracket(g, unit(g.dim, i), unit(g.dim, j)))
+            rhs = dense_bracket(g, m.column(i), m.column(j))
             if lhs != rhs:
                 raise ValueError(
                     f"involution is not an automorphism at basis pair ({i},{j})"
@@ -513,7 +537,7 @@ def ad_matrix_centralizer(g, s, within=None):
     w_vecs = [list(v) for v in within.vectors]
     rows = []
     for sv in s.vectors:
-        ad_s = g.ad(sv)
+        ad_s = dense_ad(g, sv)
         # column a of the block is [within_a, sv] = -ad(sv) within_a
         images = [ad_s.apply(wv) for wv in w_vecs]
         for coord in range(g.dim):
@@ -540,12 +564,12 @@ def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):
             candidates = list(ad_matrix_centralizer(l_alg, a, within=s_l).vectors)
             if reverse:
                 candidates.reverse()
-            ext = next((v for v in candidates if not a.contains(v)), None)
+            ext = next((v for v in candidates if not a.contains(sparse(v))), None)
             if ext is None:
                 break
             chosen.append(list(ext))
     decomposition = dict(
-        restricting_joint_eigenspaces(l_alg.dim, [l_alg.ad(v) for v in a.vectors])
+        restricting_joint_eigenspaces(l_alg.dim, [dense_ad(l_alg, v) for v in a.vectors])
     )
     n_space = SubspaceBasis.zero(l_alg.dim)
     for tag in sorted(decomposition):
@@ -634,7 +658,7 @@ def adjoint_casimir_matrix(g):
     ginv = inverse(gram)
     n = g.dim
     total = RatMatrix.zeros(n, n)
-    ads = [g.ad(unit(n, i)) for i in range(n)]
+    ads = [dense_ad(g, unit(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             if ginv[i, j] != 0:
@@ -728,7 +752,7 @@ def naive_reduce(algebra, words, h):
 
     def bracket_fn(a, b):
         if (a, b) not in cache:
-            cache[(a, b)] = s.apply(algebra.bracket(t.column(a), t.column(b)))
+            cache[(a, b)] = s.apply(dense_bracket(algebra, t.column(a), t.column(b)))
         return cache[(a, b)]
 
     quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)
@@ -768,7 +792,7 @@ def naive_transfer(built):
     for hv in reversed(list(d.h.vectors)):
         if base.dim == g.dim:
             break
-        if not base.contains(hv):
+        if not base.contains(sparse(hv)):
             chosen.append(list(hv))
             base = SubspaceBasis(g.dim, chosen)
     assert base.dim == g.dim
@@ -778,7 +802,7 @@ def naive_transfer(built):
 
     def bracket_fn(a, b):
         if (a, b) not in cache:
-            cache[(a, b)] = s.apply(g.bracket(t.column(a), t.column(b)))
+            cache[(a, b)] = s.apply(dense_bracket(g, t.column(a), t.column(b)))
         return cache[(a, b)]
 
     quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)

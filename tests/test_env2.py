@@ -49,7 +49,7 @@ from lietriples.pairs import (
     involution_from_images,
     negative_transpose_involution,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis
+from lietriples.ratlin import RatMatrix, SubspaceBasis, sparse
 
 
 def sl2_casimir():
@@ -106,6 +106,29 @@ def test_symmetrized_casimir_equal():
     assert symmetrized_casimir(g2, sub, gram) == casimir(g2, sub, gram)
 
 
+def test_floats_are_refused_by_quad2():
+    g = sl(2)
+    for make in (
+        lambda: Quad2(g, lin={0: 0.1}),
+        lambda: Quad2(g, quad={(0, 1): 0.1}),
+        lambda: Quad2(g, const=0.1),
+    ):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            make()
+
+
+def test_floats_are_refused_by_quad2_scale():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Quad2.basis_element(sl(2), 0).scale(0.1)
+
+
+def test_floats_are_refused_by_quad2_linear():
+    g = sl(2)
+    assert Quad2.linear(g, {0: 1, 2: Fraction(1, 3)}) == Quad2(g, lin={0: 1, 2: "1/3"})
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Quad2.linear(g, {0: 0.1})
+
+
 def test_bracket_with_casimir_is_central():
     g, omega = sl2_casimir()
     for i in range(3):
@@ -151,7 +174,7 @@ def test_reduce_untouched_without_h_factors():
 def test_reduce_kills_products_ending_in_h():
     g = sl(2)
     h = SubspaceBasis(3, [[0, 1, 0]])
-    fe = product_of_linear(g, [0, 0, 1], [0, 1, 0])  # F * E
+    fe = product_of_linear(g, {2: 1}, {1: 1})  # F * E
     assert reduce_mod_left_ideal(fe, h).is_zero()
 
 
@@ -188,7 +211,7 @@ def test_equals_mod_ideal():
     h = SubspaceBasis(3, [[0, 1, 0]])
     a = Quad2(g, quad={(0, 0): 1})
     assert equals_mod_ideal(a, a, h)
-    he = product_of_linear(g, [1, 0, 0], [0, 1, 0])  # H * E, in the ideal
+    he = product_of_linear(g, {0: 1}, {1: 1})  # H * E, in the ideal
     assert equals_mod_ideal(a + he, a, h)
     assert not equals_mod_ideal(a, a.scale(2), h)
 
@@ -286,9 +309,7 @@ def eval_terms(g, terms):
             total = total + Quad2.basis_element(g, factors[0]).scale(coeff)
         else:
             i, j = factors
-            ei = [1 if t == i else 0 for t in range(g.dim)]
-            ej = [1 if t == j else 0 for t in range(g.dim)]
-            total = total + product_of_linear(g, ei, ej).scale(coeff)
+            total = total + product_of_linear(g, {i: 1}, {j: 1}).scale(coeff)
     return total
 
 
@@ -445,7 +466,7 @@ def test_casimir_and_bracket_match_the_termwise_products(built_catalog, name):
     for _ in range(5):
         q = random_quad2(g, rng)
         x = [rng.randint(-2, 2) for _ in range(g.dim)]
-        assert bracket_with(q, x) == termwise_bracket_with(q, x)
+        assert bracket_with(q, sparse(x)) == termwise_bracket_with(q, x)
         i = rng.randrange(g.dim)
         assert bracket_with(q, i) == termwise_bracket_with(q, i)
 
@@ -476,15 +497,13 @@ def test_transfer_split_splits_every_basis_vector_along_l_and_h(built_catalog, n
         front, eta = _transfer_split(d, seed)
         for k in range(n):
             total = [Fraction(0)] * n
-            for a, x in front[k]:
+            for a, x in front[k].items():
                 for i, y in enumerate(frame_cols[a]):
                     total[i] += x * y
-            eta_k = [Fraction(0)] * n
-            for i, x in eta[k]:
-                eta_k[i] = x
+            for i, x in eta[k].items():
                 total[i] += x
             assert total == [Fraction(int(i == k)) for i in range(n)], (seed, k)
-            assert d.h.contains(eta_k), (seed, k)
+            assert d.h.contains(eta[k]), (seed, k)
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ENTRY_NAMES
+from lietriples import catalog
 from lietriples.liealg import (
     DependentBasis,
+    LieAlgebra,
     NotClosed,
     centralizer,
     diagonal_subalgebra,
@@ -24,13 +27,15 @@ from lietriples.liealg import (
 )
 from helpers import (
     ad_matrix_centralizer,
+    dense_ad,
+    dense_bracket,
     dense_structure_table,
     invariant_form_space,
     zmul,
     zorn_coords,
     zorn_octonion,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, signature
+from lietriples.ratlin import RatMatrix, SubspaceBasis, dense, inverse, signature, sparse
 
 
 def sl2():
@@ -254,6 +259,51 @@ def _random_sparse_vector(rng, dim, density=0.25):
     ]
 
 
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4"])
+def test_sparse_bracket_matches_the_dense_oracle(built_catalog, name):
+    """On seeded random sparse vectors of g and of l, the bracket and ad
+    agree with the dense oracles, and a bracket holds no zero coefficient,
+    also where every term cancels ([v, v] = 0)."""
+    bt = built_catalog.get(name) or catalog.build(catalog._lorentzian_entry(4))
+    rng = random.Random(f"sparse-bracket/{name}")
+    for algebra in (bt.g, bt.l_alg):
+        n = algebra.dim
+        for density in (0.1, 0.3, 0.8):
+            for _ in range(4):
+                v = _random_sparse_vector(rng, n, density)
+                w = _random_sparse_vector(rng, n, density)
+                got = algebra.bracket(sparse(v), sparse(w))
+                assert dense(got, n) == dense_bracket(algebra, v, w), name
+                assert all(got.values()) and all(type(x) is Fraction for x in got.values())
+                assert algebra.bracket(sparse(v), sparse(v)) == {}
+        v = _random_sparse_vector(rng, n, 0.3)
+        assert algebra.ad(sparse(v)) == dense_ad(algebra, v), name
+
+
+def test_check_jacobi_names_the_failing_triple():
+    g = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: 1}, (1, 2): {1: 1}})
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
+        g.check_jacobi()
+    sl(3).check_jacobi()
+
+
+def test_floats_are_refused_by_the_structure_table():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: 0.5}})
+
+
+def test_floats_are_refused_by_the_bracket():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        sl(2).bracket({0: 0.5}, {1: 1})
+    with pytest.raises(TypeError, match="not an exact rational"):
+        sl(2).bracket({0: 1}, {1: 0.5})
+
+
+def test_floats_are_refused_by_ad():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        sl(2).ad({0: 0.5})
+
+
 @pytest.mark.parametrize("make", [lambda: sl(3), lambda: u(1, 2), g2_split], ids=["sl3", "u12", "g2"])
 def test_centralizer_matches_ad_matrix_oracle(make):
     g = make()
@@ -363,7 +413,7 @@ def test_g2_root_vectors_are_normalised_coroot_pairs():
     for k in range(1, 7):
         e, f = mats[labels.index(f"E{k}")], mats[labels.index(f"F{k}")]
         h = e @ f - f @ e
-        assert cartan.contains([x for row in h.entries for x in row])
+        assert cartan.contains(sparse([x for row in h.entries for x in row]))
         assert h @ e - e @ h == e.scale(2)
 
 

@@ -38,6 +38,7 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     signature,
+    sparse,
     subspace_sum,
 )
 
@@ -84,12 +85,12 @@ def test_graded_bracket_inclusions():
     plus, minus = eigenspace_split(g, sigma)
     for a in plus.vectors:
         for b in plus.vectors:
-            assert plus.contains(g.bracket(a, b))
+            assert plus.contains(g.bracket(sparse(a), sparse(b)))
         for b in minus.vectors:
-            assert minus.contains(g.bracket(a, b))
+            assert minus.contains(g.bracket(sparse(a), sparse(b)))
     for a in minus.vectors:
         for b in minus.vectors:
-            assert plus.contains(g.bracket(a, b))
+            assert plus.contains(g.bracket(sparse(a), sparse(b)))
 
 
 def test_involution_validation_rejects_non_automorphism():
@@ -284,12 +285,12 @@ def test_graded_inclusions_all_catalog_involutions(built_catalog):
             assert plus.dim + minus.dim == g.dim, name
             for a in plus.vectors:
                 for b in plus.vectors:
-                    assert plus.contains(g.bracket(a, b)), name
+                    assert plus.contains(g.bracket(sparse(a), sparse(b))), name
                 for b in minus.vectors:
-                    assert minus.contains(g.bracket(a, b)), name
+                    assert minus.contains(g.bracket(sparse(a), sparse(b))), name
             for a in minus.vectors:
                 for b in minus.vectors:
-                    assert plus.contains(g.bracket(a, b)), name
+                    assert plus.contains(g.bracket(sparse(a), sparse(b))), name
 
 
 def _validation_outcome(check, inv, g):

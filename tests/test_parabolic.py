@@ -17,7 +17,7 @@ from lietriples.parabolic import (
     rational_eigenvalues,
     restricted_roots,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, subspace_sum
+from lietriples.ratlin import RatMatrix, SubspaceBasis, dense, inverse, sparse, subspace_sum
 
 from conftest import ENTRY_NAMES
 from helpers import (
@@ -332,7 +332,7 @@ def test_nilpotency_and_parabolic_closure(built_catalog):
         # [p, n] stays in n
         for pv in parabolic.p.vectors:
             for nv in parabolic.n.vectors:
-                assert parabolic.n.contains(l_alg.bracket(pv, nv)), name
+                assert parabolic.n.contains(l_alg.bracket(sparse(pv), sparse(nv))), name
         # lower central series of n terminates
         series = parabolic.n
         for _ in range(parabolic.n.dim + 1):
@@ -341,8 +341,9 @@ def test_nilpotency_and_parabolic_closure(built_catalog):
             nxt = SubspaceBasis.zero(l_alg.dim)
             for nv in parabolic.n.vectors:
                 for sv in series.vectors:
+                    bracket = l_alg.bracket(sparse(nv), sparse(sv))
                     nxt = subspace_sum(
-                        nxt, SubspaceBasis(l_alg.dim, [l_alg.bracket(nv, sv)])
+                        nxt, SubspaceBasis(l_alg.dim, [dense(bracket, l_alg.dim)])
                     )
             series = nxt
         assert series.dim == 0, name

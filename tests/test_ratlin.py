@@ -14,12 +14,14 @@ from lietriples.ratlin import (
     SubspaceBasis,
     _rref,
     coordinates_in,
+    dense,
     inverse,
     kernel,
     rank,
     restrict_operator,
     signature,
     solve,
+    sparse,
     subspace_intersection,
     subspace_sum,
 )
@@ -195,7 +197,8 @@ def test_intersection_generic_planes():
     b = SubspaceBasis(3, [[1, 0, 1], [0, 1, 1]])
     inter = subspace_intersection(a, b)
     assert inter.dim == 1
-    assert a.contains(inter.vectors[0]) and b.contains(inter.vectors[0])
+    v = sparse(inter.vectors[0])
+    assert a.contains(v) and b.contains(v)
 
 
 def test_ambient_mismatch():
@@ -248,7 +251,9 @@ def test_canonical_form_equality_matches_containment():
         n = rng.randint(2, 4)
         a = SubspaceBasis(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
         b = SubspaceBasis(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
-        same_span = all(map(a.contains, b.vectors)) and all(map(b.contains, a.vectors))
+        same_span = all(a.contains(sparse(v)) for v in b.vectors) and all(
+            b.contains(sparse(v)) for v in a.vectors
+        )
         assert (a == b) == same_span
         agreements += 1
     assert agreements == 150
@@ -286,12 +291,40 @@ def test_basis_solver_agrees_with_solve(algebra):
     for _ in range(25):
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(span.cols)]
         inside = span.apply(x)
-        assert solver.coordinates(inside) == solve(span, inside) == x
+        assert solve(span, inside) == x
+        assert solver.coordinates(sparse(inside)) == sparse(x)
         stray = [Fraction(rng.randint(-2, 2)) for _ in range(span.rows)]
         expected = solve(span, stray)
-        assert solver.coordinates(stray) == expected
+        assert solver.coordinates(sparse(stray)) == (None if expected is None else sparse(expected))
         outside += expected is None
     assert outside > 0  # the seeded stray vectors do leave the span
+
+
+def test_basis_solver_reads_sparse_vectors_like_solve():
+    """coordinates of a sparse vector, explicit zero entries included, agree
+    with solve on its dense form, hold no zero coefficient, and are None
+    outside the span."""
+    rng = random.Random("sparse-coordinates")
+    inside = outside = 0
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        basis = rand_matrix(rng, n, rng.randint(1, n))
+        if rank(basis) < basis.cols:
+            continue
+        solver = BasisSolver(basis)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(basis.cols)]
+        stray = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        for v in (basis.apply(x), stray):
+            vec = {i: c for i, c in enumerate(v) if c or rng.random() < 0.3}
+            expected = solve(basis, v)
+            got = solver.coordinates(vec)
+            if expected is None:
+                assert got is None
+                outside += 1
+            else:
+                assert got == sparse(expected) and all(got.values())
+                inside += 1
+    assert inside > 0 and outside > 0
 
 
 def test_basis_solver_rejects_dependent_columns():
@@ -309,13 +342,13 @@ def test_coordinates_in_reads_vectors_in_turn():
     read = []
 
     def vectors():
-        for v in ([2, 3, 3], [0, 0, 1], [0, 0, 2]):
+        for v in ({0: 2, 1: 3, 2: 3}, {2: 1}, {2: 2}):
             read.append(v)
             yield v
 
     coords = coordinates_in(basis, vectors(), Outside)
     assert read == []
-    assert next(coords) == [2, 3] and len(read) == 1
+    assert next(coords) == {0: 2, 1: 3} and len(read) == 1
     with pytest.raises(Outside) as err:
         next(coords)
     assert err.value.args == (1,) and len(read) == 2
@@ -365,7 +398,7 @@ def _change_of_basis_sites():
         ),
         # ad E moves the ad H eigenvector F to H: the two do not commute
         "joint_eigenspaces": (
-            lambda: joint_eigenspaces(3, [sl(2).ad([1, 0, 0]), sl(2).ad([0, 1, 0])]),
+            lambda: joint_eigenspaces(3, [sl(2).ad({0: 1}), sl(2).ad({1: 1})]),
             IrrationalSpectrum,
             "operator does not preserve the subspace",
         ),
@@ -530,18 +563,18 @@ def test_coordinates_and_contains_match_dense():
         for v in (inside, stray, [Fraction(int(i == 0)) for i in range(n)]):
             aug, pivots = dense_rref([list(r) + [x] for r, x in zip(entries, v)])
             consistent = k not in pivots
-            assert span.contains(v) == consistent
+            assert span.contains(sparse(v)) == consistent
             if solver is None:
                 continue
-            got = solver.coordinates(v)
+            got = solver.coordinates(sparse(v))
             if not consistent:
                 assert got is None
                 continue
             expected = [Fraction(0)] * k
             for r, p in enumerate(pivots):
                 expected[p] = aug[r][k]
-            assert got == expected
-            assert all_fractions([got])
+            assert dense(got, k) == expected
+            assert all_fractions([got.values()])
 
 
 def test_stored_pivots_match_the_first_nonzero_scan():
