@@ -223,8 +223,8 @@ def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
         ginv = inverse(form)
     except ValueError:
         raise DegenerateForm("normalizing form is singular on the subspace") from None
-    duals = (sub.matrix() @ ginv).columns()
-    return [(sparse(z), sparse(y)) for z, y in zip(sub.vectors, duals)]
+    z = sub.vectors
+    return [(z[i], combination(dict(enumerate(ginv.row(i))), z)) for i in range(sub.dim)]
 
 
 def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
@@ -348,8 +348,8 @@ def _echelon_split(h: SubspaceBasis) -> tuple:
     front = [{k: Fraction(1)} for k in range(n)]
     eta: list = [{} for _ in range(n)]
     for p, v in zip(h.pivots(), h.vectors):
-        eta[p] = sparse(v)
-        front[p] = {i: -x for i, x in eta[p].items() if i != p}  # v[p] = 1
+        eta[p] = v
+        front[p] = {i: -x for i, x in v.items() if i != p}  # v[p] = 1
     return front, eta
 
 
@@ -392,7 +392,7 @@ def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     """[q, y] = 0 mod U(g) h for every y in the basis of h."""
     reducer = IdealReducer(q.algebra, h)
     for y in h.vectors:
-        if not reducer.reduce(bracket_with(q, sparse(y))).is_zero():
+        if not reducer.reduce(bracket_with(q, y)).is_zero():
             return False
     return True
 
@@ -454,7 +454,7 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     rows = [i for i in range(g.dim) if i not in h.pivots()]
     row_of = {i: r for r, i in enumerate(rows)}
     pi, _ = _echelon_split(h)
-    frame = [sparse(col) for col in t.l_frame.columns()]
+    frame = t.frame_vectors
     m_cols = [
         dense({row_of[i]: x for i, x in combination(frame[a], pi).items()}, len(rows))
         for a in section
@@ -466,12 +466,11 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
         for i, col in zip(rows, m_inv.columns())
     }
     rng = None if seed is None else random.Random(seed)
-    lh_vectors = [sparse(u) for u in lh.vectors]
     front, eta = [], []
     for k in range(g.dim):
         f_k = combination(pi[k], lift)
         if rng is not None:
-            for u in lh_vectors:
+            for u in lh.vectors:
                 c = rng.randint(-3, 3)
                 for a, y in u.items():
                     f_k[a] = f_k.get(a, 0) + c * y

@@ -20,6 +20,7 @@ from .ratlin import (
     RatMatrix,
     SubspaceBasis,
     _rat,
+    combination,
     coordinates_in,
     dense,
     kernel,
@@ -138,8 +139,9 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.basis_labels)})"
 
 
-def _vectorize(m: RatMatrix) -> list:
-    return [x for row in m.entries for x in row]
+def _flatten(m: RatMatrix) -> dict:
+    """A matrix as a sparse vector over its entries, row by row."""
+    return sparse([x for row in m.entries for x in row])
 
 
 def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
@@ -171,13 +173,13 @@ def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
 
 
 def _structure_table(
-    basis: RatMatrix, bracket: Callable[[int, int], dict], not_closed: str
+    basis: Sequence[dict], bracket: Callable[[int, int], dict], not_closed: str
 ) -> dict:
-    """Structure table {(i, j): {k: c}}, i < j, of the span of the columns
-    of basis, where bracket(i, j) is the bracket of columns i and j as a
-    sparse vector; one outside the span raises
+    """Structure table {(i, j): {k: c}}, i < j, of the span of the sparse
+    basis vectors, where bracket(i, j) is the bracket of vectors i and j as
+    a sparse vector; one outside the span raises
     NotClosed(not_closed.format(i, j))."""
-    pairs = list(combinations(range(basis.cols), 2))
+    pairs = list(combinations(range(len(basis)), 2))
     coords = coordinates_in(
         basis,
         (bracket(i, j) for i, j in pairs),
@@ -201,7 +203,7 @@ def from_matrix_basis(
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("basis matrices must be square of equal size")
     table = _structure_table(
-        RatMatrix.from_columns(n * n, [_vectorize(m) for m in mats]),
+        [_flatten(m) for m in mats],
         _commutators(mats),
         "commutator of basis elements {} and {} leaves the span",
     )
@@ -404,7 +406,7 @@ def diagonal_subalgebra(ab: LieAlgebra) -> SubspaceBasis:
     if ab.dim % 2 != 0:
         raise ValueError("not a direct sum of two equal factors")
     half = ab.dim // 2
-    return SubspaceBasis(ab.dim, [dense({i: 1, i + half: 1}, ab.dim) for i in range(half)])
+    return SubspaceBasis(ab.dim, [{i: 1, i + half: 1} for i in range(half)])
 
 
 def g2_matrices() -> tuple[list, list]:
@@ -486,11 +488,11 @@ def killing_form(g: LieAlgebra) -> RatMatrix:
     computed exactly and sparsely."""
     n = g.dim
     # ad_i as sparse column maps: ad[i][j] = {k: c} means [X_i, X_j] has
-    # coefficient c on X_k.
-    ads = [
-        {j: g.bracket_basis_sparse(i, j) for j in range(n) if g.bracket_basis_sparse(i, j)}
-        for i in range(n)
-    ]
+    # coefficient c on X_k; each table entry is read once.
+    ads: list = [{} for _ in range(n)]
+    for (i, j), comps in g._table.items():
+        ads[i][j] = comps
+        ads[j][i] = {k: -c for k, c in comps.items()}
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -504,7 +506,7 @@ def killing_form(g: LieAlgebra) -> RatMatrix:
                         total += c * d
             gram[i][j] = total
             gram[j][i] = total
-    return RatMatrix(gram)
+    return RatMatrix._of_rows(gram)
 
 
 def restrict_form(gram: RatMatrix, s: SubspaceBasis) -> RatMatrix:
@@ -525,32 +527,29 @@ def centralizer(
         within = SubspaceBasis.full(g.dim)
     if within.dim == 0 or s.dim == 0:
         return within
-    w_vecs = [sparse(v) for v in within.vectors]
     rows = []
-    for sv in map(sparse, s.vectors):
-        images = [dense(g.bracket(wv, sv), g.dim) for wv in w_vecs]
+    for sv in s.vectors:
+        images = [dense(g.bracket(wv, sv), g.dim) for wv in within.vectors]
         rows.extend(zip(*images))
-    w = within.matrix()
-    return SubspaceBasis(g.dim, map(w.apply, kernel(RatMatrix(rows)).vectors))
+    kept = kernel(RatMatrix(rows)).vectors
+    return SubspaceBasis(g.dim, (combination(x, within.vectors) for x in kept))
 
 
 def is_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
-    vecs = [sparse(v) for v in s.vectors]
-    return all(s.contains(g.bracket(a, b)) for a, b in combinations(vecs, 2))
+    return all(s.contains(g.bracket(a, b)) for a, b in combinations(s.vectors, 2))
 
 
 def subalgebra_on_own_basis(
-    g: LieAlgebra, basis_vectors: Sequence[Sequence], labels: Optional[Sequence[str]] = None
+    g: LieAlgebra, basis_vectors: Sequence[dict], labels: Optional[Sequence[str]] = None
 ) -> LieAlgebra:
     """A subalgebra of g as a LieAlgebra in its own right, on the given basis
-    vectors (dense, in g-coordinates), with no matrix realization.  Brackets
+    vectors (sparse, in g-coordinates), with no matrix realization.  Brackets
     are re-solved in that basis; raises NotClosed when the span is not
     closed."""
-    p = RatMatrix.from_columns(g.dim, basis_vectors)
-    cols = [sparse(c) for c in p.columns()]
+    b = list(basis_vectors)
     table = _structure_table(
-        p, lambda i, j: g.bracket(cols[i], cols[j]), "span is not closed under the bracket"
+        b, lambda i, j: g.bracket(b[i], b[j]), "span is not closed under the bracket"
     )
     if labels is None:
-        labels = [f"Z{i}" for i in range(p.cols)]
+        labels = [f"Z{i}" for i in range(len(b))]
     return LieAlgebra(labels, table)

@@ -19,7 +19,7 @@ from .env2 import IdealReducer
 from .liealg import (
     LieAlgebra,
     NotClosed,
-    _vectorize,
+    _flatten,
     killing_form,
     restrict_form,
     subalgebra_on_own_basis,
@@ -97,8 +97,8 @@ def _matrix_map_involution(
     if g.matrices is None:
         raise ValueError(f"{what} needs a matrix realization")
     images = coordinates_in(
-        RatMatrix.from_columns(g.matrices[0].rows ** 2, [_vectorize(m) for m in g.matrices]),
-        (sparse(_vectorize(image_of(m))) for m in g.matrices),
+        [_flatten(m) for m in g.matrices],
+        (_flatten(image_of(m)) for m in g.matrices),
         lambda _: ValueError(f"{what} does not preserve the algebra"),
     )
     return involution_from_images(g, [dense(x, g.dim) for x in images])
@@ -190,14 +190,19 @@ class TripleDescriptor:
         return killing_form(self.g)
 
     @cached_property
+    def frame_vectors(self) -> list:
+        """The columns of the frame, as sparse vectors in g-coordinates."""
+        return [sparse(col) for col in self.l_frame.columns()]
+
+    @cached_property
     def l(self) -> SubspaceBasis:
         """The span of the frame's columns, in canonical form."""
-        return SubspaceBasis(self.g.dim, self.l_frame.transpose().entries)
+        return SubspaceBasis(self.g.dim, self.frame_vectors)
 
     @cached_property
     def l_alg(self) -> LieAlgebra:
         """l as a Lie algebra in its own right, on the basis of the frame."""
-        return subalgebra_on_own_basis(self.g, self.l_frame.columns(), self.l_labels)
+        return subalgebra_on_own_basis(self.g, self.frame_vectors, self.l_labels)
 
     def in_l(self, theta: int = 0, sigma: int = 0) -> SubspaceBasis:
         """The x in frame coordinates with theta(Fx) = theta * Fx and

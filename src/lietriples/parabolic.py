@@ -18,10 +18,10 @@ from .ratlin import (
     RatMatrix,
     SubspaceBasis,
     char_poly,
+    combination,
     kernel,
     restrict_operator,
     sign_changes,
-    sparse,
     subspace_sum,
 )
 
@@ -149,8 +149,7 @@ def joint_eigenspaces(
             if space is None or space.dim == ambient_dim:
                 dim, restricted = ambient_dim, op
             else:
-                dim, basis = space.dim, space.matrix()
-                restricted = restrict_operator(op, basis, _not_preserved)
+                dim, restricted = space.dim, restrict_operator(op, space.vectors, _not_preserved)
             covered = 0
             for lam in rational_eigenvalues(restricted):
                 sub = _eigenspace(restricted, lam)
@@ -158,7 +157,8 @@ def joint_eigenspaces(
                     continue
                 covered += sub.dim
                 if restricted is not op:
-                    sub = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
+                    lifted = (combination(v, space.vectors) for v in sub.vectors)
+                    sub = SubspaceBasis(ambient_dim, lifted)
                 refined.append((tag + (lam,), sub))
             if covered != dim:
                 raise IrrationalSpectrum(
@@ -183,17 +183,17 @@ def maximal_abelian_in_s(
     order = list(s_l.vectors)
     if reverse:
         order.reverse()
-    chosen = [list(order[0])]
+    chosen = [order[0]]
     a = SubspaceBasis(l_alg.dim, chosen)
     while True:
         z = centralizer(l_alg, a, within=s_l)
         candidates = list(z.vectors)
         if reverse:
             candidates.reverse()
-        ext = next((v for v in candidates if not a.contains(sparse(v))), None)
+        ext = next((v for v in candidates if not a.contains(v)), None)
         if ext is None:
             return a
-        chosen.append(list(ext))
+        chosen.append(ext)
         a = SubspaceBasis(l_alg.dim, chosen)
 
 
@@ -210,7 +210,7 @@ def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSyste
             root_spaces={},
             zero_space=SubspaceBasis.full(l_alg.dim),
         )
-    operators = [l_alg.ad(sparse(v)) for v in a.vectors]
+    operators = [l_alg.ad(v) for v in a.vectors]
     decomposition = joint_eigenspaces(l_alg.dim, operators)
     root_spaces = {}
     zero_space = SubspaceBasis.zero(l_alg.dim)

@@ -32,9 +32,10 @@ def _rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-# A vector of the algebra layer is sparse, {index: coefficient}; rows of a
-# RatMatrix, SubspaceBasis.vectors and the rows _rref works on are dense.
-# These two are where the forms meet.
+# A vector is sparse, {index: coefficient}: subspaces, kernels, the rows
+# _rref eliminates and the basis of a BasisSolver all hold that form.  A
+# RatMatrix is dense, for operators, forms and frames; these two are where
+# the forms meet.
 
 
 def sparse(vec: Sequence) -> dict:
@@ -98,18 +99,21 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[0] * cols for _ in range(rows)])
+        zero = Fraction(0)
+        return RatMatrix._of_rows([zero] * cols for _ in range(rows))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RatMatrix.diagonal([Fraction(1)] * n)
 
     @staticmethod
     def diagonal(values: Sequence) -> "RatMatrix":
-        n = len(values)
-        return RatMatrix(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        """Each value is coerced once; the zeros are one shared Fraction."""
+        zero, n = Fraction(0), len(values)
+        rows = [[zero] * n for _ in range(n)]
+        for i, x in enumerate(values):
+            rows[i][i] = _rat(x)
+        return RatMatrix._of_rows(rows)
 
     @staticmethod
     def from_columns(ambient: int, columns: Sequence[Sequence]) -> "RatMatrix":
@@ -185,16 +189,13 @@ class RatMatrix:
             out.append(acc)
         return RatMatrix._of_rows(out)
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector, returned as a list of Fractions."""
-        v = [_rat(x) for x in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector of wrong length")
-        nz = [(k, x) for k, x in enumerate(v) if x]
-        zero = Fraction(0)
-        return [
-            sum((row[k] * x for k, x in nz if row[k]), zero) for row in self.entries
-        ]
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector, as a sparse vector."""
+        nz = [(k, _rat(x)) for k, x in vec.items() if x]
+        if any(not 0 <= k < self.cols for k, _ in nz):
+            raise ValueError("vector index outside the matrix's columns")
+        sums = (sum(row[k] * x for k, x in nz if row[k]) for row in self.entries)
+        return {i: y for i, y in enumerate(sums) if y}
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -215,43 +216,41 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
+def _rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows {column: Fraction}, in place
+    (the list and its dicts); returns (rows, pivot column list), with no
+    zero entry left in any row.
 
-    Rows r and below are zero left of column c when a pivot is sought
-    there, so the pivot row's support starts at c; scaling and every row
-    update touch only that support.
+    Only the columns some row uses are visited.  Rows r and below are zero
+    left of column c when a pivot is sought there, so the pivot row's
+    support starts at c; scaling and every row update touch only that
+    support.
     """
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
+    n_rows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+    for c in sorted(set().union(*rows)):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i].get(c)), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        support = [j for j in range(c, n_cols) if prow[j]]
+        prow = {j: x for j, x in rows[r].items() if x}
         inv = Fraction(1) / prow[c]
         if inv != 1:
-            for j in support:
-                prow[j] *= inv
+            prow = {j: x * inv for j, x in prow.items()}
+        rows[r] = prow
         for i in range(n_rows):
             row = rows[i]
-            f = row[c]
+            f = row.get(c)
             if f and i != r:
-                for j in support:
-                    row[j] -= f * prow[j]
+                for j, x in prow.items():
+                    row[j] = row.get(j, 0) - f * x
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
+    for i, row in enumerate(rows):
+        rows[i] = {j: x for j, x in row.items() if x}
     return rows, pivots
 
 
@@ -299,19 +298,14 @@ def rank(m: RatMatrix) -> int:
 
 
 def kernel(m: RatMatrix) -> "SubspaceBasis":
-    """Canonical basis of the null space {x : m x = 0}."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref(rows)
-    n_cols = m.cols
-    free = [c for c in range(n_cols) if c not in pivots]
+    """Canonical basis of the null space {x : m x = 0}, as sparse vectors."""
+    rows, pivots = _rref([sparse(r) for r in m.entries])
     vectors = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
+    for fc in sorted(set(range(m.cols)).difference(pivots)):
+        v = {pc: -rows[r][fc] for r, pc in enumerate(pivots) if fc in rows[r]}
         v[fc] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -rows[r_idx][fc]
         vectors.append(v)
-    return SubspaceBasis(n_cols, vectors)
+    return SubspaceBasis(m.cols, vectors)
 
 
 def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
@@ -322,24 +316,24 @@ def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
     vv = [_rat(x) for x in v]
     if len(vv) != m.rows:
         raise ValueError("right-hand side of wrong length")
-    rows = [list(r) + [vv[i]] for i, r in enumerate(m.entries)]
-    rows, pivots = _rref(rows)
     n_cols = m.cols
+    rows, pivots = _rref([{**sparse(r), n_cols: x} for r, x in zip(m.entries, vv)])
     if n_cols in pivots:
         return None
     x = [Fraction(0)] * n_cols
     for r_idx, pc in enumerate(pivots):
-        x[pc] = rows[r_idx][n_cols]
+        x[pc] = rows[r_idx].get(n_cols, x[pc])
     return x
 
 
 class BasisSolver:
-    """Coordinates of sparse vectors in a fixed basis, the columns of a
-    matrix B.
+    """Coordinates of sparse vectors in a fixed basis B, a list of sparse
+    vectors.
 
     The basis is reduced once: row reduction of [B^T | I] gives [E B^T | E]
     with E B^T in reduced echelon form, whose pivot columns p pick out an
-    invertible square block A = B[p] with A^-1 = E^T.  coordinates(v) is
+    invertible square block A = B[p] with A^-1 = E^T.  The block I starts
+    one past the largest index any basis vector uses.  coordinates(v) is
     then x = E^T v[p] plus an exact check that B x = v: two sparse products
     per right-hand side instead of an elimination, each over the nonzero
     entries of v and x only.  Systems whose columns may be dependent go
@@ -348,20 +342,18 @@ class BasisSolver:
 
     __slots__ = ("_inverse", "_columns")
 
-    def __init__(self, basis: RatMatrix):
-        k, n = basis.cols, basis.rows
-        columns = basis.columns()
-        rows = [
-            list(col) + [Fraction(int(i == j)) for i in range(k)]
-            for j, col in enumerate(columns)
-        ]
+    def __init__(self, basis: Sequence[dict]):
+        n = 1 + max((i for v in basis for i in v), default=-1)
+        rows = [{**v, n + j: Fraction(1)} for j, v in enumerate(basis)]
         rows, pivots = _rref(rows)
         if pivots and pivots[-1] >= n:
             raise DependentBasis("basis vectors are linearly dependent")
-        # column p of E^T for each pivot position p, and each basis column,
-        # as sparse vectors
-        self._inverse = [(p, sparse(rows[r][n:])) for r, p in enumerate(pivots)]
-        self._columns = [sparse(col) for col in columns]
+        # column p of E^T for each pivot position p, as a sparse vector
+        self._inverse = [
+            (p, {i - n: x for i, x in rows[r].items() if i >= n})
+            for r, p in enumerate(pivots)
+        ]
+        self._columns = list(basis)
 
     def coordinates(self, vec: dict) -> Optional[dict]:
         """The unique coefficients of the sparse vector vec in the basis, as
@@ -381,12 +373,12 @@ class BasisSolver:
 
 
 def coordinates_in(
-    basis: RatMatrix, vectors: Iterable[dict], outside: Callable[[int], Exception]
+    basis: Sequence[dict], vectors: Iterable[dict], outside: Callable[[int], Exception]
 ) -> Iterator[dict]:
-    """Coordinates of each sparse vector in the basis formed by the columns
-    of basis, each vector read and solved in turn as the result is iterated.
-    Dependent columns raise DependentBasis at the call; vector k outside the
-    span raises outside(k)."""
+    """Coordinates of each sparse vector in the basis, a list of sparse
+    vectors, each vector read and solved in turn as the result is iterated.
+    A dependent basis raises DependentBasis at the call; vector k outside
+    the span raises outside(k)."""
     solver = BasisSolver(basis)
 
     def solved():
@@ -400,27 +392,25 @@ def coordinates_in(
 
 
 def restrict_operator(
-    op: RatMatrix, basis: RatMatrix, outside: Callable[[int], Exception]
+    op: RatMatrix, basis: Sequence[dict], outside: Callable[[int], Exception]
 ) -> RatMatrix:
-    """Matrix of an operator on the span of the columns of basis, in that
-    basis; raises outside(k) when the operator moves column k out of it."""
-    images = (sparse(op.apply(col)) for col in basis.columns())
-    coords = coordinates_in(basis, images, outside)
-    return RatMatrix.from_columns(basis.cols, [dense(x, basis.cols) for x in coords])
+    """Matrix of an operator on the span of the sparse basis vectors, in
+    that basis; raises outside(k) when the operator moves vector k out of
+    it."""
+    coords = coordinates_in(basis, map(op.apply, basis), outside)
+    return RatMatrix.from_columns(len(basis), [dense(x, len(basis)) for x in coords])
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    rows = [
-        list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i, r in enumerate(m.entries)
-    ]
+    rows = [{**sparse(r), n + i: Fraction(1)} for i, r in enumerate(m.entries)]
     rows, pivots = _rref(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
-    return RatMatrix([row[n:] for row in rows])
+    zero = Fraction(0)
+    return RatMatrix._of_rows([row.get(n + j, zero) for j in range(n)] for row in rows)
 
 
 def char_poly(a: RatMatrix) -> list:
@@ -486,22 +476,24 @@ def signature(s: RatMatrix) -> tuple[int, int, int]:
 class SubspaceBasis:
     """A rational subspace in canonical (reduced echelon) form.
 
-    Stored as a tuple of basis vectors with leading coefficient 1 at strictly
-    increasing pivot positions and zeros above/below each pivot.  Two
-    SubspaceBasis values are equal exactly when they span the same subspace.
+    Takes sparse vectors {index: coefficient} and stores a tuple of them
+    with leading coefficient 1 at strictly increasing pivot positions and
+    no entry at any other pivot.  Two SubspaceBasis values are equal, and
+    hash equally, exactly when they span the same subspace.  The vectors
+    are shared with whoever reads them and must not be changed.
     """
 
     __slots__ = ("ambient_dim", "vectors", "_pivots")
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        rows = [[_rat(x) for x in v] for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector of wrong length")
+    def __init__(self, ambient_dim: int, vectors: Iterable[dict]):
+        rows = []
+        for v in vectors:
+            if any(not 0 <= i < ambient_dim for i in v):
+                raise ValueError("vector index outside the ambient space")
+            rows.append({i: _rat(x) for i, x in v.items()})
         rows, pivots = _rref(rows)
-        rows = rows[: len(pivots)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in rows))
+        object.__setattr__(self, "vectors", tuple(rows[: len(pivots)]))
         # derived from vectors, so equality and hashing ignore it
         object.__setattr__(self, "_pivots", tuple(pivots))
 
@@ -510,7 +502,7 @@ class SubspaceBasis:
 
     @staticmethod
     def full(ambient_dim: int) -> "SubspaceBasis":
-        return SubspaceBasis(ambient_dim, RatMatrix.identity(ambient_dim).entries)
+        return SubspaceBasis(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
     @staticmethod
     def zero(ambient_dim: int) -> "SubspaceBasis":
@@ -522,7 +514,8 @@ class SubspaceBasis:
 
     def matrix(self) -> RatMatrix:
         """Basis vectors as columns of an ambient_dim x dim matrix."""
-        return RatMatrix.from_columns(self.ambient_dim, list(self.vectors))
+        n = self.ambient_dim
+        return RatMatrix.from_columns(n, [dense(v, n) for v in self.vectors])
 
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each basis vector, as the echelon form found it."""
@@ -534,9 +527,8 @@ class SubspaceBasis:
         for basis_vec, pivot in zip(self.vectors, self._pivots):
             f = v.get(pivot)
             if f:
-                for j, b in enumerate(basis_vec):
-                    if b:
-                        v[j] = v.get(j, 0) - f * b
+                for j, b in basis_vec.items():
+                    v[j] = v.get(j, 0) - f * b
         return not any(v.values())
 
     def __eq__(self, other) -> bool:
@@ -547,7 +539,7 @@ class SubspaceBasis:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vectors))
+        return hash((self.ambient_dim, tuple(frozenset(v.items()) for v in self.vectors)))
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in R^{self.ambient_dim})"
@@ -575,9 +567,5 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     stacked = RatMatrix(
         [list(am.row(i)) + [-x for x in bm.row(i)] for i in range(a.ambient_dim)]
     )
-    ker = kernel(stacked)
-    vectors = []
-    for kv in ker.vectors:
-        x = kv[: a.dim]
-        vectors.append(am.apply(x))
-    return SubspaceBasis(a.ambient_dim, vectors)
+    xs = ({j: c for j, c in kv.items() if j < a.dim} for kv in kernel(stacked).vectors)
+    return SubspaceBasis(a.ambient_dim, (combination(x, a.vectors) for x in xs))

@@ -204,7 +204,7 @@ def eager_seeded_candidates(h, seed):
     """All seeded candidates for the complement w of l, random combinations
     of the basis of h followed by that basis, drawn at once."""
     rng = random.Random(seed)
-    h_vecs = [list(v) for v in h.vectors]
+    h_vecs = [dense(v, h.ambient_dim) for v in h.vectors]
     candidates = []
     for _ in range(4 * len(h_vecs)):
         coeffs = [rng.randint(-3, 3) for _ in h_vecs]
@@ -223,7 +223,7 @@ def dense_greedy_complement(g_dim, frame_cols, candidates):
     reduced echelon form, or None when the columns do not span."""
     columns = [list(col) for col in frame_cols] + [list(c) for c in candidates]
     rows = [[Fraction(col[r]) for col in columns] for r in range(g_dim)]
-    _, pivots = _rref(rows)
+    _, pivots = _rref([sparse(r) for r in rows])
     if len(pivots) != g_dim:
         return None
     return [list(candidates[c - len(frame_cols)]) for c in pivots if c >= len(frame_cols)]
@@ -259,7 +259,7 @@ def termwise_product_of_linear(algebra, v, w):
 def termwise_casimir(algebra, sub, form):
     """Sum of X_i Y_i over form-dual bases, one product per Gram pair."""
     ginv = inverse(form)
-    vectors = [list(v) for v in sub.vectors]
+    vectors = [dense(v, sub.ambient_dim) for v in sub.vectors]
     total = Quad2.zero(algebra)
     for i in range(sub.dim):
         for j in range(sub.dim):
@@ -320,7 +320,7 @@ def echelon_split(algebra, h):
     n = algebra.dim
     front = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
     eta = [None] * n
-    pivots = list(zip(h.pivots(), h.vectors))
+    pivots = [(p, dense(v, n)) for p, v in zip(h.pivots(), h.vectors)]
     for p, v in pivots:
         front[p] = [Fraction(int(i == p)) - x for i, x in enumerate(v)]
         eta[p] = list(v)
@@ -353,7 +353,7 @@ def basis_solver_split(g, frame_cols, w_vecs):
     """(front, eta, to_front) of the transfer along g = l + w, every basis
     vector and every ambient rest solved in the basis [frame | w]."""
     n_l = len(frame_cols)
-    solver = BasisSolver(RatMatrix.from_columns(g.dim, frame_cols + w_vecs))
+    solver = BasisSolver([sparse(c) for c in frame_cols + w_vecs])
 
     def to_front(y):
         return dense(solver.coordinates(sparse(y)), g.dim)[:n_l]
@@ -402,7 +402,9 @@ def random_quad2(algebra, rng, terms=6):
 def restricted_theta_split(d):
     """(k_l, s_l) from theta restricted to the frame of l."""
     theta_l = restrict_operator(
-        d.theta.matrix, d.l_frame, lambda _: ValueError("theta does not preserve l")
+        d.theta.matrix,
+        [sparse(c) for c in d.l_frame.columns()],
+        lambda _: ValueError("theta does not preserve l"),
     )
     ident = RatMatrix.identity(d.l_frame.cols)
     return kernel(theta_l - ident), kernel(theta_l + ident)
@@ -411,8 +413,8 @@ def restricted_theta_split(d):
 def in_frame(d, sub):
     """A subspace of g inside l, in the coordinates of the frame."""
     outside = lambda _: ValueError("subspace is not contained in l")  # noqa: E731
-    coords = coordinates_in(d.l_frame, map(sparse, sub.vectors), outside)
-    return SubspaceBasis(d.l_frame.cols, [dense(x, d.l_frame.cols) for x in coords])
+    frame = [sparse(c) for c in d.l_frame.columns()]
+    return SubspaceBasis(d.l_frame.cols, coordinates_in(frame, sub.vectors, outside))
 
 
 def intersected_l_cap_h(d):
@@ -450,7 +452,7 @@ def dense_involution_validate(inv, g):
         raise ValueError("involution does not square to the identity")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply(dense_bracket(g, unit(g.dim, i), unit(g.dim, j)))
+            lhs = dense_apply(m, dense_bracket(g, unit(g.dim, i), unit(g.dim, j)))
             rhs = dense_bracket(g, m.column(i), m.column(j))
             if lhs != rhs:
                 raise ValueError(
@@ -513,7 +515,9 @@ def restricting_joint_eigenspaces(ambient_dim, operators):
                 continue
             basis = space.matrix()
             restricted = restrict_operator(
-                op, basis, lambda _: IrrationalSpectrum("operator does not preserve the subspace")
+                op,
+                space.vectors,
+                lambda _: IrrationalSpectrum("operator does not preserve the subspace"),
             )
             covered = 0
             for lam in scanned_rational_eigenvalues(restricted):
@@ -521,7 +525,10 @@ def restricting_joint_eigenspaces(ambient_dim, operators):
                 if sub.dim == 0:
                     continue
                 covered += sub.dim
-                lifted = SubspaceBasis(ambient_dim, [basis.apply(v) for v in sub.vectors])
+                lifted = SubspaceBasis(
+                    ambient_dim,
+                    [sparse(dense_apply(basis, dense(v, space.dim))) for v in sub.vectors],
+                )
                 refined.append((tag + (lam,), lifted))
             if covered != space.dim:
                 raise IrrationalSpectrum("ad action does not split over the rationals")
@@ -534,21 +541,21 @@ def ad_matrix_centralizer(g, s, within=None):
         within = SubspaceBasis.full(g.dim)
     if within.dim == 0 or s.dim == 0:
         return within
-    w_vecs = [list(v) for v in within.vectors]
+    w_vecs = [dense(v, g.dim) for v in within.vectors]
     rows = []
     for sv in s.vectors:
-        ad_s = dense_ad(g, sv)
+        ad_s = dense_ad(g, dense(sv, g.dim))
         # column a of the block is [within_a, sv] = -ad(sv) within_a
-        images = [ad_s.apply(wv) for wv in w_vecs]
+        images = [dense_apply(ad_s, wv) for wv in w_vecs]
         for coord in range(g.dim):
             rows.append([-img[coord] for img in images])
     vectors = []
     for kv in kernel(RatMatrix(rows)).vectors:
         out = [Fraction(0)] * g.dim
-        for a, c in enumerate(kv):
+        for a, c in enumerate(dense(kv, within.dim)):
             for t in range(g.dim):
                 out[t] += c * w_vecs[a][t]
-        vectors.append(out)
+        vectors.append(sparse(out))
     return SubspaceBasis(g.dim, vectors)
 
 
@@ -558,18 +565,20 @@ def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):
     a = s_l
     if s_l.dim:
         order = list(s_l.vectors)[:: -1 if reverse else 1]
-        chosen = [list(order[0])]
+        chosen = [order[0]]
         while True:
             a = SubspaceBasis(l_alg.dim, chosen)
             candidates = list(ad_matrix_centralizer(l_alg, a, within=s_l).vectors)
             if reverse:
                 candidates.reverse()
-            ext = next((v for v in candidates if not a.contains(sparse(v))), None)
+            ext = next((v for v in candidates if not a.contains(v)), None)
             if ext is None:
                 break
-            chosen.append(list(ext))
+            chosen.append(ext)
     decomposition = dict(
-        restricting_joint_eigenspaces(l_alg.dim, [dense_ad(l_alg, v) for v in a.vectors])
+        restricting_joint_eigenspaces(
+            l_alg.dim, [dense_ad(l_alg, dense(v, l_alg.dim)) for v in a.vectors]
+        )
     )
     n_space = SubspaceBasis.zero(l_alg.dim)
     for tag in sorted(decomposition):
@@ -640,7 +649,7 @@ def invariant_form_space(mats):
                 rows.append(row)
     ker = kernel(RatMatrix(rows))
     forms = []
-    for v in ker.vectors:
+    for v in (dense(u, count) for u in ker.vectors):
         f = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), t in idx.items():
             f[i][j] = v[t]
@@ -745,14 +754,14 @@ def naive_reduce(algebra, words, h):
         e = [Fraction(0)] * algebra.dim
         e[i] = Fraction(1)
         cols.append(e)
-    cols.extend(list(v) for v in h.vectors)
+    cols.extend(dense(v, algebra.dim) for v in h.vectors)
     t = RatMatrix.from_columns(algebra.dim, cols)
     s = inverse(t)
     cache = {}
 
     def bracket_fn(a, b):
         if (a, b) not in cache:
-            cache[(a, b)] = s.apply(dense_bracket(algebra, t.column(a), t.column(b)))
+            cache[(a, b)] = dense_apply(s, dense_bracket(algebra, t.column(a), t.column(b)))
         return cache[(a, b)]
 
     quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)
@@ -788,13 +797,13 @@ def naive_transfer(built):
     frame = built.descriptor.l_frame
     frame_cols = [list(frame.column(j)) for j in range(frame.cols)]
     chosen = list(frame_cols)
-    base = SubspaceBasis(g.dim, chosen)
+    base = SubspaceBasis(g.dim, map(sparse, chosen))
     for hv in reversed(list(d.h.vectors)):
         if base.dim == g.dim:
             break
-        if not base.contains(sparse(hv)):
-            chosen.append(list(hv))
-            base = SubspaceBasis(g.dim, chosen)
+        if not base.contains(hv):
+            chosen.append(dense(hv, g.dim))
+            base = SubspaceBasis(g.dim, map(sparse, chosen))
     assert base.dim == g.dim
     t = RatMatrix.from_columns(g.dim, chosen)
     s = inverse(t)
@@ -802,7 +811,7 @@ def naive_transfer(built):
 
     def bracket_fn(a, b):
         if (a, b) not in cache:
-            cache[(a, b)] = s.apply(dense_bracket(g, t.column(a), t.column(b)))
+            cache[(a, b)] = dense_apply(s, dense_bracket(g, t.column(a), t.column(b)))
         return cache[(a, b)]
 
     quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)
@@ -815,5 +824,5 @@ def naive_transfer(built):
     from lietriples.ratlin import solve
 
     lh_ambient = subspace_intersection(d.l, d.h)
-    lh = SubspaceBasis(n_l, [solve(frame, list(v)) for v in lh_ambient.vectors])
+    lh = SubspaceBasis(n_l, [sparse(solve(frame, dense(v, g.dim))) for v in lh_ambient.vectors])
     return naive_reduce(built.l_alg, surv, lh)

@@ -7,9 +7,11 @@ The counts below are taken through every module binding of the counted
 functions, on a fresh build that bypasses the process-wide catalog cache.
 """
 
+import copy
 import sys
 from collections import Counter
 
+from conftest import ENTRY_NAMES
 from lietriples import catalog, cli, env2, liealg, pairs
 
 COUNTED = {
@@ -75,3 +77,27 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     # on k, s and l cap h, and the generators' normalizing forms
     per_restriction = Counter(calls["restrict_form"])
     assert per_restriction and max(per_restriction.values()) == 1
+
+
+def test_verbs_leave_the_subspaces_the_descriptor_owns_unchanged(monkeypatch, capsys):
+    """Subspace vectors are dicts shared with their readers (the eta of the
+    echelon split are h's own vectors, for instance); no verb changes one."""
+    monkeypatch.setattr(catalog, "_BUILT_CACHE", {})
+    for name in ENTRY_NAMES:
+        d = catalog.get(name).descriptor
+        d.validate()
+        k_l, s_l = d.cartan_split
+        owned = {
+            "h": d.h, "q": d.q, "k": d.k, "s": d.s, "l": d.l,
+            "k_l": k_l, "s_l": s_l, "l_cap_h": d.l_cap_h_in_l,
+        }
+        before = {key: (sub, copy.deepcopy(sub.vectors), hash(sub)) for key, sub in owned.items()}
+        frame = copy.deepcopy(d.frame_vectors)
+        for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+            assert cli.main([*verb, "--explain", name]) in (0, 1), (name, verb)
+        capsys.readouterr()
+        # the verbs ran on this descriptor: the transfer's reducer is built
+        assert "l_cap_h_reducer" in vars(d), name
+        for key, (sub, vectors, digest) in before.items():
+            assert sub.vectors == vectors and hash(sub) == digest, (name, key)
+        assert d.frame_vectors == frame, name

@@ -32,7 +32,7 @@ def test_naive_reduce_agrees_on_random_elements_sl2():
     from lietriples.ratlin import SubspaceBasis
 
     g = sl(2)
-    h = SubspaceBasis(3, [[0, 1, 0]])  # span{E}
+    h = SubspaceBasis(3, [{1: 1}])  # span{E}
     rng = random.Random(777)
     for _ in range(60):
         quad = {}

@@ -49,7 +49,7 @@ from lietriples.pairs import (
     involution_from_images,
     negative_transpose_involution,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, sparse
+from lietriples.ratlin import RatMatrix, SubspaceBasis, dense, sparse
 
 
 def sl2_casimir():
@@ -76,7 +76,7 @@ def test_casimir_sl2_golden():
 
 def test_casimir_degenerate_form():
     g = sl(2)
-    line = SubspaceBasis(3, [[0, 1, 0]])
+    line = SubspaceBasis(3, [{1: 1}])
     with pytest.raises(DegenerateForm):
         casimir(g, line, RatMatrix([[0]]))
 
@@ -89,7 +89,7 @@ def test_casimir_zero_subspace_is_zero():
 def test_casimir_basis_independence():
     g, omega = sl2_casimir()
     b = killing_form(g)
-    scrambled = SubspaceBasis(3, [[1, 1, 0], [0, 2, 1], [1, 0, 1]])
+    scrambled = SubspaceBasis(3, [{0: 1, 1: 1}, {1: 2, 2: 1}, {0: 1, 2: 1}])
     assert scrambled.dim == 3
     gram = restrict_form(b, scrambled)
     assert casimir(g, scrambled, gram) == omega
@@ -101,7 +101,7 @@ def test_symmetrized_casimir_equal():
     assert symmetrized_casimir(g, SubspaceBasis.full(3), b) == omega
     g2 = g2_split()
     b2 = killing_form(g2)
-    sub = SubspaceBasis(14, [[1 if i == t else 0 for i in range(14)] for t in (0, 1, 2, 8)])
+    sub = SubspaceBasis(14, [{t: 1} for t in (0, 1, 2, 8)])
     gram = restrict_form(b2, sub)
     assert symmetrized_casimir(g2, sub, gram) == casimir(g2, sub, gram)
 
@@ -157,7 +157,7 @@ def test_bracket_with_degree_preserved():
 
 def test_reduce_golden_sl2_mod_e():
     g, omega = sl2_casimir()
-    h = SubspaceBasis(3, [[0, 1, 0]])  # span{E}
+    h = SubspaceBasis(3, [{1: 1}])  # span{E}
     reduced = reduce_mod_left_ideal(omega, h)
     assert reduced == Quad2(
         g, quad={(0, 0): Fraction(1, 8)}, lin={0: Fraction(1, 4)}
@@ -166,21 +166,21 @@ def test_reduce_golden_sl2_mod_e():
 
 def test_reduce_untouched_without_h_factors():
     g = sl(2)
-    h = SubspaceBasis(3, [[0, 1, 0]])
+    h = SubspaceBasis(3, [{1: 1}])
     q = Quad2(g, quad={(0, 0): 3}, lin={2: 1}, const=7)  # H^2, F, const
     assert reduce_mod_left_ideal(q, h) == q
 
 
 def test_reduce_kills_products_ending_in_h():
     g = sl(2)
-    h = SubspaceBasis(3, [[0, 1, 0]])
+    h = SubspaceBasis(3, [{1: 1}])
     fe = product_of_linear(g, {2: 1}, {1: 1})  # F * E
     assert reduce_mod_left_ideal(fe, h).is_zero()
 
 
 def test_reduce_requires_subalgebra():
     g = sl(2)
-    bad = SubspaceBasis(3, [[0, 1, 0], [0, 0, 1]])  # span{E, F}, not closed
+    bad = SubspaceBasis(3, [{1: 1}, {2: 1}])  # span{E, F}, not closed
     with pytest.raises(ValueError):
         reduce_mod_left_ideal(Quad2.zero(g), bad)
 
@@ -208,7 +208,7 @@ def test_ideal_reducer_runs_no_elimination(built_catalog, monkeypatch):
 
 def test_equals_mod_ideal():
     g = sl(2)
-    h = SubspaceBasis(3, [[0, 1, 0]])
+    h = SubspaceBasis(3, [{1: 1}])
     a = Quad2(g, quad={(0, 0): 1})
     assert equals_mod_ideal(a, a, h)
     he = product_of_linear(g, {0: 1}, {1: 1})  # H * E, in the ideal
@@ -366,8 +366,9 @@ def test_iota_is_unital():
 
 def test_transfer_split_not_transitive():
     t = group_triple()
-    line = SubspaceBasis(6, [[1, 0, 0, 0, 0, 0]])
-    assert dense_greedy_complement(6, line.vectors, list(t.h.vectors)) is None
+    line = SubspaceBasis(6, [{0: 1}])
+    h_vecs = [dense(v, 6) for v in t.h.vectors]
+    assert dense_greedy_complement(6, [dense(v, 6) for v in line.vectors], h_vecs) is None
     small = TripleDescriptor(
         g=t.g, sigma=t.sigma, theta=t.theta, l_frame=line.matrix(), name="small"
     )
@@ -518,7 +519,8 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
     rng = random.Random(f"transfer/{name}")
     for seed in [None, *range(20)]:
         front, eta = _transfer_split(d, seed)
-        candidates = list(d.h.vectors) if seed is None else eager_seeded_candidates(d.h, seed)
+        h_vecs = [dense(v, d.g.dim) for v in d.h.vectors]
+        candidates = h_vecs if seed is None else eager_seeded_candidates(d.h, seed)
         w_vecs = dense_greedy_complement(d.g.dim, frame_cols, candidates)
         old = basis_solver_split(d.g, frame_cols, w_vecs)
         # the ambient Casimir on a few splits, seeded elements on all

@@ -13,6 +13,7 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     _rref,
+    combination,
     coordinates_in,
     dense,
     inverse,
@@ -73,7 +74,7 @@ def test_kernel_zero_map_full():
 
 def test_kernel_line():
     k = kernel(RatMatrix([[1, 1]]))
-    assert k.vectors == ((Fraction(1), Fraction(-1)),)
+    assert k.vectors == ({0: Fraction(1), 1: Fraction(-1)},)
 
 
 # -- solve --------------------------------------------------------------
@@ -165,45 +166,45 @@ def test_signature_matches_the_congruence_oracle_on_bordered_hyperbolic_blocks(n
 
 
 def test_subspace_sum_lines():
-    a = SubspaceBasis(2, [[1, 0]])
-    b = SubspaceBasis(2, [[0, 1]])
+    a = SubspaceBasis(2, [{0: 1}])
+    b = SubspaceBasis(2, [{1: 1}])
     assert subspace_sum(a, b).dim == 2
 
 
 def test_subspace_sum_idempotent():
-    v = SubspaceBasis(3, [[1, 2, 3]])
+    v = SubspaceBasis(3, [{0: 1, 1: 2, 2: 3}])
     assert subspace_sum(v, v) == v
 
 
 def test_subspace_sum_skew_lines_fill_plane():
-    a = SubspaceBasis(2, [[1, 1]])
-    b = SubspaceBasis(2, [[1, -1]])
+    a = SubspaceBasis(2, [{0: 1, 1: 1}])
+    b = SubspaceBasis(2, [{0: 1, 1: -1}])
     assert subspace_sum(a, b) == SubspaceBasis.full(2)
 
 
 def test_intersection_self():
-    x = SubspaceBasis(3, [[1, 0, 2], [0, 1, 1]])
+    x = SubspaceBasis(3, [{0: 1, 2: 2}, {1: 1, 2: 1}])
     assert subspace_intersection(x, x) == x
 
 
 def test_intersection_complementary_lines():
-    a = SubspaceBasis(2, [[1, 0]])
-    b = SubspaceBasis(2, [[0, 1]])
+    a = SubspaceBasis(2, [{0: 1}])
+    b = SubspaceBasis(2, [{1: 1}])
     assert subspace_intersection(a, b).dim == 0
 
 
 def test_intersection_generic_planes():
-    a = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])
-    b = SubspaceBasis(3, [[1, 0, 1], [0, 1, 1]])
+    a = SubspaceBasis(3, [{0: 1}, {1: 1}])
+    b = SubspaceBasis(3, [{0: 1, 2: 1}, {1: 1, 2: 1}])
     inter = subspace_intersection(a, b)
     assert inter.dim == 1
-    v = sparse(inter.vectors[0])
+    v = inter.vectors[0]
     assert a.contains(v) and b.contains(v)
 
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        subspace_sum(SubspaceBasis(2, [[1, 0]]), SubspaceBasis(3, [[1, 0, 0]]))
+        subspace_sum(SubspaceBasis(2, [{0: 1}]), SubspaceBasis(3, [{0: 1}]))
 
 
 def test_inverse_roundtrip():
@@ -227,8 +228,8 @@ def test_dimension_formula_random():
     rng = random.Random(202)
     for _ in range(120):
         n = rng.randint(2, 5)
-        a = SubspaceBasis(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        b = SubspaceBasis(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        a = SubspaceBasis(n, [sparse([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(0, n))])
+        b = SubspaceBasis(n, [sparse([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(0, n))])
         total = subspace_sum(a, b)
         inter = subspace_intersection(a, b)
         assert a.dim + b.dim == total.dim + inter.dim
@@ -249,10 +250,10 @@ def test_canonical_form_equality_matches_containment():
     agreements = 0
     for _ in range(150):
         n = rng.randint(2, 4)
-        a = SubspaceBasis(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
-        b = SubspaceBasis(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
-        same_span = all(a.contains(sparse(v)) for v in b.vectors) and all(
-            b.contains(sparse(v)) for v in a.vectors
+        a = SubspaceBasis(n, [sparse([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))])
+        b = SubspaceBasis(n, [sparse([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))])
+        same_span = all(a.contains(v) for v in b.vectors) and all(
+            b.contains(v) for v in a.vectors
         )
         assert (a == b) == same_span
         agreements += 1
@@ -266,10 +267,10 @@ def test_solve_returns_exact_solutions_random():
         cols = rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        v = m.apply(x)
+        v = dense(m.apply(sparse(x)), rows)
         got = solve(m, v)
         assert got is not None
-        assert m.apply(got) == v
+        assert m.apply(sparse(got)) == sparse(v)
 
 
 def _vectorized_span(mats):
@@ -285,12 +286,12 @@ def test_basis_solver_agrees_with_solve(algebra):
 
     build = {"so(2,4)": lambda: so(2, 4), "u(1,2)": lambda: u(1, 2), "g2": g2_split}
     span = _vectorized_span(build[algebra]().matrices)
-    solver = BasisSolver(span)
+    solver = BasisSolver([sparse(c) for c in span.columns()])
     rng = random.Random(f"basis-solver/{algebra}")
     outside = 0
     for _ in range(25):
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(span.cols)]
-        inside = span.apply(x)
+        inside = dense(span.apply(sparse(x)), span.rows)
         assert solve(span, inside) == x
         assert solver.coordinates(sparse(inside)) == sparse(x)
         stray = [Fraction(rng.randint(-2, 2)) for _ in range(span.rows)]
@@ -311,10 +312,10 @@ def test_basis_solver_reads_sparse_vectors_like_solve():
         basis = rand_matrix(rng, n, rng.randint(1, n))
         if rank(basis) < basis.cols:
             continue
-        solver = BasisSolver(basis)
+        solver = BasisSolver([sparse(c) for c in basis.columns()])
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(basis.cols)]
         stray = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-        for v in (basis.apply(x), stray):
+        for v in (dense(basis.apply(sparse(x)), n), stray):
             vec = {i: c for i, c in enumerate(v) if c or rng.random() < 0.3}
             expected = solve(basis, v)
             got = solver.coordinates(vec)
@@ -330,7 +331,7 @@ def test_basis_solver_reads_sparse_vectors_like_solve():
 def test_basis_solver_rejects_dependent_columns():
     m = RatMatrix.from_columns(3, [[1, 0, 2], [0, 1, 0], [2, 1, 4]])
     with pytest.raises(DependentBasis):
-        BasisSolver(m)
+        BasisSolver([sparse(c) for c in m.columns()])
 
 
 class Outside(Exception):
@@ -338,7 +339,7 @@ class Outside(Exception):
 
 
 def test_coordinates_in_reads_vectors_in_turn():
-    basis = RatMatrix.from_columns(3, [[1, 0, 0], [0, 1, 1]])
+    basis = [{0: 1}, {1: 1, 2: 1}]
     read = []
 
     def vectors():
@@ -354,15 +355,15 @@ def test_coordinates_in_reads_vectors_in_turn():
     assert err.value.args == (1,) and len(read) == 2
     # a dependent basis is refused at the call, before any vector is read
     with pytest.raises(DependentBasis):
-        coordinates_in(RatMatrix.from_columns(2, [[1, 1], [2, 2]]), [], Outside)
+        coordinates_in([{0: 1, 1: 1}, {0: 2, 1: 2}], [], Outside)
 
 
 def test_restrict_operator_on_an_invariant_plane():
     op = RatMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
-    basis = RatMatrix.from_columns(3, [[1, 1, 0], [1, -1, 0]])
+    basis = [{0: 1, 1: 1}, {0: 1, 1: -1}]
     assert restrict_operator(op, basis, Outside) == RatMatrix([[1, 0], [0, -1]])
     with pytest.raises(Outside):
-        restrict_operator(op, RatMatrix.from_columns(3, [[1, 0, 0]]), Outside)
+        restrict_operator(op, [{0: 1}], Outside)
 
 
 def _change_of_basis_sites():
@@ -387,7 +388,7 @@ def _change_of_basis_sites():
             "commutator of basis elements 0 and 1 leaves the span",
         ),
         "subalgebra_on_own_basis": (
-            lambda: subalgebra_on_own_basis(sl(2), [[0, 1, 0], [0, 0, 1]]),
+            lambda: subalgebra_on_own_basis(sl(2), [{1: 1}, {2: 1}]),
             NotClosed,
             "span is not closed under the bracket",
         ),
@@ -472,9 +473,9 @@ def test_matmul_and_apply_match_dense():
             assert all_fractions(got.entries)
         vec = sparse_entries(rng, 1, a.cols, 0.5, False)[0] if a.cols else []
         for v in (vec, [int(j == 0) for j in range(a.cols)]):
-            got = a.apply(v)
-            assert got == dense_apply(a, v)
-            assert all_fractions([got])
+            got = a.apply(sparse(v))
+            assert got == sparse(dense_apply(a, v))
+            assert all_fractions([got.values()])
 
 
 def test_kernels_build_checked_fraction_matrices():
@@ -517,10 +518,10 @@ def test_the_public_constructors_still_reject_inexact_entries(bad):
 
 def test_rref_kernel_and_inverse_match_dense():
     for _, rows, cols, entries in kernel_cases():
-        got_rows, got_pivots = _rref([list(r) for r in entries])
+        got_rows, got_pivots = _rref([sparse(r) for r in entries])
         ref_rows, ref_pivots = dense_rref([list(r) for r in entries])
-        assert (got_rows, got_pivots) == (ref_rows, ref_pivots)
-        assert all_fractions(got_rows)
+        assert ([dense(r, cols) for r in got_rows], got_pivots) == (ref_rows, ref_pivots)
+        assert all_fractions(r.values() for r in got_rows)
         m = RatMatrix(entries)
         basis = []
         for free in (c for c in range(m.cols) if c not in ref_pivots):
@@ -530,8 +531,8 @@ def test_rref_kernel_and_inverse_match_dense():
             basis.append(v)
         canonical, _ = dense_rref(basis)
         ker = kernel(m)
-        assert [list(v) for v in ker.vectors] == canonical
-        assert all_fractions(ker.vectors)
+        assert [dense(v, m.cols) for v in ker.vectors] == canonical
+        assert all_fractions(v.values() for v in ker.vectors)
         if rows != cols or not rows:
             continue
         ident = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
@@ -545,19 +546,101 @@ def test_rref_kernel_and_inverse_match_dense():
         assert all_fractions(inv.entries)
 
 
+def _rref_cases(rng):
+    """(kind, cols, entries): dense, sparse, rank-deficient (every row a
+    combination of two) and with zero rows."""
+    for kind in ("dense", "sparse", "rank-deficient", "zero-rows"):
+        for _ in range(30):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            density = {"dense": 1.0, "sparse": 0.2}.get(kind, 0.6)
+            entries = sparse_entries(rng, rows, cols, density, False)
+            if kind == "rank-deficient":
+                base = sparse_entries(rng, 2, cols, 0.7, False)
+                coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rows)]
+                entries = [[a * x + b * y for x, y in zip(*base)] for a, b in coeffs]
+            if kind == "zero-rows":
+                for i in rng.sample(range(rows), rng.randint(1, rows)):
+                    entries[i] = [Fraction(0)] * cols
+            yield kind, cols, entries
+
+
+def test_sparse_rref_matches_the_dense_reference_whatever_the_row_order():
+    rng = random.Random("sparse-rref")
+    for kind, cols, entries in _rref_cases(rng):
+        ref_rows, ref_pivots = dense_rref([list(r) for r in entries])
+        got_rows, got_pivots = _rref([sparse(r) for r in entries])
+        assert ([dense(r, cols) for r in got_rows], got_pivots) == (ref_rows, ref_pivots), kind
+        assert all(x and type(x) is Fraction for r in got_rows for x in r.values()), kind
+        if kind == "rank-deficient":
+            assert len(got_pivots) <= 2
+        shuffled = [sparse(r) for r in entries]
+        rng.shuffle(shuffled)
+        assert _rref(shuffled) == (got_rows, got_pivots), kind
+
+
+def test_subspace_basis_refuses_floats_and_indices_outside_the_ambient_space():
+    for bad in (0.5, 0.0):
+        with pytest.raises(TypeError):
+            SubspaceBasis(3, [{0: 1}, {1: bad}])
+    for index in (3, -1):
+        with pytest.raises(ValueError):
+            SubspaceBasis(3, [{0: 1}, {index: 1}])
+
+
+def test_two_spanning_sets_give_equal_subspaces_with_equal_hashes():
+    plane = SubspaceBasis(3, [{0: 1, 1: 1}, {0: 1, 1: -1}, {0: "1/2", 2: 0}])
+    other = SubspaceBasis(3, [{1: Fraction(3)}, {0: 2}])
+    assert plane == other and hash(plane) == hash(other)
+    assert plane != SubspaceBasis(3, [{0: 1}, {2: 1}])
+    rng = random.Random("spanning-sets")
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        vecs = [sparse(sparse_entries(rng, 1, n, 0.5, False)[0]) for _ in range(rng.randint(0, n))]
+        a = SubspaceBasis(n, vecs)
+        # integer combinations of the vectors, then the vectors in reverse
+        combos = [
+            combination({k: rng.randint(-3, 3) for k in range(len(vecs))}, vecs)
+            for _ in range(n)
+        ]
+        b = SubspaceBasis(n, combos + vecs[::-1])
+        assert a == b and hash(a) == hash(b)
+        c = SubspaceBasis(n, combos)
+        assert (c == a) == (c.dim == a.dim)
+        if c == a:
+            assert hash(c) == hash(a)
+
+
+def test_identity_zeros_and_diagonal_equal_the_coerced_constructor():
+    for n in (0, 1, 4):
+        values = [3, "-1/2", Fraction(2, 3), 0][:n]
+        built = {
+            "identity": (RatMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)]),
+            "zeros": (RatMatrix.zeros(n, n + 1), [[0] * (n + 1) for _ in range(n)]),
+            "diagonal": (
+                RatMatrix.diagonal(values),
+                [[values[i] if i == j else 0 for j in range(n)] for i in range(n)],
+            ),
+        }
+        for name, (got, entries) in built.items():
+            assert all_fractions(got.entries), (name, n)
+            assert got == RatMatrix(entries), (name, n)
+    with pytest.raises(TypeError):
+        RatMatrix.diagonal([0.5])
+
+
 def test_coordinates_and_contains_match_dense():
     for rng, _, _, entries in kernel_cases():
         basis = RatMatrix(entries)  # columns are the candidate basis
         n, k = basis.rows, basis.cols
         columns = basis.columns()
         column_rank = len(dense_rref([list(c) for c in columns])[1])
-        span = SubspaceBasis(n, columns)
+        span = SubspaceBasis(n, map(sparse, columns))
         if column_rank < k:
             with pytest.raises(DependentBasis):
-                BasisSolver(basis)
+                BasisSolver([sparse(c) for c in columns])
             solver = None
         else:
-            solver = BasisSolver(basis)
+            solver = BasisSolver([sparse(c) for c in columns])
         inside = dense_apply(basis, sparse_entries(rng, 1, k, 0.5, False)[0] if k else [])
         stray = sparse_entries(rng, 1, n, 0.3, False)[0] if n else []
         for v in (inside, stray, [Fraction(int(i == 0)) for i in range(n)]):
@@ -585,9 +668,9 @@ def test_stored_pivots_match_the_first_nonzero_scan():
             [Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(rng.randint(0, n + 2))
         ]
-        sub = SubspaceBasis(n, vecs)
-        scanned = [next(i for i, x in enumerate(v) if x) for v in sub.vectors]
+        sub = SubspaceBasis(n, map(sparse, vecs))
+        scanned = [next(i for i, x in enumerate(dense(v, n)) if x) for v in sub.vectors]
         assert list(sub.pivots()) == scanned
         # the stored pivots are derived data: equality and hashing ignore them
-        again = SubspaceBasis(n, list(reversed(vecs)))
+        again = SubspaceBasis(n, map(sparse, reversed(vecs)))
         assert again == sub and hash(again) == hash(sub)
