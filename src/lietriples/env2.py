@@ -35,6 +35,7 @@ from .ratlin import (
     combination,
     dense,
     inverse,
+    over_one_denominator,
     solve,
     sparse,
 )
@@ -294,31 +295,38 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
 
     because f eta and eta eta lie in U(g) h and eta_i f_j = f_j eta_i +
     [eta_i, f_j].  Both terms are bilinear in (X_i, X_j), so one pass over
-    the quad terms c X_i X_j of q fills two coefficient tables,
+    the quad terms c_ij X_i X_j of q fills two coefficient tables,
 
-        M[a, b] = sum c f_i[a] f_j[b]      in front coordinates,
-        N[a, b] = sum c eta_i[a] e_j[b]    in ambient coordinates.
+        M[a, b] = sum c_ij f_i[a] f_j[b]      in front coordinates,
+        N[a, b] = sum c_ij eta_i[a] e_j[b]    in ambient coordinates,
+
+    in Python ints: the c_ij, the f_k they touch and their eta_i are each
+    brought to one denominator, d_q, d_f and d_e, so the tables hold
+    d_f^2 d_q M and d_e d_q N, and each nonzero entry becomes one Fraction.
+    Grouping the terms by i, M = sum_i f_i (x) (sum_j c_ij f_j).
 
     N brackets eta_i with X_j = f_j + eta_j rather than with f_j.  The extra
     [eta_i, eta_j] lies in h, so its front part is zero when the front space
     is the standard complement of h, and lies in l cap h in the transfer,
-    where the final reduction modulo U(l)(l cap h) removes it.  Grouping the
-    terms by i, M = sum_i f_i (x) (sum_j c_ij f_j), so each f_i meets one
-    combined row.  sum M[a, b] X_a X_b is normal-ordered once in front_alg.
-    The ambient rest, the linear part of q plus sum N[a, b] [X_a, X_b] in g,
-    goes to the front in one step, y -> sum_k y_k f_k.  N only enters
-    through the antisymmetric [X_a, X_b], so it is kept on a < b.
+    where the final reduction modulo U(l)(l cap h) removes it.  N only
+    enters through the antisymmetric [X_a, X_b], so it is kept on a < b.
+    sum M[a, b] X_a X_b is normal-ordered once in front_alg; the ambient
+    rest, the linear part of q plus sum N[a, b] [X_a, X_b] in g, goes to the
+    front in one step, y -> sum_k y_k f_k.
     """
     g = q.algebra
     rows: dict = {}
     for (i, j), c in q.quad.items():
         rows.setdefault(i, {})[j] = c
+    rows, d_q = over_one_denominator(rows)
+    f, d_f = over_one_denominator({k: front[k] for k in set(rows).union(*rows.values())})
+    e, d_e = over_one_denominator({i: eta[i] for i in rows})
     m_table: dict = {}
     n_table: dict = {}
     for i, terms in rows.items():
         # sum_j c_ij f_j, front coordinates
-        _add_outer(m_table, front[i], combination(terms, front))
-        for a, x in eta[i].items():
+        _add_outer(m_table, f[i], combination(terms, f))
+        for a, x in e[i].items():
             for b, y in terms.items():  # sum_j c_ij e_j
                 if a < b:
                     key = (a, b)
@@ -326,9 +334,11 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
                 elif a > b:
                     key = (b, a)
                     n_table[key] = n_table.get(key, 0) - x * y
+    m_table = {key: Fraction(n, d_f * d_f * d_q) for key, n in m_table.items() if n}
     rest = dict(q.lin)
-    for (a, b), c in n_table.items():
-        if c:
+    for (a, b), n in n_table.items():
+        if n:
+            c = Fraction(n, d_e * d_q)
             for k, d in g.bracket_basis_sparse(a, b).items():
                 rest[k] = rest.get(k, 0) + c * d
     return _normal_order(front_alg, m_table, combination(rest, front), q.const)

@@ -531,7 +531,7 @@ def centralizer(
     for sv in s.vectors:
         images = [dense(g.bracket(wv, sv), g.dim) for wv in within.vectors]
         rows.extend(zip(*images))
-    kept = kernel(RatMatrix(rows)).vectors
+    kept = kernel(RatMatrix._of_rows(rows)).vectors
     return SubspaceBasis(g.dim, (combination(x, within.vectors) for x in kept))
 
 

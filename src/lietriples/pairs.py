@@ -215,7 +215,7 @@ class TripleDescriptor:
         for sign, inv in ((theta, self.theta), (sigma, self.sigma)):
             if sign:
                 rows += (inv.matrix @ f - f.scale(sign)).entries
-        return kernel(RatMatrix(rows))
+        return kernel(RatMatrix._of_rows(rows))
 
     @cached_property
     def frame_gram(self) -> RatMatrix:

@@ -122,7 +122,7 @@ def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
     if lam:
         for i, row in enumerate(rows):
             row[i] -= lam
-    return kernel(RatMatrix(rows))
+    return kernel(RatMatrix._of_rows(rows))
 
 
 def _not_preserved(_) -> IrrationalSpectrum:

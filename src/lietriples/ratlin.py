@@ -8,6 +8,7 @@ reductions) runs on top of this module.  All arithmetic uses
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -40,6 +41,8 @@ def _rat(x) -> Fraction:
 
 def sparse(vec: Sequence) -> dict:
     """The nonzero entries of a dense vector, as {index: coefficient}."""
+    if isinstance(vec, Mapping):
+        raise TypeError("sparse() takes a dense vector, not a mapping")
     return {i: x for i, x in enumerate(vec) if x}
 
 
@@ -62,6 +65,17 @@ def combination(coeffs: dict, vectors) -> dict:
                 prev = out.get(i)
                 out[i] = y if prev is None else prev + y
     return {i: x for i, x in out.items() if x}
+
+
+def over_one_denominator(vectors: dict) -> tuple[dict, int]:
+    """(d * vectors, d) for a dict of sparse vectors with Fraction or int
+    entries, d the lcm of their denominators (1 when there is none)."""
+    d = math.lcm(*(x.denominator for v in vectors.values() for x in v.values()))
+    scaled = {
+        k: {i: x.numerator * (d // x.denominator) for i, x in v.items()}
+        for k, v in vectors.items()
+    }
+    return scaled, d
 
 
 class RatMatrix:

@@ -10,6 +10,7 @@ from helpers import (
     basis_solver_split,
     dense_greedy_complement,
     eager_seeded_candidates,
+    echelon_split,
     random_quad2,
     termwise_bracket_with,
     termwise_casimir,
@@ -563,3 +564,86 @@ def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypa
         assert bt.iota_of_casimir(complement_seed=11) == base
         assert calls == {"inverse": 1, "coordinates": 0}, name
         assert sizes[-1] == bt.g.dim - bt.descriptor.h.dim, name
+
+
+# -- the integer tables of _reduce_split against the Fraction terms --------
+
+
+def dense_split(front, eta, front_dim, n):
+    """A sparse split (front, eta) in the dense form termwise_reduce_split
+    reads, with to_front the front map y -> sum_k y_k f_k."""
+
+    def to_front(y):
+        return dense(ratlin.combination(sparse(y), front), front_dim)
+
+    return [dense(f, front_dim) for f in front], [dense(e, n) if e else None for e in eta], to_front
+
+
+def coefficients(q):
+    return [*q.quad.values(), *q.lin.values(), q.const]
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_integer_tables_match_the_termwise_split_on_seeded_transfers(built_catalog, name):
+    """On the transfer splits of seeds 1-10, the reduction modulo U(l)(l cap
+    h) of the integer-table split equals that of the termwise one; the two
+    differ before it by the front parts of [eta_i, eta_j], in l cap h."""
+    bt = built_catalog[name]
+    d = bt.descriptor
+    rng = random.Random(f"integer-tables/{name}")
+    for seed in range(1, 11):
+        front, eta = _transfer_split(d, seed)
+        old = dense_split(front, eta, d.l_alg.dim, d.g.dim)
+        for q in (bt.omega_g, random_quad2(d.g, rng)):
+            new = _reduce_split(q, d.l_alg, front, eta)
+            assert all(type(c) is Fraction for c in coefficients(new)), seed
+            expected = termwise_reduce(termwise_reduce_split(q, d.l_alg, *old), d.l_cap_h_in_l)
+            assert termwise_reduce(new, d.l_cap_h_in_l) == expected, seed
+
+
+def integral_as_int(vec):
+    """vec with each integral entry an int, like the 1 that _transfer_split
+    adds to eta_k at k."""
+    return {i: int(x) if x.denominator == 1 else x for i, x in vec.items()}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_integer_tables_with_large_coprime_denominators(built_catalog, name):
+    """Coefficients over 10^12 + 39 and 997, an empty quad and int entries in
+    front and eta: on the echelon split of h the integer tables equal the
+    termwise split exactly; on a split whose f_k are moved by seeded
+    elements of h with those denominators, both equal q modulo U(g) h."""
+    d = built_catalog[name].descriptor
+    g, h = d.g, d.h
+    big, small = 10**12 + 39, 997
+    rng = random.Random(f"coprime/{name}")
+
+    def over(c):
+        return c / rng.choice([big, small, big * small])
+
+    elements = []
+    for _ in range(3):
+        q = random_quad2(g, rng)
+        elements.append(Quad2(g, {k: over(c) for k, c in q.quad.items()}, q.lin, over(q.const)))
+    elements.append(Quad2(g, lin={0: Fraction(1, big), g.dim - 1: Fraction(2, small)}, const=3))
+    front, eta = env2._echelon_split(h)
+    front, eta = [integral_as_int(f) for f in front], [integral_as_int(e) for e in eta]
+    moved_front, moved_eta = [], []
+    for k in range(g.dim):
+        u = {}
+        if rng.random() < 0.5:
+            c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([big, small]))
+            u = {i: c * x for i, x in rng.choice(h.vectors).items()}
+        moved_front.append(integral_as_int(ratlin.combination({0: 1, 1: 1}, [front[k], u])))
+        moved_eta.append(integral_as_int(ratlin.combination({0: 1, 1: -1}, [eta[k], u])))
+    assert any(type(x) is int for e in eta for x in e.values())
+    old = echelon_split(g, h)
+    moved_old = dense_split(moved_front, moved_eta, g.dim, g.dim)
+    for q in elements:
+        new = _reduce_split(q, g, front, eta)
+        assert all(type(c) is Fraction for c in coefficients(new))
+        assert new == termwise_reduce_split(q, g, *old)
+        moved = _reduce_split(q, g, moved_front, moved_eta)
+        assert all(type(c) is Fraction for c in coefficients(moved))
+        expected = termwise_reduce(termwise_reduce_split(q, g, *moved_old), h)
+        assert termwise_reduce(moved, h) == expected == termwise_reduce(q, h)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lietriples import liealg, parabolic, ratlin
 from lietriples.liealg import is_subalgebra, sl, su
 from lietriples.parabolic import (
     IrrationalSpectrum,
@@ -21,7 +22,10 @@ from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, sparse, subspac
 
 from conftest import ENTRY_NAMES
 from helpers import (
+    ad_matrix_centralizer,
     chained_minimal_parabolic,
+    dense_eigenspace,
+    intersected_l_cap_s_cap_q,
     ratmatrix_char_poly,
     restricting_joint_eigenspaces,
     scanned_rational_eigenvalues,
@@ -405,3 +409,34 @@ def test_u13_restricted_root_multiplicities(built_catalog):
     mults = sorted(sp.dim for sp in rrs.root_spaces.values())
     assert mults == [1, 1, 4, 4]
     assert rrs.zero_space.dim == 6
+
+
+def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
+    """pairs.TripleDescriptor.in_l, parabolic._eigenspace and
+    liealg.centralizer stack Fractions they computed themselves and hand
+    them to kernel without the coercing RatMatrix constructor; the kernels
+    equal the oracles', which go through it."""
+    d = built_catalog["g2"].descriptor
+    g = d.l_alg
+    op = g.ad({0: 1})  # eigenvalues -3, ..., 3 on g2
+    s = SubspaceBasis(g.dim, [{0: 1}])
+    expected = (
+        intersected_l_cap_s_cap_q(d),
+        dense_eigenspace(op, Fraction(-2)),
+        ad_matrix_centralizer(g, s),
+    )
+    built = []
+    original = ratlin.RatMatrix.__init__
+
+    def counted_init(self, entries):
+        built.append(entries)
+        original(self, entries)
+
+    monkeypatch.setattr(ratlin.RatMatrix, "__init__", counted_init)
+    got = (
+        d.in_l(theta=-1, sigma=-1),
+        parabolic._eigenspace(op, Fraction(-2)),
+        liealg.centralizer(g, s),
+    )
+    assert got == expected
+    assert built == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from lietriples.ratlin import (
     dense,
     inverse,
     kernel,
+    over_one_denominator,
     rank,
     restrict_operator,
     signature,
@@ -674,3 +676,37 @@ def test_stored_pivots_match_the_first_nonzero_scan():
         # the stored pivots are derived data: equality and hashing ignore them
         again = SubspaceBasis(n, map(sparse, reversed(vecs)))
         assert again == sub and hash(again) == hash(sub)
+
+
+def test_sparse_refuses_a_mapping():
+    """A dict is already sparse: reading it as a dense vector would return
+    its keys, enumerated."""
+    assert sparse([Fraction(0), Fraction(2), 0, 3]) == {1: 2, 3: 3}
+    assert sparse((x for x in [0, 1])) == {1: 1}
+    with pytest.raises(TypeError):
+        sparse({1: Fraction(1), 2: Fraction(-1)})
+    with pytest.raises(TypeError):
+        sparse({})
+
+
+def test_over_one_denominator_scales_to_ints_exactly():
+    rng = random.Random(5150)
+    for _ in range(50):
+        def entry():
+            n = rng.randint(-5, 5)
+            return rng.choice([n, Fraction(n, rng.choice([3, 10**12 + 39]))])
+
+        vectors = {
+            k: {i: entry() for i in rng.sample(range(8), rng.randint(0, 4))}
+            for k in rng.sample(range(6), rng.randint(0, 4))
+        }
+        scaled, d = over_one_denominator(vectors)
+        denominators = (Fraction(x).denominator for v in vectors.values() for x in v.values())
+        assert d == math.lcm(*denominators)
+        assert scaled.keys() == vectors.keys()
+        for k, v in vectors.items():
+            assert scaled[k].keys() == v.keys()
+            assert all(type(x) is int for x in scaled[k].values())
+            assert all(Fraction(scaled[k][i], d) == x for i, x in v.items())
+    assert over_one_denominator({}) == ({}, 1)
+    assert over_one_denominator({0: {}, 3: {1: 4}}) == ({0: {}, 3: {1: 4}}, 1)
