@@ -16,9 +16,9 @@ U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
 The reduction takes the standard complement of h as front space and reads
 the split off the echelon form of h.  The transfer takes a section of g/h
 inside l, the frame vectors off the pivots of l cap h, and reads the split
-off one inverse of size dim g - dim h.  Any split gives the same canonical
-image, because U(l) cap U(g) h = U(l)(l cap h) when l + h = g.  Products
-are collected in a coefficient table and normal-ordered once.
+off one inverse of size dim g - dim h, once per triple.  Any split gives the
+same canonical image, because U(l) cap U(g) h = U(l)(l cap h) when l + h =
+g.  Products are collected in a coefficient table and normal-ordered once.
 """
 
 from __future__ import annotations
@@ -429,9 +429,9 @@ def iota_embed(
     whatever split is used; passing complement_seed moves each f_k by a
     seeded element of l cap h, for exercising exactly that.
 
-    Only the split is built per call.  The descriptor owns the rest: the
-    H-invariance verdict of each q (memoized by value) and the reducer
-    modulo U(l)(l cap h).
+    Only a seeded shift of the split is built per call.  The descriptor
+    owns the rest: the canonical split, the H-invariance verdict of each q
+    (memoized by value) and the reducer modulo U(l)(l cap h).
     """
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
@@ -447,18 +447,38 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     """(front, eta) for g = l + h: X_k = f_k + eta_k with f_k in l, in frame
     coordinates, and eta_k in h, both as sparse vectors.
 
+    Without a seed, the descriptor's canonical split, shared (not to be
+    mutated).  A seed adds a seeded integer combination sum c u of the basis
+    of l cap h to each f_k and subtracts sum c F u from eta_k, which keeps
+    eta_k = e_k - F f_k inside h: no inverse and no lift per call.
+    """
+    if not t.triple_report.transitive:
+        raise NotTransitive("l + h does not fill g")
+    front, eta, images = t.transfer_split
+    if seed is None:
+        return front, eta
+    rng = random.Random(seed)
+    basis, n, moved = t.l_cap_h_in_l.vectors, len(images), ([], [])
+    for f_k, eta_k in zip(front, eta):
+        c = {j: rng.randint(-3, 3) for j in range(n)}
+        # f_k + sum c_j u_j and eta_k - sum c_j F u_j; f_k and eta_k sit at index n
+        moved[0].append(combination({n: 1, **c}, [*basis, f_k]))
+        moved[1].append(combination({n: 1, **{j: -x for j, x in c.items()}}, [*images, eta_k]))
+    return moved
+
+
+def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
+    """(front, eta, images): the canonical split of _transfer_split and the
+    image F u, in ambient coordinates, of each basis vector u of l cap h.
+
     The frame vectors off the pivots of l cap h (in frame coordinates) span
     a complement of l cap h in l.  When l + h = g (condition (ii) of the
     descriptor's report) they map onto g/h isomorphically, a section of g/h
     inside l.  The front part pi of _echelon_split(h) reads g/h
     as the coordinates off the pivots of h, so the section is the square
     matrix M with columns pi(frame_a), f_k = M^-1 pi(e_k), and eta_k =
-    e_k - frame f_k lies in the kernel of pi, h.  A seed adds a seeded
-    integer combination of the basis of l cap h to each f_k, which moves
-    eta_k inside h, so the split stays valid.
+    e_k - frame f_k lies in the kernel of pi, h.
     """
-    if not t.triple_report.transitive:
-        raise NotTransitive("l + h does not fill g")
     g, h, lh = t.g, t.h, t.l_cap_h_in_l
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
     rows = [i for i in range(g.dim) if i not in h.pivots()]
@@ -475,23 +495,12 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
         i: {section[b]: y for b, y in sparse(col).items()}
         for i, col in zip(rows, m_inv.columns())
     }
-    rng = None if seed is None else random.Random(seed)
     front, eta = [], []
     for k in range(g.dim):
         f_k = combination(pi[k], lift)
-        if rng is not None:
-            for u in lh.vectors:
-                c = rng.randint(-3, 3)
-                for a, y in u.items():
-                    f_k[a] = f_k.get(a, 0) + c * y
-            f_k = {a: y for a, y in f_k.items() if y}
-        eta_k = {i: -y for i, y in combination(f_k, frame).items()}
-        eta_k[k] = eta_k.get(k, 0) + 1  # e_k - frame f_k
-        if not eta_k[k]:
-            del eta_k[k]
         front.append(f_k)
-        eta.append(eta_k)
-    return front, eta
+        eta.append(combination({0: 1, 1: -1}, [{k: 1}, combination(f_k, frame)]))
+    return front, eta, [combination(u, frame) for u in lh.vectors]
 
 
 def decompose_in_span(

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .env2 import IdealReducer
+from .env2 import IdealReducer, _canonical_transfer_split
 from .liealg import (
     LieAlgebra,
     NotClosed,
@@ -271,6 +271,11 @@ class TripleDescriptor:
         """env2.IdealReducer modulo U(l)(l cap h) on l_alg; its subalgebra
         check runs once per triple."""
         return IdealReducer(self.l_alg, self.l_cap_h_in_l)
+
+    @cached_property
+    def transfer_split(self) -> tuple:
+        """env2._canonical_transfer_split, built at the first transfer."""
+        return _canonical_transfer_split(self)
 
     @cached_property
     def h_invariance(self) -> dict:

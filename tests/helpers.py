@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lietriples.env2 import Quad2
+from lietriples.env2 import NotTransitive, Quad2, _echelon_split
 from lietriples.liealg import NotClosed, restrict_form
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
@@ -20,6 +20,7 @@ from lietriples.ratlin import (
     SubspaceBasis,
     _rat,
     _rref,
+    combination,
     coordinates_in,
     dense,
     inverse,
@@ -373,6 +374,51 @@ def basis_solver_split(g, frame_cols, w_vecs):
                             eta_k[i] += c * x
         eta.append(eta_k)
     return front, eta, to_front
+
+
+# Reference for env2._transfer_split as it was before the descriptor kept
+# the canonical split: pi of each frame vector, one inverse of size
+# dim g - dim h, and f_k and eta_k of every k, all rebuilt on every call.
+
+
+def percall_transfer_split(t, seed=None):
+    """(front, eta) for g = l + h: X_k = f_k + eta_k with f_k in l, in frame
+    coordinates, and eta_k in h, both as sparse vectors."""
+    if not t.triple_report.transitive:
+        raise NotTransitive("l + h does not fill g")
+    g, h, lh = t.g, t.h, t.l_cap_h_in_l
+    section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
+    rows = [i for i in range(g.dim) if i not in h.pivots()]
+    row_of = {i: r for r, i in enumerate(rows)}
+    pi, _ = _echelon_split(h)
+    frame = t.frame_vectors
+    m_cols = [
+        dense({row_of[i]: x for i, x in combination(frame[a], pi).items()}, len(rows))
+        for a in section
+    ]
+    m_inv = inverse(RatMatrix.from_columns(len(rows), m_cols))
+    # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates
+    lift = {
+        i: {section[b]: y for b, y in sparse(col).items()}
+        for i, col in zip(rows, m_inv.columns())
+    }
+    rng = None if seed is None else random.Random(seed)
+    front, eta = [], []
+    for k in range(g.dim):
+        f_k = combination(pi[k], lift)
+        if rng is not None:
+            for u in lh.vectors:
+                c = rng.randint(-3, 3)
+                for a, y in u.items():
+                    f_k[a] = f_k.get(a, 0) + c * y
+            f_k = {a: y for a, y in f_k.items() if y}
+        eta_k = {i: -y for i, y in combination(f_k, frame).items()}
+        eta_k[k] = eta_k.get(k, 0) + 1  # e_k - frame f_k
+        if not eta_k[k]:
+            del eta_k[k]
+        front.append(f_k)
+        eta.append(eta_k)
+    return front, eta
 
 
 def random_quad2(algebra, rng, terms=6):

@@ -11,6 +11,7 @@ from helpers import (
     dense_greedy_complement,
     eager_seeded_candidates,
     echelon_split,
+    percall_transfer_split,
     random_quad2,
     termwise_bracket_with,
     termwise_casimir,
@@ -439,6 +440,7 @@ def test_built_triple_is_freed_without_the_cycle_collector():
         built.iota_of_casimir(complement_seed=7)
         built.embedding_report()
         assert "l_cap_h_reducer" in vars(built.descriptor)
+        assert "transfer_split" in vars(built.descriptor)
         assert built.descriptor.h_invariance
         ref = weakref.ref(built.descriptor)
         del built
@@ -533,8 +535,9 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
             assert new_image == reduce(termwise_reduce_split(q, d.l_alg, *old)), seed
 
 
-def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypatch):
-    """A seeded transfer inverts one matrix, of size dim g - dim h, and
+def test_transfer_split_inverts_once_per_descriptor(monkeypatch):
+    """On a fresh descriptor the first transfer inverts one matrix, of size
+    dim g - dim h; every later transfer, canonical or seeded, inverts and
     solves nothing."""
     calls = {"inverse": 0, "coordinates": 0}
     sizes = []
@@ -557,13 +560,47 @@ def test_seeded_transfer_inverts_once_and_solves_nothing(built_catalog, monkeypa
         return original_coordinates(self, vec)
 
     monkeypatch.setattr(ratlin.BasisSolver, "coordinates", counted_coordinates)
-    for name in ENTRY_NAMES:
-        bt = built_catalog[name]
-        base = bt.iota_of_casimir()  # the descriptor's verdict and reducer, once
+    for index, name in enumerate(ENTRY_NAMES):
+        bt = catalog.BuiltTriple(catalog.builtin_entries()[name])
+        d = bt.descriptor
+        # built before the count: Omega_g inverts the Killing form, and l_alg
+        # solves its structure constants
+        omega_g = bt.omega_g
+        d.l_alg
+        assert "transfer_split" not in vars(d), name
         calls.update(inverse=0, coordinates=0)
-        assert bt.iota_of_casimir(complement_seed=11) == base
+        first_seed = None if index % 2 else 11  # the first transfer seeded or not
+        first = iota_embed(d, omega_g, complement_seed=first_seed)
         assert calls == {"inverse": 1, "coordinates": 0}, name
-        assert sizes[-1] == bt.g.dim - bt.descriptor.h.dim, name
+        assert sizes[-1] == d.g.dim - d.h.dim, name
+        for seed in (None, 11, 1, 2, None):
+            assert iota_embed(d, omega_g, complement_seed=seed) == first, (name, seed)
+            _transfer_split(d, seed)
+        assert calls == {"inverse": 1, "coordinates": 0}, name
+
+
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4"])
+def test_transfer_split_equals_the_percall_split(name):
+    """The canonical split and the seeded shifts of seeds 1-20 equal the
+    split rebuilt per call, entry for entry; after seeded transfers and an
+    embedding report the descriptor's split is still the canonical one."""
+    if name == "lorentzian-4":
+        entry = catalog._lorentzian_entry(4)
+    else:
+        entry = catalog.builtin_entries()[name]
+    bt = catalog.BuiltTriple(entry)
+    d = bt.descriptor
+    for seed in [None, *range(1, 21)]:
+        front, eta = _transfer_split(d, seed)
+        expected_front, expected_eta = percall_transfer_split(d, seed)
+        assert front == expected_front, seed
+        assert eta == expected_eta, seed
+    for seed in range(1, 21):
+        bt.iota_of_casimir(complement_seed=seed)
+    bt.embedding_report()
+    front, eta, images = d.transfer_split
+    assert (front, eta) == percall_transfer_split(d)
+    assert images == [ratlin.combination(u, d.frame_vectors) for u in d.l_cap_h_in_l.vectors]
 
 
 # -- the integer tables of _reduce_split against the Fraction terms --------
