@@ -226,15 +226,22 @@ def _algebra(
 
 
 def _build_involution(g: LieAlgebra, recipe, where: str) -> Involution:
-    """The involution of a recipe.  What its constructor rejects (a singular
-    or non-preserving conjugation, a swap on an algebra that is no direct
-    sum of two equal factors) is an input error at where."""
+    """The involution of a recipe.  A zero ad_diag sign, and what the
+    constructor rejects (a conjugation that leaves the algebra, a swap on an
+    algebra that is no direct sum of two equal factors), is an input error
+    at where."""
     kind = _typed(recipe, dict, where).get("kind")
     if kind == "ad_diag":
         if g.matrices is None:
             raise CatalogError(f"{where}: ad_diag needs an algebra given by matrices")
         size = g.matrices[0].rows
-        signs = _vector(_field(recipe, "signs", where), f"{where}.signs", size)
+        raw = _field(recipe, "signs", where)
+        signs = _vector(raw, f"{where}.signs", size)
+        for k, x in enumerate(signs):
+            if not x:
+                raise CatalogError(
+                    f"{where}.signs[{k}]: expected a nonzero rational, got {_show(raw[k])}"
+                )
         build = lambda: conjugation_involution(g, RatMatrix.diagonal(signs))
     elif kind == "swap_factors":
         build = lambda: swap_involution(g)
@@ -609,7 +616,10 @@ def load_entries(path: str) -> dict:
             raise CatalogError(f"{path}: 'entries' must be a list")
         out = {}
         for idx, item in enumerate(items):
-            entry = entry_from_json_dict(item, where=f"{path}#entries[{idx}]")
+            where = f"{path}#entries[{idx}]"
+            entry = entry_from_json_dict(item, where=where)
+            if entry.name in out:
+                raise CatalogError(f"{where}: name {_show(entry.name)} listed twice")
             out[entry.name] = entry
         return out
     entry = entry_from_json_dict(data, where=path)

@@ -6,7 +6,8 @@ realization that is kept consistent with the tensor.  The constructors below
 cover everything the shipped catalog needs: sl(n,R), so(p,q), realified
 u(p,q)/su(p,q), split G2 and direct sums.  Each simple one writes its basis
 as explicit matrices (split G2 as derivations of the split octonions, in
-closed form) and solves the structure constants from them.
+closed form) and solves the structure constants from them; every basis
+matrix is written by _matrix from its nonzero entries.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class LieAlgebra:
     def ad(self, v: dict) -> RatMatrix:
         """Matrix of ad(v) acting on coordinates: column j is [v, X_j]."""
         n = self.dim
-        return RatMatrix.from_columns(n, [dense(self.bracket(v, {j: 1}), n) for j in range(n)])
+        return _matrix(n, {(k, j): x for j in range(n) for k, x in self.bracket(v, {j: 1}).items()})
 
     # -- validation -------------------------------------------------------
 
@@ -137,6 +138,16 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.basis_labels)})"
+
+
+def _matrix(n: int, entries: dict) -> RatMatrix:
+    """The n x n matrix with the given {(row, column): value} entries, each
+    value coerced once, and zero everywhere else."""
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for (r, c), x in entries.items():
+        rows[r][c] = _rat(x)
+    return RatMatrix._of_rows(rows)
 
 
 def _flatten(m: RatMatrix) -> dict:
@@ -219,29 +230,13 @@ def sl(n: int) -> LieAlgebra:
     """sl(n, R).  For n = 2 the basis is the classical (H, E, F)."""
     if n < 2:
         raise ValueError("sl(n) needs n >= 2")
-    mats = []
-    labels = []
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mats = [_matrix(n, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+    mats += [_matrix(n, {ij: 1}) for ij in roots]
     if n == 2:
-        mats = [
-            RatMatrix([[1, 0], [0, -1]]),
-            RatMatrix([[0, 1], [0, 0]]),
-            RatMatrix([[0, 0], [1, 0]]),
-        ]
         labels = ["H", "E", "F"]
     else:
-        for i in range(n - 1):
-            d = [[0] * n for _ in range(n)]
-            d[i][i], d[i + 1][i + 1] = 1, -1
-            mats.append(RatMatrix(d))
-            labels.append(f"H{i + 1}")
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                e = [[0] * n for _ in range(n)]
-                e[i][j] = 1
-                mats.append(RatMatrix(e))
-                labels.append(f"E{i + 1}{j + 1}")
+        labels = [f"H{i + 1}" for i in range(n - 1)] + [f"E{i + 1}{j + 1}" for i, j in roots]
     return from_matrix_basis(mats, labels)
 
 
@@ -260,91 +255,62 @@ def so(p: int, q: int) -> LieAlgebra:
     if m < 2:
         raise ValueError("so(p, q) needs p + q >= 2")
     eps = so_form_signs(p, q)
-    mats = []
-    labels = []
-    for k in range(m):
-        for l in range(k + 1, m):
-            e = [[0] * m for _ in range(m)]
-            e[k][l] = 1
-            e[l][k] = -eps[k] * eps[l]
-            mats.append(RatMatrix(e))
-            labels.append(f"M[{k + 1},{l + 1}]")
-    return from_matrix_basis(mats, labels)
+    pairs = list(combinations(range(m), 2))
+    mats = [_matrix(m, {(k, l): 1, (l, k): -eps[k] * eps[l]}) for k, l in pairs]
+    return from_matrix_basis(mats, [f"M[{k + 1},{l + 1}]" for k, l in pairs])
 
 
 def so_coordinates(p: int, q: int, mat: RatMatrix) -> list:
     """Coordinates of a matrix of so(p, q) in the basis produced by so()."""
-    m = p + q
-    out = []
-    for k in range(m):
-        for l in range(k + 1, m):
-            out.append(mat[k, l])
-    return out
+    return [mat[k, l] for k, l in combinations(range(p + q), 2)]
 
 
-def realify(z_real: RatMatrix, z_imag: RatMatrix) -> RatMatrix:
-    """Real 2m x 2m matrix of a complex matrix in interleaved coordinates.
+def realify(m: int, entries: dict) -> RatMatrix:
+    """Real 2m x 2m matrix of the complex m x m matrix with the given
+    {(i, j): (a, b)} entries a + b i, in interleaved coordinates.
 
     Coordinates are ordered (re_1, im_1, re_2, im_2, ...); the complex entry
     a + b i becomes the 2x2 block [[a, -b], [b, a]].
     """
-    m = z_real.rows
-    out = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-    for i in range(m):
-        for j in range(m):
-            a = z_real[i, j]
-            b = z_imag[i, j]
-            out[2 * i][2 * j] = a
-            out[2 * i][2 * j + 1] = -b
-            out[2 * i + 1][2 * j] = b
-            out[2 * i + 1][2 * j + 1] = a
-    return RatMatrix(out)
-
-
-def _upq_basis_complex(p: int, q: int) -> tuple[list, list]:
-    """Complex (real, imag) parts of the u(p, q) basis, with labels.
-
-    Order: the diagonals i E_kk first, then for each k < l the pair
-    A[k,l] = E_kl - eps E_lk and B[k,l] = i (E_kl + eps E_lk).
-    """
-    m = p + q
-    eps = so_form_signs(p, q)
-    basis = []
-    labels = []
-    for k in range(m):
-        re = [[Fraction(0)] * m for _ in range(m)]
-        im = [[Fraction(0)] * m for _ in range(m)]
-        im[k][k] = Fraction(1)
-        basis.append((RatMatrix(re), RatMatrix(im)))
-        labels.append(f"iD{k + 1}")
-    for k in range(m):
-        for l in range(k + 1, m):
-            s = eps[k] * eps[l]
-            re = [[Fraction(0)] * m for _ in range(m)]
-            im = [[Fraction(0)] * m for _ in range(m)]
-            re[k][l] = Fraction(1)
-            re[l][k] = Fraction(-s)
-            basis.append((RatMatrix(re), RatMatrix(im)))
-            labels.append(f"A[{k + 1},{l + 1}]")
-            re = [[Fraction(0)] * m for _ in range(m)]
-            im = [[Fraction(0)] * m for _ in range(m)]
-            im[k][l] = Fraction(1)
-            im[l][k] = Fraction(s)
-            basis.append((RatMatrix(re), RatMatrix(im)))
-            labels.append(f"B[{k + 1},{l + 1}]")
-    return basis, labels
+    out = {}
+    for (i, j), (a, b) in entries.items():
+        r, c = 2 * i, 2 * j
+        out.update({(r, c): a, (r, c + 1): -b, (r + 1, c): b, (r + 1, c + 1): a})
+    return _matrix(2 * m, out)
 
 
 def u_matrices(p: int, q: int) -> tuple[list, list]:
     """The realified basis matrices of u(p, q) and their labels, m = p + q.
 
-    With the interleaved coordinate convention the image lies inside
-    so(2p, 2q) for p = 1 literally (same defining form diag(I_2, -I_2q)).
+    Order: the diagonals iD_k = i E_kk first, then for each k < l the pair
+    A[k,l] = E_kl - eps E_lk and B[k,l] = i (E_kl + eps E_lk).  With the
+    interleaved coordinate convention the image lies inside so(2p, 2q) for
+    p = 1 literally (same defining form diag(I_2, -I_2q)).
     """
-    if p + q < 1:
+    m = p + q
+    if m < 1:
         raise ValueError("u(p, q) needs p + q >= 1")
-    basis, labels = _upq_basis_complex(p, q)
-    return [realify(re, im) for re, im in basis], labels
+    eps = so_form_signs(p, q)
+    mats = [realify(m, {(k, k): (0, 1)}) for k in range(m)]
+    labels = [f"iD{k + 1}" for k in range(m)]
+    for k, l in combinations(range(m), 2):
+        s = eps[k] * eps[l]
+        mats += [realify(m, {(k, l): (1, 0), (l, k): (-s, 0)}),
+                 realify(m, {(k, l): (0, 1), (l, k): (0, s)})]
+        labels += [f"A[{k + 1},{l + 1}]", f"B[{k + 1},{l + 1}]"]
+    return mats, labels
+
+
+def su_matrices(p: int, q: int) -> tuple[list, list]:
+    """The realified basis matrices of su(p, q), the trace-zero part of
+    u(p, q), and their labels: the m - 1 differences iH_k = iD_k - iD_{k+1}
+    of the diagonal matrices of u_matrices, then its A/B pairs."""
+    m = p + q
+    if m < 2:
+        raise ValueError("su(p, q) needs p + q >= 2")
+    mats, labels = u_matrices(p, q)
+    diffs = [mats[k] - mats[k + 1] for k in range(m - 1)]
+    return diffs + mats[m:], [f"iH{k + 1}" for k in range(m - 1)] + labels[m:]
 
 
 def u(p: int, q: int) -> LieAlgebra:
@@ -353,25 +319,8 @@ def u(p: int, q: int) -> LieAlgebra:
 
 
 def su(p: int, q: int) -> LieAlgebra:
-    """Realified su(p, q): the trace-zero part of u(p, q)."""
-    m = p + q
-    if m < 2:
-        raise ValueError("su(p, q) needs p + q >= 2")
-    basis, labels = _upq_basis_complex(p, q)
-    mats = []
-    out_labels = []
-    # Replace the m diagonal generators by the m - 1 traceless differences.
-    for k in range(m - 1):
-        re = [[Fraction(0)] * m for _ in range(m)]
-        im = [[Fraction(0)] * m for _ in range(m)]
-        im[k][k] = Fraction(1)
-        im[k + 1][k + 1] = Fraction(-1)
-        mats.append(realify(RatMatrix(re), RatMatrix(im)))
-        out_labels.append(f"iH{k + 1}")
-    for (re, im), lab in zip(basis[m:], labels[m:]):
-        mats.append(realify(re, im))
-        out_labels.append(lab)
-    return from_matrix_basis(mats, out_labels)
+    """Realified su(p, q) (see su_matrices)."""
+    return from_matrix_basis(*su_matrices(p, q))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -388,16 +337,13 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     matrices = None
     if a.matrices is not None and b.matrices is not None:
         na = a.matrices[0].rows
-        nb = b.matrices[0].rows
-        matrices = []
-        for m in a.matrices:
-            rows = [list(m.row(i)) + [0] * nb for i in range(na)]
-            rows += [[0] * (na + nb) for _ in range(nb)]
-            matrices.append(RatMatrix(rows))
-        for m in b.matrices:
-            rows = [[0] * (na + nb) for _ in range(na)]
-            rows += [[0] * na + list(m.row(i)) for i in range(nb)]
-            matrices.append(RatMatrix(rows))
+        n = na + b.matrices[0].rows
+
+        def block(m, off):
+            return _matrix(n, {(off + r, off + c): x for r, row in enumerate(m.entries)
+                               for c, x in enumerate(row)})
+
+        matrices = [block(m, 0) for m in a.matrices] + [block(m, na) for m in b.matrices]
     return LieAlgebra(labels, table, matrices=matrices)
 
 
@@ -440,10 +386,7 @@ def g2_matrices() -> tuple[list, list]:
 
     def moves(*images):
         """The matrix sending each basis vector a to c b, for (a, c, b)."""
-        m = [[Fraction(0)] * 7 for _ in range(7)]
-        for a, c, b in images:
-            m[b][a] = Fraction(c)
-        return RatMatrix(m)
+        return _matrix(7, {(b, a): c for a, c, b in images})
 
     def torus(*t):
         return moves(*((v(i), c, v(i)) for i, c in zip((1, 2, 3), t)),

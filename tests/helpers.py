@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from lietriples.env2 import NotTransitive, Quad2, _echelon_split
-from lietriples.liealg import NotClosed, restrict_form
+from lietriples.liealg import LieAlgebra, NotClosed, restrict_form
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
@@ -193,6 +193,194 @@ def dense_structure_table(mats):
         if entry:
             table[(i, j)] = entry
     return table
+
+
+# The basis matrices as liealg wrote them before one writer, _matrix, wrote
+# them all: zero-filled int lists for sl, so and direct_sum, (re, im) grids
+# of Fraction(0) realified afterwards for u and su, su with its own loop,
+# and G2's moves on a Fraction grid.  Each returns (matrices, labels), or for
+# direct_sum the LieAlgebra, with the same order and labels as liealg.
+
+
+def naive_sl_matrices(n):
+    mats = []
+    labels = []
+    if n == 2:
+        mats = [
+            RatMatrix([[1, 0], [0, -1]]),
+            RatMatrix([[0, 1], [0, 0]]),
+            RatMatrix([[0, 0], [1, 0]]),
+        ]
+        labels = ["H", "E", "F"]
+    else:
+        for i in range(n - 1):
+            d = [[0] * n for _ in range(n)]
+            d[i][i], d[i + 1][i + 1] = 1, -1
+            mats.append(RatMatrix(d))
+            labels.append(f"H{i + 1}")
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                e = [[0] * n for _ in range(n)]
+                e[i][j] = 1
+                mats.append(RatMatrix(e))
+                labels.append(f"E{i + 1}{j + 1}")
+    return mats, labels
+
+
+def naive_so_matrices(p, q):
+    m = p + q
+    eps = [1] * p + [-1] * q
+    mats = []
+    labels = []
+    for k in range(m):
+        for l in range(k + 1, m):
+            e = [[0] * m for _ in range(m)]
+            e[k][l] = 1
+            e[l][k] = -eps[k] * eps[l]
+            mats.append(RatMatrix(e))
+            labels.append(f"M[{k + 1},{l + 1}]")
+    return mats, labels
+
+
+def naive_realify(z_real, z_imag):
+    m = z_real.rows
+    out = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            a = z_real[i, j]
+            b = z_imag[i, j]
+            out[2 * i][2 * j] = a
+            out[2 * i][2 * j + 1] = -b
+            out[2 * i + 1][2 * j] = b
+            out[2 * i + 1][2 * j + 1] = a
+    return RatMatrix(out)
+
+
+def naive_upq_basis_complex(p, q):
+    m = p + q
+    eps = [1] * p + [-1] * q
+    basis = []
+    labels = []
+    for k in range(m):
+        re = [[Fraction(0)] * m for _ in range(m)]
+        im = [[Fraction(0)] * m for _ in range(m)]
+        im[k][k] = Fraction(1)
+        basis.append((RatMatrix(re), RatMatrix(im)))
+        labels.append(f"iD{k + 1}")
+    for k in range(m):
+        for l in range(k + 1, m):
+            s = eps[k] * eps[l]
+            re = [[Fraction(0)] * m for _ in range(m)]
+            im = [[Fraction(0)] * m for _ in range(m)]
+            re[k][l] = Fraction(1)
+            re[l][k] = Fraction(-s)
+            basis.append((RatMatrix(re), RatMatrix(im)))
+            labels.append(f"A[{k + 1},{l + 1}]")
+            re = [[Fraction(0)] * m for _ in range(m)]
+            im = [[Fraction(0)] * m for _ in range(m)]
+            im[k][l] = Fraction(1)
+            im[l][k] = Fraction(s)
+            basis.append((RatMatrix(re), RatMatrix(im)))
+            labels.append(f"B[{k + 1},{l + 1}]")
+    return basis, labels
+
+
+def naive_u_matrices(p, q):
+    basis, labels = naive_upq_basis_complex(p, q)
+    return [naive_realify(re, im) for re, im in basis], labels
+
+
+def naive_su_matrices(p, q):
+    m = p + q
+    basis, labels = naive_upq_basis_complex(p, q)
+    mats = []
+    out_labels = []
+    # Replace the m diagonal generators by the m - 1 traceless differences.
+    for k in range(m - 1):
+        re = [[Fraction(0)] * m for _ in range(m)]
+        im = [[Fraction(0)] * m for _ in range(m)]
+        im[k][k] = Fraction(1)
+        im[k + 1][k + 1] = Fraction(-1)
+        mats.append(naive_realify(RatMatrix(re), RatMatrix(im)))
+        out_labels.append(f"iH{k + 1}")
+    for (re, im), lab in zip(basis[m:], labels[m:]):
+        mats.append(naive_realify(re, im))
+        out_labels.append(lab)
+    return mats, out_labels
+
+
+def naive_direct_sum(a, b):
+    labels = [f"{lab}_1" for lab in a.basis_labels] + [
+        f"{lab}_2" for lab in b.basis_labels
+    ]
+    table: dict = {}
+    for (i, j), comps in a._table.items():
+        table[(i, j)] = dict(comps)
+    off = a.dim
+    for (i, j), comps in b._table.items():
+        table[(i + off, j + off)] = {k + off: v for k, v in comps.items()}
+    matrices = None
+    if a.matrices is not None and b.matrices is not None:
+        na = a.matrices[0].rows
+        nb = b.matrices[0].rows
+        matrices = []
+        for m in a.matrices:
+            rows = [list(m.row(i)) + [0] * nb for i in range(na)]
+            rows += [[0] * (na + nb) for _ in range(nb)]
+            matrices.append(RatMatrix(rows))
+        for m in b.matrices:
+            rows = [[0] * (na + nb) for _ in range(na)]
+            rows += [[0] * na + list(m.row(i)) for i in range(nb)]
+            matrices.append(RatMatrix(rows))
+    return LieAlgebra(labels, table, matrices=matrices)
+
+
+def naive_g2_matrices():
+    """liealg.g2_matrices' formulas (see its docstring) on Fraction grids."""
+
+    def v(i):
+        return i
+
+    def w(i):
+        return 3 + i
+
+    def moves(*images):
+        """The matrix sending each basis vector a to c b, for (a, c, b)."""
+        m = [[Fraction(0)] * 7 for _ in range(7)]
+        for a, c, b in images:
+            m[b][a] = Fraction(c)
+        return RatMatrix(m)
+
+    def torus(*t):
+        return moves(*((v(i), c, v(i)) for i, c in zip((1, 2, 3), t)),
+                     *((w(i), -c, w(i)) for i, c in zip((1, 2, 3), t)))
+
+    def e(i, j):
+        return moves((v(j), 1, v(i)), (w(i), -1, w(j)))
+
+    def x(k, v=v, w=w):
+        a, b = (t for t in (1, 2, 3) if t != k)
+        eps = 1 if (a - k) % 3 == 1 else -1
+        return moves((v(k), 1, 0), (0, -2, w(k)), (w(a), -eps, v(b)), (w(b), eps, v(a)))
+
+    def y(k):
+        return x(k, v=w, w=v)
+
+    es = [e(3, 2), x(3), x(2), y(1), e(1, 3), e(1, 2)]
+    fs = [e(2, 3), -y(3), -y(2), -x(1), e(3, 1), e(2, 1)]
+    # columns of b: u0, then v_i + w_i, then v_i - w_i; b^T b = diag(1, 2, ..., 2)
+    b = RatMatrix.from_columns(
+        7,
+        [[1, 0, 0, 0, 0, 0, 0]]
+        + [[int(t in (v(i), w(i))) for t in range(7)] for i in (1, 2, 3)]
+        + [[(t == v(i)) - (t == w(i)) for t in range(7)] for i in (1, 2, 3)],
+    )
+    b_inv = RatMatrix.diagonal([1] + [Fraction(1, 2)] * 6) @ b.transpose()
+    mats = [b_inv @ m @ b for m in [torus(1, 1, -2), torus(0, -1, 1), *es, *fs]]
+    labels = ["H1", "H2", *(f"E{r}" for r in range(1, 7)), *(f"F{r}" for r in range(1, 7))]
+    return mats, labels
 
 
 # References for a complement w of l inside h, the route by which

@@ -93,6 +93,19 @@ def test_load_entries_file(tmp_path):
     assert set(loaded) == set(builtin_entries())
 
 
+def test_load_entries_rejects_a_name_listed_twice(tmp_path):
+    # two entries of one name would leave only the last one runnable
+    dup = tmp_path / "dup.json"
+    first = builtin_entries()["group"].to_json_dict()
+    second = builtin_entries()["group-compact"].to_json_dict()
+    second["name"] = "group"
+    payload = {"schema_version": catalog.SCHEMA_VERSION, "entries": [first, second]}
+    dup.write_text(canonical_json(payload))
+    with pytest.raises(CatalogError) as err:
+        load_entries(str(dup))
+    assert str(err.value) == f"{dup}#entries[1]: name 'group' listed twice"
+
+
 def test_load_entries_bad_json_has_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": \n!!')

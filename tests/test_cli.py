@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -176,6 +177,19 @@ def test_extra_catalog_flag(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--catalog", str(path), "spherical", "group-copy")
     assert code == 0
     assert "spherical: no" in out
+
+
+def test_extra_catalog_with_a_name_listed_twice_is_an_input_error(capsys, tmp_path):
+    # the second lorentzian-2 has l = h = so(1,4), the M[k,l] with k > 1,
+    # which is no transitive triple: run, it would exit 1
+    first = builtin_entries()["lorentzian-2"].to_json_dict()
+    h = [k for k, (a, _) in enumerate(combinations(range(6), 2)) if a > 0]
+    second = dict(first, l={"kind": "explicit", "vectors": [_unit(k, dim=15) for k in h]})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [first, second]}))
+    for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
+        code, out, err = run_cli(capsys, "--catalog", str(path), *verb, "lorentzian-2")
+        assert (code, out, err) == (2, "", f"error: {path}#entries[1]: name 'lorentzian-2' listed twice\n")
 
 
 def test_machine_output_round_trips(capsys):
@@ -421,8 +435,8 @@ def _matrix(columns):
     return {"kind": "matrix", "columns": [[str(x) for x in col] for col in columns]}
 
 
-def _unit(i, sign=1):
-    return [sign if k == i else 0 for k in range(6)]
+def _unit(i, sign=1, dim=6):
+    return [sign if k == i else 0 for k in range(dim)]
 
 
 # H_1 -> -H_1 alone breaks [H_1, E_1] = 2 E_1; -X^T on the first sl(2)
@@ -461,14 +475,23 @@ _NEG_TRANSPOSE_FIRST = _matrix([_unit(0, -1), _unit(2, -1), _unit(1, -1), *(_uni
         # over it is unique; a name is a string, not coerced to one
         (("lorentzian-2", "generators"), ["omega_l", "omega_l"], "generators: 'omega_l' listed twice"),
         ("name", 5, "name: expected a string, got 5"),
+        # a zero sign, rejected while parsing: it would make the
+        # conjugation singular
+        *(
+            (
+                ("lorentzian-2", field),
+                {"kind": "ad_diag", "signs": ["1", "0"] + ["1"] * 4},
+                f"{field}.signs[1]: expected a nonzero rational, got '0'",
+            )
+            for field in ("sigma", "theta")
+        ),
         # recipes whose involution constructor rejects them on so(2,4): a
-        # singular conjugation, one that leaves the algebra, a swap on an
-        # algebra that is no direct sum
+        # conjugation that leaves the algebra, a swap on an algebra that is
+        # no direct sum
         *(
             (("lorentzian-2", field), recipe, f"{field}: {problem}")
             for field in ("sigma", "theta")
             for recipe, problem in (
-                ({"kind": "ad_diag", "signs": ["0"] + ["1"] * 5}, "matrix not invertible"),
                 (
                     {"kind": "ad_diag", "signs": ["2"] + ["1"] * 5},
                     "conjugation does not preserve the algebra",

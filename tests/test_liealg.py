@@ -31,6 +31,12 @@ from helpers import (
     dense_bracket,
     dense_structure_table,
     invariant_form_space,
+    naive_direct_sum,
+    naive_g2_matrices,
+    naive_sl_matrices,
+    naive_so_matrices,
+    naive_su_matrices,
+    naive_u_matrices,
     zmul,
     zorn_coords,
     zorn_octonion,
@@ -151,6 +157,42 @@ def test_non_closed_and_dependent_bases_fail_as_the_oracle(make, drop, conjugate
     for build in (dense_structure_table, from_matrix_basis):
         with pytest.raises(DependentBasis):
             build(dependent)
+
+
+def _sizes(smallest, largest):
+    return [(p, m - p) for m in range(smallest, largest + 1) for p in range(m + 1)]
+
+
+def _oracle(naive, *args):
+    return lambda: from_matrix_basis(*naive(*args))
+
+
+_BASES = {
+    **{f"sl{n}": (lambda n=n: sl(n), _oracle(naive_sl_matrices, n)) for n in range(2, 6)},
+    **{f"so{p},{q}": (lambda p=p, q=q: so(p, q), _oracle(naive_so_matrices, p, q)) for p, q in _sizes(2, 8)},
+    **{f"u{p},{q}": (lambda p=p, q=q: u(p, q), _oracle(naive_u_matrices, p, q)) for p, q in _sizes(1, 5)},
+    **{f"su{p},{q}": (lambda p=p, q=q: su(p, q), _oracle(naive_su_matrices, p, q)) for p, q in _sizes(2, 5)},
+    "g2": (g2_split, _oracle(naive_g2_matrices)),
+    "sl2+so21": (
+        lambda: direct_sum(sl(2), so(2, 1)),
+        lambda: naive_direct_sum(_oracle(naive_sl_matrices, 2)(), _oracle(naive_so_matrices, 2, 1)()),
+    ),
+    "sl3+sl2": (
+        lambda: direct_sum(sl(3), sl(2)),
+        lambda: naive_direct_sum(_oracle(naive_sl_matrices, 3)(), _oracle(naive_sl_matrices, 2)()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BASES))
+def test_basis_matrices_match_the_naive_writers(name):
+    # every basis matrix keeps its entries, its place and its label, so the
+    # structure table keeps every constant
+    build, oracle = _BASES[name]
+    new, old = build(), oracle()
+    assert new.matrices == old.matrices
+    assert new.basis_labels == old.basis_labels
+    assert new._table == old._table
 
 
 def test_so_dimensions():
