@@ -267,8 +267,8 @@ def _build_l(
     kind = _typed(recipe, dict, where).get("kind")
     if kind == "first_factor":
         half = g.dim // 2
-        cols = RatMatrix.identity(g.dim).entries[:half]
-        return RatMatrix.from_columns(g.dim, cols), list(g.basis_labels[:half])
+        units = [{i: Fraction(1)} for i in range(half)]
+        return RatMatrix._of_rows(units, g.dim).transpose(), list(g.basis_labels[:half])
     if kind == "explicit":
         cols = _vectors(_field(recipe, "vectors", where), f"{where}.vectors", g.dim)
         return RatMatrix.from_columns(g.dim, cols), None

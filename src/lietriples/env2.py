@@ -33,11 +33,9 @@ from .ratlin import (
     SubspaceBasis,
     _rat,
     combination,
-    dense,
     inverse,
     over_one_denominator,
     solve,
-    sparse,
 )
 
 if TYPE_CHECKING:
@@ -225,7 +223,7 @@ def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
     except ValueError:
         raise DegenerateForm("normalizing form is singular on the subspace") from None
     z = sub.vectors
-    return [(z[i], combination(dict(enumerate(ginv.row(i))), z)) for i in range(sub.dim)]
+    return [(z_i, combination(row, z)) for z_i, row in zip(z, ginv.data)]
 
 
 def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
@@ -485,15 +483,12 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     row_of = {i: r for r, i in enumerate(rows)}
     pi, _ = _echelon_split(h)
     frame = t.frame_vectors
-    m_cols = [
-        dense({row_of[i]: x for i, x in combination(frame[a], pi).items()}, len(rows))
-        for a in section
-    ]
-    m_inv = inverse(RatMatrix.from_columns(len(rows), m_cols))
+    m_cols = [{row_of[i]: x for i, x in combination(frame[a], pi).items()} for a in section]
+    m_inv = inverse(RatMatrix._of_rows(m_cols, len(rows)).transpose())
     # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates
     lift = {
-        i: {section[b]: y for b, y in sparse(col).items()}
-        for i, col in zip(rows, m_inv.columns())
+        i: {section[b]: y for b, y in col.items()}
+        for i, col in zip(rows, m_inv.transpose().data)
     }
     front, eta = [], []
     for k in range(g.dim):
@@ -515,10 +510,19 @@ def decompose_in_span(
     for gen in generators:
         target._same_algebra(gen)
     reducer = IdealReducer(target.algebra, h)
-    elems = [reducer.reduce(gen) for gen in generators] + [reducer.reduce(target)]
-    quad_keys = dict.fromkeys(k for e in elems for k in e.quad)
-    lin_keys = dict.fromkeys(k for e in elems for k in e.lin)
-    rows = [[e.quad.get(k, Fraction(0)) for e in elems] for k in quad_keys]
-    rows += [[e.lin.get(k, Fraction(0)) for e in elems] for k in lin_keys]
-    rows.append([e.const for e in elems])
-    return solve(RatMatrix([row[:-1] for row in rows]), [row[-1] for row in rows])
+
+    def coordinates(q: Quad2) -> dict:
+        """The reduced form of q as a sparse vector over its quad keys, its
+        lin keys and the constant."""
+        e = reducer.reduce(q)
+        out = {("quad", k): c for k, c in e.quad.items()}
+        out.update({("lin", k): c for k, c in e.lin.items()})
+        if e.const:
+            out["const"] = e.const
+        return out
+
+    cols, rhs = [coordinates(gen) for gen in generators], coordinates(target)
+    # one equation per coordinate that some reduced form uses
+    keys = dict.fromkeys(k for c in [*cols, rhs] for k in c)
+    rows = [{j: c[k] for j, c in enumerate(cols) if k in c} for k in keys]
+    return solve(RatMatrix._of_rows(rows, len(cols)), [rhs.get(k, 0) for k in keys])

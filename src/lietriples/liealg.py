@@ -23,9 +23,7 @@ from .ratlin import (
     _rat,
     combination,
     coordinates_in,
-    dense,
     kernel,
-    sparse,
 )
 
 
@@ -143,16 +141,16 @@ class LieAlgebra:
 def _matrix(n: int, entries: dict) -> RatMatrix:
     """The n x n matrix with the given {(row, column): value} entries, each
     value coerced once, and zero everywhere else."""
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(n)]
+    rows: list = [{} for _ in range(n)]
     for (r, c), x in entries.items():
-        rows[r][c] = _rat(x)
-    return RatMatrix._of_rows(rows)
+        if x := _rat(x):
+            rows[r][c] = x
+    return RatMatrix._of_rows(rows, n)
 
 
 def _flatten(m: RatMatrix) -> dict:
     """A matrix as a sparse vector over its entries, row by row."""
-    return sparse([x for row in m.entries for x in row])
+    return {r * m.cols + c: x for r, row in enumerate(m.data) for c, x in row.items()}
 
 
 def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
@@ -163,8 +161,7 @@ def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
     commutator accumulates X_i X_j - X_j X_i over the nonzero products only.
     """
     n = mats[0].rows
-    # row r of each matrix as a sparse vector {column: value}
-    support = [[sparse(row) for row in m.entries] for m in mats]
+    support = [m.data for m in mats]
 
     def commutator(i: int, j: int) -> dict:
         out: dict = {}
@@ -340,8 +337,8 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
         n = na + b.matrices[0].rows
 
         def block(m, off):
-            return _matrix(n, {(off + r, off + c): x for r, row in enumerate(m.entries)
-                               for c, x in enumerate(row)})
+            return _matrix(n, {(off + r, off + c): x for r, row in enumerate(m.data)
+                               for c, x in row.items()})
 
         matrices = [block(m, 0) for m in a.matrices] + [block(m, na) for m in b.matrices]
     return LieAlgebra(labels, table, matrices=matrices)
@@ -436,7 +433,7 @@ def killing_form(g: LieAlgebra) -> RatMatrix:
     for (i, j), comps in g._table.items():
         ads[i][j] = comps
         ads[j][i] = {k: -c for k, c in comps.items()}
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram: list = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             total = Fraction(0)
@@ -447,15 +444,13 @@ def killing_form(g: LieAlgebra) -> RatMatrix:
                     d = back.get(k, {}).get(m)
                     if d is not None:
                         total += c * d
-            gram[i][j] = total
-            gram[j][i] = total
-    return RatMatrix._of_rows(gram)
+            if total:
+                gram[i][j] = gram[j][i] = total
+    return RatMatrix._of_rows(gram, n)
 
 
 def restrict_form(gram: RatMatrix, s: SubspaceBasis) -> RatMatrix:
     """Gram matrix of a symmetric form on the canonical basis of s."""
-    if s.dim == 0:
-        return RatMatrix([])
     p = s.matrix()
     return p.transpose() @ gram @ p
 
@@ -472,9 +467,9 @@ def centralizer(
         return within
     rows = []
     for sv in s.vectors:
-        images = [dense(g.bracket(wv, sv), g.dim) for wv in within.vectors]
-        rows.extend(zip(*images))
-    kept = kernel(RatMatrix._of_rows(rows)).vectors
+        images = [g.bracket(wv, sv) for wv in within.vectors]
+        rows += RatMatrix._of_rows(images, g.dim).transpose().data
+    kept = kernel(RatMatrix._of_rows(rows, within.dim)).vectors
     return SubspaceBasis(g.dim, (combination(x, within.vectors) for x in kept))
 
 

@@ -11,6 +11,7 @@ ambient Killing form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -29,11 +30,9 @@ from .ratlin import (
     SubspaceBasis,
     combination,
     coordinates_in,
-    dense,
     inverse,
     kernel,
     signature,
-    sparse,
 )
 
 
@@ -73,18 +72,13 @@ class Involution:
         if m @ m != RatMatrix.identity(g.dim):
             raise ValueError("involution does not square to the identity")
         # m[X_i, X_j] against [m X_i, m X_j], over the sparse columns of m
-        cols = [sparse(col) for col in m.columns()]
+        cols = m.transpose().data
         for i, j in combinations(range(g.dim), 2):
             if combination(g.bracket_basis_sparse(i, j), cols) != g.bracket(cols[i], cols[j]):
                 raise ValueError(f"involution is not an automorphism at basis pair ({i},{j})")
 
     def commutes_with(self, other: "Involution") -> bool:
         return self.matrix @ other.matrix == other.matrix @ self.matrix
-
-
-def involution_from_images(g: LieAlgebra, images: Sequence[Sequence]) -> Involution:
-    """Involution sending basis vector i to the given coordinate vector."""
-    return Involution(RatMatrix.from_columns(g.dim, [list(v) for v in images]))
 
 
 def _matrix_map_involution(
@@ -101,7 +95,7 @@ def _matrix_map_involution(
         (_flatten(image_of(m)) for m in g.matrices),
         lambda _: ValueError(f"{what} does not preserve the algebra"),
     )
-    return involution_from_images(g, [dense(x, g.dim) for x in images])
+    return Involution(RatMatrix._of_rows(images, g.dim).transpose())
 
 
 def conjugation_involution(g: LieAlgebra, s: RatMatrix) -> Involution:
@@ -124,7 +118,8 @@ def swap_involution(g: LieAlgebra) -> Involution:
     if g.dim % 2 != 0:
         raise ValueError("not a direct sum of two equal factors")
     half = g.dim // 2
-    return involution_from_images(g, [dense({(i + half) % g.dim: 1}, g.dim) for i in range(g.dim)])
+    images = [{(i + half) % g.dim: Fraction(1)} for i in range(g.dim)]
+    return Involution(RatMatrix._of_rows(images, g.dim).transpose())
 
 
 def eigenspace_split(
@@ -192,7 +187,7 @@ class TripleDescriptor:
     @cached_property
     def frame_vectors(self) -> list:
         """The columns of the frame, as sparse vectors in g-coordinates."""
-        return [sparse(col) for col in self.l_frame.columns()]
+        return list(self.l_frame.transpose().data)
 
     @cached_property
     def l(self) -> SubspaceBasis:
@@ -214,15 +209,15 @@ class TripleDescriptor:
         rows = []
         for sign, inv in ((theta, self.theta), (sigma, self.sigma)):
             if sign:
-                rows += (inv.matrix @ f - f.scale(sign)).entries
-        return kernel(RatMatrix._of_rows(rows))
+                rows += (inv.matrix @ f - f.scale(sign)).data
+        return kernel(RatMatrix._of_rows(rows, f.cols))
 
     @cached_property
     def frame_gram(self) -> RatMatrix:
         """The Killing form on the frame of l, F^T B F; every form on l
         reads it."""
         f = self.l_frame
-        return f.transpose() @ self.killing @ f if f.cols else RatMatrix([])
+        return f.transpose() @ self.killing @ f
 
     @cached_property
     def cartan_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:

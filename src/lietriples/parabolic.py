@@ -99,7 +99,7 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     eigenspace completeness.
     """
     n = a.rows
-    scale = math.lcm(*(x.denominator for row in a.entries for x in row))
+    scale = math.lcm(*(x.denominator for row in a.data for x in row.values()))
     # coefficients of the characteristic polynomial of scale * A
     coeffs = [int(c * scale ** (n - k)) for k, c in enumerate(char_poly(a))]
     shift = 0
@@ -110,19 +110,16 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
     if len(reduced) <= 1:
         return sorted(roots)
     radius = max(
-        sum(abs(x.numerator) * (scale // x.denominator) for x in row) for row in a.entries
+        sum(abs(x.numerator) * (scale // x.denominator) for x in row.values())
+        for row in a.data
     )
     roots.update(Fraction(t, scale) for t in _integer_roots(reduced, radius))
     return sorted(roots)
 
 
 def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
-    """Kernel of A - lam I; only the diagonal is shifted."""
-    rows = [list(row) for row in a.entries]
-    if lam:
-        for i, row in enumerate(rows):
-            row[i] -= lam
-    return kernel(RatMatrix._of_rows(rows))
+    """Kernel of A - lam I."""
+    return kernel(a - RatMatrix.diagonal([lam] * a.rows))
 
 
 def _not_preserved(_) -> IrrationalSpectrum:

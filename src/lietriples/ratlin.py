@@ -8,7 +8,6 @@ reductions) runs on top of this module.  All arithmetic uses
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -34,24 +33,8 @@ def _rat(x) -> Fraction:
 
 
 # A vector is sparse, {index: coefficient}: subspaces, kernels, the rows
-# _rref eliminates and the basis of a BasisSolver all hold that form.  A
-# RatMatrix is dense, for operators, forms and frames; these two are where
-# the forms meet.
-
-
-def sparse(vec: Sequence) -> dict:
-    """The nonzero entries of a dense vector, as {index: coefficient}."""
-    if isinstance(vec, Mapping):
-        raise TypeError("sparse() takes a dense vector, not a mapping")
-    return {i: x for i, x in enumerate(vec) if x}
-
-
-def dense(vec: dict, n: int) -> list:
-    """The sparse vector vec as a list of length n."""
-    out = [Fraction(0)] * n
-    for i, x in vec.items():
-        out[i] = x
-    return out
+# _rref eliminates, the basis of a BasisSolver and the rows of a RatMatrix
+# all hold that form, and every kernel below reads and writes it directly.
 
 
 def combination(coeffs: dict, vectors) -> dict:
@@ -79,42 +62,48 @@ def over_one_denominator(vectors: dict) -> tuple[dict, int]:
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals.
+    """Immutable matrix over the rationals, stored as sparse rows.
 
-    The constructor coerces every entry (ints, "p/q" strings, Fractions) and
-    checks the rows; the kernels below build their results from Fractions
-    they computed themselves and wrap them with _of_rows, unchecked.
+    The shape is explicit, rows x cols, because a sparse row does not carry
+    its length.  data holds one {column: Fraction} map per row, and no map
+    holds a zero, so equal matrices have equal data; the maps are shared
+    with whoever reads them and must not be changed.  The public
+    constructors coerce dense input (ints, "p/q" strings, Fractions) and
+    check it; the kernels below build their results from Fractions they
+    computed themselves and wrap them with _of_rows, unchecked.  entries is
+    a dense view, built on each read, for readers outside the package.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Iterable]):
         rows = [[_rat(x) for x in row] for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self._set(rows)
+        cols = len(rows[0]) if rows else 0
+        self._set([{j: x for j, x in enumerate(r) if x} for r in rows], cols)
 
     @classmethod
-    def _of_rows(cls, rows: Iterable[Sequence[Fraction]]) -> "RatMatrix":
-        """The matrix with these rows, which must be equal-length sequences
-        of Fractions: no entry is coerced and no row checked."""
+    def _of_rows(cls, rows: Iterable[dict], cols: int) -> "RatMatrix":
+        """The matrix with these rows, {column: Fraction} maps that hold no
+        zero and no column outside range(cols): nothing is coerced or
+        checked, and the maps are kept, not copied."""
         m = object.__new__(cls)
-        m._set(rows)
+        m._set(rows, cols)
         return m
 
-    def _set(self, rows: Iterable[Sequence[Fraction]]) -> None:
-        entries = tuple(map(tuple, rows))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
+    def _set(self, rows: Iterable[dict], cols: int) -> None:
+        data = tuple(rows)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        zero = Fraction(0)
-        return RatMatrix._of_rows([zero] * cols for _ in range(rows))
+        return RatMatrix._of_rows([{} for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -122,108 +111,103 @@ class RatMatrix:
 
     @staticmethod
     def diagonal(values: Sequence) -> "RatMatrix":
-        """Each value is coerced once; the zeros are one shared Fraction."""
-        zero, n = Fraction(0), len(values)
-        rows = [[zero] * n for _ in range(n)]
-        for i, x in enumerate(values):
-            rows[i][i] = _rat(x)
-        return RatMatrix._of_rows(rows)
+        """Each value is coerced once."""
+        diag = map(_rat, values)
+        return RatMatrix._of_rows([{i: x} if x else {} for i, x in enumerate(diag)], len(values))
 
     @staticmethod
     def from_columns(ambient: int, columns: Sequence[Sequence]) -> "RatMatrix":
-        cols = [tuple(_rat(x) for x in c) for c in columns]
-        for c in cols:
-            if len(c) != ambient:
-                raise ValueError("column of wrong length")
-        return RatMatrix._of_rows([c[i] for c in cols] for i in range(ambient))
+        cols = [[_rat(x) for x in c] for c in columns]
+        if any(len(c) != ambient for c in cols):
+            raise ValueError("column of wrong length")
+        by_column = [{i: x for i, x in enumerate(c) if x} for c in cols]
+        return RatMatrix._of_rows(by_column, ambient).transpose()
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, as tuples of Fractions."""
+        zero = Fraction(0)
+        return tuple(tuple(r.get(j, zero) for j in range(self.cols)) for r in self.data)
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self.data[i].get(j, Fraction(0))
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._of_rows(zip(*self.entries))
+        out: list = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out[j][i] = x
+        return RatMatrix._of_rows(out, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RatMatrix._of_rows(
-            [a + b if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        out = []
+        for a, b in zip(self.data, other.data):
+            row = dict(a)
+            for j, y in b.items():
+                x = row.get(j)
+                row[j] = y if x is None else x + y
+            out.append({j: x for j, x in row.items() if x})
+        return RatMatrix._of_rows(out, self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix._of_rows(
-            [a - b if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._of_rows([-a for a in row] for row in self.entries)
+        return RatMatrix._of_rows([{j: -x for j, x in r.items()} for r in self.data], self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = _rat(c)
-        return RatMatrix._of_rows([c * a if a else a for a in row] for row in self.entries)
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        return RatMatrix._of_rows([{j: c * x for j, x in r.items()} for r in self.data], self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # row k of other as its nonzero (column, entry) pairs, listed once
-        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        zero = Fraction(0)
-        out = []
-        for ra in self.entries:
-            acc = [zero] * other.cols
-            for a, row in zip(ra, support):
-                if a:
-                    for j, b in row:
-                        acc[j] += a * b
-            out.append(acc)
-        return RatMatrix._of_rows(out)
+        # row i of the product combines the rows of other by row i of self
+        return RatMatrix._of_rows([combination(r, other.data) for r in self.data], other.cols)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector, as a sparse vector."""
-        nz = [(k, _rat(x)) for k, x in vec.items() if x]
-        if any(not 0 <= k < self.cols for k, _ in nz):
+        v = {k: _rat(x) for k, x in vec.items() if x}
+        if any(not 0 <= k < self.cols for k in v):
             raise ValueError("vector index outside the matrix's columns")
-        sums = (sum(row[k] * x for k, x in nz if row[k]) for row in self.entries)
+        sums = (sum(a * v[k] for k, a in row.items() if k in v) for row in self.data)
         return {i: y for i, y in enumerate(sums) if y}
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        e = self.entries
-        return all(
-            e[i][j] == e[j][i] for i in range(self.rows) for j in range(i + 1, self.cols)
+        d = self.data
+        return self.rows == self.cols and all(
+            d[j].get(i) == x for i, row in enumerate(d) for j, x in row.items()
         )
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(self.data)
 
     def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+        return sum((self[i, i] for i in range(min(self.rows, self.cols))), Fraction(0))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -313,7 +297,7 @@ def rank(m: RatMatrix) -> int:
 
 def kernel(m: RatMatrix) -> "SubspaceBasis":
     """Canonical basis of the null space {x : m x = 0}, as sparse vectors."""
-    rows, pivots = _rref([sparse(r) for r in m.entries])
+    rows, pivots = _rref([dict(r) for r in m.data])
     vectors = []
     for fc in sorted(set(range(m.cols)).difference(pivots)):
         v = {pc: -rows[r][fc] for r, pc in enumerate(pivots) if fc in rows[r]}
@@ -331,7 +315,7 @@ def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
     if len(vv) != m.rows:
         raise ValueError("right-hand side of wrong length")
     n_cols = m.cols
-    rows, pivots = _rref([{**sparse(r), n_cols: x} for r, x in zip(m.entries, vv)])
+    rows, pivots = _rref([{**r, n_cols: x} for r, x in zip(m.data, vv)])
     if n_cols in pivots:
         return None
     x = [Fraction(0)] * n_cols
@@ -412,19 +396,17 @@ def restrict_operator(
     that basis; raises outside(k) when the operator moves vector k out of
     it."""
     coords = coordinates_in(basis, map(op.apply, basis), outside)
-    return RatMatrix.from_columns(len(basis), [dense(x, len(basis)) for x in coords])
+    return RatMatrix._of_rows(coords, len(basis)).transpose()
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    rows = [{**sparse(r), n + i: Fraction(1)} for i, r in enumerate(m.entries)]
-    rows, pivots = _rref(rows)
+    rows, pivots = _rref([{**r, n + i: Fraction(1)} for i, r in enumerate(m.data)])
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
-    zero = Fraction(0)
-    return RatMatrix._of_rows([row.get(n + j, zero) for j in range(n)] for row in rows)
+    return RatMatrix._of_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
 def char_poly(a: RatMatrix) -> list:
@@ -439,10 +421,9 @@ def char_poly(a: RatMatrix) -> list:
     sparse as B.  c_k(A) = c_k(B) / d^(n-k).
     """
     n = a.rows
-    d = math.lcm(*(x.denominator for row in a.entries for x in row))
+    d = math.lcm(*(x.denominator for row in a.data for x in row.values()))
     support = [
-        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
-        for row in a.entries
+        [(j, x.numerator * (d // x.denominator)) for j, x in row.items()] for row in a.data
     ]
     c = [0] * (n + 1)
     c[n] = 1
@@ -528,8 +509,7 @@ class SubspaceBasis:
 
     def matrix(self) -> RatMatrix:
         """Basis vectors as columns of an ambient_dim x dim matrix."""
-        n = self.ambient_dim
-        return RatMatrix.from_columns(n, [dense(v, n) for v in self.vectors])
+        return RatMatrix._of_rows(self.vectors, self.ambient_dim).transpose()
 
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each basis vector, as the echelon form found it."""
@@ -576,10 +556,7 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         raise AmbientMismatch("subspace_intersection over different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis.zero(a.ambient_dim)
-    am = a.matrix()
-    bm = b.matrix()
-    stacked = RatMatrix(
-        [list(am.row(i)) + [-x for x in bm.row(i)] for i in range(a.ambient_dim)]
-    )
+    minus_b = ({i: -x for i, x in v.items()} for v in b.vectors)
+    stacked = RatMatrix._of_rows([*a.vectors, *minus_b], a.ambient_dim).transpose()
     xs = ({j: c for j, c in kv.items() if j < a.dim} for kv in kernel(stacked).vectors)
     return SubspaceBasis(a.ambient_dim, (combination(x, a.vectors) for x in xs))

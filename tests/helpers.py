@@ -6,11 +6,13 @@ they stay deliberately naive (dense loops, no reuse of library shortcuts).
 
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
 from lietriples.env2 import NotTransitive, Quad2, _echelon_split
 from lietriples.liealg import LieAlgebra, NotClosed, restrict_form
+from lietriples.pairs import Involution
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
     BasisSolver,
@@ -22,12 +24,10 @@ from lietriples.ratlin import (
     _rref,
     combination,
     coordinates_in,
-    dense,
     inverse,
     kernel,
     restrict_operator,
     signature,
-    sparse,
     subspace_intersection,
     subspace_sum,
 )
@@ -36,6 +36,30 @@ from lietriples.ratlin import (
 def unit(n, i):
     """The i-th standard basis vector of length n."""
     return [int(k == i) for k in range(n)]
+
+
+# The library holds every vector and every matrix row sparse,
+# {index: coefficient}; the dense oracles below meet it through these two.
+
+
+def sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, as {index: coefficient}."""
+    if isinstance(vec, Mapping):
+        raise TypeError("sparse() takes a dense vector, not a mapping")
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(vec: dict, n: int) -> list:
+    """The sparse vector vec as a list of length n."""
+    out = [Fraction(0)] * n
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def involution_from_images(g: LieAlgebra, images) -> Involution:
+    """Involution sending basis vector i to the given dense coordinate vector."""
+    return Involution(RatMatrix.from_columns(g.dim, [list(v) for v in images]))
 
 
 # Dense references for LieAlgebra.bracket and LieAlgebra.ad, which take and
@@ -327,12 +351,12 @@ def naive_direct_sum(a, b):
         nb = b.matrices[0].rows
         matrices = []
         for m in a.matrices:
-            rows = [list(m.row(i)) + [0] * nb for i in range(na)]
+            rows = [list(row) + [0] * nb for row in m.entries]
             rows += [[0] * (na + nb) for _ in range(nb)]
             matrices.append(RatMatrix(rows))
         for m in b.matrices:
             rows = [[0] * (na + nb) for _ in range(na)]
-            rows += [[0] * na + list(m.row(i)) for i in range(nb)]
+            rows += [[0] * na + list(row) for row in m.entries]
             matrices.append(RatMatrix(rows))
     return LieAlgebra(labels, table, matrices=matrices)
 

@@ -240,6 +240,25 @@ def test_nontransitive_exit_code(capsys, tmp_path):
     )
 
 
+def test_explicit_empty_l_fails_verification_on_every_verb(capsys, tmp_path):
+    # an empty frame is 6 x 0 and its Gram 0 x 0: l + h misses g, and no
+    # verb may fail on the empty shapes
+    entry = builtin_entries()["group"].to_json_dict()
+    entry["name"] = "empty-l"
+    entry["l"] = {"kind": "explicit", "vectors": []}
+    path = tmp_path / "empty-l.json"
+    path.write_text(canonical_json(entry))
+    code, out, err = run_cli(capsys, "triples", "check", str(path))
+    assert (code, err) == (1, "")
+    assert "dims: g=6 h=3 l=0 l∩h=0" in out and "verdict: NotTransitiveTriple" in out
+    code, out, err = run_cli(capsys, "spherical", str(path))
+    assert (code, out, err) == (
+        1, "", "error: not a transitive triple; failed: (ii) infinitesimally transitive\n"
+    )
+    code, out, err = run_cli(capsys, "casimir", "embed", str(path))
+    assert (code, out, err) == (1, "", "error: l + h does not fill g\n")
+
+
 def _tilted_l() -> dict:
     # l = sl(2) + span{(0, E - 4F)}: a transitive triple, but theta = -X^T
     # sends E - 4F to 4E - F, outside l, so l has no Cartan split

@@ -8,11 +8,14 @@ import pytest
 from conftest import ENTRY_NAMES
 from helpers import (
     basis_solver_split,
+    dense,
     dense_greedy_complement,
     eager_seeded_candidates,
     echelon_split,
+    involution_from_images,
     percall_transfer_split,
     random_quad2,
+    sparse,
     termwise_bracket_with,
     termwise_casimir,
     termwise_reduce,
@@ -48,10 +51,9 @@ from lietriples.liealg import (
 )
 from lietriples.pairs import (
     TripleDescriptor,
-    involution_from_images,
     negative_transpose_involution,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, dense, sparse
+from lietriples.ratlin import RatMatrix, SubspaceBasis
 
 
 def sl2_casimir():

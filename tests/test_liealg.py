@@ -27,6 +27,7 @@ from lietriples.liealg import (
 )
 from helpers import (
     ad_matrix_centralizer,
+    dense,
     dense_ad,
     dense_bracket,
     dense_structure_table,
@@ -37,11 +38,12 @@ from helpers import (
     naive_so_matrices,
     naive_su_matrices,
     naive_u_matrices,
+    sparse,
     zmul,
     zorn_coords,
     zorn_octonion,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, dense, inverse, signature, sparse
+from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, signature
 
 
 def sl2():
@@ -277,6 +279,14 @@ def test_restrict_full_space_is_identity_operation():
     assert restrict_form(b, SubspaceBasis.full(3)) == b
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_restrict_to_the_zero_subspace_is_the_empty_gram(n):
+    # P is n x 0, so P^T B P is 0 x 0 by the shapes alone
+    b = killing_form(sl2() if n == 3 else direct_sum(sl2(), sl2()))
+    assert SubspaceBasis.zero(n).matrix() == RatMatrix.zeros(n, 0)
+    assert restrict_form(b, SubspaceBasis.zero(n)) == RatMatrix([]) == RatMatrix.zeros(0, 0)
+
+
 def test_restrict_isotropic_line():
     g = sl2()
     b = killing_form(g)
@@ -444,7 +454,7 @@ def _zorn_derivation(m):
     cols += [[(t == i) - (t == 3 + i) for t in range(7)] for i in (1, 2, 3)]
     b = RatMatrix.from_columns(7, cols)
     im = b @ m @ inverse(b)
-    return RatMatrix([[0] * 8] + [[0, *im.row(i)] for i in range(7)])
+    return RatMatrix([[0] * 8] + [[0, *row] for row in im.entries])
 
 
 def test_g2_matrices_are_derivations_of_the_split_octonions():

@@ -5,15 +5,18 @@ from conftest import ENTRY_NAMES
 from helpers import (
     ambient_signatures,
     congruence_signature,
+    dense,
     dense_involution_validate,
     intersected_l_cap_h,
     intersected_l_cap_s_cap_q,
+    involution_from_images,
     restricted_theta_split,
+    sparse,
     twisted_gram,
 )
 from test_cli import _FLIP_H1, _NEG_TRANSPOSE_FIRST
 
-from lietriples import catalog, ratlin
+from lietriples import catalog
 
 from lietriples.liealg import (
     diagonal_subalgebra,
@@ -30,7 +33,6 @@ from lietriples.pairs import (
     check_transitive_triple,
     conjugation_involution,
     eigenspace_split,
-    involution_from_images,
     negative_transpose_involution,
     swap_involution,
 )
@@ -38,7 +40,6 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     signature,
-    sparse,
     subspace_sum,
 )
 
@@ -59,7 +60,7 @@ def test_swap_split_gives_diagonal_and_antidiagonal():
     assert plus == diagonal_subalgebra(g)
     assert minus.dim == 3
     for v in minus.vectors:
-        w = ratlin.dense(v, 6)
+        w = dense(v, 6)
         assert w[:3] == [-x for x in w[3:]]
 
 
@@ -122,6 +123,13 @@ def _group_descriptor(l):
         theta=negative_transpose_involution(g),
         l_frame=l.matrix(),
     )
+
+
+def test_an_empty_frame_has_the_empty_gram():
+    d = _group_descriptor(SubspaceBasis.zero(6))
+    assert (d.l_frame.rows, d.l_frame.cols) == (6, 0)
+    assert d.frame_gram == RatMatrix.zeros(0, 0)
+    assert d.triple_report.dims["l"] == 0 and not d.triple_report.transitive
 
 
 _FIRST_FACTOR = [[int(k == i) for k in range(6)] for i in range(3)]

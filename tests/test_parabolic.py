@@ -18,7 +18,7 @@ from lietriples.parabolic import (
     rational_eigenvalues,
     restricted_roots,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, sparse, subspace_sum
+from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, subspace_sum
 
 from conftest import ENTRY_NAMES
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     ratmatrix_char_poly,
     restricting_joint_eigenspaces,
     scanned_rational_eigenvalues,
+    sparse,
 )
 
 

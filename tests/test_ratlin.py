@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import congruence_signature, dense_apply, dense_matmul, dense_rref
+from helpers import congruence_signature, dense, dense_apply, dense_matmul, dense_rref, sparse
 from lietriples.ratlin import (
     AmbientMismatch,
     BasisSolver,
@@ -16,7 +16,6 @@ from lietriples.ratlin import (
     _rref,
     combination,
     coordinates_in,
-    dense,
     inverse,
     kernel,
     over_one_denominator,
@@ -24,7 +23,6 @@ from lietriples.ratlin import (
     restrict_operator,
     signature,
     solve,
-    sparse,
     subspace_intersection,
     subspace_sum,
 )
@@ -77,6 +75,22 @@ def test_kernel_zero_map_full():
 def test_kernel_line():
     k = kernel(RatMatrix([[1, 1]]))
     assert k.vectors == ({0: Fraction(1), 1: Fraction(-1)},)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_kernel_of_a_matrix_with_no_rows_is_everything(n):
+    # no equation constrains any of the n unknowns
+    assert kernel(RatMatrix.zeros(0, n)) == SubspaceBasis.full(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_a_matrix_with_no_columns_keeps_its_shape_under_transpose(n):
+    empty = RatMatrix.from_columns(n, [])
+    assert (empty.rows, empty.cols) == (n, 0)
+    assert (empty.transpose().rows, empty.transpose().cols) == (0, n)
+    assert empty.transpose().transpose() == empty
+    assert empty.transpose() @ empty == RatMatrix.zeros(0, 0)
+    assert empty @ empty.transpose() == RatMatrix.zeros(n, n)
 
 
 # -- solve --------------------------------------------------------------
@@ -453,6 +467,33 @@ def all_fractions(rows) -> bool:
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def holds_no_zero(m: RatMatrix) -> bool:
+    """The storage invariant: one {column: Fraction} map per row, whose
+    columns lie inside the shape and whose entries are nonzero Fractions."""
+    return len(m.data) == m.rows and all(
+        type(x) is Fraction and x and 0 <= j < m.cols for row in m.data for j, x in row.items()
+    )
+
+
+def coerced(entries, cols) -> RatMatrix:
+    """The checked public constructor on dense entries; with no row to
+    carry the width, the empty matrix of that width."""
+    return RatMatrix(entries) if entries else RatMatrix.zeros(0, cols)
+
+
+def assert_equality_reads_entries(matrices):
+    """Two matrices are equal exactly when their shapes and dense entries
+    are, and equal matrices hash equally, whatever order their rows' maps
+    were written in."""
+    for a in matrices:
+        reordered = RatMatrix._of_rows([dict(reversed(r.items())) for r in a.data], a.cols)
+        assert a == reordered and hash(a) == hash(reordered)
+    for a, b in itertools.combinations(matrices, 2):
+        assert (a == b) == ((a.rows, a.cols, a.entries) == (b.rows, b.cols, b.entries))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
 def kernel_cases():
     for density in DENSITIES:
         for big in (False, True):
@@ -467,12 +508,12 @@ def test_matmul_and_apply_match_dense():
     for rng, rows, cols, entries in kernel_cases():
         a = RatMatrix(entries)
         for width in (0, 1, 4):
-            b = RatMatrix(sparse_entries(rng, a.cols, width, rng.random(), False))
-            if b.rows != a.cols:  # a 0 x width matrix is stored as 0 x 0
-                continue
+            b_entries = sparse_entries(rng, a.cols, width, rng.random(), False)
+            b = RatMatrix(b_entries) if a.cols else RatMatrix.zeros(0, width)
             got = a @ b
-            assert got == dense_matmul(a, b)
-            assert all_fractions(got.entries)
+            assert (got.rows, got.cols) == (a.rows, width)
+            assert got.entries == dense_matmul(a, b).entries
+            assert holds_no_zero(got)
         vec = sparse_entries(rng, 1, a.cols, 0.5, False)[0] if a.cols else []
         for v in (vec, [int(j == 0) for j in range(a.cols)]):
             got = a.apply(sparse(v))
@@ -481,31 +522,44 @@ def test_matmul_and_apply_match_dense():
 
 
 def test_kernels_build_checked_fraction_matrices():
-    # the kernels wrap their rows unchecked, so each result must be what
-    # the checked public constructor makes of its own entries
+    # the kernels wrap their rows unchecked, so each result must hold no
+    # stored zero and be what the checked public constructor makes of its
+    # own entries; one stored zero would make two equal matrices unequal
+    from lietriples.liealg import _matrix
+
     for rng, rows, cols, entries in kernel_cases():
         a = RatMatrix(entries)
         other = RatMatrix(sparse_entries(rng, rows, cols, 0.5, False))
         columns = [[rng.choice((0, 1, "-3/2", Fraction(2, 7))) for _ in range(rows)] for _ in range(3)]
+        n = max(rows, cols)
         results = {
             "@": a @ a.transpose(),
             "+": a + other,
             "-": a - other,
+            "- itself": a - a,
             "neg": -a,
             "scale": a.scale("3/2"),
             "scale by 0": a.scale(0),
             "transpose": a.transpose(),
             "from_columns": RatMatrix.from_columns(rows, columns),
+            "_matrix": _matrix(n, {(i, j): x for i, r in enumerate(entries) for j, x in enumerate(r)}),
         }
+        if rows == cols and rank(a) == rows:
+            results["inverse"] = inverse(a)
         for name, got in results.items():
+            assert holds_no_zero(got), name
             assert all_fractions(got.entries), name
-            assert got == RatMatrix(got.entries), name
+            assert got == coerced(got.entries, got.cols), name
+        assert_equality_reads_entries([a, other, *results.values()])
+        assert results["- itself"] == results["scale by 0"] == RatMatrix.zeros(rows, a.cols)
+        padded = [list(r) + [0] * (n - cols) for r in entries] + [[0] * n] * (n - rows)
+        assert results["_matrix"] == coerced(padded, n)
         assert results["+"] == RatMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(entries, other.entries)])
         assert results["-"] == RatMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(entries, other.entries)])
         assert results["neg"] == RatMatrix([[-x for x in r] for r in entries])
         assert results["scale"] == RatMatrix([[Fraction(3, 2) * x for x in r] for r in entries])
         assert results["transpose"].entries == tuple(zip(*entries))
-        assert results["from_columns"] == RatMatrix([list(r) for r in zip(*columns)] if rows else [])
+        assert results["from_columns"] == coerced([list(r) for r in zip(*columns)], 3)
 
 
 @pytest.mark.parametrize("bad", [0.5, None, 1j])
@@ -624,8 +678,20 @@ def test_identity_zeros_and_diagonal_equal_the_coerced_constructor():
             ),
         }
         for name, (got, entries) in built.items():
+            assert holds_no_zero(got), (name, n)
             assert all_fractions(got.entries), (name, n)
-            assert got == RatMatrix(entries), (name, n)
+            assert got == coerced(entries, n + (name == "zeros")), (name, n)
+        assert (RatMatrix.zeros(0, n).rows, RatMatrix.zeros(0, n).cols) == (0, n)
+        assert_equality_reads_entries([got for got, _ in built.values()])
+    # over kernel_cases, the square ones, with their diagonals as values
+    for _, rows, cols, entries in kernel_cases():
+        if rows == cols:
+            values = [entries[i][i] for i in range(rows)]
+            diagonal = RatMatrix.diagonal(values)
+            assert holds_no_zero(diagonal) and holds_no_zero(RatMatrix.zeros(rows, cols + 1))
+            assert diagonal.entries == tuple(
+                tuple(values[i] if i == j else 0 for j in range(rows)) for i in range(rows)
+            )
     with pytest.raises(TypeError):
         RatMatrix.diagonal([0.5])
 
