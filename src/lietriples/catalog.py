@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import env2
 from .env2 import Quad2, casimir
@@ -89,16 +88,30 @@ class _BoundedRepr(reprlib.Repr):
 _show = _BoundedRepr().repr
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: dict
     sigma: dict
     theta: dict
     l: dict
     generators: tuple = GENERATOR_NAMES
-    # where the entry was read from, for error messages; not part of its value
-    source: str = field(default="", compare=False)
+    # where the entry was read from, for error messages; not part of its
+    # value, so equality and hash read every field but this last one
+    source: str = ""
+
+    def __eq__(self, other):
+        if type(other) is not CatalogEntry:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    # tuple's own __ne__ would compare the source too
+    def __ne__(self, other):
+        if type(other) is not CatalogEntry:
+            return NotImplemented
+        return self[:-1] != other[:-1]
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def to_json_dict(self) -> dict:
         return {

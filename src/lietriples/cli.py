@@ -33,7 +33,6 @@ import sys
 from . import catalog as cat
 from .catalog import CatalogError, canonical_json
 from .env2 import DegenerateForm, NotInvariant, NotTransitive
-from .parabolic import IrrationalSpectrum, is_spherical_triple
 from .pairs import DescriptorError, NotTransitiveTriple, check_transitive_triple
 from .spectra import lorentzian_spectrum_report
 
@@ -133,7 +132,17 @@ def cmd_triples_check(args, built: cat.BuiltTriple) -> int:
 
 
 def cmd_spherical(args, built: cat.BuiltTriple) -> int:
-    verdict, ev = is_spherical_triple(built.descriptor)
+    # parabolic is imported here, by the one verb that runs it
+    from .parabolic import IrrationalSpectrum, is_spherical_triple
+
+    try:
+        verdict, ev = is_spherical_triple(built.descriptor)
+    except IrrationalSpectrum as exc:
+        print(
+            f"internal contract violation (irrational restricted spectrum): {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CONTRACT
     payload = {
         "schema_version": cat.SCHEMA_VERSION,
         "command": "spherical",
@@ -350,12 +359,6 @@ def main(argv=None) -> int:
     except (NotInvariant, NotTransitive, NotTransitiveTriple, DegenerateForm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except IrrationalSpectrum as exc:
-        print(
-            f"internal contract violation (irrational restricted spectrum): {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_CONTRACT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,11 +10,10 @@ ambient Killing form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .env2 import IdealReducer, _canonical_transfer_split
 from .liealg import (
@@ -132,7 +131,6 @@ def eigenspace_split(
     return plus, minus
 
 
-@dataclass(frozen=True, eq=False)
 class TripleDescriptor:
     """A candidate triple: ambient g, involutions sigma / theta, subalgebra l.
 
@@ -146,14 +144,29 @@ class TripleDescriptor:
     of it refers back to the descriptor, so reference counting frees it all.
     Whatever lies in l is in the coordinates of the frame: each subspace is
     one kernel (in_l) and each form restricts the one Gram frame_gram.
+    The descriptor is immutable and compares by identity.
     """
 
-    g: LieAlgebra
-    sigma: Involution
-    theta: Involution
-    l_frame: RatMatrix
-    name: str = ""
-    l_labels: Optional[Sequence[str]] = None
+    def __init__(
+        self,
+        g: LieAlgebra,
+        sigma: Involution,
+        theta: Involution,
+        l_frame: RatMatrix,
+        name: str = "",
+        l_labels: Optional[Sequence[str]] = None,
+    ):
+        # the one write of the fields; cached_property stores each derived
+        # object in the instance __dict__ directly, past __setattr__
+        self.__dict__.update(
+            g=g, sigma=sigma, theta=theta, l_frame=l_frame, name=name, l_labels=l_labels
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TripleDescriptor is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TripleDescriptor is immutable: cannot delete {name!r}")
 
     @cached_property
     def _sigma_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -307,8 +320,7 @@ class TripleDescriptor:
         return f"TripleDescriptor({self.name or 'unnamed'}, dim g = {self.g.dim})"
 
 
-@dataclass(frozen=True)
-class TripleReport:
+class TripleReport(NamedTuple):
     reductive: bool
     transitive: bool
     compact_intersection: bool

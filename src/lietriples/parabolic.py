@@ -8,9 +8,8 @@ to split raises IrrationalSpectrum rather than approximating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra, centralizer
 from .pairs import NotTransitiveTriple, TripleDescriptor
@@ -30,8 +29,7 @@ class IrrationalSpectrum(ArithmeticError):
     """An ad-action failed to diagonalize over the rationals."""
 
 
-@dataclass(frozen=True)
-class RestrictedRootSystem:
+class RestrictedRootSystem(NamedTuple):
     a_basis: SubspaceBasis
     roots: tuple
     root_spaces: dict
@@ -41,8 +39,7 @@ class RestrictedRootSystem:
         return self.root_spaces[root].dim
 
 
-@dataclass(frozen=True)
-class ParabolicSubalgebra:
+class ParabolicSubalgebra(NamedTuple):
     m: SubspaceBasis
     a: SubspaceBasis
     n: SubspaceBasis

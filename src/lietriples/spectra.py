@@ -8,17 +8,15 @@ spectral bands with their series attributions as plain metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 # Most discrete eigenvalues a report lists; a larger cutoff is an input error.
 MAX_EIGENVALUES = 10_000
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """A spectral interval with its representation-series attribution."""
 
     lower: Optional[Fraction]  # None means -infinity
@@ -35,8 +33,7 @@ class Band:
         return f"{left}{lo}, {hi}{right}"
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     n: int
     bands: tuple
     discrete_positive: tuple  # pairs (l, eigenvalue), strictly increasing

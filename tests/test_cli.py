@@ -313,12 +313,15 @@ def test_console_entry_point_runs():
 
 def test_irrational_spectrum_maps_to_exit_3(capsys, monkeypatch):
     import lietriples.cli as cli_mod
+    from lietriples import parabolic
     from lietriples.parabolic import IrrationalSpectrum
 
     def boom(descriptor, reverse=False):
         raise IrrationalSpectrum("synthetic")
 
-    monkeypatch.setattr(cli_mod, "is_spherical_triple", boom)
+    # the spherical verb imports is_spherical_triple from parabolic when it
+    # runs, so the name to patch is parabolic's own
+    monkeypatch.setattr(parabolic, "is_spherical_triple", boom)
     code = cli_mod.main(["spherical", "group"])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,8 +1,16 @@
-"""The package's public names: an explicit list of functions and classes."""
+"""The package's public names, resolved on first access, and the modules
+each CLI verb loads in a fresh interpreter."""
 
+import functools
+import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import lietriples
 
@@ -37,3 +45,88 @@ def test_no_module_but_ratlin_crosses_between_dense_and_sparse():
         if _CROSSING.search(line)
     ]
     assert crossings == []
+
+
+def test_every_exported_name_is_the_object_of_its_defining_module():
+    for name in lietriples.__all__:
+        value = getattr(lietriples, name)
+        assert value.__module__.startswith("lietriples."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lietriples.no_such_name
+    assert not hasattr(lietriples, "no_such_name")
+
+
+def test_from_import_still_binds_submodules():
+    from lietriples import catalog, cli
+
+    assert cli is sys.modules["lietriples.cli"]
+    assert catalog is sys.modules["lietriples.catalog"]
+    assert set(lietriples.__all__) <= set(dir(lietriples))
+
+
+# Run in a fresh interpreter: the code given, then one line "@modules" and
+# the names in sys.modules, one a line; the list reads only sys.
+_LIST_MODULES = "sys.stdout.write('\\n@modules\\n' + '\\n'.join(sorted(sys.modules)) + '\\n')"
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_modules(code: str) -> frozenset:
+    src = str(Path(lietriples.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{_LIST_MODULES}"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.rsplit("\n@modules\n", 1)[1].split())
+
+
+def _loaded_by(code: str) -> frozenset:
+    """The modules a fresh interpreter holds after code, less those of a
+    bare one."""
+    return _fresh_modules(code) - _fresh_modules("pass")
+
+
+VERBS = {
+    "triples check": ["triples", "check", "group"],
+    "spherical": ["spherical", "group"],
+    "casimir embed": ["casimir", "embed", "group"],
+    "spectrum": ["spectrum", "--n", "2", "--cutoff", "5"],
+}
+
+
+def _loaded_by_verb(verb: str) -> frozenset:
+    argv = VERBS[verb]
+    return _loaded_by(
+        f"from lietriples import cli\ncode = cli.main({argv!r})\nassert code == 0, code"
+    )
+
+
+def test_a_plain_import_loads_no_submodule():
+    loaded = _loaded_by("import lietriples")
+    assert "lietriples" in loaded
+    assert sorted(m for m in loaded if m.startswith("lietriples.")) == []
+    # a module, or the module of a name, is imported on first access
+    assert "lietriples.pairs" in _loaded_by("import lietriples\nlietriples.pairs")
+    loaded = _loaded_by("import lietriples\nlietriples.is_spherical_triple")
+    assert "lietriples.parabolic" in loaded
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_no_verb_loads_dataclasses_or_inspect(verb):
+    loaded = _loaded_by_verb(verb)
+    assert "lietriples.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_only_spherical_loads_parabolic():
+    assert "lietriples.parabolic" not in _loaded_by_verb("triples check")
+    assert "lietriples.parabolic" not in _loaded_by_verb("casimir embed")
+    assert "lietriples.parabolic" in _loaded_by_verb("spherical")
