@@ -17,8 +17,8 @@ from .ratlin import (
     RatMatrix,
     SubspaceBasis,
     char_poly,
+    _kernel,
     combination,
-    kernel,
     restrict_operator,
     sign_changes,
     subspace_sum,
@@ -115,8 +115,16 @@ def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
 
 
 def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
-    """Kernel of A - lam I."""
-    return kernel(a - RatMatrix.diagonal([lam] * a.rows))
+    """Kernel of A - lam I, eliminated as the integer rows of d (A - lam I),
+    d the lcm of the denominators (of A's entries and of lam)."""
+    d = math.lcm(lam.denominator, *(x.denominator for row in a.data for x in row.values()))
+    shift = lam.numerator * (d // lam.denominator)
+    rows = []
+    for i, row in enumerate(a.data):
+        scaled = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        scaled[i] = scaled.get(i, 0) - shift
+        rows.append(scaled)
+    return _kernel(rows, a.rows)
 
 
 def _not_preserved(_) -> IrrationalSpectrum:

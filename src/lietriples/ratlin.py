@@ -1,8 +1,12 @@
 """Exact rational linear algebra.
 
 Everything downstream (Lie brackets, Killing forms, enveloping-algebra
-reductions) runs on top of this module.  All arithmetic uses
-``fractions.Fraction``; floating point is never allowed to enter.
+reductions) runs on top of this module.  Every value it takes in or hands
+back is a ``fractions.Fraction`` (or an int, read as one); floating point
+is never allowed to enter.  Inside a kernel the arithmetic may run in
+Python ints: the one elimination, _rref, works on primitive integer rows
+and divides only its final pivot rows into Fractions, and char_poly and
+over_one_denominator scale to one common denominator.
 """
 
 from __future__ import annotations
@@ -214,41 +218,78 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _primitive(row: dict) -> dict:
+    """The sparse row {column: Fraction or int} as the primitive integer row
+    on the same line: times the lcm of its denominators, divided by the gcd
+    of its entries, zeros dropped."""
+    d = math.lcm(*[x.denominator for x in row.values()])
+    out = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+    g = math.gcd(*out.values())
+    return out if g == 1 else {j: x // g for j, x in out.items()}
+
+
 def _rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of sparse rows {column: Fraction}, in place
-    (the list and its dicts); returns (rows, pivot column list), with no
-    zero entry left in any row.
+    """Reduced row echelon form of sparse rows {column: Fraction or int}, in
+    place in the list, whose row maps are replaced and never changed;
+    returns (rows, pivot column list), each pivot row a {column: Fraction}
+    map with a 1 at its pivot and no zero entry, and the rows below them
+    empty.
+
+    Fraction-free: each row is replaced in turn by its primitive integer
+    row, and a row update is the cross-multiplication (p/g) row - (f/g)
+    pivot_row, g = gcd(p, f) of the pivot p and the row's entry f, with the
+    row's content divided out after it.  Only the final pivot rows are
+    divided by their pivots, into Fractions.  A row space has exactly one
+    reduced echelon form, so this is the form an elimination over Fractions
+    gives.
 
     Only the columns some row uses are visited.  Rows r and below are zero
     left of column c when a pivot is sought there, so the pivot row's
-    support starts at c; scaling and every row update touch only that
-    support.
+    support starts at c, and every row update touches only that support.
     """
+    gcd = math.gcd
+    for i, row in enumerate(rows):
+        if row:
+            rows[i] = _primitive(row)
     n_rows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in sorted(set().union(*rows)):
         if r == n_rows:
             break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i].get(c)), None)
-        if pivot_row is None:
+        for pivot_row in range(r, n_rows):
+            if c in rows[pivot_row]:
+                break
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = {j: x for j, x in rows[r].items() if x}
-        inv = Fraction(1) / prow[c]
-        if inv != 1:
-            prow = {j: x * inv for j, x in prow.items()}
-        rows[r] = prow
+        prow = rows[r]
+        p = prow[c]
         for i in range(n_rows):
             row = rows[i]
             f = row.get(c)
             if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
                 for j, x in prow.items():
-                    row[j] = row.get(j, 0) - f * x
+                    y = row.get(j, 0) - b * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         pivots.append(c)
         r += 1
-    for i, row in enumerate(rows):
-        rows[i] = {j: x for j, x in row.items() if x}
+    for i, c in enumerate(pivots):
+        row = rows[i]
+        p = row[c]
+        rows[i] = {j: Fraction(x, p) for j, x in row.items()}
     return rows, pivots
 
 
@@ -297,13 +338,19 @@ def rank(m: RatMatrix) -> int:
 
 def kernel(m: RatMatrix) -> "SubspaceBasis":
     """Canonical basis of the null space {x : m x = 0}, as sparse vectors."""
-    rows, pivots = _rref([dict(r) for r in m.data])
+    return _kernel(list(m.data), m.cols)
+
+
+def _kernel(rows: list[dict], cols: int) -> "SubspaceBasis":
+    """kernel() of the matrix with these sparse rows {column: Fraction or
+    int} and cols columns; the list is used up (see _rref)."""
+    rows, pivots = _rref(rows)
     vectors = []
-    for fc in sorted(set(range(m.cols)).difference(pivots)):
+    for fc in sorted(set(range(cols)).difference(pivots)):
         v = {pc: -rows[r][fc] for r, pc in enumerate(pivots) if fc in rows[r]}
         v[fc] = Fraction(1)
         vectors.append(v)
-    return SubspaceBasis(m.cols, vectors)
+    return SubspaceBasis(cols, vectors)
 
 
 def solve(m: RatMatrix, v: Sequence) -> Optional[list]:

@@ -133,6 +133,19 @@ def dense_rref(rows):
     return rows, pivots
 
 
+def dense_kernel(rows, n_cols):
+    """Canonical basis of the null space of dense rows with n_cols columns,
+    as dense rows in reduced echelon form, by dense_rref alone."""
+    reduced, pivots = dense_rref([list(r) for r in rows])
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(n_cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][free]
+        basis.append(v)
+    return dense_rref(basis)[0]
+
+
 # Reference for ratlin.signature as it was before it read the signs of the
 # characteristic polynomial: exact symmetric congruence diagonalization,
 # with row and column swaps and a hyperbolic fix-up for a zero diagonal.
@@ -756,12 +769,10 @@ def scanned_rational_eigenvalues(a):
 
 
 def dense_eigenspace(a, lam):
+    """Kernel of A - lam I, eliminated by dense_rref alone."""
     n = a.rows
-    return kernel(
-        RatMatrix(
-            [[a[i, j] - (lam if i == j else Fraction(0)) for j in range(n)] for i in range(n)]
-        )
-    )
+    shifted = [[a[i, j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+    return SubspaceBasis(n, map(sparse, dense_kernel(shifted, n)))
 
 
 def restricting_joint_eigenspaces(ambient_dim, operators):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietriples import liealg, parabolic, ratlin
+from lietriples import catalog, liealg, parabolic, ratlin
 from lietriples.liealg import is_subalgebra, sl, su
 from lietriples.parabolic import (
     IrrationalSpectrum,
@@ -230,6 +230,60 @@ def test_joint_eigenspaces_match_restricting_oracle(seed):
     assert all(type(x) is Fraction for _, sp in spaces for v in sp.vectors for x in v.values())
 
 
+def _assert_eigenspaces_match_the_oracles(ambient_dim, operators):
+    """joint_eigenspaces against the restricting oracle, and each
+    eigenspace of each operator against the dense_rref kernel."""
+    spaces = joint_eigenspaces(ambient_dim, operators)
+    assert spaces == restricting_joint_eigenspaces(ambient_dim, operators)
+    assert all(x and type(x) is Fraction for _, sp in spaces for v in sp.vectors for x in v.values())
+    for op in operators:
+        for lam in rational_eigenvalues(op):
+            got = parabolic._eigenspace(op, lam)
+            assert got == dense_eigenspace(op, lam), lam
+            assert all(x and type(x) is Fraction for v in got.vectors for x in v.values())
+    return spaces
+
+
+@pytest.mark.parametrize("name", ["lorentzian-2", "lorentzian-3", "lorentzian-4", "lorentzian-5", "g2"])
+def test_restricted_root_eigenspaces_match_the_oracles(name):
+    if name == "g2":
+        entry = catalog.builtin_entries()["g2"]
+    else:
+        entry = catalog._lorentzian_entry(int(name.rsplit("-", 1)[1]))
+    l_alg, _, _, s_l = cartan_split_of_l(catalog.build(entry).descriptor)
+    a = maximal_abelian_in_s(l_alg, s_l)
+    spaces = _assert_eigenspaces_match_the_oracles(l_alg.dim, [l_alg.ad(v) for v in a.vectors])
+    assert sum(sp.dim for _, sp in spaces) == l_alg.dim
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eigenspaces_of_diagonalizable_integer_matrices_match_the_oracles(seed):
+    # A = P D P^-1 with P a product of integer row operations (det 1), so A
+    # and P^-1 are integer; the eigenspaces are spans of columns of P.  A / 6
+    # commutes with A and has denominators, so the elimination of d (A / 6 -
+    # lam I) scales lam as well
+    rng = random.Random(f"integer-eigenspaces/{seed}")
+    n = rng.randint(1, 6)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2, 3))
+            p[j] = [y + k * x for x, y in zip(p[i], p[j])]
+    p = RatMatrix(p)
+    diag = [rng.randint(-4, 4) for _ in range(n)]
+    diag[-1] = diag[0]  # a repeated eigenvalue once n > 1
+    a = p @ RatMatrix.diagonal(diag) @ inverse(p)
+    assert all(x.denominator == 1 for row in a.data for x in row.values())
+    spaces = _assert_eigenspaces_match_the_oracles(n, [a, a.scale(Fraction(1, 6))])
+    expected = {}
+    for j, col in enumerate(p.columns()):
+        expected.setdefault((Fraction(diag[j]), Fraction(diag[j], 6)), []).append(col)
+    assert dict(spaces) == {
+        tag: SubspaceBasis(n, map(sparse, cols)) for tag, cols in expected.items()
+    }
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_minimal_parabolic_matches_chained_oracle(built_catalog, name, reverse):
@@ -413,10 +467,11 @@ def test_u13_restricted_root_multiplicities(built_catalog):
 
 
 def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
-    """pairs.TripleDescriptor.in_l, parabolic._eigenspace and
-    liealg.centralizer stack Fractions they computed themselves and hand
-    them to kernel without the coercing RatMatrix constructor; the kernels
-    equal the oracles', which go through it."""
+    """pairs.TripleDescriptor.in_l and liealg.centralizer stack Fractions
+    they computed themselves and hand them to kernel, and
+    parabolic._eigenspace hands its integer rows to ratlin._kernel, all
+    without the coercing RatMatrix constructor; the kernels equal the
+    oracles'."""
     d = built_catalog["g2"].descriptor
     g = d.l_alg
     op = g.ad({0: 1})  # eigenvalues -3, ..., 3 on g2

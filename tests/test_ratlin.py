@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import congruence_signature, dense, dense_apply, dense_matmul, dense_rref, sparse
+from helpers import (
+    congruence_signature,
+    dense,
+    dense_apply,
+    dense_kernel,
+    dense_matmul,
+    dense_rref,
+    sparse,
+)
 from lietriples.ratlin import (
     AmbientMismatch,
     BasisSolver,
@@ -564,12 +572,18 @@ def test_kernels_build_checked_fraction_matrices():
 
 @pytest.mark.parametrize("bad", [0.5, None, 1j])
 def test_the_public_constructors_still_reject_inexact_entries(bad):
+    # the elimination reads .numerator and .denominator, so an inexact
+    # entry that got past the coercion would raise AttributeError there
     with pytest.raises(TypeError):
         RatMatrix([[bad]])
     with pytest.raises(TypeError):
         RatMatrix.from_columns(2, [[1, bad]])
     with pytest.raises(TypeError):
         RatMatrix([[1]]).scale(bad)
+    with pytest.raises(TypeError):
+        solve(RatMatrix([[1, 0], [0, 2]]), [1, bad])
+    with pytest.raises(TypeError):
+        SubspaceBasis(2, [{0: 1}, {0: 1, 1: bad}])
 
 
 def test_rref_kernel_and_inverse_match_dense():
@@ -579,15 +593,8 @@ def test_rref_kernel_and_inverse_match_dense():
         assert ([dense(r, cols) for r in got_rows], got_pivots) == (ref_rows, ref_pivots)
         assert all_fractions(r.values() for r in got_rows)
         m = RatMatrix(entries)
-        basis = []
-        for free in (c for c in range(m.cols) if c not in ref_pivots):
-            v = [Fraction(int(c == free)) for c in range(m.cols)]
-            for r, p in enumerate(ref_pivots):
-                v[p] = -ref_rows[r][free]
-            basis.append(v)
-        canonical, _ = dense_rref(basis)
         ker = kernel(m)
-        assert [dense(v, m.cols) for v in ker.vectors] == canonical
+        assert [dense(v, m.cols) for v in ker.vectors] == dense_kernel(entries, m.cols)
         assert all_fractions(v.values() for v in ker.vectors)
         if rows != cols or not rows:
             continue
@@ -602,10 +609,29 @@ def test_rref_kernel_and_inverse_match_dense():
         assert all_fractions(inv.entries)
 
 
+def _huge_row(rng, cols):
+    """cols >= 4 entries: one integer above 2^64 in absolute value, and at
+    least three nonzero rationals whose denominators, each between 2^33 and
+    2^40, have an lcm past 2^64."""
+    sign = lambda: rng.choice((-1, 1))
+    row = [Fraction(sign() * rng.randint(1, 2**70), rng.randint(2**33, 2**40)) for _ in range(cols)]
+    big, *rest = rng.sample(range(cols), cols)
+    row[big] = Fraction(sign() * rng.randint(2**64 + 1, 2**90))
+    for j in rest[: rng.randint(0, cols - 4)]:
+        row[j] = Fraction(0)
+    return row
+
+
 def _rref_cases(rng):
     """(kind, cols, entries): dense, sparse, rank-deficient (every row a
-    combination of two) and with zero rows."""
-    for kind in ("dense", "sparse", "rank-deficient", "zero-rows"):
+    combination of two), with zero rows, with huge entries, with a negative
+    leading entry in every row, every row a rational multiple of one, and
+    plain ints."""
+    kinds = (
+        "dense", "sparse", "rank-deficient", "zero-rows",
+        "huge", "negative-pivots", "multiples", "ints",
+    )
+    for kind in kinds:
         for _ in range(30):
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             density = {"dense": 1.0, "sparse": 0.2}.get(kind, 0.6)
@@ -617,6 +643,20 @@ def _rref_cases(rng):
             if kind == "zero-rows":
                 for i in rng.sample(range(rows), rng.randint(1, rows)):
                     entries[i] = [Fraction(0)] * cols
+            if kind == "huge":
+                cols = max(cols, 4)
+                entries = [_huge_row(rng, cols) for _ in range(rows)]
+            if kind == "negative-pivots":
+                entries = [
+                    [-x for x in r] if next((x for x in r if x), 0) > 0 else r for r in entries
+                ]
+            if kind == "multiples":
+                base = sparse_entries(rng, 1, cols, 0.7, False)[0]
+                scales = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rows)]
+                entries = [[q * x for x in base] for q in scales]
+            if kind == "ints":
+                entries = [[rng.randint(-9, 9) * (rng.random() < 0.6) for _ in range(cols)]
+                           for _ in range(rows)]
             yield kind, cols, entries
 
 
@@ -624,11 +664,23 @@ def test_sparse_rref_matches_the_dense_reference_whatever_the_row_order():
     rng = random.Random("sparse-rref")
     for kind, cols, entries in _rref_cases(rng):
         ref_rows, ref_pivots = dense_rref([list(r) for r in entries])
-        got_rows, got_pivots = _rref([sparse(r) for r in entries])
+        given = [sparse(r) for r in entries]
+        got_rows, got_pivots = _rref(list(given))
         assert ([dense(r, cols) for r in got_rows], got_pivots) == (ref_rows, ref_pivots), kind
+        # the list is reused, but the row maps it was given are not changed
+        assert given == [sparse(r) for r in entries], kind
         assert all(x and type(x) is Fraction for r in got_rows for x in r.values()), kind
         if kind == "rank-deficient":
             assert len(got_pivots) <= 2
+        if kind == "multiples":
+            assert len(got_pivots) == int(any(x for r in entries for x in r))
+        if kind == "huge":
+            assert all(math.lcm(*(x.denominator for x in r)) > 2**64 for r in entries)
+            assert all(any(abs(x) > 2**64 for x in r) for r in entries)
+        if kind == "negative-pivots":
+            assert all(next(x for x in r if x) < 0 for r in entries if any(r))
+        if kind == "ints":
+            assert all(type(x) is int for r in entries for x in r)
         shuffled = [sparse(r) for r in entries]
         rng.shuffle(shuffled)
         assert _rref(shuffled) == (got_rows, got_pivots), kind
