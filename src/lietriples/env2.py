@@ -16,9 +16,11 @@ U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
 The reduction takes the standard complement of h as front space and reads
 the split off the echelon form of h.  The transfer takes a section of g/h
 inside l, the frame vectors off the pivots of l cap h, and reads the split
-off one inverse of size dim g - dim h, once per triple.  Any split gives the
-same canonical image, because U(l) cap U(g) h = U(l)(l cap h) when l + h =
-g.  Products are collected in a coefficient table and normal-ordered once.
+off the coordinates of each class of g/h in the image of that section,
+through one BasisSolver on dim g - dim h vectors, once per triple.  Any
+split gives the same canonical image, because U(l) cap U(g) h = U(l)(l cap
+h) when l + h = g.  Products are collected in a coefficient table and
+normal-ordered once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .ratlin import (
     SubspaceBasis,
     _rat,
     combination,
+    coordinates_in,
     inverse,
     over_one_denominator,
     solve,
@@ -448,7 +451,7 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     Without a seed, the descriptor's canonical split, shared (not to be
     mutated).  A seed adds a seeded integer combination sum c u of the basis
     of l cap h to each f_k and subtracts sum c F u from eta_k, which keeps
-    eta_k = e_k - F f_k inside h: no inverse and no lift per call.
+    eta_k = e_k - F f_k inside h: nothing is solved per call.
     """
     if not t.triple_report.transitive:
         raise NotTransitive("l + h does not fill g")
@@ -465,6 +468,10 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     return moved
 
 
+def _not_transitive(_) -> NotTransitive:
+    return NotTransitive("l + h does not fill g")
+
+
 def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     """(front, eta, images): the canonical split of _transfer_split and the
     image F u, in ambient coordinates, of each basis vector u of l cap h.
@@ -472,27 +479,19 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     The frame vectors off the pivots of l cap h (in frame coordinates) span
     a complement of l cap h in l.  When l + h = g (condition (ii) of the
     descriptor's report) they map onto g/h isomorphically, a section of g/h
-    inside l.  The front part pi of _echelon_split(h) reads g/h
-    as the coordinates off the pivots of h, so the section is the square
-    matrix M with columns pi(frame_a), f_k = M^-1 pi(e_k), and eta_k =
-    e_k - frame f_k lies in the kernel of pi, h.
+    inside l.  The front part pi of _echelon_split(h) reads g/h as the
+    coordinates off the pivots of h, so f_k is the coordinates of pi(e_k)
+    in the basis {pi(frame_a) : a in the section}, put on those frame
+    vectors, and eta_k = e_k - frame f_k lies in the kernel of pi, h.
     """
-    g, h, lh = t.g, t.h, t.l_cap_h_in_l
+    lh = t.l_cap_h_in_l
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
-    rows = [i for i in range(g.dim) if i not in h.pivots()]
-    row_of = {i: r for r, i in enumerate(rows)}
-    pi, _ = _echelon_split(h)
+    pi, _ = _echelon_split(t.h)
     frame = t.frame_vectors
-    m_cols = [{row_of[i]: x for i, x in combination(frame[a], pi).items()} for a in section]
-    m_inv = inverse(RatMatrix._of_rows(m_cols, len(rows)).transpose())
-    # lift[i] = M^-1 e_i, the section of the class of e_i, in frame coordinates
-    lift = {
-        i: {section[b]: y for b, y in col.items()}
-        for i, col in zip(rows, m_inv.transpose().data)
-    }
+    basis = [combination(frame[a], pi) for a in section]
     front, eta = [], []
-    for k in range(g.dim):
-        f_k = combination(pi[k], lift)
+    for k, x in enumerate(coordinates_in(basis, pi, _not_transitive)):
+        f_k = {section[b]: y for b, y in x.items()}
         front.append(f_k)
         eta.append(combination({0: 1, 1: -1}, [{k: 1}, combination(f_k, frame)]))
     return front, eta, [combination(u, frame) for u in lh.vectors]

@@ -1,14 +1,13 @@
 """Restricted roots, minimal parabolic subalgebras, and sphericity.
 
-All spectra are required to be rational: eigenvalues of ad(a) are found by
-exact characteristic polynomials and integer root isolation, and any failure
-to split raises IrrationalSpectrum rather than approximating.
+All spectra are required to be rational: the eigenvalues and eigenspaces of
+ad(a) come from ratlin.rational_eigenspaces (an exact characteristic
+polynomial and integer root isolation), and any failure to split raises
+IrrationalSpectrum rather than approximating.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra, centralizer
@@ -16,11 +15,12 @@ from .pairs import NotTransitiveTriple, TripleDescriptor
 from .ratlin import (
     RatMatrix,
     SubspaceBasis,
+    # not called here: bound so that perfbench/tracer.py's target
+    # ("parabolic", "char_poly") wraps the calls ratlin makes
     char_poly,
-    _kernel,
     combination,
+    rational_eigenspaces,
     restrict_operator,
-    sign_changes,
     subspace_sum,
 )
 
@@ -44,87 +44,6 @@ class ParabolicSubalgebra(NamedTuple):
     a: SubspaceBasis
     n: SubspaceBasis
     p: SubspaceBasis
-
-
-def _taylor_shift(coeffs: Sequence[int], t: int) -> list[int]:
-    """Coefficients (lowest degree first) of P(x + t), in integers."""
-    a = list(coeffs)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += t * a[j + 1]
-    return a
-
-
-def _integer_roots(coeffs: Sequence[int], bound: int) -> list[int]:
-    """Integer roots in [-bound, bound] of an integer polynomial.
-
-    Budan bisection: with V(t) the sign changes of the coefficients of
-    P(x + t), P has at most V(lo) - V(hi) roots in (lo, hi].  An interval
-    where the two agree holds no root and is dropped, every other one is
-    halved, and at width 1 the end hi is a root when P(hi) = 0, the
-    constant term of P(x + hi).  The work grows with log(bound), not bound.
-    """
-    memo: dict = {}
-
-    def at(t: int) -> tuple[int, bool]:
-        """(V(t), whether P(t) = 0)."""
-        if t not in memo:
-            c = _taylor_shift(coeffs, t)
-            memo[t] = (sign_changes(c), c[0] == 0)
-        return memo[t]
-
-    roots, intervals = [], [(-bound - 1, bound)]
-    while intervals:
-        lo, hi = intervals.pop()
-        if at(lo)[0] == at(hi)[0]:
-            continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            intervals += [(lo, mid), (mid, hi)]
-        elif at(hi)[1]:
-            roots.append(hi)
-    return roots
-
-
-def rational_eigenvalues(a: RatMatrix) -> list[Fraction]:
-    """Distinct rational roots of the characteristic polynomial.
-
-    The matrix scaled to integer entries has a monic integer characteristic
-    polynomial, whose rational roots are integers; those are bounded by the
-    Gershgorin radius and isolated by Budan bisection, with no factoring.
-    Irrational eigenvalues are simply not returned; the caller checks
-    eigenspace completeness.
-    """
-    n = a.rows
-    scale = math.lcm(*(x.denominator for row in a.data for x in row.values()))
-    # coefficients of the characteristic polynomial of scale * A
-    coeffs = [int(c * scale ** (n - k)) for k, c in enumerate(char_poly(a))]
-    shift = 0
-    while shift <= n and coeffs[shift] == 0:
-        shift += 1
-    roots = {Fraction(0)} if shift else set()
-    reduced = coeffs[shift:]
-    if len(reduced) <= 1:
-        return sorted(roots)
-    radius = max(
-        sum(abs(x.numerator) * (scale // x.denominator) for x in row.values())
-        for row in a.data
-    )
-    roots.update(Fraction(t, scale) for t in _integer_roots(reduced, radius))
-    return sorted(roots)
-
-
-def _eigenspace(a: RatMatrix, lam: Fraction) -> SubspaceBasis:
-    """Kernel of A - lam I, eliminated as the integer rows of d (A - lam I),
-    d the lcm of the denominators (of A's entries and of lam)."""
-    d = math.lcm(lam.denominator, *(x.denominator for row in a.data for x in row.values()))
-    shift = lam.numerator * (d // lam.denominator)
-    rows = []
-    for i, row in enumerate(a.data):
-        scaled = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-        scaled[i] = scaled.get(i, 0) - shift
-        rows.append(scaled)
-    return _kernel(rows, a.rows)
 
 
 def _not_preserved(_) -> IrrationalSpectrum:
@@ -153,10 +72,7 @@ def joint_eigenspaces(
             else:
                 dim, restricted = space.dim, restrict_operator(op, space.vectors, _not_preserved)
             covered = 0
-            for lam in rational_eigenvalues(restricted):
-                sub = _eigenspace(restricted, lam)
-                if sub.dim == 0:
-                    continue
+            for lam, sub in rational_eigenspaces(restricted):
                 covered += sub.dim
                 if restricted is not op:
                     lifted = (combination(v, space.vectors) for v in sub.vectors)

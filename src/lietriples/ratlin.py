@@ -5,8 +5,12 @@ reductions) runs on top of this module.  Every value it takes in or hands
 back is a ``fractions.Fraction`` (or an int, read as one); floating point
 is never allowed to enter.  Inside a kernel the arithmetic may run in
 Python ints: the one elimination, _rref, works on primitive integer rows
-and divides only its final pivot rows into Fractions, and char_poly and
-over_one_denominator scale to one common denominator.
+and divides only its final pivot rows into Fractions; char_poly hands back
+the integer characteristic polynomial of dA with d, and signature and
+rational_eigenspaces read inertia and rational spectra off it; and
+over_one_denominator scales to one common denominator.  No other module
+takes a Fraction apart, and every change of basis goes through
+coordinates_in.
 """
 
 from __future__ import annotations
@@ -456,22 +460,21 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix._of_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
-def char_poly(a: RatMatrix) -> list:
-    """Coefficients c[0..n] of det(x I - A) = sum c_k x^k (monic).
+def char_poly(a: RatMatrix) -> tuple[list[int], int]:
+    """(c, d): the integer coefficients c[0..n] of det(x I - dA) = sum c_k
+    x^k (monic), d the lcm of the denominators of A.
 
-    Faddeev-LeVerrier in Python ints on B = dA, d the lcm of the
-    denominators of A: M_k = B M_(k-1) + c[n-k+1] I and c[n-k] =
-    -tr(B M_k) / k, where the division is exact because an integer matrix
-    has an integer characteristic polynomial.  B is read row by row as its
-    nonzero (column, entry) pairs, and B M_k skips the zero entries of
-    both factors: M_k is kept as rows {column: entry}, which stay about as
-    sparse as B.  c_k(A) = c_k(B) / d^(n-k).
+    Faddeev-LeVerrier in Python ints on B = dA: M_k = B M_(k-1) + c[n-k+1]
+    I and c[n-k] = -tr(B M_k) / k, where the division is exact because an
+    integer matrix has an integer characteristic polynomial.  B is read row
+    by row as its nonzero (column, entry) pairs, and B M_k skips the zero
+    entries of both factors: M_k is kept as rows {column: entry}, which stay
+    about as sparse as B.  c_k / d^(n-k) is the coefficient of x^k in
+    det(x I - A).
     """
     n = a.rows
-    d = math.lcm(*(x.denominator for row in a.data for x in row.values()))
-    support = [
-        [(j, x.numerator * (d // x.denominator)) for j, x in row.items()] for row in a.data
-    ]
+    b, d = over_one_denominator(dict(enumerate(a.data)))
+    support = [list(b[i].items()) for i in range(n)]
     c = [0] * (n + 1)
     c[n] = 1
     bm: list = [{} for _ in range(n)]  # B M_0, M_0 = 0, rows as {column: entry}
@@ -484,19 +487,84 @@ def char_poly(a: RatMatrix) -> list:
         bm = []
         for row in support:
             acc: dict = {}
-            for j, b in row:
+            for j, b_ij in row:
                 for col, x in m[j].items():
                     if x:
-                        acc[col] = acc.get(col, 0) + b * x
+                        acc[col] = acc.get(col, 0) + b_ij * x
             bm.append(acc)
         c[n - k] = -sum(bm[i].get(i, 0) for i in range(n)) // k
-    return [Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)]
+    return c, d
 
 
 def sign_changes(coeffs: Sequence) -> int:
     """Sign changes along the nonzero entries of a coefficient list."""
     signs = [x > 0 for x in coeffs if x]
     return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _taylor_shift(coeffs: Sequence[int], t: int) -> list[int]:
+    """Coefficients (lowest degree first) of P(x + t), in integers."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += t * a[j + 1]
+    return a
+
+
+def _integer_roots(coeffs: Sequence[int], bound: int) -> list[int]:
+    """Integer roots in [-bound, bound] of an integer polynomial.
+
+    Budan bisection: with V(t) the sign changes of the coefficients of
+    P(x + t), P has at most V(lo) - V(hi) roots in (lo, hi].  An interval
+    where the two agree holds no root and is dropped, every other one is
+    halved, and at width 1 the end hi is a root when P(hi) = 0, the
+    constant term of P(x + hi).  The work grows with log(bound), not bound.
+    """
+    memo: dict = {}
+
+    def at(t: int) -> tuple[int, bool]:
+        """(V(t), whether P(t) = 0)."""
+        if t not in memo:
+            c = _taylor_shift(coeffs, t)
+            memo[t] = (sign_changes(c), c[0] == 0)
+        return memo[t]
+
+    roots, intervals = [], [(-bound - 1, bound)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if at(lo)[0] == at(hi)[0]:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            intervals += [(lo, mid), (mid, hi)]
+        elif at(hi)[1]:
+            roots.append(hi)
+    return roots
+
+
+def rational_eigenspaces(a: RatMatrix) -> list[tuple[Fraction, "SubspaceBasis"]]:
+    """The distinct rational eigenvalues of a square matrix, increasing,
+    each with its eigenspace.
+
+    With (c, d) = char_poly(A), the rational roots of the monic integer
+    polynomial c are integers t, the eigenvalues of dA; they are bounded by
+    its Gershgorin radius and isolated by Budan bisection, with no
+    factoring.  Each lam = t/d comes with the kernel of the integer rows of
+    dA - tI, never empty.  Irrational eigenvalues are simply not returned;
+    the caller checks that the eigenspaces fill the space.
+    """
+    n = a.rows
+    c, d = char_poly(a)
+    b, _ = over_one_denominator(dict(enumerate(a.data)))
+    zero = next(k for k, ck in enumerate(c) if ck)  # x^zero divides c
+    roots = [0] if zero else []
+    if n > zero:
+        radius = max(sum(map(abs, row.values())) for row in b.values())
+        roots += _integer_roots(c[zero:], radius)
+    return [
+        (Fraction(t, d), _kernel([{**b[i], i: b[i].get(i, 0) - t} for i in range(n)], n))
+        for t in sorted(roots)
+    ]
 
 
 def signature(s: RatMatrix) -> tuple[int, int, int]:
@@ -509,7 +577,7 @@ def signature(s: RatMatrix) -> tuple[int, int, int]:
     """
     if not s.is_symmetric():
         raise NonSymmetric("signature requires a symmetric matrix")
-    c = char_poly(s)
+    c, _ = char_poly(s)  # d > 0: c has the signs of det(x I - S)
     zero = next(k for k, ck in enumerate(c) if ck)
     pos = sign_changes(c)
     return pos, s.rows - zero - pos, zero

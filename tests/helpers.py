@@ -732,8 +732,9 @@ def dense_involution_validate(inv, g):
 
 
 # References for the restricted-root path of parabolic, as it was before
-# char_poly ran in integers: Faddeev-LeVerrier on RatMatrix, every integer
-# in the Gershgorin range tried as a root, eigenspaces of an operator taken
+# char_poly ran in integers and ratlin.rational_eigenspaces read the roots
+# and eigenspaces off it: Faddeev-LeVerrier on RatMatrix, every integer in
+# the Gershgorin range tried as a root, eigenspaces of an operator taken
 # after restricting it to every space (the whole space included), the shift
 # by lambda built entry by entry, the centralizer from dense ad matrices,
 # and n and p of the minimal parabolic as chains of subspace_sum.

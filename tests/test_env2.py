@@ -537,31 +537,51 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
             assert new_image == reduce(termwise_reduce_split(q, d.l_alg, *old)), seed
 
 
-def test_transfer_split_inverts_once_per_descriptor(monkeypatch):
-    """On a fresh descriptor the first transfer inverts one matrix, of size
-    dim g - dim h; every later transfer, canonical or seeded, inverts and
-    solves nothing."""
-    calls = {"inverse": 0, "coordinates": 0}
+# the first transfer on each entry: the vectors of its one BasisSolver,
+# dim g - dim h, and its coordinates calls, dim g
+FIRST_TRANSFER_SOLVES = {
+    "group": (3, 6),
+    "group-compact": (3, 6),
+    "lorentzian-2": (5, 15),
+    "lorentzian-3": (7, 28),
+    "g2": (10, 21),
+}
+
+
+def test_transfer_split_solves_once_per_descriptor(monkeypatch):
+    """On a fresh descriptor the first transfer builds one BasisSolver, on
+    dim g - dim h vectors, and asks it for the coordinates of each of the
+    dim g classes pi(e_k); every later transfer, canonical or seeded,
+    builds and solves nothing."""
+    calls = {"solvers": 0, "coordinates": 0, "inverse": 0, "solve": 0}
     sizes = []
-    original = ratlin.inverse
+    original_init = ratlin.BasisSolver.__init__
 
-    def counted_inverse(m, *args, **kwargs):
-        calls["inverse"] += 1
-        sizes.append(m.rows)
-        return original(m, *args, **kwargs)
+    def counted_init(self, basis):
+        calls["solvers"] += 1
+        sizes.append(len(basis))
+        original_init(self, basis)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "lietriples" and (
-            getattr(module, "inverse", None) is original
-        ):
-            monkeypatch.setattr(module, "inverse", counted_inverse)
     original_coordinates = ratlin.BasisSolver.coordinates
 
     def counted_coordinates(self, vec):
         calls["coordinates"] += 1
         return original_coordinates(self, vec)
 
+    monkeypatch.setattr(ratlin.BasisSolver, "__init__", counted_init)
     monkeypatch.setattr(ratlin.BasisSolver, "coordinates", counted_coordinates)
+    for fn_name in ("inverse", "solve"):
+        original = getattr(ratlin, fn_name)
+
+        def counted(*args, _original=original, _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "lietriples" and (
+                getattr(module, fn_name, None) is original
+            ):
+                monkeypatch.setattr(module, fn_name, counted)
     for index, name in enumerate(ENTRY_NAMES):
         bt = catalog.BuiltTriple(catalog.builtin_entries()[name])
         d = bt.descriptor
@@ -570,15 +590,17 @@ def test_transfer_split_inverts_once_per_descriptor(monkeypatch):
         omega_g = bt.omega_g
         d.l_alg
         assert "transfer_split" not in vars(d), name
-        calls.update(inverse=0, coordinates=0)
+        calls.update(dict.fromkeys(calls, 0))
         first_seed = None if index % 2 else 11  # the first transfer seeded or not
         first = iota_embed(d, omega_g, complement_seed=first_seed)
-        assert calls == {"inverse": 1, "coordinates": 0}, name
+        solved = {"solvers": 1, "coordinates": d.g.dim, "inverse": 0, "solve": 0}
+        assert calls == solved, name
         assert sizes[-1] == d.g.dim - d.h.dim, name
+        assert (sizes[-1], calls["coordinates"]) == FIRST_TRANSFER_SOLVES[name]
         for seed in (None, 11, 1, 2, None):
             assert iota_embed(d, omega_g, complement_seed=seed) == first, (name, seed)
             _transfer_split(d, seed)
-        assert calls == {"inverse": 1, "coordinates": 0}, name
+        assert calls == solved, name
 
 
 @pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4"])

@@ -47,6 +47,27 @@ def test_no_module_but_ratlin_crosses_between_dense_and_sparse():
     assert crossings == []
 
 
+# Exact arithmetic in Python ints lives in ratlin alone: no other module
+# takes a Fraction apart, scales to a common denominator or reaches for the
+# private elimination
+_INTEGER_ARITHMETIC = re.compile(
+    r"\.(numerator|denominator)\b|\bmath\.lcm\b|\bimport\b.*\blcm\b|\b(_kernel|_rref|_primitive)\b"
+)
+
+
+def test_no_module_but_ratlin_does_integer_arithmetic():
+    modules = sorted(Path(lietriples.__file__).parent.glob("*.py"))
+    assert "parabolic.py" in [m.name for m in modules]
+    found = [
+        f"{m.name}:{k}: {line.strip()}"
+        for m in modules
+        if m.name != "ratlin.py"
+        for k, line in enumerate(m.read_text().splitlines(), 1)
+        if _INTEGER_ARITHMETIC.search(line)
+    ]
+    assert found == []
+
+
 def test_every_exported_name_is_the_object_of_its_defining_module():
     for name in lietriples.__all__:
         value = getattr(lietriples, name)

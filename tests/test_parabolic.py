@@ -4,21 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from lietriples import catalog, liealg, parabolic, ratlin
+from lietriples import catalog, liealg, ratlin
 from lietriples.liealg import is_subalgebra, sl, su
 from lietriples.parabolic import (
     IrrationalSpectrum,
     cartan_split_of_l,
-    char_poly,
     is_spherical_triple,
     joint_eigenspaces,
     maximal_abelian_in_s,
     minimal_parabolic,
-    _integer_roots,
-    rational_eigenvalues,
     restricted_roots,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, subspace_sum
+from lietriples.ratlin import (
+    RatMatrix,
+    SubspaceBasis,
+    _integer_roots,
+    char_poly,
+    inverse,
+    rational_eigenspaces,
+    subspace_sum,
+)
 
 from conftest import ENTRY_NAMES
 from helpers import (
@@ -33,10 +38,22 @@ from helpers import (
 )
 
 
+def rational_eigenvalues(a):
+    return [lam for lam, _ in rational_eigenspaces(a)]
+
+
+def rational_char_poly(a):
+    """The coefficients of det(x I - A), from those of det(x I - dA)."""
+    c, d = char_poly(a)
+    return [Fraction(ck, d ** (a.rows - k)) for k, ck in enumerate(c)]
+
+
 def test_char_poly_diag():
     m = RatMatrix.diagonal([2, 3])
     # (x - 2)(x - 3) = x^2 - 5x + 6
-    assert char_poly(m) == [Fraction(6), Fraction(-5), Fraction(1)]
+    assert char_poly(m) == ([6, -5, 1], 1)
+    # det(x I - 6 diag(1/2, -1/3)) = (x - 3)(x + 2) = x^2 - x - 6
+    assert char_poly(RatMatrix.diagonal([Fraction(1, 2), Fraction(-1, 3)])) == ([-6, -1, 1], 6)
 
 
 def _det(rows):
@@ -70,9 +87,10 @@ def test_char_poly_makes_no_matrix_products(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(RatMatrix, "__matmul__", counting)
-    coeffs = char_poly(a)
+    c, _ = char_poly(a)
     assert products == []
-    assert all(type(c) is Fraction for c in coeffs)
+    assert all(type(ck) is int for ck in c)
+    coeffs = rational_char_poly(a)
     # two polynomials of degree n that agree at n + 1 points are equal
     for x in range(n + 1):
         shifted = [[int(i == j) * x - a[i, j] for j in range(n)] for i in range(n)]
@@ -83,12 +101,12 @@ def test_char_poly_matches_ratmatrix_oracle():
     rng = random.Random("char-poly-oracle")
     for n in (1, 1, 2, 3, 4, 5, 7):
         a = _random_rational_matrix(rng, n)
-        coeffs = char_poly(a)
-        assert coeffs == ratmatrix_char_poly(a), n
-        assert all(type(c) is Fraction for c in coeffs)
+        c, d = char_poly(a)
+        assert rational_char_poly(a) == ratmatrix_char_poly(a), n
+        assert all(type(ck) is int for ck in c) and type(d) is int
     for entries in ([[Fraction(-5, 6)]], [[0]], [[0, 0], [0, 0]]):
         a = RatMatrix(entries)
-        assert char_poly(a) == ratmatrix_char_poly(a)
+        assert rational_char_poly(a) == ratmatrix_char_poly(a)
 
 
 def test_rational_eigenvalues_with_fractions():
@@ -144,6 +162,76 @@ def test_rational_eigenvalues_non_integer_far_out():
         ]
     )
     assert rational_eigenvalues(m) == [big, big + 1]
+
+
+def _assert_rational_eigenspaces(a, eigenvalues):
+    """rational_eigenspaces(a) holds these eigenvalues, strictly increasing,
+    each with a nonzero space equal to the dense_rref kernel of A - lam I."""
+    spaces = rational_eigenspaces(a)
+    assert [lam for lam, _ in spaces] == eigenvalues
+    assert all(x < y for x, y in zip(eigenvalues, eigenvalues[1:]))
+    for lam, sub in spaces:
+        assert sub.dim > 0 and sub == dense_eigenspace(a, lam), lam
+    return spaces
+
+
+def test_rational_eigenspaces_of_the_empty_matrix():
+    assert rational_eigenspaces(RatMatrix.zeros(0, 0)) == []
+    assert rational_eigenspaces(RatMatrix([])) == []
+
+
+def test_rational_eigenspaces_of_a_nilpotent_jordan_block():
+    a = RatMatrix([[int(j == i + 1) for j in range(3)] for i in range(3)])
+    assert scanned_rational_eigenvalues(a) == [0]
+    ((_, sub),) = _assert_rational_eigenspaces(a, [0])
+    assert sub == SubspaceBasis(3, [{0: 1}])
+    # one eigenvector for three dimensions: no rational diagonalization
+    with pytest.raises(IrrationalSpectrum, match="covered 1 of 3"):
+        joint_eigenspaces(3, [a])
+
+
+def test_rational_eigenspaces_skip_the_irrational_factor():
+    # the companion matrix of x (x^2 - 2): only 0 is rational
+    a = RatMatrix([[0, 0, 0], [1, 0, 2], [0, 1, 0]])
+    assert scanned_rational_eigenvalues(a) == [0]
+    ((_, sub),) = _assert_rational_eigenspaces(a, [0])
+    assert sub == SubspaceBasis(3, [{0: -2, 2: 1}])
+    with pytest.raises(IrrationalSpectrum, match="covered 1 of 3"):
+        joint_eigenspaces(3, [a])
+
+
+def test_rational_eigenspaces_with_three_denominators():
+    # P diag(1/2, -1/3, 5/6) P^-1, no entry of it zero: d = 6 scales every
+    # eigenvalue to an integer root of c
+    p = RatMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    values = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)]
+    a = p @ RatMatrix.diagonal(values) @ inverse(p)
+    assert all(a[i, j] for i in range(3) for j in range(3) if i != j)
+    assert scanned_rational_eigenvalues(a) == sorted(values)
+    spaces = _assert_rational_eigenspaces(a, sorted(values))
+    columns = dict(zip(values, p.columns()))
+    assert all(sub == SubspaceBasis(3, [sparse(columns[lam])]) for lam, sub in spaces)
+
+
+def test_rational_eigenspaces_above_two_to_the_64():
+    # denominators 2^64 + 13 and 2^61 - 1, numerators near 2^70, a repeated
+    # eigenvalue, conjugated by an integer matrix of determinant 1: d and
+    # the entries of A both pass 2^64, so nothing fits a machine word
+    q1, q2 = 2**64 + 13, 2**61 - 1
+    big, small = Fraction(2**70 + 1, q1), Fraction(-(2**66), q2)
+    p = RatMatrix([[1, 2, 0], [0, 1, 3], [0, -1, -2]])
+    p_inv = inverse(p)
+    assert all(x.denominator == 1 for row in p_inv.data for x in row.values())
+    a = p @ RatMatrix.diagonal([big, small, big]) @ p_inv
+    c, d = char_poly(a)
+    assert d > 2**64 and max(abs(x.numerator) for row in a.data for x in row.values()) > 2**64
+    assert c[0] == -(d**3) * big * big * small  # det(-dA)
+    spaces = _assert_rational_eigenspaces(a, [small, big])
+    cols = p.columns()
+    assert dict(spaces) == {
+        small: SubspaceBasis(3, [sparse(cols[1])]),
+        big: SubspaceBasis(3, map(sparse, [cols[0], cols[2]])),
+    }
 
 
 @pytest.mark.parametrize(
@@ -237,8 +325,7 @@ def _assert_eigenspaces_match_the_oracles(ambient_dim, operators):
     assert spaces == restricting_joint_eigenspaces(ambient_dim, operators)
     assert all(x and type(x) is Fraction for _, sp in spaces for v in sp.vectors for x in v.values())
     for op in operators:
-        for lam in rational_eigenvalues(op):
-            got = parabolic._eigenspace(op, lam)
+        for lam, got in rational_eigenspaces(op):
             assert got == dense_eigenspace(op, lam), lam
             assert all(x and type(x) is Fraction for v in got.vectors for x in v.values())
     return spaces
@@ -469,7 +556,8 @@ def test_u13_restricted_root_multiplicities(built_catalog):
 def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
     """pairs.TripleDescriptor.in_l and liealg.centralizer stack Fractions
     they computed themselves and hand them to kernel, and
-    parabolic._eigenspace hands its integer rows to ratlin._kernel, all
+    ratlin.rational_eigenspaces hands the integer rows of dA - tI to
+    _kernel, all
     without the coercing RatMatrix constructor; the kernels equal the
     oracles'."""
     d = built_catalog["g2"].descriptor
@@ -491,7 +579,7 @@ def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
     monkeypatch.setattr(ratlin.RatMatrix, "__init__", counted_init)
     got = (
         d.in_l(theta=-1, sigma=-1),
-        parabolic._eigenspace(op, Fraction(-2)),
+        dict(rational_eigenspaces(op))[Fraction(-2)],
         liealg.centralizer(g, s),
     )
     assert got == expected

@@ -164,6 +164,28 @@ def test_signature_matches_the_congruence_oracle_on_seeded_congruences():
         assert signature(s) == congruence_signature(s) == inertia, (d, p)
 
 
+def test_signature_matches_the_congruence_oracle_on_grams_with_mixed_denominators():
+    # G = V^T D V for k vectors in Q^m: entries over 1, 7, 9, 10^12 + 39 and
+    # 2^64 + 13 at once, so char_poly scales by their lcm; G has at most the
+    # positive and negative counts of D, and k - min(m, k) or more zeros
+    rng = random.Random("mixed-denominators")
+    denominators = (1, 7, 9, 10**12 + 39, 2**64 + 13)
+    for _ in range(60):
+        m, k = rng.randint(1, 5), rng.randint(1, 6)
+        v = RatMatrix(
+            [
+                [Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(k)]
+                for _ in range(m)
+            ]
+        )
+        d = [rng.choice((-2, -1, Fraction(1, 3), 1)) for _ in range(m)]
+        gram = v.transpose() @ RatMatrix.diagonal(d) @ v
+        pos, neg, zero = signature(gram)
+        assert (pos, neg, zero) == congruence_signature(gram), (d, v)
+        assert pos <= sum(x > 0 for x in d) and neg <= sum(x < 0 for x in d)
+        assert zero >= k - min(m, k)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_signature_matches_the_congruence_oracle_on_bordered_hyperbolic_blocks(n):
     # [[0, c], [c, 0]] on coordinates (i, j), zeros elsewhere, alone and with
@@ -395,16 +417,33 @@ def _change_of_basis_sites():
     given a vector outside its basis."""
     from lietriples.liealg import (
         NotClosed,
+        direct_sum,
         from_matrix_basis,
         sl,
         so,
         subalgebra_on_own_basis,
     )
-    from lietriples.pairs import conjugation_involution
+    from lietriples.env2 import NotTransitive, _canonical_transfer_split
+    from lietriples.pairs import (
+        TripleDescriptor,
+        conjugation_involution,
+        negative_transpose_involution,
+        swap_involution,
+    )
     from lietriples.parabolic import IrrationalSpectrum, joint_eigenspaces
 
     e, f = RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0], [1, 0]])
     shear = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    g = direct_sum(sl(2), sl(2))
+    # l one line: l + h misses a direction of g, so some class of g/h lies
+    # outside the span of the section's images
+    line = TripleDescriptor(
+        g=g,
+        sigma=swap_involution(g),
+        theta=negative_transpose_involution(g),
+        l_frame=RatMatrix.from_columns(6, [[1, 0, 0, 0, 0, 0]]),
+        name="line",
+    )
     return {
         "from_matrix_basis": (
             lambda: from_matrix_basis([e, f]),
@@ -426,6 +465,11 @@ def _change_of_basis_sites():
             lambda: joint_eigenspaces(3, [sl(2).ad({0: 1}), sl(2).ad({1: 1})]),
             IrrationalSpectrum,
             "operator does not preserve the subspace",
+        ),
+        "canonical_transfer_split": (
+            lambda: _canonical_transfer_split(line),
+            NotTransitive,
+            "l + h does not fill g",
         ),
     }
 
