@@ -3,7 +3,7 @@
 Entries are small recipes (which algebra, which involutions, which embedded
 subalgebra, which generator list) that build into validated
 TripleDescriptors.  Descriptor files are JSON with every rational serialized
-as a "p/q" string, so no floating-point value can enter through parsing.
+as a "p/q" string and read by ratlin._rat, so no float can enter.
 
 Conventions fixed here:
   * so(p, q) always uses the defining form J = diag(I_p, -I_q), and theta is
@@ -23,7 +23,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +50,7 @@ from .pairs import (
     negative_transpose_involution,
     swap_involution,
 )
-from .ratlin import RatMatrix, SubspaceBasis
+from .ratlin import RatMatrix, SubspaceBasis, _rat
 
 SCHEMA_VERSION = 1
 
@@ -60,8 +59,6 @@ SCHEMA_VERSION = 1
 # Checked before anything is built, as are the smallest sizes the
 # constructors accept.
 MAX_SIZE = 12
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 GENERATOR_NAMES = ("omega_l", "omega_l_cap_k", "omega_l_cap_s_cap_q")
 
@@ -168,14 +165,14 @@ def _sizes(recipe: dict, keys: str, where: str, minimum: int) -> list:
 
 
 def _rational(value, where: str) -> Fraction:
-    """A JSON integer or an integer or "p/q" string; floats, bools, decimal
-    and exponent strings never pass."""
-    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise CatalogError(f'{where}: expected a rational "p/q" string, got {_show(value)}')
+    """value read by ratlin._rat, the one rule for exact rationals (a JSON
+    integer or an integer or "p/q" string), refused at where."""
+    try:
+        return _rat(value)
+    except (TypeError, ValueError):
+        raise CatalogError(
+            f'{where}: expected a rational "p/q" string, got {_show(value)}'
+        ) from None
 
 
 def _vector(value, where: str, length: int) -> list:
@@ -606,15 +603,18 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
 def load_entries(path: str) -> dict:
     """Load {name: CatalogEntry} from a JSON descriptor file.
 
-    The file holds either one entry object or {"entries": [...]}; JSON parse
+    The file holds either one entry object or {"entries": [...]} in UTF-8;
+    bytes that are not UTF-8 are a CatalogError naming the file, JSON parse
     errors are re-raised with line/column diagnostics, and nesting too deep
     for the parser as a CatalogError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CatalogError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

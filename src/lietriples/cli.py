@@ -34,6 +34,7 @@ from . import catalog as cat
 from .catalog import CatalogError, canonical_json
 from .env2 import DegenerateForm, NotInvariant, NotTransitive
 from .pairs import DescriptorError, NotTransitiveTriple, check_transitive_triple
+from .ratlin import _rat
 from .spectra import lorentzian_spectrum_report
 
 EXIT_OK = 0
@@ -236,8 +237,8 @@ def cmd_spectrum(args) -> int:
         print("spectrum: --n must be at least 2", file=sys.stderr)
         return EXIT_INPUT
     try:
-        cutoff = cat._rational(args.cutoff, "--cutoff")
-    except CatalogError:
+        cutoff = _rat(args.cutoff)
+    except (TypeError, ValueError):
         print(f"spectrum: bad --cutoff value {args.cutoff!r}", file=sys.stderr)
         return EXIT_INPUT
     report = lorentzian_spectrum_report(args.n, cutoff)
@@ -353,9 +354,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotInvariant, NotTransitive, NotTransitiveTriple, DegenerateForm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -293,8 +293,8 @@ class TripleDescriptor:
 
     def validate(self) -> None:
         """Raise DescriptorError unless the involutions, the frame of l and
-        its labels fit together and l is a subalgebra.  The descriptor is immutable, so a descriptor that passes
-        is checked once."""
+        its labels fit together and l is a subalgebra.  The descriptor is
+        immutable, so a descriptor that passes is checked once."""
         self._validated
 
     @cached_property

@@ -94,25 +94,22 @@ def maximal_abelian_in_s(
 
     Starts from the first canonical basis vector of s_l (last when reverse
     is set) and keeps extending inside the commutant until no element of
-    s_l outside the current subspace commutes with all of it.
+    s_l outside the current subspace commutes with all of it.  The
+    commutant z of the chosen vectors in s_l shrinks one vector at a time:
+    the next z is the centralizer of the vector just chosen inside the
+    last z, the same subspace as the centralizer of all of them in s_l.
     """
     if s_l.dim == 0:
         return s_l
-    order = list(s_l.vectors)
-    if reverse:
-        order.reverse()
-    chosen = [order[0]]
-    a = SubspaceBasis(l_alg.dim, chosen)
-    while True:
-        z = centralizer(l_alg, a, within=s_l)
-        candidates = list(z.vectors)
-        if reverse:
-            candidates.reverse()
-        ext = next((v for v in candidates if not a.contains(v)), None)
-        if ext is None:
-            return a
+    chosen, z = [], s_l
+    ext = s_l.vectors[-1 if reverse else 0]
+    while ext is not None:
         chosen.append(ext)
         a = SubspaceBasis(l_alg.dim, chosen)
+        z = centralizer(l_alg, SubspaceBasis(l_alg.dim, [ext]), within=z)
+        candidates = reversed(z.vectors) if reverse else z.vectors
+        ext = next((v for v in candidates if not a.contains(v)), None)
+    return a
 
 
 def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSystem:

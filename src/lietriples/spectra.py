@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .ratlin import _rat
+
 
 # Most discrete eigenvalues a report lists; a larger cutoff is an input error.
 MAX_EIGENVALUES = 10_000
@@ -44,50 +46,34 @@ class SpectrumReport(NamedTuple):
 def lorentzian_spectrum_report(n: int, cutoff) -> SpectrumReport:
     """Banded Laplace spectrum of the compact Lorentzian quotients.
 
-    Requires n >= 2.  The positive discrete eigenvalues are l^2 - n^2 for
-    l = n+1, n+2, ... up to the cutoff; the three bands partition the real
-    eigenvalue axis as (-inf, -n^2], (-n^2, 0], (0, +inf).  They are
-    counted before any is listed: l^2 <= n^2 + floor(cutoff) gives
-    isqrt(n^2 + floor(cutoff)) - n of them, and more than MAX_EIGENVALUES
-    is a ValueError.
+    Requires n >= 2, and a cutoff that ratlin._rat reads as an exact
+    rational (TypeError or ValueError otherwise).  The positive discrete
+    eigenvalues are l^2 - n^2 for l = n+1, n+2, ... up to the cutoff; the
+    three bands partition the real eigenvalue axis as (-inf, -n^2],
+    (-n^2, 0], (0, +inf).  They are counted before any is listed:
+    l^2 <= n^2 + floor(cutoff) gives isqrt(n^2 + floor(cutoff)) - n of
+    them, and more than MAX_EIGENVALUES is a ValueError.
     """
     if n < 2:
         raise ValueError("the Lorentzian family needs n >= 2")
-    cutoff = Fraction(cutoff)
+    cutoff = _rat(cutoff)
     count = max(0, math.isqrt(max(0, n * n + math.floor(cutoff))) - n)
     if count > MAX_EIGENVALUES:
         raise ValueError(
             f"cutoff {cutoff} lists {count} discrete eigenvalues, more than "
             f"MAX_EIGENVALUES = {MAX_EIGENVALUES}"
         )
-    minus_n_sq = Fraction(-n * n)
-    bands = (
-        Band(
-            lower=None,
-            lower_open=True,
-            upper=minus_n_sq,
-            upper_open=False,
-            attribution=(
-                "unitary principal series; at -n^2 also limits of discrete series"
-            ),
-        ),
-        Band(
-            lower=minus_n_sq,
-            lower_open=True,
-            upper=Fraction(0),
-            upper_open=False,
-            attribution=(
-                "complementary series, ends of complementary series, "
-                "non-integrable discrete series"
-            ),
-        ),
-        Band(
-            lower=Fraction(0),
-            lower_open=True,
-            upper=None,
-            upper_open=True,
-            attribution="integrable discrete series",
-        ),
+    # each band is (lower, upper]: open below, and above only at +inf
+    edges = (None, Fraction(-n * n), Fraction(0), None)
+    attributions = (
+        "unitary principal series; at -n^2 also limits of discrete series",
+        "complementary series, ends of complementary series, "
+        "non-integrable discrete series",
+        "integrable discrete series",
+    )
+    bands = tuple(
+        Band(lower, True, upper, upper is None, text)
+        for lower, upper, text in zip(edges, edges[1:], attributions)
     )
     discrete = [
         (ell, Fraction(ell * ell - n * n)) for ell in range(n + 1, n + 1 + count)

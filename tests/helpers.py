@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from lietriples.env2 import NotTransitive, Quad2, _echelon_split
-from lietriples.liealg import LieAlgebra, NotClosed, restrict_form
+from lietriples.liealg import LieAlgebra, NotClosed, centralizer, restrict_form
 from lietriples.pairs import Involution
 from lietriples.parabolic import IrrationalSpectrum, _lex_positive
 from lietriples.ratlin import (
@@ -827,6 +827,28 @@ def ad_matrix_centralizer(g, s, within=None):
                 out[t] += c * w_vecs[a][t]
         vectors.append(sparse(out))
     return SubspaceBasis(g.dim, vectors)
+
+
+def recentralizing_maximal_abelian_in_s(l_alg, s_l, reverse=False):
+    """Reference for parabolic.maximal_abelian_in_s: each step takes the
+    centralizer of all the chosen vectors inside the whole of s_l."""
+    if s_l.dim == 0:
+        return s_l
+    order = list(s_l.vectors)
+    if reverse:
+        order.reverse()
+    chosen = [order[0]]
+    a = SubspaceBasis(l_alg.dim, chosen)
+    while True:
+        z = centralizer(l_alg, a, within=s_l)
+        candidates = list(z.vectors)
+        if reverse:
+            candidates.reverse()
+        ext = next((v for v in candidates if not a.contains(v)), None)
+        if ext is None:
+            return a
+        chosen.append(ext)
+        a = SubspaceBasis(l_alg.dim, chosen)
 
 
 def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):

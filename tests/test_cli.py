@@ -9,6 +9,8 @@ import pytest
 from lietriples import catalog
 from lietriples.catalog import builtin_entries, canonical_json
 from lietriples.cli import main
+from lietriples.ratlin import _rat
+from lietriples.spectra import lorentzian_spectrum_report
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,71 @@ def test_spectrum_large_cutoff_is_a_quick_input_error(n, cutoff, problem):
         timeout=20,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", problem + "\n")
+
+
+def _read_by_rat(capsys, value):
+    return _rat(value)
+
+
+def _read_from_descriptor(capsys, value):
+    # group-compact with value as its first explicit l.vectors entry, read
+    # from the object a descriptor file parses into (a Fraction has no JSON)
+    entry = builtin_entries()["group-compact"].to_json_dict()
+    entry["l"] = _explicit_l(value)
+    try:
+        built = catalog.BuiltTriple(catalog.entry_from_json_dict(entry, where="file.json"))
+    except catalog.CatalogError as exc:
+        assert str(exc) == (
+            'file.json: l.vectors[0][0]: expected a rational "p/q" string, '
+            f"got {catalog._show(value)}"
+        )
+        raise
+    return built.descriptor.l_frame.column(0)[0]
+
+
+def _read_as_report_cutoff(capsys, value):
+    return lorentzian_spectrum_report(2, value).cutoff
+
+
+def _read_as_cli_cutoff(capsys, value):
+    # --cutoff=... so that argparse takes "-3/4" as the value, not an option
+    code, out, err = run_cli(capsys, "--format", "machine", "spectrum", "--n", "2", f"--cutoff={value}")
+    if code == 2:
+        assert (out, err) == ("", f"spectrum: bad --cutoff value {str(value)!r}\n")
+        raise ValueError(err)
+    assert (code, err) == (0, "")
+    return Fraction(json.loads(out)["cutoff"])
+
+
+# one table of inputs for every reader of an exact rational: the first five
+# are read, each as the same Fraction, and every other one is refused
+_EXACT = [
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (7, Fraction(7)),
+    ("7", Fraction(7)),
+    ("-3/4", Fraction(-3, 4)),
+    ("+2", Fraction(2)),
+]
+_INEXACT = [True, 0.1, "0.5", "1e9", " 7 ", "1_000", "0x10", None, "1/0", "9" * 5000, "1e300000"]
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [_read_by_rat, _read_from_descriptor, _read_as_report_cutoff, _read_as_cli_cutoff],
+    ids=["rat", "descriptor", "report", "cli"],
+)
+@pytest.mark.parametrize(
+    "value, expected",
+    [pytest.param(*pair, id=repr(pair[0])[:16]) for pair in _EXACT]
+    + [pytest.param(value, None, id=repr(value)[:16]) for value in _INEXACT],
+)
+def test_one_reader_for_exact_rationals(capsys, reader, value, expected):
+    if expected is None:
+        with pytest.raises((TypeError, ValueError)):
+            reader(capsys, value)
+    else:
+        got = reader(capsys, value)
+        assert (type(got), got) == (Fraction, expected)
 
 
 def test_spectrum_rejects_n1(capsys):
@@ -591,6 +658,26 @@ def test_json_nested_too_deeply_is_an_input_error(capsys, tmp_path):
     for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
         code, out, err = run_cli(capsys, *verb, str(path))
         assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "name, data, problem",
+    [
+        ("ff.json", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (
+            "latin-1.json",
+            b'{"name": "caf\xe9"}',
+            "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte",
+        ),
+    ],
+    ids=["byte-0xff", "latin-1-name"],
+)
+def test_a_file_that_is_not_utf8_is_a_located_input_error(capsys, tmp_path, name, data, problem):
+    path = tmp_path / name
+    path.write_bytes(data)
+    for argv in (["triples", "check", str(path)], ["--catalog", str(path), "spherical", "group"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: {problem}\n")
 
 
 def _assert_located_input_error(capsys, tmp_path, entry, problem):

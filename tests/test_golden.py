@@ -4,7 +4,9 @@ Each file tests/golden/<entry>-<verb>.txt holds the stdout of
 ``lietriples --format machine --explain <verb> <entry>`` followed by one
 line ``exit: <code>``.  The files were written before the zero-skipping
 kernels went in, so any change to a number, a key or an ordering in the
-output of a later implementation fails here.
+output of a later implementation fails here.  tests/golden/spectrum.txt
+does the same for ``spectrum --n 3 --cutoff 200/3``, written before the
+cutoff was read through ratlin._rat.
 """
 
 from pathlib import Path
@@ -30,4 +32,11 @@ def test_machine_output_matches_golden(capsys, entry, verb):
     captured = capsys.readouterr()
     expected = (GOLDEN / f"{entry}-{verb}.txt").read_text()
     assert captured.out + f"exit: {code}\n" == expected
+    assert captured.err == ""
+
+
+def test_spectrum_machine_output_matches_golden(capsys):
+    code = main(["--format", "machine", "--explain", "spectrum", "--n", "3", "--cutoff", "200/3"])
+    captured = capsys.readouterr()
+    assert captured.out + f"exit: {code}\n" == (GOLDEN / "spectrum.txt").read_text()
     assert captured.err == ""

@@ -32,6 +32,7 @@ from helpers import (
     dense_eigenspace,
     intersected_l_cap_s_cap_q,
     ratmatrix_char_poly,
+    recentralizing_maximal_abelian_in_s,
     restricting_joint_eigenspaces,
     scanned_rational_eigenvalues,
     sparse,
@@ -341,6 +342,22 @@ def test_restricted_root_eigenspaces_match_the_oracles(name):
     a = maximal_abelian_in_s(l_alg, s_l)
     spaces = _assert_eigenspaces_match_the_oracles(l_alg.dim, [l_alg.ad(v) for v in a.vectors])
     assert sum(sp.dim for _, sp in spaces) == l_alg.dim
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4", "lorentzian-5"])
+def test_maximal_abelian_matches_the_recentralizing_loop(built_catalog, name, reverse):
+    # the commutant shrunk one chosen vector at a time against the loop that
+    # re-centralizes all of them in s_l at each step: the same candidates,
+    # so the same picks
+    if name in built_catalog:
+        descriptor = built_catalog[name].descriptor
+    else:
+        descriptor = catalog.build(catalog._lorentzian_entry(int(name.rsplit("-", 1)[1]))).descriptor
+    l_alg, _, _, s_l = cartan_split_of_l(descriptor)
+    a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
+    assert a.vectors == recentralizing_maximal_abelian_in_s(l_alg, s_l, reverse=reverse).vectors
+    assert a.dim >= 1
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -21,6 +21,7 @@ from lietriples.ratlin import (
     NonSymmetric,
     RatMatrix,
     SubspaceBasis,
+    _rat,
     _rref,
     combination,
     coordinates_in,
@@ -614,7 +615,17 @@ def test_kernels_build_checked_fraction_matrices():
         assert results["from_columns"] == coerced([list(r) for r in zip(*columns)], 3)
 
 
-@pytest.mark.parametrize("bad", [0.5, None, 1j])
+def test_rat_reads_digit_runs_up_to_the_default_int_limit():
+    # 4300 digits, Python's default int_max_str_digits, whatever the
+    # interpreter's setting
+    assert _rat("-" + "9" * 4300) == 1 - 10**4300
+    assert _rat("1/" + "9" * 4300) == Fraction(1, 10**4300 - 1)
+    for text in ("9" * 4301, "1/" + "9" * 4301, "1/0", "-0/000"):
+        with pytest.raises(ValueError):
+            _rat(text)
+
+
+@pytest.mark.parametrize("bad", [0.5, None, 1j, True, "0.5", "1e300000"])
 def test_the_public_constructors_still_reject_inexact_entries(bad):
     # the elimination reads .numerator and .denominator, so an inexact
     # entry that got past the coercion would raise AttributeError there
