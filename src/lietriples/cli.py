@@ -20,14 +20,16 @@ identical inputs produce byte-identical output, and re-rendering parsed
 output reproduces it exactly.
 
 Exit codes: 0 verified/success, 1 verification failure, 2 input error,
-3 internal contract violation (a rational-spectrum failure, which must
-never happen on the shipped catalog).
+3 internal contract violation (a rational-spectrum failure; it does not
+happen on the shipped frames, but spherical can exit 3 on a shipped l
+written in another rational basis, ROADMAP item 8).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import catalog as cat
@@ -351,6 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):
+        # argparse reads "-3/4", not a plain negative number, as an option
+        if argv[k - 1] == "--cutoff" and re.match(r"-[0-9]", argv[k]):
+            argv[k - 1 : k + 1] = [f"--cutoff={argv[k]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -20,7 +20,8 @@ off the coordinates of each class of g/h in the image of that section,
 through one BasisSolver on dim g - dim h vectors, once per triple.  Any
 split gives the same canonical image, because U(l) cap U(g) h = U(l)(l cap
 h) when l + h = g.  Products are collected in a coefficient table and
-normal-ordered once.
+normal-ordered once, in Python ints through the algebra's integer structure
+table (LieAlgebra.int_table), with one Fraction per output coefficient.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .ratlin import (
     RatMatrix,
     SubspaceBasis,
     _rat,
+    add_over,
     combination,
     coordinates_in,
     inverse,
@@ -185,24 +187,30 @@ def _normal_order(
     algebra: LieAlgebra, table: dict, lin: Optional[dict] = None, const=0
 ) -> Quad2:
     """sum c X_a X_b over the (a, b) -> c table, plus lin and const, in PBW
-    normal order.
+    normal order; callers fill the table first and order it once, so no
+    Quad2 is built per term."""
+    scaled, d = over_one_denominator({0: table, 1: lin or {}})
+    quad, lin_m, d_t = _order_ints(algebra, scaled[0])
+    return _over(algebra, quad, d, *add_over(lin_m, d * d_t, scaled[1], d), const)
 
-    X_a X_b with a <= b is a normal monomial; with a > b it is X_b X_a +
-    [X_a, X_b], one commutator into the linear part.  Callers fill the table
-    first and order it once, so no Quad2 is built per term.
-    """
+
+def _order_ints(algebra: LieAlgebra, table: dict) -> tuple:
+    """(quad, lin, d_t): sum c X_a X_b over the int (a, b) -> c table in PBW
+    normal order.  X_a X_b with a > b is X_b X_a + [X_a, X_b], and the
+    commutators go into lin over d_t, the denominator of the int table."""
+    int_table, d_t = algebra.int_table
     quad: dict = {}
-    lin = dict(lin) if lin else {}
+    lin: dict = {}
     for (a, b), c in table.items():
         if not c:
             continue
         if a > b:
-            for k, d in algebra.bracket_basis_sparse(a, b).items():
-                lin[k] = lin.get(k, 0) + c * d
+            for k, t in int_table.get((b, a), {}).items():
+                lin[k] = lin.get(k, 0) - c * t
             a, b = b, a
         key = (a, b)
         quad[key] = quad.get(key, 0) + c
-    return Quad2(algebra, quad, lin, const)
+    return quad, lin, d_t
 
 
 def product_of_linear(algebra: LieAlgebra, v: dict, w: dict) -> Quad2:
@@ -286,11 +294,12 @@ def bracket_with(q: Quad2, x) -> Quad2:
     return _normal_order(algebra, table, combination(q.lin, ad))
 
 
-def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Quad2:
+def _reduce_split(q: Quad2, front_alg: LieAlgebra, split: tuple) -> Quad2:
     """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
 
-    front[k] is f_k in front_alg coordinates and eta[k] is eta_k in h in
-    ambient coordinates, both as sparse vectors.  Modulo U(g) h,
+    The split is (front, d_f, eta, d_e) in Python ints: front[k] is d_f f_k
+    in front_alg coordinates and eta[k] is d_e eta_k in h in ambient
+    coordinates, both as sparse vectors.  Modulo U(g) h,
 
         X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]),
 
@@ -301,53 +310,67 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, front: list, eta: list) -> Qu
         M[a, b] = sum c_ij f_i[a] f_j[b]      in front coordinates,
         N[a, b] = sum c_ij eta_i[a] e_j[b]    in ambient coordinates,
 
-    in Python ints: the c_ij, the f_k they touch and their eta_i are each
-    brought to one denominator, d_q, d_f and d_e, so the tables hold
-    d_f^2 d_q M and d_e d_q N, and each nonzero entry becomes one Fraction.
-    Grouping the terms by i, M = sum_i f_i (x) (sum_j c_ij f_j).
+    in Python ints: with the c_ij over one denominator d_q, the tables hold
+    d_f^2 d_q M and d_e d_q N.  Grouping the terms by i, M = sum_i f_i (x)
+    (sum_j c_ij f_j).
 
     N brackets eta_i with X_j = f_j + eta_j rather than with f_j.  The extra
     [eta_i, eta_j] lies in h, so its front part is zero when the front space
     is the standard complement of h, and lies in l cap h in the transfer,
     where the final reduction modulo U(l)(l cap h) removes it.  N only
-    enters through the antisymmetric [X_a, X_b], so it is kept on a < b.
-    sum M[a, b] X_a X_b is normal-ordered once in front_alg; the ambient
-    rest, the linear part of q plus sum N[a, b] [X_a, X_b] in g, goes to the
-    front in one step, y -> sum_k y_k f_k.
+    enters through the antisymmetric [X_a, X_b], so it is kept on a > b,
+    where normal ordering sum N[a, b] X_a X_b picks up exactly sum N[a, b]
+    [X_a, X_b] as its linear part.  Both tables are normal-ordered once
+    through the integer structure tables, M in front_alg and N in g; the
+    ambient rest, the linear part of q plus that of N, goes to the front in
+    one step, y -> sum_k y_k f_k, still in ints.  Each nonzero output
+    coefficient is then one Fraction.
     """
-    g = q.algebra
+    return _over(front_alg, *_split_ints(q, front_alg, split), q.const)
+
+
+def _split_ints(q: Quad2, front_alg: LieAlgebra, split: tuple) -> tuple:
+    """(quad, d_quad, lin, d_lin): the quad and linear parts of
+    _reduce_split(q, front_alg, split) as int tables over one denominator
+    each."""
+    front, d_f, eta, d_e = split
     rows: dict = {}
     for (i, j), c in q.quad.items():
         rows.setdefault(i, {})[j] = c
     rows, d_q = over_one_denominator(rows)
-    f, d_f = over_one_denominator({k: front[k] for k in set(rows).union(*rows.values())})
-    e, d_e = over_one_denominator({i: eta[i] for i in rows})
     m_table: dict = {}
     n_table: dict = {}
     for i, terms in rows.items():
         # sum_j c_ij f_j, front coordinates
-        _add_outer(m_table, f[i], combination(terms, f))
-        for a, x in e[i].items():
+        _add_outer(m_table, front[i], combination(terms, front))
+        for a, x in eta[i].items():
             for b, y in terms.items():  # sum_j c_ij e_j
-                if a < b:
+                if a > b:
                     key = (a, b)
                     n_table[key] = n_table.get(key, 0) + x * y
-                elif a > b:
+                elif a < b:
                     key = (b, a)
                     n_table[key] = n_table.get(key, 0) - x * y
-    m_table = {key: Fraction(n, d_f * d_f * d_q) for key, n in m_table.items() if n}
-    rest = dict(q.lin)
-    for (a, b), n in n_table.items():
-        if n:
-            c = Fraction(n, d_e * d_q)
-            for k, d in g.bracket_basis_sparse(a, b).items():
-                rest[k] = rest.get(k, 0) + c * d
-    return _normal_order(front_alg, m_table, combination(rest, front), q.const)
+    quad, lin, d_t = _order_ints(front_alg, m_table)
+    d_quad = d_f * d_f * d_q
+    _, rest, d_g = _order_ints(q.algebra, n_table)  # sum N[a, b] [X_a, X_b]
+    lin_q, d_l = over_one_denominator({0: q.lin})
+    rest, d_r = add_over(rest, d_e * d_q * d_g, lin_q[0], d_l)
+    lin, d_lin = add_over(lin, d_quad * d_t, combination(rest, front), d_r * d_f)
+    return quad, d_quad, lin, d_lin
+
+
+def _over(algebra: LieAlgebra, quad: dict, d_quad: int, lin: dict, d_lin: int, const) -> Quad2:
+    """The Quad2 of quad / d_quad and lin / d_lin, one Fraction per nonzero
+    coefficient."""
+    quad = {k: Fraction(n, d_quad) for k, n in quad.items() if n}
+    return Quad2(algebra, quad, {k: Fraction(n, d_lin) for k, n in lin.items() if n}, const)
 
 
 def _echelon_split(h: SubspaceBasis) -> tuple:
-    """(front, eta) of the split X_k = f_k + eta_k whose front space is the
-    standard complement of h, both as sparse vectors in ambient coordinates.
+    """(front, d, eta, d): the split X_k = f_k + eta_k whose front space is
+    the standard complement of h, both as int vectors over d in ambient
+    coordinates.
 
     h is in reduced echelon form, so the standard basis vectors off its
     pivots span a complement.  Off a pivot X_i = f_i with eta_i = 0; at the
@@ -356,12 +379,13 @@ def _echelon_split(h: SubspaceBasis) -> tuple:
     the coordinates off the pivots, with kernel h.  No elimination is needed.
     """
     n = h.ambient_dim
-    front = [{k: Fraction(1)} for k in range(n)]
+    vectors, d = over_one_denominator(dict(enumerate(h.vectors)))
+    front = [{k: d} for k in range(n)]
     eta: list = [{} for _ in range(n)]
-    for p, v in zip(h.pivots(), h.vectors):
+    for p, v in zip(h.pivots(), vectors.values()):
         eta[p] = v
-        front[p] = {i: -x for i, x in v.items() if i != p}  # v[p] = 1
-    return front, eta
+        front[p] = {i: -x for i, x in v.items() if i != p}  # v[p] = d
+    return front, d, eta, d
 
 
 class IdealReducer:
@@ -380,13 +404,13 @@ class IdealReducer:
             raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         self.algebra = algebra
         self.h = h
-        self._front, self._eta = _echelon_split(h)
+        self._split = _echelon_split(h)
 
     def reduce(self, q: Quad2) -> Quad2:
-        split = _reduce_split(q, self.algebra, self._front, self._eta)
+        quad, d_quad, lin, d_lin = _split_ints(q, self.algebra, self._split)
+        front, d_f = self._split[:2]
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        lin = combination(split.lin, self._front)
-        return Quad2(self.algebra, split.quad, lin, split.const)
+        return _over(self.algebra, quad, d_quad, combination(lin, front), d_lin * d_f, q.const)
 
 
 def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
@@ -437,35 +461,37 @@ def iota_embed(
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
         raise ValueError("q is not an element over the ambient algebra")
-    front, eta = _transfer_split(t, complement_seed)
+    split = _transfer_split(t, complement_seed)
     if not _h_invariant(t, q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
-    image = _reduce_split(q, t.l_alg, front, eta)
+    image = _reduce_split(q, t.l_alg, split)
     return t.l_cap_h_reducer.reduce(image)
 
 
 def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
-    """(front, eta) for g = l + h: X_k = f_k + eta_k with f_k in l, in frame
-    coordinates, and eta_k in h, both as sparse vectors.
+    """(front, d_f, eta, d_e) for g = l + h: X_k = f_k + eta_k with f_k in
+    l, in frame coordinates, and eta_k in h, both as sparse vectors in
+    Python ints, front[k] = d_f f_k and eta[k] = d_e eta_k.
 
     Without a seed, the descriptor's canonical split, shared (not to be
     mutated).  A seed adds a seeded integer combination sum c u of the basis
     of l cap h to each f_k and subtracts sum c F u from eta_k, which keeps
-    eta_k = e_k - F f_k inside h: nothing is solved per call.
+    eta_k = e_k - F f_k inside h: nothing is solved per call, and the shift
+    is int arithmetic, the basis and its images being kept over d_f and d_e.
     """
     if not t.triple_report.transitive:
         raise NotTransitive("l + h does not fill g")
-    front, eta, images = t.transfer_split
+    front, basis, d_f, eta, images, d_e = t.transfer_split
     if seed is None:
-        return front, eta
+        return front, d_f, eta, d_e
     rng = random.Random(seed)
-    basis, n, moved = t.l_cap_h_in_l.vectors, len(images), ([], [])
+    n, moved = len(images), ([], [])
     for f_k, eta_k in zip(front, eta):
         c = {j: rng.randint(-3, 3) for j in range(n)}
         # f_k + sum c_j u_j and eta_k - sum c_j F u_j; f_k and eta_k sit at index n
         moved[0].append(combination({n: 1, **c}, [*basis, f_k]))
         moved[1].append(combination({n: 1, **{j: -x for j, x in c.items()}}, [*images, eta_k]))
-    return moved
+    return moved[0], d_f, moved[1], d_e
 
 
 def _not_transitive(_) -> NotTransitive:
@@ -473,8 +499,9 @@ def _not_transitive(_) -> NotTransitive:
 
 
 def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
-    """(front, eta, images): the canonical split of _transfer_split and the
-    image F u, in ambient coordinates, of each basis vector u of l cap h.
+    """(front, basis, d_f, eta, images, d_e): the canonical split of
+    _transfer_split, with the basis u of l cap h over d_f and the images F u
+    in ambient coordinates over d_e, all in Python ints.
 
     The frame vectors off the pivots of l cap h (in frame coordinates) span
     a complement of l cap h in l.  When l + h = g (condition (ii) of the
@@ -486,7 +513,7 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     """
     lh = t.l_cap_h_in_l
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
-    pi, _ = _echelon_split(t.h)
+    pi = _echelon_split(t.h)[0]  # d pi: the basis and each pi(e_k) scale alike
     frame = t.frame_vectors
     basis = [combination(frame[a], pi) for a in section]
     front, eta = [], []
@@ -494,7 +521,12 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
         f_k = {section[b]: y for b, y in x.items()}
         front.append(f_k)
         eta.append(combination({0: 1, 1: -1}, [{k: 1}, combination(f_k, frame)]))
-    return front, eta, [combination(u, frame) for u in lh.vectors]
+    images = [combination(u, frame) for u in lh.vectors]
+    n = len(front)
+    front, d_f = over_one_denominator(dict(enumerate([*front, *lh.vectors])))
+    eta, d_e = over_one_denominator(dict(enumerate([*eta, *images])))
+    front, eta = list(front.values()), list(eta.values())
+    return front[:n], front[n:], d_f, eta[:n], eta[n:], d_e
 
 
 def decompose_in_span(

@@ -24,6 +24,7 @@ from .ratlin import (
     combination,
     coordinates_in,
     kernel,
+    over_one_denominator,
 )
 
 
@@ -37,7 +38,7 @@ class LieAlgebra:
     A vector of the algebra is sparse, {index: coefficient}.
     """
 
-    __slots__ = ("dim", "basis_labels", "_table", "matrices")
+    __slots__ = ("dim", "basis_labels", "_table", "matrices", "_int_table")
 
     def __init__(
         self,
@@ -60,9 +61,18 @@ class LieAlgebra:
         object.__setattr__(
             self, "matrices", tuple(matrices) if matrices is not None else None
         )
+        object.__setattr__(self, "_int_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def int_table(self) -> tuple[dict, int]:
+        """(d * table, d): the structure table in Python ints over one
+        denominator d, the lcm of its denominators; built at the first read."""
+        if self._int_table is None:
+            object.__setattr__(self, "_int_table", over_one_denominator(self._table))
+        return self._int_table
 
     # -- brackets ---------------------------------------------------------
 

@@ -9,9 +9,9 @@ run in Python ints: the one elimination, _rref, works on primitive integer
 rows and divides only its final pivot rows into Fractions; char_poly hands
 back the integer characteristic polynomial of dA with d, and signature and
 rational_eigenspaces read inertia and rational spectra off it; and
-over_one_denominator scales to one common denominator.  No other module
-takes a Fraction apart, and every change of basis goes through
-coordinates_in.
+over_one_denominator and add_over scale to one common denominator.  No
+other module takes a Fraction apart, and every change of basis goes
+through coordinates_in.
 """
 
 from __future__ import annotations
@@ -84,6 +84,16 @@ def over_one_denominator(vectors: dict) -> tuple[dict, int]:
         for k, v in vectors.items()
     }
     return scaled, d
+
+
+def add_over(u: dict, d_u: int, v: dict, d_v: int) -> tuple[dict, int]:
+    """(w, d) with w / d = u / d_u + v / d_v for sparse int vectors, d the
+    lcm of d_u and d_v."""
+    d = math.lcm(d_u, d_v)
+    w = {i: x * (d // d_u) for i, x in u.items()}
+    for i, y in v.items():
+        w[i] = w.get(i, 0) + y * (d // d_v)
+    return w, d
 
 
 class RatMatrix:

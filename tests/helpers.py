@@ -615,7 +615,8 @@ def percall_transfer_split(t, seed=None):
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
     rows = [i for i in range(g.dim) if i not in h.pivots()]
     row_of = {i: r for r, i in enumerate(rows)}
-    pi, _ = _echelon_split(h)
+    front, d, _, _ = _echelon_split(h)
+    pi = [{i: Fraction(x, d) for i, x in v.items()} for v in front]
     frame = t.frame_vectors
     m_cols = [
         dense({row_of[i]: x for i, x in combination(frame[a], pi).items()}, len(rows))

@@ -82,6 +82,55 @@ def test_casimir_embed_goldens(capsys):
         assert "canonical residual zero: yes" in out
 
 
+def test_every_shipped_structure_table_is_integral():
+    for name, entry in builtin_entries().items():
+        d = catalog.build(entry).descriptor
+        assert (d.g.int_table[1], d.l_alg.int_table[1]) == (1, 1), name
+
+
+# the denominator of l's structure table on each rescaled frame below
+_RESCALED_TABLE_DENOMINATOR = {
+    ("lorentzian-2", "3/7"): 14,
+    ("lorentzian-2", "1000000000000"): 3,
+    ("lorentzian-2", "1/1000000000039"): 6000000000234,
+    ("g2", "3/7"): 14,
+    ("g2", "1000000000000"): 3,
+    ("g2", "1/1000000000039"): 6000000000234,
+    ("group-compact", "3/7"): 7,
+    ("group-compact", "1000000000000"): 1,
+    ("group-compact", "1/1000000000039"): 1000000000039,
+}
+
+
+@pytest.mark.parametrize("name, scale", list(_RESCALED_TABLE_DENOMINATOR))
+def test_casimir_embed_on_a_rescaled_frame(capsys, tmp_path, name, scale):
+    """l written as explicit vectors, frame vector i times (i mod 3 + 1)
+    scale: l's structure table gets a denominator, and casimir embed gives
+    the shipped coefficients, with seeds 1-3 giving the canonical image."""
+    s = Fraction(scale)
+    entry = builtin_entries()[name]
+    frame = catalog.build(entry).descriptor.l_frame
+    rescaled = entry.to_json_dict()
+    rescaled["l"] = {
+        "kind": "explicit",
+        "vectors": [
+            [str((i % 3 + 1) * s * x) for x in col] for i, col in enumerate(frame.columns())
+        ],
+    }
+    path = tmp_path / "rescaled.json"
+    path.write_text(canonical_json(rescaled))
+    code, out, _ = run_cli(capsys, "--format", "machine", "casimir", "embed", str(path))
+    got = json.loads(out)
+    assert run_cli(capsys, "--format", "machine", "casimir", "embed", name)[1] == out
+    assert (code, got["residual_zero"]) == (0, True)
+    (loaded,) = catalog.load_entries(str(path)).values()
+    bt = catalog.build(loaded)
+    assert bt.descriptor.l_alg.int_table[1] == _RESCALED_TABLE_DENOMINATOR[name, scale]
+    base = bt.iota_of_casimir()
+    for seed in (1, 2, 3):
+        assert bt.iota_of_casimir(complement_seed=seed) == base, seed
+
+
 def test_spectrum_goldens(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--cutoff", "50")
     assert code == 0
@@ -160,7 +209,6 @@ def _read_as_report_cutoff(capsys, value):
 
 
 def _read_as_cli_cutoff(capsys, value):
-    # --cutoff=... so that argparse takes "-3/4" as the value, not an option
     code, out, err = run_cli(capsys, "--format", "machine", "spectrum", "--n", "2", f"--cutoff={value}")
     if code == 2:
         assert (out, err) == ("", f"spectrum: bad --cutoff value {str(value)!r}\n")
@@ -198,6 +246,26 @@ def test_one_reader_for_exact_rationals(capsys, reader, value, expected):
     else:
         got = reader(capsys, value)
         assert (type(got), got) == (Fraction, expected)
+
+
+def test_a_negative_cutoff_may_follow_the_option(capsys):
+    """--cutoff -3/4 reads like --cutoff=-3/4, in process and through the
+    console entry point; --cutoff with no value is still an input error."""
+    joined = run_cli(capsys, "--format", "machine", "spectrum", "--n", "2", "--cutoff=-3/4")
+    assert joined[0] == 0 and json.loads(joined[1])["cutoff"] == "-3/4"
+    assert run_cli(capsys, "--format", "machine", "spectrum", "--n", "2", "--cutoff", "-3/4") == joined
+    fresh = subprocess.run(
+        [sys.executable, "-m", "lietriples", "--format", "machine", "spectrum", "--n", "2",
+         "--cutoff", "-3/4"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == joined
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "2", "--cutoff"])
+    assert exc.value.code == 2
+    assert "argument --cutoff: expected one argument" in capsys.readouterr().err
 
 
 def test_spectrum_rejects_n1(capsys):

@@ -495,19 +495,20 @@ def test_ideal_reduction_matches_the_termwise_split(built_catalog, name):
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_transfer_split_splits_every_basis_vector_along_l_and_h(built_catalog, name):
     """frame f_k + eta_k = e_k with eta_k in h, for the canonical split and
-    20 seeded ones."""
+    20 seeded ones, each given in ints over its denominators d_f and d_e."""
     d = built_catalog[name].descriptor
     n = d.g.dim
     frame_cols = [list(col) for col in d.l_frame.columns()]
     for seed in [None, *range(20)]:
-        front, eta = _transfer_split(d, seed)
+        front, d_f, eta, d_e = _transfer_split(d, seed)
+        assert all(type(x) is int for v in [*front, *eta] for x in v.values()), seed
         for k in range(n):
             total = [Fraction(0)] * n
             for a, x in front[k].items():
                 for i, y in enumerate(frame_cols[a]):
-                    total[i] += x * y
+                    total[i] += Fraction(x, d_f) * y
             for i, x in eta[k].items():
-                total[i] += x
+                total[i] += Fraction(x, d_e)
             assert total == [Fraction(int(i == k)) for i in range(n)], (seed, k)
             assert d.h.contains(eta[k]), (seed, k)
 
@@ -523,7 +524,7 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
     reduce = d.l_cap_h_reducer.reduce
     rng = random.Random(f"transfer/{name}")
     for seed in [None, *range(20)]:
-        front, eta = _transfer_split(d, seed)
+        split = _transfer_split(d, seed)
         h_vecs = [dense(v, d.g.dim) for v in d.h.vectors]
         candidates = h_vecs if seed is None else eager_seeded_candidates(d.h, seed)
         w_vecs = dense_greedy_complement(d.g.dim, frame_cols, candidates)
@@ -533,7 +534,7 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
         if seed is None or seed < 3:
             elements.append(bt.omega_g)
         for q in elements:
-            new_image = reduce(_reduce_split(q, d.l_alg, front, eta))
+            new_image = reduce(_reduce_split(q, d.l_alg, split))
             assert new_image == reduce(termwise_reduce_split(q, d.l_alg, *old)), seed
 
 
@@ -615,24 +616,35 @@ def test_transfer_split_equals_the_percall_split(name):
     bt = catalog.BuiltTriple(entry)
     d = bt.descriptor
     for seed in [None, *range(1, 21)]:
-        front, eta = _transfer_split(d, seed)
+        front, d_f, eta, d_e = _transfer_split(d, seed)
         expected_front, expected_eta = percall_transfer_split(d, seed)
-        assert front == expected_front, seed
-        assert eta == expected_eta, seed
+        assert as_fractions(front, d_f) == expected_front, seed
+        assert as_fractions(eta, d_e) == expected_eta, seed
     for seed in range(1, 21):
         bt.iota_of_casimir(complement_seed=seed)
     bt.embedding_report()
-    front, eta, images = d.transfer_split
-    assert (front, eta) == percall_transfer_split(d)
-    assert images == [ratlin.combination(u, d.frame_vectors) for u in d.l_cap_h_in_l.vectors]
+    front, basis, d_f, eta, images, d_e = d.transfer_split
+    assert (as_fractions(front, d_f), as_fractions(eta, d_e)) == percall_transfer_split(d)
+    assert as_fractions(basis, d_f) == list(d.l_cap_h_in_l.vectors)
+    assert as_fractions(images, d_e) == [
+        ratlin.combination(u, d.frame_vectors) for u in d.l_cap_h_in_l.vectors
+    ]
+
+
+def as_fractions(vectors, d):
+    """Int vectors divided by their denominator d, as Fraction vectors."""
+    return [{i: Fraction(x, d) for i, x in v.items()} for v in vectors]
 
 
 # -- the integer tables of _reduce_split against the Fraction terms --------
 
 
-def dense_split(front, eta, front_dim, n):
-    """A sparse split (front, eta) in the dense form termwise_reduce_split
-    reads, with to_front the front map y -> sum_k y_k f_k."""
+def dense_split(split, front_dim, n):
+    """An int split (front, d_f, eta, d_e) in the dense Fraction form
+    termwise_reduce_split reads, with to_front the front map y -> sum_k y_k
+    f_k."""
+    front, d_f, eta, d_e = split
+    front, eta = as_fractions(front, d_f), as_fractions(eta, d_e)
 
     def to_front(y):
         return dense(ratlin.combination(sparse(y), front), front_dim)
@@ -653,27 +665,22 @@ def test_integer_tables_match_the_termwise_split_on_seeded_transfers(built_catal
     d = bt.descriptor
     rng = random.Random(f"integer-tables/{name}")
     for seed in range(1, 11):
-        front, eta = _transfer_split(d, seed)
-        old = dense_split(front, eta, d.l_alg.dim, d.g.dim)
+        split = _transfer_split(d, seed)
+        old = dense_split(split, d.l_alg.dim, d.g.dim)
         for q in (bt.omega_g, random_quad2(d.g, rng)):
-            new = _reduce_split(q, d.l_alg, front, eta)
+            new = _reduce_split(q, d.l_alg, split)
             assert all(type(c) is Fraction for c in coefficients(new)), seed
             expected = termwise_reduce(termwise_reduce_split(q, d.l_alg, *old), d.l_cap_h_in_l)
             assert termwise_reduce(new, d.l_cap_h_in_l) == expected, seed
 
 
-def integral_as_int(vec):
-    """vec with each integral entry an int, like the 1 that _transfer_split
-    adds to eta_k at k."""
-    return {i: int(x) if x.denominator == 1 else x for i, x in vec.items()}
-
-
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_integer_tables_with_large_coprime_denominators(built_catalog, name):
-    """Coefficients over 10^12 + 39 and 997, an empty quad and int entries in
-    front and eta: on the echelon split of h the integer tables equal the
-    termwise split exactly; on a split whose f_k are moved by seeded
-    elements of h with those denominators, both equal q modulo U(g) h."""
+    """Coefficients over 10^12 + 39 and 997 and an empty quad: on the echelon
+    split of h the integer tables equal the termwise split exactly; on a
+    split whose f_k are moved by seeded elements of h with those
+    denominators, brought over one denominator d_f = d_e, both equal q
+    modulo U(g) h."""
     d = built_catalog[name].descriptor
     g, h = d.g, d.h
     big, small = 10**12 + 39, 997
@@ -687,24 +694,28 @@ def test_integer_tables_with_large_coprime_denominators(built_catalog, name):
         q = random_quad2(g, rng)
         elements.append(Quad2(g, {k: over(c) for k, c in q.quad.items()}, q.lin, over(q.const)))
     elements.append(Quad2(g, lin={0: Fraction(1, big), g.dim - 1: Fraction(2, small)}, const=3))
-    front, eta = env2._echelon_split(h)
-    front, eta = [integral_as_int(f) for f in front], [integral_as_int(e) for e in eta]
-    moved_front, moved_eta = [], []
+    split = env2._echelon_split(h)
+    front, d_f, eta, d_e = split
+    front, eta = as_fractions(front, d_f), as_fractions(eta, d_e)
+    moved = []
     for k in range(g.dim):
         u = {}
         if rng.random() < 0.5:
             c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([big, small]))
             u = {i: c * x for i, x in rng.choice(h.vectors).items()}
-        moved_front.append(integral_as_int(ratlin.combination({0: 1, 1: 1}, [front[k], u])))
-        moved_eta.append(integral_as_int(ratlin.combination({0: 1, 1: -1}, [eta[k], u])))
-    assert any(type(x) is int for e in eta for x in e.values())
+        moved.append(ratlin.combination({0: 1, 1: 1}, [front[k], u]))
+        moved.append(ratlin.combination({0: 1, 1: -1}, [eta[k], u]))
+    moved, d = ratlin.over_one_denominator(dict(enumerate(moved)))
+    moved = list(moved.values())
+    moved_split = (moved[0::2], d, moved[1::2], d)
+    assert d % big == 0 and d % small == 0
     old = echelon_split(g, h)
-    moved_old = dense_split(moved_front, moved_eta, g.dim, g.dim)
+    moved_old = dense_split(moved_split, g.dim, g.dim)
     for q in elements:
-        new = _reduce_split(q, g, front, eta)
+        new = _reduce_split(q, g, split)
         assert all(type(c) is Fraction for c in coefficients(new))
         assert new == termwise_reduce_split(q, g, *old)
-        moved = _reduce_split(q, g, moved_front, moved_eta)
+        moved = _reduce_split(q, g, moved_split)
         assert all(type(c) is Fraction for c in coefficients(moved))
         expected = termwise_reduce(termwise_reduce_split(q, g, *moved_old), h)
         assert termwise_reduce(moved, h) == expected == termwise_reduce(q, h)

@@ -554,3 +554,40 @@ def test_sl3_structure_is_valid():
     assert g.dim == 8
     g.validate()
     assert signature(killing_form(g)) == (5, 3, 0)
+
+
+def test_int_table_is_the_structure_table_over_the_lcm_of_its_denominators(monkeypatch):
+    """sl(2) on the basis H/3, E, F/7: [H/3, E] = 2/3 E, [H/3, F/7] = -2/3
+    F/7 and [E, F/7] = 3/7 H/3, so d = lcm(3, 3, 7) = 21.  The table is read
+    once, at the first read, and the algebra stays immutable."""
+    from lietriples import liealg
+
+    g = subalgebra_on_own_basis(sl(2), [{0: Fraction(1, 3)}, {1: 1}, {2: Fraction(1, 7)}])
+    assert g._table == {
+        (0, 1): {1: Fraction(2, 3)},
+        (0, 2): {2: Fraction(-2, 3)},
+        (1, 2): {0: Fraction(3, 7)},
+    }
+    calls = []
+    original = liealg.over_one_denominator
+
+    def counted(vectors):
+        calls.append(vectors)
+        return original(vectors)
+
+    monkeypatch.setattr(liealg, "over_one_denominator", counted)
+    table, d = g.int_table
+    assert d == 21
+    assert table == {(0, 1): {1: 14}, (0, 2): {2: -14}, (1, 2): {0: 9}}
+    assert all(type(x) is int for comps in table.values() for x in comps.values())
+    assert {
+        key: {k: Fraction(x, d) for k, x in comps.items()} for key, comps in table.items()
+    } == g._table
+    assert g.int_table is g.int_table
+    assert calls == [g._table]
+    for name in ("int_table", "_int_table", "_table"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert g.int_table == (table, 21)
+    # an algebra with no brackets has the empty table over 1
+    assert LieAlgebra(["A", "B"], {}).int_table == ({}, 1)

@@ -23,6 +23,7 @@ from lietriples.ratlin import (
     SubspaceBasis,
     _rat,
     _rref,
+    add_over,
     combination,
     coordinates_in,
     inverse,
@@ -883,3 +884,20 @@ def test_over_one_denominator_scales_to_ints_exactly():
             assert all(Fraction(scaled[k][i], d) == x for i, x in v.items())
     assert over_one_denominator({}) == ({}, 1)
     assert over_one_denominator({0: {}, 3: {1: 4}}) == ({0: {}, 3: {1: 4}}, 1)
+
+
+def test_add_over_adds_int_vectors_over_the_lcm():
+    rng = random.Random(6160)
+    for _ in range(50):
+        vectors = [
+            ({i: rng.randint(-9, 9) for i in rng.sample(range(6), rng.randint(0, 3))},
+             rng.choice([1, 6, 10**12 + 39, 4 * (10**12 + 39)]))
+            for _ in range(2)
+        ]
+        (u, d_u), (v, d_v) = vectors
+        w, d = add_over(u, d_u, v, d_v)
+        assert d == math.lcm(d_u, d_v)
+        assert all(type(x) is int for x in w.values())
+        for i in {*u, *v}:
+            assert Fraction(w.get(i, 0), d) == Fraction(u.get(i, 0), d_u) + Fraction(v.get(i, 0), d_v)
+    assert add_over({}, 5, {1: 2}, 3) == ({1: 10}, 15)
