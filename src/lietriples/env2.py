@@ -22,6 +22,8 @@ split gives the same canonical image, because U(l) cap U(g) h = U(l)(l cap
 h) when l + h = g.  Products are collected in a coefficient table and
 normal-ordered once, in Python ints through the algebra's integer structure
 table (LieAlgebra.int_table), with one Fraction per output coefficient.
+Each algebra keeps one IdealReducer per span of h (ideal_reducer), and the
+decomposition and comparison modulo the ideal read its memoized coordinates.
 """
 
 from __future__ import annotations
@@ -152,16 +154,13 @@ class Quad2:
             and self.const == other.const
         )
 
+    def _key(self) -> tuple:
+        """Exactly what __eq__ compares, with no reference to the algebra."""
+        quad, lin = frozenset(self.quad.items()), frozenset(self.lin.items())
+        return self.algebra.basis_labels, quad, lin, self.const
+
     def __hash__(self):
-        # over exactly what __eq__ compares
-        return hash(
-            (
-                self.algebra.basis_labels,
-                frozenset(self.quad.items()),
-                frozenset(self.lin.items()),
-                self.const,
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self):
         labels = self.algebra.basis_labels
@@ -395,6 +394,9 @@ class IdealReducer:
     _reduce_split then leaves only normal-ordered monomials in front
     indices, which is the canonical form; the brackets picked up when
     f_i f_j is normal-ordered in g are sent to the front again.
+    ideal_reducer keeps one on the algebra.  It holds only the algebra's
+    labels, which reduce checks each element against (the Quad2._same_algebra
+    rule), so it forms no cycle; coordinates memoizes by value, reduce does not.
     """
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
@@ -402,30 +404,58 @@ class IdealReducer:
             raise ValueError("h lives in the wrong ambient space")
         if not is_subalgebra(algebra, h):
             raise ValueError("h is not a subalgebra; reduction would be ill-defined")
-        self.algebra = algebra
-        self.h = h
+        self.labels = algebra.basis_labels
         self._split = _echelon_split(h)
+        self._coordinates: dict = {}
 
     def reduce(self, q: Quad2) -> Quad2:
-        quad, d_quad, lin, d_lin = _split_ints(q, self.algebra, self._split)
+        algebra = q.algebra
+        if algebra.basis_labels != self.labels:  # the labels fix the dim
+            raise ValueError("the element is not over the reducer's algebra")
+        quad, d_quad, lin, d_lin = _split_ints(q, algebra, self._split)
         front, d_f = self._split[:2]
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        return _over(self.algebra, quad, d_quad, combination(lin, front), d_lin * d_f, q.const)
+        return _over(algebra, quad, d_quad, combination(lin, front), d_lin * d_f, q.const)
+
+    def coordinates(self, q: Quad2) -> dict:
+        """The reduced form of q, shared, as a sparse vector over its quad keys,
+        lin keys and constant: linear and canonical, so two elements agree
+        modulo U(g) h exactly when their coordinates do."""
+        key = q._key()
+        out = self._coordinates.get(key)
+        if out is None:
+            e = self.reduce(q)
+            out = {("quad", k): c for k, c in e.quad.items()}
+            out.update({("lin", k): c for k, c in e.lin.items()})
+            if e.const:
+                out["const"] = e.const
+            self._coordinates[key] = out
+        return out
+
+
+def ideal_reducer(algebra: LieAlgebra, h: SubspaceBasis) -> IdealReducer:
+    """The IdealReducer modulo U(algebra) h, built (with its subalgebra check)
+    at the first request for this algebra object and span of h, kept on it."""
+    reducer = algebra._reducers.get(h)
+    if reducer is None:
+        reducer = algebra._reducers[h] = IdealReducer(algebra, h)
+    return reducer
 
 
 def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
     """Canonical representative of q modulo U(g) h, in the algebra's basis."""
-    return IdealReducer(q.algebra, h).reduce(q)
+    return ideal_reducer(q.algebra, h).reduce(q)
 
 
 def equals_mod_ideal(a: Quad2, b: Quad2, h: SubspaceBasis) -> bool:
     a._same_algebra(b)
-    return reduce_mod_left_ideal(a - b, h).is_zero()
+    reducer = ideal_reducer(a.algebra, h)
+    return reducer.coordinates(a) == reducer.coordinates(b)
 
 
 def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     """[q, y] = 0 mod U(g) h for every y in the basis of h."""
-    reducer = IdealReducer(q.algebra, h)
+    reducer = ideal_reducer(q.algebra, h)
     for y in h.vectors:
         if not reducer.reduce(bracket_with(q, y)).is_zero():
             return False
@@ -455,8 +485,8 @@ def iota_embed(
     seeded element of l cap h, for exercising exactly that.
 
     Only a seeded shift of the split is built per call.  The descriptor
-    owns the rest: the canonical split, the H-invariance verdict of each q
-    (memoized by value) and the reducer modulo U(l)(l cap h).
+    owns the canonical split and the H-invariance verdict of each q
+    (memoized by value); l_alg keeps the reducer modulo U(l)(l cap h).
     """
     g = t.g
     if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
@@ -465,7 +495,7 @@ def iota_embed(
     if not _h_invariant(t, q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
     image = _reduce_split(q, t.l_alg, split)
-    return t.l_cap_h_reducer.reduce(image)
+    return ideal_reducer(t.l_alg, t.l_cap_h_in_l).reduce(image)
 
 
 def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
@@ -540,19 +570,8 @@ def decompose_in_span(
     """
     for gen in generators:
         target._same_algebra(gen)
-    reducer = IdealReducer(target.algebra, h)
-
-    def coordinates(q: Quad2) -> dict:
-        """The reduced form of q as a sparse vector over its quad keys, its
-        lin keys and the constant."""
-        e = reducer.reduce(q)
-        out = {("quad", k): c for k, c in e.quad.items()}
-        out.update({("lin", k): c for k, c in e.lin.items()})
-        if e.const:
-            out["const"] = e.const
-        return out
-
-    cols, rhs = [coordinates(gen) for gen in generators], coordinates(target)
+    reducer = ideal_reducer(target.algebra, h)
+    cols, rhs = [reducer.coordinates(gen) for gen in generators], reducer.coordinates(target)
     # one equation per coordinate that some reduced form uses
     keys = dict.fromkeys(k for c in [*cols, rhs] for k in c)
     rows = [{j: c[k] for j, c in enumerate(cols) if k in c} for k in keys]

@@ -38,7 +38,7 @@ class LieAlgebra:
     A vector of the algebra is sparse, {index: coefficient}.
     """
 
-    __slots__ = ("dim", "basis_labels", "_table", "matrices", "_int_table")
+    __slots__ = ("dim", "basis_labels", "_table", "matrices", "_int_table", "_reducers")
 
     def __init__(
         self,
@@ -62,6 +62,7 @@ class LieAlgebra:
             self, "matrices", tuple(matrices) if matrices is not None else None
         )
         object.__setattr__(self, "_int_table", None)
+        object.__setattr__(self, "_reducers", {})  # h -> env2.ideal_reducer(self, h)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")

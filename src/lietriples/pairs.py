@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .env2 import IdealReducer, _canonical_transfer_split
+from .env2 import _canonical_transfer_split
 from .liealg import (
     LieAlgebra,
     NotClosed,
@@ -138,10 +138,11 @@ class TripleDescriptor:
     ordered basis of l used for enveloping-algebra work and evidence
     records, and l_labels names them.  Everything else (h, q, k, s, l as a
     subspace, the Killing form, l as an algebra, its Cartan split, l cap h,
-    the report on the three conditions, the reducer modulo U(l)(l cap h) and
+    the report on the three conditions, the canonical transfer split and
     the H-invariance verdicts of elements transferred into U(l)) is derived
     lazily, once, and kept here, so every verb reads the same objects; none
     of it refers back to the descriptor, so reference counting frees it all.
+    The reducers modulo U(g) h and U(l)(l cap h) are kept on g and l_alg.
     Whatever lies in l is in the coordinates of the frame: each subspace is
     one kernel (in_l) and each form restricts the one Gram frame_gram.
     The descriptor is immutable and compares by identity.
@@ -273,12 +274,6 @@ class TripleDescriptor:
         holds = reductive and transitive and compact
         verdict = "TransitiveTriple" if holds else "NotTransitiveTriple"
         return TripleReport(reductive, transitive, compact, dims, verdict, sig_l, sig_lh)
-
-    @cached_property
-    def l_cap_h_reducer(self):
-        """env2.IdealReducer modulo U(l)(l cap h) on l_alg; its subalgebra
-        check runs once per triple."""
-        return IdealReducer(self.l_alg, self.l_cap_h_in_l)
 
     @cached_property
     def transfer_split(self) -> tuple:

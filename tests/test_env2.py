@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,12 +36,14 @@ from lietriples.env2 import (
     check_h_invariant,
     decompose_in_span,
     equals_mod_ideal,
+    ideal_reducer,
     iota_embed,
     product_of_linear,
     reduce_mod_left_ideal,
     symmetrized_casimir,
 )
 from lietriples.liealg import (
+    LieAlgebra,
     direct_sum,
     from_matrix_basis,
     g2_split,
@@ -430,25 +433,126 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     for seed in (None, 1, 2, 3):
         built.iota_of_casimir(complement_seed=seed)
     # one verdict on omega_g, and two reducers: modulo U(g) h inside that
-    # check, modulo U(l)(l cap h) on the descriptor
+    # check, kept on g, and modulo U(l)(l cap h), kept on l_alg
     assert calls == {"is_subalgebra": 2, "check_h_invariant": 1}
 
 
+def combination_of(gens, coeffs, algebra):
+    combo = Quad2.zero(algebra)
+    for c, gen in zip(coeffs, gens):
+        combo = combo + gen.scale(c)
+    return combo
+
+
 def test_built_triple_is_freed_without_the_cycle_collector():
+    """The reducers the algebras keep, and their memos, form no reference
+    cycle: from a clean start with the collector off, dropping a used triple
+    frees it and leaves the collector nothing to find."""
     entry = catalog.builtin_entries()["lorentzian-2"]
+    gc.collect()
     gc.disable()
     try:
         built = catalog.BuiltTriple(entry)
-        built.iota_of_casimir(complement_seed=7)
+        d = built.descriptor
+        image = built.iota_of_casimir(complement_seed=7)
         built.embedding_report()
-        assert "l_cap_h_reducer" in vars(built.descriptor)
-        assert "transfer_split" in vars(built.descriptor)
-        assert built.descriptor.h_invariance
-        ref = weakref.ref(built.descriptor)
-        del built
+        gens = [q for _, q in built.generators]
+        coeffs = decompose_in_span(image, gens, built.l_cap_h)
+        assert equals_mod_ideal(image, combination_of(gens, coeffs, built.l_alg), built.l_cap_h)
+        assert check_h_invariant(image, built.l_cap_h)
+        assert d.h in d.g._reducers and d.l_cap_h_in_l in d.l_alg._reducers
+        assert "transfer_split" in vars(d)
+        assert d.h_invariance
+        ref = weakref.ref(d)
+        del built, d, image, gens, coeffs
         assert ref() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["lorentzian-2", "g2"])
+def test_decompositions_check_each_subalgebra_and_reduce_each_generator_once(
+    monkeypatch, name
+):
+    """Ten seeded transfers, each decomposed and compared modulo the ideal,
+    on a fresh build: one subalgebra check per (algebra, h), for (g, h) and
+    for (l_alg, l cap h), and one reduction per generator."""
+    built = catalog.BuiltTriple(catalog.builtin_entries()[name])
+    d = built.descriptor
+    gens = [q for _, q in built.generators]
+    checked, reduced = [], Counter()
+    is_subalgebra, reduce = env2.is_subalgebra, IdealReducer.reduce
+
+    def counted_check(algebra, h):
+        checked.append((id(algebra), h))
+        return is_subalgebra(algebra, h)
+
+    def counted_reduce(self, q):
+        reduced[id(q)] += 1  # the generators stay alive, so their ids are theirs
+        return reduce(self, q)
+
+    monkeypatch.setattr(env2, "is_subalgebra", counted_check)
+    monkeypatch.setattr(IdealReducer, "reduce", counted_reduce)
+    for seed in range(200, 210):
+        image = built.iota_of_casimir(complement_seed=seed)
+        coeffs = decompose_in_span(image, gens, built.l_cap_h)
+        combo = combination_of(gens, coeffs, built.l_alg)
+        assert equals_mod_ideal(image, combo, built.l_cap_h), seed
+    assert checked == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
+    assert [reduced[id(q)] for q in gens] == [1] * len(gens)
+
+
+def coordinates_of(q: Quad2) -> dict:
+    out = {("quad", k): c for k, c in q.quad.items()}
+    out.update({("lin", k): c for k, c in q.lin.items()})
+    if q.const:
+        out["const"] = q.const
+    return out
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_memoized_coordinates_and_comparisons_match_the_termwise_reduction(
+    built_catalog, name
+):
+    """On 10 seeded elements per (algebra, h): the memoized coordinates are
+    those of termwise_reduce, read again by value, and equals_mod_ideal(a,
+    b) is termwise_reduce(a - b).is_zero(), on pairs equal modulo the ideal,
+    pairs that are not, and pairs over two algebra objects with one set of
+    labels."""
+    d = built_catalog[name].descriptor
+    rng = random.Random(f"coordinates/{name}")
+    for algebra, h in ((d.g, d.h), (d.l_alg, d.l_cap_h_in_l)):
+        reducer = ideal_reducer(algebra, h)
+        twin = LieAlgebra(algebra.basis_labels, algebra._table)
+        for _ in range(10):
+            a, b = random_quad2(algebra, rng), random_quad2(algebra, rng)
+            coordinates = reducer.coordinates(a)
+            assert coordinates == coordinates_of(termwise_reduce(a, h))
+            assert reducer.coordinates(Quad2(algebra, a.quad, a.lin, a.const)) is coordinates
+            pairs = [(a, b), (b, a), (a, a.scale(2))]
+            if h.dim:
+                x = {i: rng.randint(-2, 2) for i in range(algebra.dim)}
+                # a + x y with y in h: equal to a modulo U(g) h
+                equal = a + product_of_linear(algebra, x, rng.choice(h.vectors))
+                pairs += [(a, equal), (equal, a)]
+                assert equals_mod_ideal(a, equal, h)
+            pairs += [(Quad2(twin, u.quad, u.lin, u.const), v) for u, v in pairs]
+            for u, v in pairs:
+                assert equals_mod_ideal(u, v, h) == termwise_reduce(u - v, h).is_zero()
+            assert not equals_mod_ideal(a, b, h)
+
+
+def test_reducer_rejects_an_element_of_another_algebra(built_catalog):
+    """The (g, h) reducer of lorentzian-2 (dim 15) once reduced omega_l over
+    l_alg (dim 9) into a Quad2 over so(2,4)'s labels, with no error."""
+    bt = built_catalog["lorentzian-2"]
+    d = bt.descriptor
+    omega_l = dict(bt.generators)["omega_l"]
+    for reducer in (IdealReducer(d.g, d.h), ideal_reducer(d.g, d.h)):
+        for read in (reducer.reduce, reducer.coordinates):
+            with pytest.raises(ValueError, match="not over the reducer's algebra"):
+                read(omega_l)
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -484,7 +588,7 @@ def test_ideal_reduction_matches_the_termwise_split(built_catalog, name):
     rng = random.Random(f"reduce/{name}")
     for algebra, h, reducer in (
         (d.g, d.h, IdealReducer(d.g, d.h)),
-        (d.l_alg, d.l_cap_h_in_l, d.l_cap_h_reducer),
+        (d.l_alg, d.l_cap_h_in_l, ideal_reducer(d.l_alg, d.l_cap_h_in_l)),
     ):
         for _ in range(10):
             q = random_quad2(algebra, rng)
@@ -521,7 +625,7 @@ def test_transfer_split_reduces_like_the_complement_split(built_catalog, name):
     bt = built_catalog[name]
     d = bt.descriptor
     frame_cols = [list(col) for col in d.l_frame.columns()]
-    reduce = d.l_cap_h_reducer.reduce
+    reduce = ideal_reducer(d.l_alg, d.l_cap_h_in_l).reduce
     rng = random.Random(f"transfer/{name}")
     for seed in [None, *range(20)]:
         split = _transfer_split(d, seed)
