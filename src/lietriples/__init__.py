@@ -48,11 +48,9 @@ _EXPORTS = {
     ),
     "parabolic": (
         "RestrictedRootSystem",
-        "ParabolicSubalgebra",
         "IrrationalSpectrum",
         "maximal_abelian_in_s",
         "restricted_roots",
-        "minimal_parabolic",
         "is_spherical_triple",
     ),
     "env2": (

@@ -572,7 +572,8 @@ def canonical_json(obj) -> str:
 def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
     if not isinstance(data, dict):
         raise CatalogError(f"{where}: entry must be an object")
-    version = data.get("schema_version")
+    # typed first: true and 1.0 compare equal to 1
+    version = _typed(data.get("schema_version"), int, f"{where}: schema_version")
     if version != SCHEMA_VERSION:
         raise CatalogError(
             f"{where}: unsupported schema_version {_show(version)} (want {SCHEMA_VERSION})"

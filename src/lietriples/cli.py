@@ -19,10 +19,8 @@ trailing newline, rationals as "p/q" strings) tagged with schema_version;
 identical inputs produce byte-identical output, and re-rendering parsed
 output reproduces it exactly.
 
-Exit codes: 0 verified/success, 1 verification failure, 2 input error,
-3 internal contract violation (a rational-spectrum failure; it does not
-happen on the shipped frames, but spherical can exit 3 on a shipped l
-written in another rational basis, ROADMAP item 8).
+Exit codes: 0 verified/success, 1 verification failure, 2 input error;
+the sphericity verdict reads no eigenvalue, so spherical has no exit 3.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .spectra import lorentzian_spectrum_report
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
-EXIT_CONTRACT = 3
 
 
 def _resolve(args) -> cat.BuiltTriple:
@@ -136,16 +133,9 @@ def cmd_triples_check(args, built: cat.BuiltTriple) -> int:
 
 def cmd_spherical(args, built: cat.BuiltTriple) -> int:
     # parabolic is imported here, by the one verb that runs it
-    from .parabolic import IrrationalSpectrum, is_spherical_triple
+    from .parabolic import is_spherical_triple
 
-    try:
-        verdict, ev = is_spherical_triple(built.descriptor)
-    except IrrationalSpectrum as exc:
-        print(
-            f"internal contract violation (irrational restricted spectrum): {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_CONTRACT
+    verdict, ev = is_spherical_triple(built.descriptor)
     payload = {
         "schema_version": cat.SCHEMA_VERSION,
         "command": "spherical",
@@ -175,10 +165,14 @@ def cmd_spherical(args, built: cat.BuiltTriple) -> int:
             f"cartan split: k_l={ev['dim_k_l']} s_l={ev['dim_s_l']}; "
             f"parabolic: m={ev['dim_m']} a={ev['dim_a']} n={ev['dim_n']}"
         )
-        root_text = ", ".join(
-            f"({','.join(r['root'])}) x{r['multiplicity']}" for r in ev["roots"]
-        )
-        lines.append(f"restricted roots: {root_text}")
+        if ev["roots"] is None:
+            payload["evidence"]["restricted_roots_note"] = ev["roots_note"]
+            lines.append(ev["roots_note"])
+        else:
+            root_text = ", ".join(
+                f"({','.join(r['root'])}) x{r['multiplicity']}" for r in ev["roots"]
+            )
+            lines.append(f"restricted roots: {root_text}")
     _emit(args, payload, lines)
     return EXIT_OK
 

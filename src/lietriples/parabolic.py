@@ -1,8 +1,8 @@
-"""Restricted roots, minimal parabolic subalgebras, and sphericity.
+"""Maximal abelian subspaces, restricted roots, and sphericity.
 
-All spectra are required to be rational: the eigenvalues and eigenspaces of
-ad(a) come from ratlin.rational_eigenspaces (an exact characteristic
-polynomial and integer root isolation), and any failure to split raises
+The sphericity verdict needs a and one centralizer, and no eigenvalue.  The
+restricted roots of a, evidence only, must be rational: they come from
+ratlin.rational_eigenspaces, and any failure to split raises
 IrrationalSpectrum rather than approximating.
 """
 
@@ -34,16 +34,6 @@ class RestrictedRootSystem(NamedTuple):
     roots: tuple
     root_spaces: dict
     zero_space: SubspaceBasis
-
-    def multiplicity(self, root) -> int:
-        return self.root_spaces[root].dim
-
-
-class ParabolicSubalgebra(NamedTuple):
-    m: SubspaceBasis
-    a: SubspaceBasis
-    n: SubspaceBasis
-    p: SubspaceBasis
 
 
 def _not_preserved(_) -> IrrationalSpectrum:
@@ -148,36 +138,6 @@ def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSyste
     )
 
 
-def _lex_positive(root: tuple) -> bool:
-    for x in root:
-        if x != 0:
-            return x > 0
-    return False
-
-
-def minimal_parabolic(
-    l_alg: LieAlgebra,
-    k_l: SubspaceBasis,
-    s_l: SubspaceBasis,
-    reverse: bool = False,
-) -> tuple[ParabolicSubalgebra, RestrictedRootSystem]:
-    """Minimal parabolic m + a + n of a reductive algebra with Cartan split.
-
-    Positivity of roots is lexicographic against the canonical ordered basis
-    of a, n is the sum of the positive root spaces, and m is the centralizer
-    of a inside k_l.
-    """
-    a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
-    rrs = restricted_roots(l_alg, a)
-    positive = [
-        v for root in rrs.roots if _lex_positive(root) for v in rrs.root_spaces[root].vectors
-    ]
-    n_space = SubspaceBasis(l_alg.dim, positive)
-    m_space = centralizer(l_alg, a, within=k_l)
-    p_space = SubspaceBasis(l_alg.dim, m_space.vectors + a.vectors + n_space.vectors)
-    return ParabolicSubalgebra(m=m_space, a=a, n=n_space, p=p_space), rrs
-
-
 def cartan_split_of_l(
     t: TripleDescriptor,
 ) -> tuple[LieAlgebra, RatMatrix, SubspaceBasis, SubspaceBasis]:
@@ -193,36 +153,45 @@ def cartan_split_of_l(
 def is_spherical_triple(
     t: TripleDescriptor, reverse: bool = False
 ) -> tuple[bool, dict]:
-    """Sphericity through the open-orbit dimension count p_L + (l cap h) = l.
+    """Sphericity through the open-orbit count p_L + (l cap h) = l.
 
-    Returns (verdict, evidence); evidence holds every dimension entering the
-    count plus the restricted root data.  Requires a transitive triple.
+    With a the greedy maximal abelian subspace of s_l and m = z_{k_l}(a),
+    l = k_l + a + n and p_L cap k_l = m; l cap h is theta-stable and
+    compact, so inside k_l, and the count is m + (l cap h) = k_l.  dim n
+    follows from l = m + a + n + theta(n).  Returns (verdict, evidence):
+    every dimension of the count, and the restricted roots of a, or roots
+    None and roots_note when ad(a) does not split over the rationals.
+    Requires a transitive triple.
     """
     report = t.triple_report
     if not report.is_transitive_triple:
         failed = ", ".join(report.failed_conditions())
         raise NotTransitiveTriple(f"not a transitive triple; failed: {failed}")
     l_alg, _, k_l, s_l = cartan_split_of_l(t)
-    parabolic, rrs = minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
+    a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
+    m = centralizer(l_alg, a, within=k_l)
     lh = t.l_cap_h_in_l
-    span = subspace_sum(parabolic.p, lh)
-    verdict = span.dim == l_alg.dim
+    m_plus_lh = subspace_sum(m, lh).dim
+    dim_n = (l_alg.dim - m.dim - a.dim) // 2
     evidence = {
         "dim_l": l_alg.dim,
         "dim_k_l": k_l.dim,
         "dim_s_l": s_l.dim,
-        "dim_a": parabolic.a.dim,
-        "dim_m": parabolic.m.dim,
-        "dim_n": parabolic.n.dim,
-        "dim_p": parabolic.p.dim,
+        "dim_a": a.dim,
+        "dim_m": m.dim,
+        "dim_n": dim_n,
+        "dim_p": m.dim + a.dim + dim_n,
         "dim_l_cap_h": lh.dim,
-        "dim_p_plus_l_cap_h": span.dim,
-        "roots": [
-            {
-                "root": [str(x) for x in root],
-                "multiplicity": rrs.root_spaces[root].dim,
-            }
-            for root in rrs.roots
-        ],
+        "dim_p_plus_l_cap_h": m_plus_lh + a.dim + dim_n,
     }
-    return verdict, evidence
+    try:
+        rrs = restricted_roots(l_alg, a)
+    except IrrationalSpectrum as exc:
+        evidence["roots"] = None
+        evidence["roots_note"] = f"restricted roots not rational for this a: {exc}"
+    else:
+        evidence["roots"] = [
+            {"root": [str(x) for x in root], "multiplicity": rrs.root_spaces[root].dim}
+            for root in rrs.roots
+        ]
+    return m_plus_lh == k_l.dim, evidence

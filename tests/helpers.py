@@ -9,11 +9,13 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
+from lietriples import catalog
 from lietriples.env2 import NotTransitive, Quad2, _echelon_split
-from lietriples.liealg import LieAlgebra, NotClosed, centralizer, restrict_form
+from lietriples.liealg import LieAlgebra, NotClosed, centralizer, restrict_form, so_coordinates
 from lietriples.pairs import Involution
-from lietriples.parabolic import IrrationalSpectrum, _lex_positive
+from lietriples.parabolic import IrrationalSpectrum, maximal_abelian_in_s, restricted_roots
 from lietriples.ratlin import (
     BasisSolver,
     DependentBasis,
@@ -852,6 +854,13 @@ def recentralizing_maximal_abelian_in_s(l_alg, s_l, reverse=False):
         a = SubspaceBasis(l_alg.dim, chosen)
 
 
+def _lex_positive(root: tuple) -> bool:
+    for x in root:
+        if x != 0:
+            return x > 0
+    return False
+
+
 def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):
     """(m, a, n, p, decomposition) with every step on the references above;
     decomposition maps each joint ad(a) eigenvalue tag to its space."""
@@ -880,6 +889,118 @@ def chained_minimal_parabolic(l_alg, k_l, s_l, reverse=False):
     m_space = ad_matrix_centralizer(l_alg, a, within=k_l)
     p_space = subspace_sum(subspace_sum(m_space, a), n_space)
     return m_space, a, n_space, p_space, decomposition
+
+
+# Reference for parabolic.is_spherical_triple, which reads the verdict off
+# the count m + (l cap h) = k_l: the minimal parabolic m + a + n built in
+# full, n from the lexicographically positive restricted root spaces, and
+# the verdict p + (l cap h) = l by one more elimination.  It needs rational
+# roots, so it is the reference on the shipped frames only.
+
+
+class ParabolicSubalgebra(NamedTuple):
+    m: SubspaceBasis
+    a: SubspaceBasis
+    n: SubspaceBasis
+    p: SubspaceBasis
+
+
+def minimal_parabolic(l_alg, k_l, s_l, reverse=False):
+    """(ParabolicSubalgebra, RestrictedRootSystem): positivity of roots is
+    lexicographic against the canonical ordered basis of a, n is the sum of
+    the positive root spaces, and m is the centralizer of a inside k_l."""
+    a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
+    rrs = restricted_roots(l_alg, a)
+    positive = [
+        v for root in rrs.roots if _lex_positive(root) for v in rrs.root_spaces[root].vectors
+    ]
+    n_space = SubspaceBasis(l_alg.dim, positive)
+    m_space = centralizer(l_alg, a, within=k_l)
+    p_space = SubspaceBasis(l_alg.dim, m_space.vectors + a.vectors + n_space.vectors)
+    return ParabolicSubalgebra(m=m_space, a=a, n=n_space, p=p_space), rrs
+
+
+def parabolic_sphericity(t, reverse=False):
+    """(verdict, evidence) of parabolic.is_spherical_triple, from the
+    minimal parabolic above."""
+    k_l, s_l = t.cartan_split
+    parabolic, rrs = minimal_parabolic(t.l_alg, k_l, s_l, reverse=reverse)
+    lh = t.l_cap_h_in_l
+    span = subspace_sum(parabolic.p, lh)
+    evidence = {
+        "dim_l": t.l_alg.dim,
+        "dim_k_l": k_l.dim,
+        "dim_s_l": s_l.dim,
+        "dim_a": parabolic.a.dim,
+        "dim_m": parabolic.m.dim,
+        "dim_n": parabolic.n.dim,
+        "dim_p": parabolic.p.dim,
+        "dim_l_cap_h": lh.dim,
+        "dim_p_plus_l_cap_h": span.dim,
+        "roots": [
+            {"root": [str(x) for x in root], "multiplicity": rrs.root_spaces[root].dim}
+            for root in rrs.roots
+        ],
+    }
+    return span.dim == t.l_alg.dim, evidence
+
+
+# Metamorphic copies of a shipped entry, as descriptor dicts: the same triple
+# written another way, for which every verb must give the shipped answers.
+
+
+def rebased_entry(entry, seed):
+    """entry with l as explicit vectors F T, F its frame and T a seeded
+    unimodular integer matrix: 3 dim l column operations col_i += c col_j
+    with c in {1, -1, 2, -2}."""
+    cols = catalog.build(entry).descriptor.l_frame.columns()
+    rng = random.Random(seed)
+    for _ in range(3 * len(cols)):
+        i, j = rng.sample(range(len(cols)), 2)
+        c = rng.choice([1, -1, 2, -2])
+        cols[i] = [x + c * y for x, y in zip(cols[i], cols[j])]
+    out = entry.to_json_dict()
+    out["l"] = {"kind": "explicit", "vectors": [[str(x) for x in col] for col in cols]}
+    return out
+
+
+def cayley_conjugated_entry(entry, seed):
+    """entry with l and theta conjugated by Ad(c), c = (1 - Y)^-1 (1 + Y)
+    the Cayley transform of a seeded integer combination Y of h's basis
+    matrices in the defining realization of the ambient so(p, q).  c lies in
+    H, so sigma stays; l is written as explicit vectors, theta as a matrix."""
+    assert entry.algebra["kind"] == "so", entry.algebra
+    p, q = entry.algebra["p"], entry.algebra["q"]
+    d = catalog.build(entry).descriptor
+    mats, size = d.g.matrices, p + q
+    one = RatMatrix.identity(size)
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randint(-2, 2) for _ in d.h.vectors]
+        y = sum(
+            (mats[k].scale(a * x) for a, v in zip(coeffs, d.h.vectors) for k, x in v.items()),
+            RatMatrix.zeros(size, size),
+        )
+        try:
+            c, c_inv = inverse(one - y) @ (one + y), inverse(one + y) @ (one - y)
+            break
+        except ValueError:  # 1 or -1 is an eigenvalue of y
+            continue
+
+    def ad(left, right):
+        return RatMatrix.from_columns(
+            d.g.dim, [so_coordinates(p, q, left @ m @ right) for m in mats]
+        )
+
+    ad_c, ad_c_inv = ad(c, c_inv), ad(c_inv, c)
+    theta = ad_c @ d.theta.matrix @ ad_c_inv
+    out = entry.to_json_dict()
+    out["theta"] = {"kind": "matrix", "columns": [[str(x) for x in col] for col in theta.columns()]}
+    out["l"] = {
+        "kind": "explicit",
+        "vectors": [[str(x) for x in col] for col in (ad_c @ d.l_frame).columns()],
+    }
+    return out
 
 
 # The split octonions in Zorn's vector-matrix model: an octonion is

@@ -114,13 +114,16 @@ def test_load_entries_bad_json_has_position(tmp_path):
     assert ":2:" in str(err.value)
 
 
-def test_load_entries_wrong_version(tmp_path):
+@pytest.mark.parametrize("version", [999, True, 1.0])
+def test_load_entries_wrong_version(tmp_path, version):
+    # true and 1.0 compare equal to 1 in Python, and are still no version
     bad = tmp_path / "version.json"
     entry = builtin_entries()["group"].to_json_dict()
-    entry["schema_version"] = 999
+    entry["schema_version"] = version
     bad.write_text(json.dumps(entry))
     with pytest.raises(CatalogError) as err:
         load_entries(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")
     assert "schema_version" in str(err.value)
 
 

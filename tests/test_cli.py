@@ -12,6 +12,8 @@ from lietriples.cli import main
 from lietriples.ratlin import _rat
 from lietriples.spectra import lorentzian_spectrum_report
 
+from helpers import rebased_entry
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -446,21 +448,32 @@ def test_console_entry_point_runs():
     assert "5" in proc.stdout
 
 
-def test_irrational_spectrum_maps_to_exit_3(capsys, monkeypatch):
-    import lietriples.cli as cli_mod
-    from lietriples import parabolic
-    from lietriples.parabolic import IrrationalSpectrum
-
-    def boom(descriptor, reverse=False):
-        raise IrrationalSpectrum("synthetic")
-
-    # the spherical verb imports is_spherical_triple from parabolic when it
-    # runs, so the name to patch is parabolic's own
-    monkeypatch.setattr(parabolic, "is_spherical_triple", boom)
-    code = cli_mod.main(["spherical", "group"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "contract violation" in captured.err
+def test_spherical_with_irrational_restricted_roots(capsys, tmp_path):
+    # lorentzian-2 with l rebased by seed 0: the greedy a has irrational
+    # restricted roots in the new basis; the verdict needs none, so the verb
+    # exits 0 with the shipped output, and --explain says why the roots are
+    # missing
+    path = tmp_path / "rebased.json"
+    path.write_text(canonical_json(rebased_entry(builtin_entries()["lorentzian-2"], 0)))
+    for fmt in ("machine", "table"):
+        want = run_cli(capsys, "--format", fmt, "spherical", "lorentzian-2")
+        assert run_cli(capsys, "--format", fmt, "spherical", str(path)) == want
+    code, out, err = run_cli(capsys, "--format", "machine", "--explain", "spherical", str(path))
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    note = got["evidence"].pop("restricted_roots_note")
+    assert note == (
+        "restricted roots not rational for this a: "
+        "ad action does not split over the rationals (covered 3 of 9 dimensions)"
+    )
+    assert got["evidence"].pop("restricted_roots") is None
+    _, out, _ = run_cli(capsys, "--format", "machine", "--explain", "spherical", "lorentzian-2")
+    want = json.loads(out)
+    del want["evidence"]["restricted_roots"]
+    assert got == want
+    code, out, _ = run_cli(capsys, "--explain", "spherical", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == note
 
 
 def test_casimir_embed_nontransitive_entry_fails_verification(capsys, tmp_path):

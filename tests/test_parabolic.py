@@ -12,7 +12,6 @@ from lietriples.parabolic import (
     is_spherical_triple,
     joint_eigenspaces,
     maximal_abelian_in_s,
-    minimal_parabolic,
     restricted_roots,
 )
 from lietriples.ratlin import (
@@ -31,6 +30,8 @@ from helpers import (
     chained_minimal_parabolic,
     dense_eigenspace,
     intersected_l_cap_s_cap_q,
+    minimal_parabolic,
+    parabolic_sphericity,
     ratmatrix_char_poly,
     recentralizing_maximal_abelian_in_s,
     restricting_joint_eigenspaces,
@@ -400,6 +401,15 @@ def test_minimal_parabolic_matches_chained_oracle(built_catalog, name, reverse):
     assert rrs.root_spaces == nonzero
     zero_tag = tuple(Fraction(0) for _ in range(a.dim))
     assert rrs.zero_space == decomposition.get(zero_tag, SubspaceBasis.zero(l_alg.dim))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_sphericity_matches_the_parabolic_oracle(built_catalog, name, reverse):
+    # the count m + (l cap h) = k_l against p + (l cap h) = l with n and p
+    # built from the roots: the same verdict, dimensions and roots
+    d = built_catalog[name].descriptor
+    assert is_spherical_triple(d, reverse=reverse) == parabolic_sphericity(d, reverse=reverse)
 
 
 def sl2_split():

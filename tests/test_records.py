@@ -5,25 +5,24 @@ import pytest
 from lietriples import catalog
 from lietriples.catalog import CatalogEntry
 from lietriples.pairs import TripleDescriptor, check_transitive_triple
-from lietriples.parabolic import cartan_split_of_l, minimal_parabolic
+from lietriples.parabolic import cartan_split_of_l, maximal_abelian_in_s, restricted_roots
 from lietriples.spectra import lorentzian_spectrum_report
 
 DESCRIPTOR_FIELDS = ("g", "sigma", "theta", "l_frame", "name", "l_labels")
 
 
 def _records():
-    """One instance of each of the seven record classes, with its fields."""
+    """One instance of each of the six record classes, with its fields."""
     entry = catalog.builtin_entries()["lorentzian-2"]
     descriptor = catalog.BuiltTriple(entry).descriptor
-    l_alg, _, k_l, s_l = cartan_split_of_l(descriptor)
-    parabolic, roots = minimal_parabolic(l_alg, k_l, s_l)
+    l_alg, _, _, s_l = cartan_split_of_l(descriptor)
+    roots = restricted_roots(l_alg, maximal_abelian_in_s(l_alg, s_l))
     spectrum = lorentzian_spectrum_report(2, 5)
     return [
         (entry, entry._fields),
         (descriptor, DESCRIPTOR_FIELDS),
         (check_transitive_triple(descriptor), None),
         (roots, None),
-        (parabolic, None),
         (spectrum.bands[0], None),
         (spectrum, None),
     ]
@@ -31,7 +30,7 @@ def _records():
 
 def test_no_record_field_can_be_assigned_or_deleted():
     records = _records()
-    assert len({type(r) for r, _ in records}) == 7
+    assert len({type(r) for r, _ in records}) == 6
     for record, fields in records:
         for field in fields or record._fields:
             value = getattr(record, field)
