@@ -22,6 +22,7 @@ _EXPORTS = {
         "signature",
         "subspace_sum",
         "subspace_intersection",
+        "IrrationalSpectrum",
     ),
     "liealg": (
         "LieAlgebra",
@@ -48,7 +49,6 @@ _EXPORTS = {
     ),
     "parabolic": (
         "RestrictedRootSystem",
-        "IrrationalSpectrum",
         "maximal_abelian_in_s",
         "restricted_roots",
         "is_spherical_triple",

@@ -569,15 +569,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
-    if not isinstance(data, dict):
-        raise CatalogError(f"{where}: entry must be an object")
+def _check_schema_version(data: dict, where: str) -> None:
     # typed first: true and 1.0 compare equal to 1
     version = _typed(data.get("schema_version"), int, f"{where}: schema_version")
     if version != SCHEMA_VERSION:
         raise CatalogError(
             f"{where}: unsupported schema_version {_show(version)} (want {SCHEMA_VERSION})"
         )
+
+
+def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
+    if not isinstance(data, dict):
+        raise CatalogError(f"{where}: entry must be an object")
+    _check_schema_version(data, where)
     for field in ("name", "algebra", "sigma", "theta", "l"):
         if field not in data:
             raise CatalogError(f"{where}: missing field {field!r}")
@@ -604,10 +608,10 @@ def entry_from_json_dict(data: dict, where: str = "<entry>") -> CatalogEntry:
 def load_entries(path: str) -> dict:
     """Load {name: CatalogEntry} from a JSON descriptor file.
 
-    The file holds either one entry object or {"entries": [...]} in UTF-8;
-    bytes that are not UTF-8 are a CatalogError naming the file, JSON parse
-    errors are re-raised with line/column diagnostics, and nesting too deep
-    for the parser as a CatalogError.
+    The file holds one entry object or {"schema_version": 1, "entries":
+    [...]} in UTF-8; bytes that are not UTF-8 are a CatalogError naming the
+    file, JSON parse errors are re-raised with line/column diagnostics, and
+    nesting too deep for the parser as a CatalogError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -625,6 +629,10 @@ def load_entries(path: str) -> dict:
     except RecursionError:
         raise CatalogError(f"{path}: invalid JSON: nested too deeply") from None
     if isinstance(data, dict) and "entries" in data:
+        _check_schema_version(data, path)
+        extra = sorted(data.keys() - {"schema_version", "entries"})
+        if extra:
+            raise CatalogError(f"{path}: unknown key {_show(extra[0])}")
         items = data["entries"]
         if not isinstance(items, list):
             raise CatalogError(f"{path}: 'entries' must be a list")

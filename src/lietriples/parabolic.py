@@ -1,80 +1,34 @@
 """Maximal abelian subspaces, restricted roots, and sphericity.
 
 The sphericity verdict needs a and one centralizer, and no eigenvalue.  The
-restricted roots of a, evidence only, must be rational: they come from
-ratlin.rational_eigenspaces, and any failure to split raises
+restricted roots of a, evidence only, must be rational: ratlin's
+rational_joint_spectrum reads them and their multiplicities off
+characteristic polynomials, and any failure to split raises
 IrrationalSpectrum rather than approximating.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .liealg import LieAlgebra, centralizer
 from .pairs import NotTransitiveTriple, TripleDescriptor
 from .ratlin import (
+    IrrationalSpectrum,
     RatMatrix,
     SubspaceBasis,
     # not called here: bound so that perfbench/tracer.py's target
     # ("parabolic", "char_poly") wraps the calls ratlin makes
     char_poly,
-    combination,
-    rational_eigenspaces,
-    restrict_operator,
+    rational_joint_spectrum,
     subspace_sum,
 )
-
-
-class IrrationalSpectrum(ArithmeticError):
-    """An ad-action failed to diagonalize over the rationals."""
 
 
 class RestrictedRootSystem(NamedTuple):
     a_basis: SubspaceBasis
     roots: tuple
-    root_spaces: dict
-    zero_space: SubspaceBasis
-
-
-def _not_preserved(_) -> IrrationalSpectrum:
-    return IrrationalSpectrum("operator does not preserve the subspace")
-
-
-def joint_eigenspaces(
-    ambient_dim: int, operators: Sequence[RatMatrix]
-) -> list[tuple[tuple, SubspaceBasis]]:
-    """Simultaneous rational eigenspace decomposition of commuting operators.
-
-    An operator acts on the whole space as itself, and its eigenspaces there
-    are already in ambient coordinates; only on a proper subspace is it
-    restricted and are its eigenspaces lifted back.  Raises
-    IrrationalSpectrum when the eigenspaces of any operator fail to fill the
-    space it acts on, or when one does not preserve the spaces before it.
-    """
-    if not operators:
-        return [((), SubspaceBasis.full(ambient_dim))]
-    spaces: list = [((), None)]  # None: the whole space, never built
-    for op in operators:
-        refined = []
-        for tag, space in spaces:
-            if space is None or space.dim == ambient_dim:
-                dim, restricted = ambient_dim, op
-            else:
-                dim, restricted = space.dim, restrict_operator(op, space.vectors, _not_preserved)
-            covered = 0
-            for lam, sub in rational_eigenspaces(restricted):
-                covered += sub.dim
-                if restricted is not op:
-                    lifted = (combination(v, space.vectors) for v in sub.vectors)
-                    sub = SubspaceBasis(ambient_dim, lifted)
-                refined.append((tag + (lam,), sub))
-            if covered != dim:
-                raise IrrationalSpectrum(
-                    "ad action does not split over the rationals "
-                    f"(covered {covered} of {dim} dimensions)"
-                )
-        spaces = refined
-    return spaces
+    multiplicities: tuple  # multiplicities[k] is the dimension of roots[k]'s space
 
 
 def maximal_abelian_in_s(
@@ -103,39 +57,20 @@ def maximal_abelian_in_s(
 
 
 def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSystem:
-    """Joint ad(a) eigenspace decomposition of l with rational functionals.
-
-    Roots are coordinate row vectors with respect to the canonical basis of
-    a; the zero functional's space is kept separately as zero_space.
+    """The nonzero joint eigenvalues of ad(a) on l, as coordinate rows in
+    the canonical basis of a, increasing, each with the dimension of its
+    root space: ad(a) is symmetric for B_theta, so that is its multiplicity
+    as a root of a characteristic polynomial.  Raises IrrationalSpectrum
+    when ad(a) does not split over the rationals, or a is not abelian.
     """
-    if a.dim == 0:
-        return RestrictedRootSystem(
-            a_basis=a,
-            roots=(),
-            root_spaces={},
-            zero_space=SubspaceBasis.full(l_alg.dim),
-        )
-    operators = [l_alg.ad(v) for v in a.vectors]
-    decomposition = joint_eigenspaces(l_alg.dim, operators)
-    root_spaces = {}
-    zero_space = SubspaceBasis.zero(l_alg.dim)
-    for tag, space in decomposition:
-        if all(x == 0 for x in tag):
-            zero_space = space
-        else:
-            root_spaces[tag] = space
-    roots = tuple(sorted(root_spaces.keys()))
+    spectrum = rational_joint_spectrum([l_alg.ad(v) for v in a.vectors]) if a.dim else []
+    multiplicity = {root: m for root, m in spectrum if any(root)}
+    roots = tuple(multiplicity)
     # opposite roots must pair with equal multiplicities
     for r in roots:
-        neg = tuple(-x for x in r)
-        if neg not in root_spaces or root_spaces[neg].dim != root_spaces[r].dim:
+        if multiplicity.get(tuple(-x for x in r)) != multiplicity[r]:
             raise IrrationalSpectrum(f"root {r} has no matching opposite root space")
-    total = zero_space.dim + sum(sp.dim for sp in root_spaces.values())
-    if total != l_alg.dim:
-        raise IrrationalSpectrum("root space decomposition does not fill the algebra")
-    return RestrictedRootSystem(
-        a_basis=a, roots=roots, root_spaces=root_spaces, zero_space=zero_space
-    )
+    return RestrictedRootSystem(a, roots, tuple(multiplicity.values()))
 
 
 def cartan_split_of_l(
@@ -191,7 +126,7 @@ def is_spherical_triple(
         evidence["roots_note"] = f"restricted roots not rational for this a: {exc}"
     else:
         evidence["roots"] = [
-            {"root": [str(x) for x in root], "multiplicity": rrs.root_spaces[root].dim}
-            for root in rrs.roots
+            {"root": [str(x) for x in root], "multiplicity": mult}
+            for root, mult in zip(rrs.roots, rrs.multiplicities)
         ]
     return m_plus_lh == k_l.dim, evidence

@@ -8,10 +8,10 @@ or a "p/q" string, and never a float.  Inside a kernel the arithmetic may
 run in Python ints: the one elimination, _rref, works on primitive integer
 rows and divides only its final pivot rows into Fractions; char_poly hands
 back the integer characteristic polynomial of dA with d, and signature and
-rational_eigenspaces read inertia and rational spectra off it; and
-over_one_denominator and add_over scale to one common denominator.  No
-other module takes a Fraction apart, and every change of basis goes
-through coordinates_in.
+rational_joint_spectrum read inertia and joint rational spectra off it,
+with no eigenvector; and over_one_denominator and add_over scale to one
+common denominator.  No other module takes a Fraction apart, and every
+change of basis goes through coordinates_in.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -32,6 +33,10 @@ class NonSymmetric(ValueError):
 
 class DependentBasis(ValueError):
     """The proposed basis vectors are linearly dependent."""
+
+
+class IrrationalSpectrum(ArithmeticError):
+    """Operators failed to diagonalize together over the rationals."""
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
@@ -467,16 +472,6 @@ def coordinates_in(
     return solved()
 
 
-def restrict_operator(
-    op: RatMatrix, basis: Sequence[dict], outside: Callable[[int], Exception]
-) -> RatMatrix:
-    """Matrix of an operator on the span of the sparse basis vectors, in
-    that basis; raises outside(k) when the operator moves vector k out of
-    it."""
-    coords = coordinates_in(basis, map(op.apply, basis), outside)
-    return RatMatrix._of_rows(coords, len(basis)).transpose()
-
-
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("not square")
@@ -569,29 +564,86 @@ def _integer_roots(coeffs: Sequence[int], bound: int) -> list[int]:
     return roots
 
 
-def rational_eigenspaces(a: RatMatrix) -> list[tuple[Fraction, "SubspaceBasis"]]:
-    """The distinct rational eigenvalues of a square matrix, increasing,
-    each with its eigenspace.
+def _deflated(coeffs: list[int], t: int) -> tuple[list[int], int]:
+    """(q, m): the integer polynomial coeffs (lowest degree first) is
+    (x - t)^m q with q(t) != 0; synthetic division, once per factor."""
+    m = 0
+    while len(coeffs) > 1:
+        quotient, acc = [], 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+            quotient.append(acc)
+        if quotient.pop():  # the remainder, P(t)
+            break
+        coeffs, m = quotient[::-1], m + 1
+    return coeffs, m
 
-    With (c, d) = char_poly(A), the rational roots of the monic integer
-    polynomial c are integers t, the eigenvalues of dA; they are bounded by
-    its Gershgorin radius and isolated by Budan bisection, with no
-    factoring.  Each lam = t/d comes with the kernel of the integer rows of
-    dA - tI, never empty.  Irrational eigenvalues are simply not returned;
-    the caller checks that the eigenspaces fill the space.
+
+def _annihilates(b: list[dict], roots: Iterable[int]) -> bool:
+    """Whether prod_t (B - t I) = 0, B given by its sparse integer rows:
+    each unit row vector is multiplied by every factor in turn."""
+    for i in range(len(b)):
+        v = {i: 1}
+        for t in roots:
+            v = combination({0: 1, 1: -t}, [combination(v, b), v])
+        if v:
+            return False
+    return True
+
+
+def rational_joint_spectrum(operators: Sequence[RatMatrix]) -> list[tuple[tuple, int]]:
+    """The joint eigenvalues of one or more commuting n x n operators, each
+    a tuple of Fractions with its multiplicity, in increasing order; no
+    eigenvector is computed.
+
+    Each operator is B_k / d_k, B_k integer, as char_poly scales it.  The
+    integer roots T_k of det(x I - B_k), found by Budan bisection inside its
+    Gershgorin radius, with multiplicities by synthetic division, must cover
+    n dimensions and prod_(t in T_k) (B_k - t I) must vanish (B_k is
+    diagonalizable over Q), and the operators must commute, or
+    IrrationalSpectrum names the ad action of the one caller.  A joint
+    eigenvalue is then t / d, t in T_1 x ... x T_r, and with c_1 = 1 and
+    c_(k+1) = c_k (1 + max T_k - min T_k), its multiplicity is that of the
+    root sum c_k t_k (one-to-one on the tuples) of det(x I - sum c_k B_k).
     """
-    n = a.rows
-    c, d = char_poly(a)
-    b, _ = over_one_denominator(dict(enumerate(a.data)))
-    zero = next(k for k, ck in enumerate(c) if ck)  # x^zero divides c
-    roots = [0] if zero else []
-    if n > zero:
-        radius = max(sum(map(abs, row.values())) for row in b.values())
-        roots += _integer_roots(c[zero:], radius)
-    return [
-        (Fraction(t, d), _kernel([{**b[i], i: b[i].get(i, 0) - t} for i in range(n)], n))
-        for t in sorted(roots)
-    ]
+    n = operators[0].rows
+    spectra, scales, ints = [], [], []  # per operator: {t: multiplicity}, d_k, B_k's rows
+    for op in operators:
+        c, d = char_poly(op)
+        rows, _ = over_one_denominator(dict(enumerate(op.data)))
+        b = [rows[i] for i in range(n)]
+        c, zero = _deflated(c, 0)  # bisect without the x^zero factor
+        spectrum = {0: zero} if zero else {}
+        radius = max((sum(map(abs, row.values())) for row in b), default=0)
+        for t in _integer_roots(c, radius):
+            c, spectrum[t] = _deflated(c, t)
+        covered = sum(spectrum.values())
+        if covered != n:
+            raise IrrationalSpectrum(
+                "ad action does not split over the rationals "
+                f"(covered {covered} of {n} dimensions)"
+            )
+        # n distinct roots: diagonalizable, with nothing to check
+        if len(spectrum) < n and not _annihilates(b, spectrum):
+            raise IrrationalSpectrum("ad action does not split over the rationals (not semisimple)")
+        spectra.append(dict(sorted(spectrum.items())))
+        scales.append(d)
+        ints.append(b)
+    for b, b2 in combinations(ints, 2):
+        if any(combination(b[i], b2) != combination(b2[i], b) for i in range(n)):
+            raise IrrationalSpectrum("operator does not preserve the subspace")
+    if len(operators) == 1:
+        return [((Fraction(t, scales[0]),), m) for t, m in spectra[0].items()]
+    weights, h = [1], operators[0].scale(scales[0])
+    for spectrum, op, d in zip(spectra, operators[1:], scales[1:]):
+        weights.append(weights[-1] * (1 + max(spectrum) - min(spectrum)))
+        h = h + op.scale(weights[-1] * d)
+    (c, _), joint = char_poly(h), []
+    for tag in product(*spectra):
+        c, m = _deflated(c, sum(w * t for w, t in zip(weights, tag)))
+        if m:
+            joint.append((tuple(Fraction(t, d) for t, d in zip(tag, scales)), m))
+    return joint
 
 
 def signature(s: RatMatrix) -> tuple[int, int, int]:

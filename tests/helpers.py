@@ -9,26 +9,29 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from lietriples import catalog
 from lietriples.env2 import NotTransitive, Quad2, _echelon_split
 from lietriples.liealg import LieAlgebra, NotClosed, centralizer, restrict_form, so_coordinates
 from lietriples.pairs import Involution
-from lietriples.parabolic import IrrationalSpectrum, maximal_abelian_in_s, restricted_roots
+from lietriples.parabolic import IrrationalSpectrum, maximal_abelian_in_s
 from lietriples.ratlin import (
     BasisSolver,
     DependentBasis,
     NonSymmetric,
     RatMatrix,
     SubspaceBasis,
+    _integer_roots,
+    _kernel,
     _rat,
     _rref,
+    char_poly,
     combination,
     coordinates_in,
     inverse,
     kernel,
-    restrict_operator,
+    over_one_denominator,
     signature,
     subspace_intersection,
     subspace_sum,
@@ -734,13 +737,140 @@ def dense_involution_validate(inv, g):
                 )
 
 
+# The eigenvector route to the restricted roots, as parabolic computed them
+# before ratlin.rational_joint_spectrum read roots and multiplicities off
+# characteristic polynomials: the eigenspaces of each operator, as kernels
+# of the integer rows of dA - tI, refined operator by operator, the
+# operator restricted to each eigenspace of the ones before it, and the
+# root spaces kept.  It is the oracle for the multiplicities.
+
+
+def restrict_operator(
+    op: RatMatrix, basis: Sequence[dict], outside: Callable[[int], Exception]
+) -> RatMatrix:
+    """Matrix of an operator on the span of the sparse basis vectors, in
+    that basis; raises outside(k) when the operator moves vector k out of
+    it."""
+    coords = coordinates_in(basis, map(op.apply, basis), outside)
+    return RatMatrix._of_rows(coords, len(basis)).transpose()
+
+
+def rational_eigenspaces(a: RatMatrix) -> list[tuple[Fraction, "SubspaceBasis"]]:
+    """The distinct rational eigenvalues of a square matrix, increasing,
+    each with its eigenspace.
+
+    With (c, d) = char_poly(A), the rational roots of the monic integer
+    polynomial c are integers t, the eigenvalues of dA; they are bounded by
+    its Gershgorin radius and isolated by Budan bisection, with no
+    factoring.  Each lam = t/d comes with the kernel of the integer rows of
+    dA - tI, never empty.  Irrational eigenvalues are simply not returned;
+    the caller checks that the eigenspaces fill the space.
+    """
+    n = a.rows
+    c, d = char_poly(a)
+    b, _ = over_one_denominator(dict(enumerate(a.data)))
+    zero = next(k for k, ck in enumerate(c) if ck)  # x^zero divides c
+    roots = [0] if zero else []
+    if n > zero:
+        radius = max(sum(map(abs, row.values())) for row in b.values())
+        roots += _integer_roots(c[zero:], radius)
+    return [
+        (Fraction(t, d), _kernel([{**b[i], i: b[i].get(i, 0) - t} for i in range(n)], n))
+        for t in sorted(roots)
+    ]
+
+
+class RestrictedRootSpaces(NamedTuple):
+    a_basis: SubspaceBasis
+    roots: tuple
+    root_spaces: dict
+    zero_space: SubspaceBasis
+
+
+def _not_preserved(_) -> IrrationalSpectrum:
+    return IrrationalSpectrum("operator does not preserve the subspace")
+
+
+def joint_eigenspaces(
+    ambient_dim: int, operators: Sequence[RatMatrix]
+) -> list[tuple[tuple, SubspaceBasis]]:
+    """Simultaneous rational eigenspace decomposition of commuting operators.
+
+    An operator acts on the whole space as itself, and its eigenspaces there
+    are already in ambient coordinates; only on a proper subspace is it
+    restricted and are its eigenspaces lifted back.  Raises
+    IrrationalSpectrum when the eigenspaces of any operator fail to fill the
+    space it acts on, or when one does not preserve the spaces before it.
+    """
+    if not operators:
+        return [((), SubspaceBasis.full(ambient_dim))]
+    spaces: list = [((), None)]  # None: the whole space, never built
+    for op in operators:
+        refined = []
+        for tag, space in spaces:
+            if space is None or space.dim == ambient_dim:
+                dim, restricted = ambient_dim, op
+            else:
+                dim, restricted = space.dim, restrict_operator(op, space.vectors, _not_preserved)
+            covered = 0
+            for lam, sub in rational_eigenspaces(restricted):
+                covered += sub.dim
+                if restricted is not op:
+                    lifted = (combination(v, space.vectors) for v in sub.vectors)
+                    sub = SubspaceBasis(ambient_dim, lifted)
+                refined.append((tag + (lam,), sub))
+            if covered != dim:
+                raise IrrationalSpectrum(
+                    "ad action does not split over the rationals "
+                    f"(covered {covered} of {dim} dimensions)"
+                )
+        spaces = refined
+    return spaces
+
+
+def restricted_root_spaces(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSpaces:
+    """Joint ad(a) eigenspace decomposition of l with rational functionals.
+
+    Roots are coordinate row vectors with respect to the canonical basis of
+    a; the zero functional's space is kept separately as zero_space.
+    """
+    if a.dim == 0:
+        return RestrictedRootSpaces(
+            a_basis=a,
+            roots=(),
+            root_spaces={},
+            zero_space=SubspaceBasis.full(l_alg.dim),
+        )
+    operators = [l_alg.ad(v) for v in a.vectors]
+    decomposition = joint_eigenspaces(l_alg.dim, operators)
+    root_spaces = {}
+    zero_space = SubspaceBasis.zero(l_alg.dim)
+    for tag, space in decomposition:
+        if all(x == 0 for x in tag):
+            zero_space = space
+        else:
+            root_spaces[tag] = space
+    roots = tuple(sorted(root_spaces.keys()))
+    # opposite roots must pair with equal multiplicities
+    for r in roots:
+        neg = tuple(-x for x in r)
+        if neg not in root_spaces or root_spaces[neg].dim != root_spaces[r].dim:
+            raise IrrationalSpectrum(f"root {r} has no matching opposite root space")
+    total = zero_space.dim + sum(sp.dim for sp in root_spaces.values())
+    if total != l_alg.dim:
+        raise IrrationalSpectrum("root space decomposition does not fill the algebra")
+    return RestrictedRootSpaces(
+        a_basis=a, roots=roots, root_spaces=root_spaces, zero_space=zero_space
+    )
+
+
 # References for the restricted-root path of parabolic, as it was before
-# char_poly ran in integers and ratlin.rational_eigenspaces read the roots
-# and eigenspaces off it: Faddeev-LeVerrier on RatMatrix, every integer in
-# the Gershgorin range tried as a root, eigenspaces of an operator taken
-# after restricting it to every space (the whole space included), the shift
-# by lambda built entry by entry, the centralizer from dense ad matrices,
-# and n and p of the minimal parabolic as chains of subspace_sum.
+# char_poly ran in integers and the roots and eigenspaces were read off it:
+# Faddeev-LeVerrier on RatMatrix, every integer in the Gershgorin range
+# tried as a root, eigenspaces of an operator taken after restricting it to
+# every space (the whole space included), the shift by lambda built entry
+# by entry, the centralizer from dense ad matrices, and n and p of the
+# minimal parabolic as chains of subspace_sum.
 
 
 def ratmatrix_char_poly(a):
@@ -906,11 +1036,11 @@ class ParabolicSubalgebra(NamedTuple):
 
 
 def minimal_parabolic(l_alg, k_l, s_l, reverse=False):
-    """(ParabolicSubalgebra, RestrictedRootSystem): positivity of roots is
+    """(ParabolicSubalgebra, RestrictedRootSpaces): positivity of roots is
     lexicographic against the canonical ordered basis of a, n is the sum of
     the positive root spaces, and m is the centralizer of a inside k_l."""
     a = maximal_abelian_in_s(l_alg, s_l, reverse=reverse)
-    rrs = restricted_roots(l_alg, a)
+    rrs = restricted_root_spaces(l_alg, a)
     positive = [
         v for root in rrs.roots if _lex_positive(root) for v in rrs.root_spaces[root].vectors
     ]

@@ -6,7 +6,7 @@ to see the lines as they complete.
 import time
 from fractions import Fraction
 
-from helpers import adjoint_casimir_matrix, invariant_form_space
+from helpers import adjoint_casimir_matrix, invariant_form_space, restricted_root_spaces
 from lietriples.env2 import IdealReducer, bracket_with
 from lietriples.liealg import g2_matrices, killing_form, so, su
 from lietriples.parabolic import (
@@ -208,7 +208,7 @@ def test_criterion_5e_restricted_root_structure(built_catalog):
         bt = built_catalog[name]
         l_alg, _, k_l, s_l = cartan_split_of_l(bt.descriptor)
         a = maximal_abelian_in_s(l_alg, s_l)
-        rrs = restricted_roots(l_alg, a)
+        rrs = restricted_root_spaces(l_alg, a)
         total = rrs.zero_space
         for sp in rrs.root_spaces.values():
             total = subspace_sum(total, sp)
@@ -217,6 +217,10 @@ def test_criterion_5e_restricted_root_structure(built_catalog):
             neg = tuple(-x for x in root)
             assert neg in rrs.root_spaces, (name, root)
             assert rrs.root_spaces[neg].dim == rrs.root_spaces[root].dim, (name, root)
+        # the library reads the same roots and dimensions off char_poly
+        got = restricted_roots(l_alg, a)
+        assert got.roots == rrs.roots, name
+        assert got.multiplicities == tuple(rrs.root_spaces[r].dim for r in rrs.roots), name
     report(
         "criterion 5e: restricted root spaces fill l and pair with equal "
         "multiplicities",

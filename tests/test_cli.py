@@ -329,6 +329,29 @@ def test_extra_catalog_with_a_name_listed_twice_is_an_input_error(capsys, tmp_pa
         assert (code, out, err) == (2, "", f"error: {path}#entries[1]: name 'lorentzian-2' listed twice\n")
 
 
+@pytest.mark.parametrize(
+    "top, problem",
+    [
+        ({"schema_version": 999}, "unsupported schema_version 999 (want 1)"),
+        ({"schema_version": True}, "schema_version: expected an integer, got True"),
+        ({"schema_version": 1, "bogus": 1}, "unknown key 'bogus'"),
+        ({}, "schema_version: expected an integer, got None"),
+    ],
+    ids=["version-999", "version-true", "unknown-key", "no-version"],
+)
+def test_an_entries_wrapper_is_read_by_the_entry_rule(capsys, tmp_path, top, problem):
+    # the wrapper's own schema_version is read as an entry's is, and it has
+    # no key but schema_version and entries
+    path = tmp_path / "wrapper.json"
+    path.write_text(json.dumps({**top, "entries": [builtin_entries()["group"].to_json_dict()]}))
+    with pytest.raises(catalog.CatalogError) as err:
+        catalog.load_entries(str(path))
+    assert str(err.value) == f"{path}: {problem}"
+    for argv in (["triples", "check", str(path)], ["--catalog", str(path), "spherical", "group"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: {problem}\n")
+
+
 def test_machine_output_round_trips(capsys):
     for argv in (
         ["--format", "machine", "triples", "check", "group"],

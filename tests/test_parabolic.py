@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from lietriples.parabolic import (
     IrrationalSpectrum,
     cartan_split_of_l,
     is_spherical_triple,
-    joint_eigenspaces,
     maximal_abelian_in_s,
     restricted_roots,
 )
@@ -20,7 +20,7 @@ from lietriples.ratlin import (
     _integer_roots,
     char_poly,
     inverse,
-    rational_eigenspaces,
+    rational_joint_spectrum,
     subspace_sum,
 )
 
@@ -30,14 +30,27 @@ from helpers import (
     chained_minimal_parabolic,
     dense_eigenspace,
     intersected_l_cap_s_cap_q,
+    joint_eigenspaces,
     minimal_parabolic,
     parabolic_sphericity,
+    rational_eigenspaces,
     ratmatrix_char_poly,
     recentralizing_maximal_abelian_in_s,
+    restricted_root_spaces,
     restricting_joint_eigenspaces,
     scanned_rational_eigenvalues,
     sparse,
 )
+
+
+def checked_root_spaces(l_alg, a):
+    """helpers.restricted_root_spaces, after checking that restricted_roots
+    gives its roots, with multiplicities the dimensions of its spaces."""
+    spaces = restricted_root_spaces(l_alg, a)
+    rrs = restricted_roots(l_alg, a)
+    assert rrs.a_basis == spaces.a_basis and rrs.roots == spaces.roots
+    assert rrs.multiplicities == tuple(spaces.root_spaces[r].dim for r in spaces.roots)
+    return spaces
 
 
 def rational_eigenvalues(a):
@@ -320,6 +333,99 @@ def test_joint_eigenspaces_match_restricting_oracle(seed):
     assert all(type(x) is Fraction for _, sp in spaces for v in sp.vectors for x in v.values())
 
 
+def _joint_spectrum_of(diagonals):
+    """The joint eigenvalues of diag(d_1), ..., diag(d_r), each with its
+    multiplicity, in increasing order."""
+    return sorted(Counter(zip(*diagonals)).items())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rational_joint_spectrum_matches_the_restricting_oracle(seed):
+    # a commuting family P D_i P^-1 with repeated values, some with
+    # denominators: the multiplicities are the dimensions of the oracle's
+    # joint eigenspaces
+    rng = random.Random(f"joint-spectrum/{seed}")
+    n = rng.randint(1, 5)
+    p, p_inv = _invertible_rational_matrix(rng, n)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    diagonals = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    diagonals[0][-1] = diagonals[0][0]  # a repeated eigenvalue once n > 1
+    operators = [p @ RatMatrix.diagonal(d) @ p_inv for d in diagonals]
+    got = rational_joint_spectrum(operators)
+    assert got == [(tag, sp.dim) for tag, sp in restricting_joint_eigenspaces(n, operators)]
+    assert got == _joint_spectrum_of(diagonals)
+    assert all(type(x) is Fraction for tag, _ in got for x in tag)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_joint_spectrum_above_two_to_the_64(seed):
+    # values over the denominators 2^64 + 13 and 2^61 - 1 with numerators
+    # near 2^70, conjugated by a unimodular integer matrix: the first
+    # operator's denominator and integer roots pass 2^64.  The restricting
+    # oracle tries every integer in the Gershgorin range, so the eigenvector
+    # route, which isolates roots by bisection, is the oracle here
+    rng = random.Random(f"joint-spectrum-big/{seed}")
+    n = rng.randint(2, 5)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        p[j] = [y + rng.choice((-2, -1, 1, 2)) * x for x, y in zip(p[i], p[j])]
+    p = RatMatrix(p)
+    q1, q2 = 2**64 + 13, 2**61 - 1
+    values = [Fraction(2**70 + 1, q1), Fraction(-(2**66), q2), Fraction(2**70 - 7, q2), Fraction(0)]
+    diagonals = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    diagonals[0][0] = diagonals[0][-1] = values[0]
+    operators = [p @ RatMatrix.diagonal(d) @ inverse(p) for d in diagonals]
+    assert char_poly(operators[0])[1] > 2**64
+    got = rational_joint_spectrum(operators)
+    assert got == _joint_spectrum_of(diagonals)
+    assert got == [(tag, sp.dim) for tag, sp in joint_eigenspaces(n, operators)]
+
+
+def test_rational_joint_spectrum_separates_what_plain_sums_merge():
+    # under the weights (1, 1), (1, 0) and (0, 1) both map to 1; P is
+    # unimodular, so the operators are integer and the weights are (1, 2),
+    # which keep every joint eigenvalue apart
+    p = RatMatrix([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
+    p_inv = inverse(p)
+    assert all(x.denominator == 1 for row in p_inv.data for x in row.values())
+    diagonals = [[1, 0, 1], [0, 1, 1]]
+    operators = [p @ RatMatrix.diagonal(d) @ p_inv for d in diagonals]
+    one, zero = Fraction(1), Fraction(0)
+    expected = [((zero, one), 1), ((one, zero), 1), ((one, one), 1)]
+    assert rational_joint_spectrum(operators) == expected == _joint_spectrum_of(diagonals)
+    assert expected == [(tag, sp.dim) for tag, sp in restricting_joint_eigenspaces(3, operators)]
+
+
+@pytest.mark.parametrize(
+    "operators,message",
+    [
+        # a Jordan block: 2 covers both dimensions, and B - 2 I is not zero
+        ([RatMatrix([[2, 1], [0, 2]])], "(not semisimple)"),
+        ([RatMatrix.identity(2), RatMatrix([[2, 1], [0, 2]])], "(not semisimple)"),
+        # the companion matrix of x (x^2 - 2): only 0 is rational
+        ([RatMatrix([[0, 0, 0], [1, 0, 2], [0, 1, 0]])], "(covered 1 of 3 dimensions)"),
+        # irrational on an eigenspace of the first: the second is read on
+        # the whole space
+        (
+            [RatMatrix.diagonal([1, 1, 2]), RatMatrix([[0, 2, 0], [1, 0, 0], [0, 0, 5]])],
+            "(covered 1 of 3 dimensions)",
+        ),
+        # each diagonalizable over Q, the two do not commute
+        (
+            [RatMatrix.diagonal([1, 2]), RatMatrix([[0, 1], [1, 0]])],
+            "operator does not preserve the subspace",
+        ),
+    ],
+)
+def test_rational_joint_spectrum_raises(operators, message):
+    with pytest.raises(IrrationalSpectrum) as err:
+        rational_joint_spectrum(operators)
+    assert str(err.value).endswith(message)
+    with pytest.raises(IrrationalSpectrum):
+        restricting_joint_eigenspaces(operators[0].rows, operators)
+
+
 def _assert_eigenspaces_match_the_oracles(ambient_dim, operators):
     """joint_eigenspaces against the restricting oracle, and each
     eigenspace of each operator against the dense_rref kernel."""
@@ -396,6 +502,7 @@ def test_minimal_parabolic_matches_chained_oracle(built_catalog, name, reverse):
     parabolic, rrs = minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
     m, a, n, p, decomposition = chained_minimal_parabolic(l_alg, k_l, s_l, reverse=reverse)
     assert (parabolic.m, parabolic.a, parabolic.n, parabolic.p) == (m, a, n, p)
+    assert rrs == checked_root_spaces(l_alg, a)
     nonzero = {tag: sp for tag, sp in decomposition.items() if any(tag)}
     assert rrs.roots == tuple(sorted(nonzero))
     assert rrs.root_spaces == nonzero
@@ -438,7 +545,7 @@ def test_restricted_roots_abelian_algebra():
     g = from_matrix_basis(
         [RatMatrix([[1, 0], [0, 0]]), RatMatrix([[0, 0], [0, 1]])]
     )
-    rrs = restricted_roots(g, SubspaceBasis.zero(2))
+    rrs = checked_root_spaces(g, SubspaceBasis.zero(2))
     assert rrs.roots == ()
     assert rrs.zero_space == SubspaceBasis.full(2)
 
@@ -446,7 +553,7 @@ def test_restricted_roots_abelian_algebra():
 def test_restricted_roots_sl2():
     g, k, s = sl2_split()
     a = SubspaceBasis(3, [{0: 1}])  # span{H}
-    rrs = restricted_roots(g, a)
+    rrs = checked_root_spaces(g, a)
     assert set(rrs.roots) == {(Fraction(2),), (Fraction(-2),)}
     assert rrs.root_spaces[(Fraction(2),)].vectors == ({1: Fraction(1)},)
     assert rrs.root_spaces[(Fraction(-2),)].vectors == ({2: Fraction(1)},)
@@ -476,7 +583,7 @@ def test_u12_restricted_roots_and_parabolic(built_catalog):
     assert (k_l.dim, s_l.dim) == (5, 4)
     a = maximal_abelian_in_s(l_alg, s_l)
     assert a.dim == 1  # real rank one
-    rrs = restricted_roots(l_alg, a)
+    rrs = checked_root_spaces(l_alg, a)
     mults = sorted(sp.dim for sp in rrs.root_spaces.values())
     assert mults == [1, 1, 2, 2]
     assert rrs.zero_space.dim == 3
@@ -489,7 +596,7 @@ def test_root_space_sum_and_pairing(built_catalog):
     for name, bt in built_catalog.items():
         l_alg, p, k_l, s_l = cartan_split_of_l(bt.descriptor)
         a = maximal_abelian_in_s(l_alg, s_l)
-        rrs = restricted_roots(l_alg, a)
+        rrs = checked_root_spaces(l_alg, a)
         total = rrs.zero_space
         for sp in rrs.root_spaces.values():
             total = subspace_sum(total, sp)
@@ -574,7 +681,7 @@ def test_u13_restricted_root_multiplicities(built_catalog):
     l_alg, p, k_l, s_l = cartan_split_of_l(bt.descriptor)
     assert (k_l.dim, s_l.dim) == (10, 6)
     a = maximal_abelian_in_s(l_alg, s_l)
-    rrs = restricted_roots(l_alg, a)
+    rrs = checked_root_spaces(l_alg, a)
     mults = sorted(sp.dim for sp in rrs.root_spaces.values())
     assert mults == [1, 1, 4, 4]
     assert rrs.zero_space.dim == 6
@@ -583,10 +690,9 @@ def test_u13_restricted_root_multiplicities(built_catalog):
 def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
     """pairs.TripleDescriptor.in_l and liealg.centralizer stack Fractions
     they computed themselves and hand them to kernel, and
-    ratlin.rational_eigenspaces hands the integer rows of dA - tI to
-    _kernel, all
-    without the coercing RatMatrix constructor; the kernels equal the
-    oracles'."""
+    the eigenvector route's rational_eigenspaces hands the integer rows of
+    dA - tI to ratlin._kernel, all without the coercing RatMatrix
+    constructor; the kernels equal the oracles'."""
     d = built_catalog["g2"].descriptor
     g = d.l_alg
     op = g.ad({0: 1})  # eigenvalues -3, ..., 3 on g2

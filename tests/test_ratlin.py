@@ -12,6 +12,7 @@ from helpers import (
     dense_kernel,
     dense_matmul,
     dense_rref,
+    restrict_operator,
     sparse,
 )
 from lietriples.ratlin import (
@@ -30,7 +31,6 @@ from lietriples.ratlin import (
     kernel,
     over_one_denominator,
     rank,
-    restrict_operator,
     signature,
     solve,
     subspace_intersection,
@@ -432,7 +432,7 @@ def _change_of_basis_sites():
         negative_transpose_involution,
         swap_involution,
     )
-    from lietriples.parabolic import IrrationalSpectrum, joint_eigenspaces
+    from lietriples.parabolic import IrrationalSpectrum, restricted_roots
 
     e, f = RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0], [1, 0]])
     shear = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -462,9 +462,10 @@ def _change_of_basis_sites():
             ValueError,
             "conjugation does not preserve the algebra",
         ),
-        # ad E moves the ad H eigenvector F to H: the two do not commute
-        "joint_eigenspaces": (
-            lambda: joint_eigenspaces(3, [sl(2).ad({0: 1}), sl(2).ad({1: 1})]),
+        # a = span{H, E + F} is not abelian: ad H and ad (E + F) each split
+        # over the rationals, with eigenvalues 2, 0, -2, but do not commute
+        "restricted_roots": (
+            lambda: restricted_roots(sl(2), SubspaceBasis(3, [{0: 1}, {1: 1, 2: 1}])),
             IrrationalSpectrum,
             "operator does not preserve the subspace",
         ),
