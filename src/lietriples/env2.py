@@ -97,15 +97,6 @@ class Quad2:
     def zero(algebra: LieAlgebra) -> "Quad2":
         return Quad2(algebra)
 
-    @staticmethod
-    def basis_element(algebra: LieAlgebra, i: int) -> "Quad2":
-        return Quad2(algebra, lin={i: 1})
-
-    @staticmethod
-    def linear(algebra: LieAlgebra, vec: dict) -> "Quad2":
-        """The degree-one element of a sparse vector."""
-        return Quad2(algebra, lin=vec)
-
     def _same_algebra(self, other: "Quad2") -> None:
         if self.algebra is not other.algebra and (
             self.algebra.dim != other.algebra.dim
@@ -137,13 +128,6 @@ class Quad2:
 
     def is_zero(self) -> bool:
         return not self.quad and not self.lin and self.const == 0
-
-    def degree(self) -> int:
-        if self.quad:
-            return 2
-        if self.lin:
-            return 1
-        return 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -210,14 +194,6 @@ def _order_ints(algebra: LieAlgebra, table: dict) -> tuple:
         key = (a, b)
         quad[key] = quad.get(key, 0) + c
     return quad, lin, d_t
-
-
-def product_of_linear(algebra: LieAlgebra, v: dict, w: dict) -> Quad2:
-    """The product (sum v_i X_i)(sum w_j X_j) of two sparse vectors,
-    normal-ordered."""
-    table: dict = {}
-    _add_outer(table, v, w)
-    return _normal_order(algebra, table)
 
 
 def _dual_pairs(sub: SubspaceBasis, form: RatMatrix) -> list:
