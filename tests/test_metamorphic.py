@@ -3,12 +3,13 @@
 l rewritten in a seeded unimodular basis, and l and theta conjugated by a
 rational element of H: every verb's machine output without --explain must
 be the shipped entry's, with exit 0 whatever the restricted roots are in
-the new basis, and h and l cap h must be closed (probes.same_answers).
+the new basis (probes.same_answers), and h and l cap h must be closed.
 """
 
 import pytest
 
 from lietriples import catalog
+from lietriples.liealg import is_subalgebra
 from lietriples.parabolic import is_spherical_triple
 
 from conftest import ENTRY_NAMES
@@ -21,7 +22,10 @@ DIMS = ("dim_l", "dim_k_l", "dim_s_l", "dim_a", "dim_m", "dim_n", "dim_p", "dim_
 
 def _assert_shipped_answers(tmp_path, name, data):
     path = probes.write(tmp_path, name, data)
-    rewritten = probes.same_answers(probes.in_process, path, name)
+    probes.same_answers(probes.in_process, path, name)
+    rewritten = probes.built(path).descriptor
+    assert is_subalgebra(rewritten.g, rewritten.h), "h is not closed"
+    assert is_subalgebra(rewritten.l_alg, rewritten.l_cap_h_in_l), "l cap h is not closed"
     shipped = catalog.get(name).descriptor
     for reverse in (False, True):
         want_verdict, want = is_spherical_triple(shipped, reverse=reverse)
