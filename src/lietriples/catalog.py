@@ -440,15 +440,11 @@ class BuiltTriple:
             gen_dims[name] = sub.dim
             if sub.dim and plain != env2.symmetrized_casimir(self.l_alg, sub, form):
                 sym_equal = False
-        image = self.iota_of_casimir()
-        image_terms = []
         labels = self.l_alg.basis_labels
-        for (i, j), c in sorted(image.quad.items()):
-            image_terms.append([f"{labels[i]}.{labels[j]}", str(c)])
-        for i, c in sorted(image.lin.items()):
-            image_terms.append([labels[i], str(c)])
-        if image.const != 0:
-            image_terms.append(["1", str(image.const)])
+        image_terms = [
+            [".".join(labels[i] for i in m) or "1", str(c)]
+            for m, c in self.iota_of_casimir().ordered_terms()
+        ]
         return {
             "dim_g": self.g.dim,
             "dim_l": d.l.dim,

@@ -1,9 +1,9 @@
 """Degree-two universal enveloping algebra calculus.
 
 Elements are kept in PBW normal order with respect to the owning algebra's
-fixed basis: only monomials X_i X_j with i <= j are stored, plus a linear
-part and a constant.  Reordering a product X_j X_i with j > i costs exactly
-one commutator, which keeps everything inside degree two.
+fixed basis, as one map from the monomials (), X_i and X_i X_j with i <= j
+to their coefficients.  Reordering a product X_j X_i with j > i costs
+exactly one commutator, which keeps everything inside degree two.
 
 The two workhorses, reduction modulo a left ideal U(g) h and the transfer
 of an H-invariant element of U(g) into U(l) along g = l + h, rest on one
@@ -23,7 +23,8 @@ h) when l + h = g.  Products are collected in a coefficient table and
 normal-ordered once, in Python ints through the algebra's integer structure
 table (LieAlgebra.int_table), with one Fraction per output coefficient.
 Each algebra keeps one IdealReducer per span of h (ideal_reducer), and the
-decomposition and comparison modulo the ideal read its memoized coordinates.
+decomposition and comparison modulo the ideal read its memoized coordinates,
+the terms of the reduced element.
 """
 
 from __future__ import annotations
@@ -62,33 +63,23 @@ class NotTransitive(ValueError):
 
 
 class Quad2:
-    """A degree <= 2 element of U(g) in PBW normal-ordered form."""
+    """A degree <= 2 element of U(g) in PBW normal-ordered form: terms maps
+    each monomial, () or (i,) or (i, j) with i <= j, to its nonzero coefficient."""
 
-    __slots__ = ("algebra", "quad", "lin", "const")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        quad: Optional[dict] = None,
-        lin: Optional[dict] = None,
-        const=0,
-    ):
-        q = {}
-        for (i, j), c in (quad or {}).items():
-            if i > j:
-                raise ValueError("quad keys must satisfy i <= j")
+    def __init__(self, algebra: LieAlgebra, terms: Optional[dict] = None):
+        kept, n = {}, algebra.dim
+        for m, c in (terms or {}).items():
+            if type(m) is not tuple or m and not (
+                len(m) < 3 and type(m[0]) is type(m[-1]) is int and 0 <= m[0] <= m[-1] < n
+            ):
+                raise ValueError(f"{m!r} is not a normal-ordered monomial over the algebra")
             c = _rat(c)
             if c != 0:
-                q[(i, j)] = c
-        ln = {}
-        for i, c in (lin or {}).items():
-            c = _rat(c)
-            if c != 0:
-                ln[i] = c
+                kept[m] = c
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "quad", q)
-        object.__setattr__(self, "lin", ln)
-        object.__setattr__(self, "const", _rat(const))
+        object.__setattr__(self, "terms", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quad2 is immutable")
@@ -98,64 +89,48 @@ class Quad2:
         return Quad2(algebra)
 
     def _same_algebra(self, other: "Quad2") -> None:
-        if self.algebra is not other.algebra and (
-            self.algebra.dim != other.algebra.dim
-            or self.algebra.basis_labels != other.algebra.basis_labels
-        ):
+        a, b = self.algebra, other.algebra
+        if a is not b and a.basis_labels != b.basis_labels:  # the labels fix the dim
             raise ValueError("Quad2 values over different algebras")
 
     def __add__(self, other: "Quad2") -> "Quad2":
         self._same_algebra(other)
-        q = dict(self.quad)
-        for k, c in other.quad.items():
-            q[k] = q.get(k, Fraction(0)) + c
-        ln = dict(self.lin)
-        for k, c in other.lin.items():
-            ln[k] = ln.get(k, Fraction(0)) + c
-        return Quad2(self.algebra, q, ln, self.const + other.const)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Quad2(self.algebra, terms)
 
     def __sub__(self, other: "Quad2") -> "Quad2":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Quad2":
         c = _rat(c)
-        return Quad2(
-            self.algebra,
-            {k: c * v for k, v in self.quad.items()},
-            {k: c * v for k, v in self.lin.items()},
-            c * self.const,
-        )
+        return Quad2(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def is_zero(self) -> bool:
-        return not self.quad and not self.lin and self.const == 0
+        return not self.terms
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Quad2)
-            and self.algebra.basis_labels == other.algebra.basis_labels
-            and self.quad == other.quad
-            and self.lin == other.lin
-            and self.const == other.const
-        )
+        return isinstance(other, Quad2) and self._key() == other._key()
 
     def _key(self) -> tuple:
         """Exactly what __eq__ compares, with no reference to the algebra."""
-        quad, lin = frozenset(self.quad.items()), frozenset(self.lin.items())
-        return self.algebra.basis_labels, quad, lin, self.const
+        return self.algebra.basis_labels, frozenset(self.terms.items())
 
     def __hash__(self):
         return hash(self._key())
 
+    def ordered_terms(self) -> list:
+        """The terms, quadratic, then linear, then constant, each by index."""
+        return sorted(self.terms.items(), key=lambda t: (-len(t[0]), t[0]))
+
     def __repr__(self):
         labels = self.algebra.basis_labels
-        parts = []
-        for (i, j), c in sorted(self.quad.items()):
-            parts.append(f"{c}*{labels[i]}{labels[j]}")
-        for i, c in sorted(self.lin.items()):
-            parts.append(f"{c}*{labels[i]}")
-        if self.const != 0 or not parts:
-            parts.append(str(self.const))
-        return " + ".join(parts)
+        parts = [
+            f"{c}*{''.join(labels[i] for i in m)}" if m else str(c)
+            for m, c in self.ordered_terms()
+        ]
+        return " + ".join(parts) or "0"
 
 
 def _add_outer(table: dict, v: dict, w: dict) -> None:
@@ -166,15 +141,13 @@ def _add_outer(table: dict, v: dict, w: dict) -> None:
             table[key] = table.get(key, 0) + x * y
 
 
-def _normal_order(
-    algebra: LieAlgebra, table: dict, lin: Optional[dict] = None, const=0
-) -> Quad2:
-    """sum c X_a X_b over the (a, b) -> c table, plus lin and const, in PBW
-    normal order; callers fill the table first and order it once, so no
-    Quad2 is built per term."""
+def _normal_order(algebra: LieAlgebra, table: dict, lin: Optional[dict] = None) -> Quad2:
+    """sum c X_a X_b over the (a, b) -> c table, plus lin, in PBW normal
+    order; callers fill the table first and order it once, so no Quad2 is
+    built per term."""
     scaled, d = over_one_denominator({0: table, 1: lin or {}})
     quad, lin_m, d_t = _order_ints(algebra, scaled[0])
-    return _over(algebra, quad, d, *add_over(lin_m, d * d_t, scaled[1], d), const)
+    return _over(algebra, quad, d, *add_over(lin_m, d * d_t, scaled[1], d))
 
 
 def _order_ints(algebra: LieAlgebra, table: dict) -> tuple:
@@ -259,14 +232,16 @@ def bracket_with(q: Quad2, x) -> Quad2:
     """
     algebra = q.algebra
     xv = {x: 1} if isinstance(x, int) else x
-    support = set(q.lin).union(*q.quad)
-    ad = {i: algebra.bracket({i: 1}, xv) for i in support}  # ad[i] = [X_i, x]
+    ad = {i: algebra.bracket({i: 1}, xv) for m in q.terms for i in m}  # ad[i] = [X_i, x]
     table: dict = {}
-    for (i, j), c in q.quad.items():
-        # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
-        _add_outer(table, {i: c}, ad[j])
-        _add_outer(table, ad[i], {j: c})
-    return _normal_order(algebra, table, combination(q.lin, ad))
+    for m, c in q.terms.items():
+        if len(m) == 2:
+            # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
+            i, j = m
+            _add_outer(table, {i: c}, ad[j])
+            _add_outer(table, ad[i], {j: c})
+    lin = {m[0]: c for m, c in q.terms.items() if len(m) == 1}
+    return _normal_order(algebra, table, combination(lin, ad))
 
 
 def _reduce_split(q: Quad2, front_alg: LieAlgebra, split: tuple) -> Quad2:
@@ -301,17 +276,17 @@ def _reduce_split(q: Quad2, front_alg: LieAlgebra, split: tuple) -> Quad2:
     one step, y -> sum_k y_k f_k, still in ints.  Each nonzero output
     coefficient is then one Fraction.
     """
-    return _over(front_alg, *_split_ints(q, front_alg, split), q.const)
+    return _over(front_alg, *_split_ints(q, front_alg, split))
 
 
 def _split_ints(q: Quad2, front_alg: LieAlgebra, split: tuple) -> tuple:
-    """(quad, d_quad, lin, d_lin): the quad and linear parts of
-    _reduce_split(q, front_alg, split) as int tables over one denominator
-    each."""
+    """(quad, d_quad, lin, d_lin, const): _reduce_split(q, front_alg, split)
+    with its quad and linear parts as int tables over one denominator each."""
     front, d_f, eta, d_e = split
     rows: dict = {}
-    for (i, j), c in q.quad.items():
-        rows.setdefault(i, {})[j] = c
+    for m, c in q.terms.items():
+        if len(m) == 2:
+            rows.setdefault(m[0], {})[m[1]] = c
     rows, d_q = over_one_denominator(rows)
     m_table: dict = {}
     n_table: dict = {}
@@ -329,17 +304,19 @@ def _split_ints(q: Quad2, front_alg: LieAlgebra, split: tuple) -> tuple:
     quad, lin, d_t = _order_ints(front_alg, m_table)
     d_quad = d_f * d_f * d_q
     _, rest, d_g = _order_ints(q.algebra, n_table)  # sum N[a, b] [X_a, X_b]
-    lin_q, d_l = over_one_denominator({0: q.lin})
+    lin_q, d_l = over_one_denominator({0: {m[0]: c for m, c in q.terms.items() if len(m) == 1}})
     rest, d_r = add_over(rest, d_e * d_q * d_g, lin_q[0], d_l)
     lin, d_lin = add_over(lin, d_quad * d_t, combination(rest, front), d_r * d_f)
-    return quad, d_quad, lin, d_lin
+    return quad, d_quad, lin, d_lin, q.terms.get((), 0)
 
 
-def _over(algebra: LieAlgebra, quad: dict, d_quad: int, lin: dict, d_lin: int, const) -> Quad2:
-    """The Quad2 of quad / d_quad and lin / d_lin, one Fraction per nonzero
-    coefficient."""
-    quad = {k: Fraction(n, d_quad) for k, n in quad.items() if n}
-    return Quad2(algebra, quad, {k: Fraction(n, d_lin) for k, n in lin.items() if n}, const)
+def _over(algebra: LieAlgebra, quad: dict, d_quad: int, lin: dict, d_lin: int, const=0) -> Quad2:
+    """The Quad2 of quad / d_quad, lin / d_lin and const, one Fraction per
+    nonzero coefficient."""
+    terms = {k: Fraction(n, d_quad) for k, n in quad.items() if n}
+    terms.update({(k,): Fraction(n, d_lin) for k, n in lin.items() if n})
+    terms[()] = const
+    return Quad2(algebra, terms)
 
 
 def _echelon_split(h: SubspaceBasis) -> tuple:
@@ -370,16 +347,13 @@ class IdealReducer:
     _reduce_split then leaves only normal-ordered monomials in front
     indices, which is the canonical form; the brackets picked up when
     f_i f_j is normal-ordered in g are sent to the front again.
-    ideal_reducer keeps one on the algebra.  It holds only the algebra's
-    labels, which reduce checks each element against (the Quad2._same_algebra
-    rule), so it forms no cycle; coordinates memoizes by value, reduce does not.
+    ideal_reducer and the transfer keep one on the algebra.  It holds only
+    the algebra's labels, which reduce checks each element against (the
+    Quad2._same_algebra rule), so it forms no cycle; coordinates memoizes by
+    value, reduce does not.
     """
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
-        if h.ambient_dim != algebra.dim:
-            raise ValueError("h lives in the wrong ambient space")
-        if not is_subalgebra(algebra, h):
-            raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         self.labels = algebra.basis_labels
         self._split = _echelon_split(h)
         self._coordinates: dict = {}
@@ -388,32 +362,32 @@ class IdealReducer:
         algebra = q.algebra
         if algebra.basis_labels != self.labels:  # the labels fix the dim
             raise ValueError("the element is not over the reducer's algebra")
-        quad, d_quad, lin, d_lin = _split_ints(q, algebra, self._split)
+        quad, d_quad, lin, d_lin, const = _split_ints(q, algebra, self._split)
         front, d_f = self._split[:2]
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        return _over(algebra, quad, d_quad, combination(lin, front), d_lin * d_f, q.const)
+        return _over(algebra, quad, d_quad, combination(lin, front), d_lin * d_f, const)
 
     def coordinates(self, q: Quad2) -> dict:
-        """The reduced form of q, shared, as a sparse vector over its quad keys,
-        lin keys and constant: linear and canonical, so two elements agree
-        modulo U(g) h exactly when their coordinates do."""
+        """The terms of the reduced form of q, shared: linear and canonical, so
+        two elements agree modulo U(g) h exactly when their coordinates do."""
         key = q._key()
         out = self._coordinates.get(key)
         if out is None:
-            e = self.reduce(q)
-            out = {("quad", k): c for k, c in e.quad.items()}
-            out.update({("lin", k): c for k, c in e.lin.items()})
-            if e.const:
-                out["const"] = e.const
-            self._coordinates[key] = out
+            out = self._coordinates[key] = self.reduce(q).terms
         return out
 
 
 def ideal_reducer(algebra: LieAlgebra, h: SubspaceBasis) -> IdealReducer:
-    """The IdealReducer modulo U(algebra) h, built (with its subalgebra check)
-    at the first request for this algebra object and span of h, kept on it."""
+    """The IdealReducer modulo U(algebra) h, built at the first request for
+    this algebra object and span of h, kept on it.  An h of unknown origin
+    arrives here, so it is checked first; only the transfer keeps reducers
+    unchecked (_canonical_transfer_split)."""
     reducer = algebra._reducers.get(h)
     if reducer is None:
+        if h.ambient_dim != algebra.dim:
+            raise ValueError("h lives in the wrong ambient space")
+        if not is_subalgebra(algebra, h):
+            raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         reducer = algebra._reducers[h] = IdealReducer(algebra, h)
     return reducer
 
@@ -516,10 +490,18 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     coordinates off the pivots of h, so f_k is the coordinates of pi(e_k)
     in the basis {pi(frame_a) : a in the section}, put on those frame
     vectors, and eta_k = e_k - frame f_k lies in the kernel of pi, h.
+
+    The descriptor is validated first: sigma is then an automorphism, so h =
+    fix(sigma) and l cap h are subalgebras, and their reducers are kept on
+    g and l_alg with no closure check.  pi is read off the first one.
     """
+    t.validate()
     lh = t.l_cap_h_in_l
+    for algebra, sub in ((t.g, t.h), (t.l_alg, lh)):
+        if sub not in algebra._reducers:
+            algebra._reducers[sub] = IdealReducer(algebra, sub)
     section = [a for a in range(lh.ambient_dim) if a not in lh.pivots()]
-    pi = _echelon_split(t.h)[0]  # d pi: the basis and each pi(e_k) scale alike
+    pi = t.g._reducers[t.h]._split[0]  # d pi: the basis and each pi(e_k) scale alike
     frame = t.frame_vectors
     basis = [combination(frame[a], pi) for a in section]
     front, eta = [], []

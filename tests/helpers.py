@@ -469,8 +469,7 @@ def dense_greedy_complement(g_dim, frame_cols, candidates):
 
 def termwise_product_of_linear(algebra, v, w):
     """The product (sum v_i X_i)(sum w_j X_j), normal-ordered."""
-    quad: dict = {}
-    lin: dict = {}
+    terms: dict = {}
     nz_v = [(i, Fraction(x)) for i, x in enumerate(v) if x]
     nz_w = [(j, Fraction(x)) for j, x in enumerate(w) if x]
     for i, a in nz_v:
@@ -478,13 +477,13 @@ def termwise_product_of_linear(algebra, v, w):
             c = a * b
             if i <= j:
                 key = (i, j)
-                quad[key] = quad.get(key, Fraction(0)) + c
+                terms[key] = terms.get(key, Fraction(0)) + c
             else:
                 key = (j, i)
-                quad[key] = quad.get(key, Fraction(0)) + c
+                terms[key] = terms.get(key, Fraction(0)) + c
                 for k, d in algebra.bracket_basis_sparse(i, j).items():
-                    lin[k] = lin.get(k, Fraction(0)) + c * d
-    return Quad2(algebra, quad, lin)
+                    terms[(k,)] = terms.get((k,), Fraction(0)) + c * d
+    return Quad2(algebra, terms)
 
 
 def termwise_casimir(algebra, sub, form):
@@ -507,9 +506,12 @@ def termwise_bracket_with(q, x):
     unit = [[int(k == i) for k in range(n)] for i in range(n)]
     xv = unit[x] if isinstance(x, int) else list(x)
     ad = [dense_bracket(algebra, e, xv) for e in unit]  # ad[i] = [X_i, x]
-    lin = [sum(c * ad[i][k] for i, c in q.lin.items()) for k in range(n)]
-    out = Quad2(algebra, lin=dict(enumerate(lin)))
-    for (i, j), c in q.quad.items():
+    lin = [sum(c * ad[m[0]][k] for m, c in q.terms.items() if len(m) == 1) for k in range(n)]
+    out = Quad2(algebra, {(k,): c for k, c in enumerate(lin)})
+    for m, c in q.terms.items():
+        if len(m) != 2:
+            continue
+        i, j = m
         # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
         term = termwise_product_of_linear(algebra, unit[i], ad[j])
         out = out + (term + termwise_product_of_linear(algebra, ad[i], unit[j])).scale(c)
@@ -524,25 +526,24 @@ def termwise_reduce_split(q, front_alg, front, eta, to_front):
     to the front coordinates of its front part.
     """
     g = q.algebra
-    quad: dict = {}
-    lin: dict = {}
+    terms: dict = {(): q.terms.get((), 0)}
     rest = [Fraction(0)] * g.dim  # ambient degree-one terms, sent to the front last
-    for k, c in q.lin.items():
-        rest[k] += c
-    for (i, j), c in q.quad.items():
-        prod = termwise_product_of_linear(front_alg, front[i], front[j])
-        for key, d in prod.quad.items():
-            quad[key] = quad.get(key, Fraction(0)) + c * d
-        for key, d in prod.lin.items():
-            lin[key] = lin.get(key, Fraction(0)) + c * d
-        if eta[i] is not None:
-            f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
-            f_j[j] += 1
-            for k, d in enumerate(dense_bracket(g, eta[i], f_j)):
-                rest[k] += c * d
+    for m, c in q.terms.items():
+        if len(m) == 1:
+            rest[m[0]] += c
+        elif len(m) == 2:
+            i, j = m
+            prod = termwise_product_of_linear(front_alg, front[i], front[j])
+            for key, d in prod.terms.items():
+                terms[key] = terms.get(key, Fraction(0)) + c * d
+            if eta[i] is not None:
+                f_j = [-x for x in eta[j]] if eta[j] is not None else [Fraction(0)] * g.dim
+                f_j[j] += 1
+                for k, d in enumerate(dense_bracket(g, eta[i], f_j)):
+                    rest[k] += c * d
     for k, d in enumerate(to_front(rest)):
-        lin[k] = lin.get(k, Fraction(0)) + d
-    return Quad2(front_alg, quad, lin, q.const)
+        terms[(k,)] = terms.get((k,), Fraction(0)) + d
+    return Quad2(front_alg, terms)
 
 
 def echelon_split(algebra, h):
@@ -576,8 +577,10 @@ def termwise_reduce(q, h):
     front, eta, to_front = echelon_split(g, h)
     split = termwise_reduce_split(q, g, front, eta, to_front)
     # the front space is no subalgebra: normal ordering f_i f_j leaves it
-    lin = to_front([split.lin.get(k, Fraction(0)) for k in range(g.dim)])
-    return Quad2(g, split.quad, dict(enumerate(lin)), split.const)
+    lin = to_front([split.terms.get((k,), Fraction(0)) for k in range(g.dim)])
+    terms = {m: c for m, c in split.terms.items() if len(m) != 1}
+    terms.update({(k,): c for k, c in enumerate(lin)})
+    return Quad2(g, terms)
 
 
 def basis_solver_split(g, frame_cols, w_vecs):
@@ -653,19 +656,20 @@ def percall_transfer_split(t, seed=None):
 
 
 def random_quad2(algebra, rng, terms=6):
-    """A seeded element with quad, lin and const parts."""
+    """A seeded element with quadratic, linear and constant terms."""
     n = algebra.dim
 
     def coefficient():
         return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
 
     square = rng.randrange(n)
-    quad = {(square, square): coefficient()}
+    out = {(square, square): coefficient()}
     for _ in range(terms):
         i, j = sorted((rng.randrange(n), rng.randrange(n)))
-        quad[(i, j)] = coefficient()
-    lin = {rng.randrange(n): coefficient() for _ in range(3)}
-    return Quad2(algebra, quad, lin, coefficient())
+        out[(i, j)] = coefficient()
+    out.update({(rng.randrange(n),): coefficient() for _ in range(3)})
+    out[()] = coefficient()
+    return Quad2(algebra, out)
 
 
 # The routes by which a TripleDescriptor reached the subspaces of l and the
@@ -1223,36 +1227,28 @@ def normal_order_words(words, bracket_fn):
     """Normal-order formal words of length <= 2 by adjacent swaps.
 
     words: list of (coefficient, index-tuple).  bracket_fn(a, b) must return
-    the dense coordinate list of [Y_a, Y_b].  Returns (quad, lin, const)
-    dictionaries in the same shape Quad2 uses.  This is a deliberately
-    different algorithm from the library's matrix-transform path.
+    the dense coordinate list of [Y_a, Y_b].  Returns the nonzero
+    coefficients of the normal-ordered words, keyed by word, the shape of
+    Quad2.terms.  This is a deliberately different algorithm from the
+    library's matrix-transform path.
     """
     from fractions import Fraction
 
-    quad = {}
-    lin = {}
-    const = Fraction(0)
+    terms = {}
     stack = list(words)
     while stack:
         c, w = stack.pop()
         if c == 0:
             continue
-        if len(w) == 0:
-            const += c
-        elif len(w) == 1:
-            lin[w[0]] = lin.get(w[0], Fraction(0)) + c
-        else:
+        if len(w) == 2 and w[0] > w[1]:
             a, b = w
-            if a <= b:
-                quad[(a, b)] = quad.get((a, b), Fraction(0)) + c
-            else:
-                stack.append((c, (b, a)))
-                for k, d in enumerate(bracket_fn(a, b)):
-                    if d != 0:
-                        stack.append((c * d, (k,)))
-    quad = {k: v for k, v in quad.items() if v != 0}
-    lin = {k: v for k, v in lin.items() if v != 0}
-    return quad, lin, const
+            stack.append((c, (b, a)))
+            for k, d in enumerate(bracket_fn(a, b)):
+                if d != 0:
+                    stack.append((c * d, (k,)))
+        else:
+            terms[w] = terms.get(w, Fraction(0)) + c
+    return {w: c for w, c in terms.items() if c != 0}
 
 
 def words_in_new_basis(words, s_matrix):
@@ -1308,11 +1304,9 @@ def naive_reduce(algebra, words, h):
             cache[(a, b)] = dense_apply(s, dense_bracket(algebra, t.column(a), t.column(b)))
         return cache[(a, b)]
 
-    quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)
+    terms = normal_order_words(words_in_new_basis(words, s), bracket_fn)
     nf = len(front)
-    out_quad = {(front[i], front[j]): c for (i, j), c in quad.items() if j < nf}
-    out_lin = {front[i]: c for i, c in lin.items() if i < nf}
-    return out_quad, out_lin, const
+    return {tuple(front[i] for i in w): c for w, c in terms.items() if not w or w[-1] < nf}
 
 
 def naive_transfer(built):
@@ -1320,7 +1314,7 @@ def naive_transfer(built):
 
     Uses a reversed greedy complement (a different w than the library
     default picks), so agreement also re-exercises complement independence.
-    Returns (quad, lin, const) in l-coordinates, reduced mod U(l)(l cap h).
+    Returns the terms in l-coordinates, reduced mod U(l)(l cap h).
     """
     from fractions import Fraction
 
@@ -1358,12 +1352,9 @@ def naive_transfer(built):
             cache[(a, b)] = dense_apply(s, dense_bracket(g, t.column(a), t.column(b)))
         return cache[(a, b)]
 
-    quad, lin, const = normal_order_words(words_in_new_basis(words, s), bracket_fn)
+    terms = normal_order_words(words_in_new_basis(words, s), bracket_fn)
     n_l = frame.cols
-    surv = [(c, k) for k, c in quad.items() if k[1] < n_l]
-    surv += [(c, (i,)) for i, c in lin.items() if i < n_l]
-    if const != 0:
-        surv.append((const, ()))
+    surv = [(c, w) for w, c in terms.items() if not w or w[-1] < n_l]
 
     from lietriples.ratlin import solve
 

@@ -59,7 +59,7 @@ def test_criterion_1_golden_embedding_formulas(built_catalog):
             f"{name}: got {tuple(str(c) for c in coeffs)}"
         )
         assert rep["residual_zero"], name
-        assert bt.iota_of_casimir().quad, name  # of degree two
+        assert any(len(m) == 2 for m in bt.iota_of_casimir().terms), name  # of degree two
         assert elapsed < 60, f"{name} exceeded the 60 s budget"
     report(
         "criterion 1: casimir embed reproduces (2,0,0)/(2,-1,0)x3/(3,-3/2,2) "

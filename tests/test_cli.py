@@ -514,6 +514,34 @@ def test_casimir_embed_nontransitive_entry_fails_verification(capsys, tmp_path):
     assert "l + h" in err
 
 
+def test_casimir_embed_requires_transitivity_only(capsys, tmp_path):
+    """casimir embed needs l + h = g, condition (ii), and no more.  With l
+    all of sl(2) + sl(2) and the swap sigma, l cap h is the diagonal sl(2),
+    not compact: only (iii) fails.  triples check and spherical refuse the
+    entry, while the transfer goes through, to omega_l with a zero
+    residual."""
+    entry = builtin_entries()["group"].to_json_dict()
+    entry["name"] = "whole-g"
+    entry["l"] = {
+        "kind": "explicit",
+        "vectors": [[str(int(i == j)) for j in range(6)] for i in range(6)],
+    }
+    path = tmp_path / "whole.json"
+    path.write_text(canonical_json(entry))
+    code, out, err = run_cli(capsys, "--format", "machine", "triples", "check", str(path))
+    got = json.loads(out)
+    assert (code, err, got["verdict"]) == (1, "", "NotTransitiveTriple")
+    assert (got["reductively_embedded"], got["infinitesimally_transitive"]) == (True, True)
+    assert got["compact_intersection"] is False
+    code, out, err = run_cli(capsys, "spherical", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: not a transitive triple; failed: (iii) compact intersection\n"
+    code, out, err = run_cli(capsys, "--format", "machine", "casimir", "embed", str(path))
+    got = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (got["coefficients"], got["residual_zero"]) == (["1", "0", "0"], True)
+
+
 def test_bad_involution_signs_rejected(capsys, tmp_path):
     entry = builtin_entries()["lorentzian-2"].to_json_dict()
     entry["name"] = "bad-signs"

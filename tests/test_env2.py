@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 import weakref
 from collections import Counter
@@ -54,6 +55,7 @@ from lietriples.liealg import (
     so,
 )
 from lietriples.pairs import (
+    DescriptorError,
     TripleDescriptor,
     negative_transpose_involution,
 )
@@ -68,17 +70,13 @@ def sl2_casimir():
 def test_casimir_rank_one():
     g = from_matrix_basis([RatMatrix([[1, 0], [0, -1]])])
     omega = casimir(g, SubspaceBasis.full(1), RatMatrix([[5]]))
-    assert omega == Quad2(g, quad={(0, 0): Fraction(1, 5)})
+    assert omega == Quad2(g, {(0, 0): Fraction(1, 5)})
 
 
 def test_casimir_sl2_golden():
     g, omega = sl2_casimir()
     # (1/8) H^2 + (1/4)(EF + FE), normal-ordered to (1/8) H^2 + (1/2) EF - (1/4) H
-    expected = Quad2(
-        g,
-        quad={(0, 0): Fraction(1, 8), (1, 2): Fraction(1, 2)},
-        lin={0: Fraction(-1, 4)},
-    )
+    expected = Quad2(g, {(0, 0): Fraction(1, 8), (1, 2): Fraction(1, 2), (0,): Fraction(-1, 4)})
     assert omega == expected
 
 
@@ -116,11 +114,11 @@ def test_symmetrized_casimir_equal():
 
 def test_floats_are_refused_by_quad2():
     g = sl(2)
-    assert Quad2(g, lin={0: 1, 2: Fraction(1, 3)}) == Quad2(g, lin={0: 1, 2: "1/3"})
+    assert Quad2(g, {(0,): 1, (2,): Fraction(1, 3)}) == Quad2(g, {(0,): 1, (2,): "1/3"})
     for make in (
-        lambda: Quad2(g, lin={0: 0.1}),
-        lambda: Quad2(g, quad={(0, 1): 0.1}),
-        lambda: Quad2(g, const=0.1),
+        lambda: Quad2(g, {(0,): 0.1}),
+        lambda: Quad2(g, {(0, 1): 0.1}),
+        lambda: Quad2(g, {(): 0.1}),
     ):
         with pytest.raises(TypeError, match="not an exact rational"):
             make()
@@ -128,7 +126,19 @@ def test_floats_are_refused_by_quad2():
 
 def test_floats_are_refused_by_quad2_scale():
     with pytest.raises(TypeError, match="not an exact rational"):
-        Quad2(sl(2), lin={0: 1}).scale(0.1)
+        Quad2(sl(2), {(0,): 1}).scale(0.1)
+
+
+@pytest.mark.parametrize(
+    "key", [(99,), (2, 1), (0, 1, 2), (0.5,)], ids=["range", "order", "length", "type"]
+)
+def test_monomials_off_the_algebra_are_refused_by_quad2(key):
+    """An index past the basis, a pair out of normal order, a word of length
+    three and an index that is no int.  The first and the last were once
+    accepted: bracket_with returned 0 on them, while the reduction and repr
+    raised."""
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        Quad2(sl(2), {key: 1})
 
 
 def test_bracket_with_casimir_is_central():
@@ -139,37 +149,35 @@ def test_bracket_with_casimir_is_central():
 
 def test_bracket_with_abelian_square():
     g = from_matrix_basis([RatMatrix([[1, 0], [0, 0]]), RatMatrix([[0, 0], [0, 1]])])
-    q = Quad2(g, quad={(0, 0): 1})
+    q = Quad2(g, {(0, 0): 1})
     assert bracket_with(q, 0).is_zero() and bracket_with(q, 1).is_zero()
 
 
 def test_bracket_with_weight_zero_monomial():
     g = sl(2)
-    ef = Quad2(g, quad={(1, 2): 1})
+    ef = Quad2(g, {(1, 2): 1})
     assert bracket_with(ef, 0).is_zero()  # [EF, H] = 0
 
 
 def test_bracket_with_degree_preserved():
     g = sl(2)
-    e_sq = Quad2(g, quad={(1, 1): 1})
+    e_sq = Quad2(g, {(1, 1): 1})
     # [E^2, F] = E H + H E = 2 HE + [E, H] = 2 HE - 2 E
     out = bracket_with(e_sq, 2)
-    assert out == Quad2(g, quad={(0, 1): 2}, lin={1: -2})
+    assert out == Quad2(g, {(0, 1): 2, (1,): -2})
 
 
 def test_reduce_golden_sl2_mod_e():
     g, omega = sl2_casimir()
     h = SubspaceBasis(3, [{1: 1}])  # span{E}
     reduced = reduce_mod_left_ideal(omega, h)
-    assert reduced == Quad2(
-        g, quad={(0, 0): Fraction(1, 8)}, lin={0: Fraction(1, 4)}
-    )
+    assert reduced == Quad2(g, {(0, 0): Fraction(1, 8), (0,): Fraction(1, 4)})
 
 
 def test_reduce_untouched_without_h_factors():
     g = sl(2)
     h = SubspaceBasis(3, [{1: 1}])
-    q = Quad2(g, quad={(0, 0): 3}, lin={2: 1}, const=7)  # H^2, F, const
+    q = Quad2(g, {(0, 0): 3, (2,): 1, (): 7})  # H^2, F, const
     assert reduce_mod_left_ideal(q, h) == q
 
 
@@ -211,7 +219,7 @@ def test_ideal_reducer_runs_no_elimination(built_catalog, monkeypatch):
 def test_equals_mod_ideal():
     g = sl(2)
     h = SubspaceBasis(3, [{1: 1}])
-    a = Quad2(g, quad={(0, 0): 1})
+    a = Quad2(g, {(0, 0): 1})
     assert equals_mod_ideal(a, a, h)
     he = termwise_product_of_linear(g, unit(3, 0), unit(3, 1))  # H * E, in the ideal
     assert equals_mod_ideal(a + he, a, h)
@@ -223,7 +231,7 @@ def test_decompose_trivial_and_failure():
     h = SubspaceBasis.zero(3)
     coeffs = decompose_in_span(omega, [omega, Quad2.zero(g)], h)
     assert coeffs == [Fraction(1), Fraction(0)]
-    target = Quad2(g, quad={(1, 1): 1})  # E^2 is not a multiple of omega
+    target = Quad2(g, {(1, 1): 1})  # E^2 is not a multiple of omega
     assert decompose_in_span(target, [omega], h) is None
 
 
@@ -287,9 +295,9 @@ def test_iota_not_invariant():
     g = sl(2)
     t = torus_triple(g)
     t.validate()
-    assert not check_h_invariant(Quad2(g, lin={1: 1}), t.h)
+    assert not check_h_invariant(Quad2(g, {(1,): 1}), t.h)
     with pytest.raises(NotInvariant):
-        iota_embed(t, Quad2(g, lin={1: 1}))
+        iota_embed(t, Quad2(g, {(1,): 1}))
 
 
 def test_h_invariance_of_casimir():
@@ -306,9 +314,9 @@ def eval_terms(g, terms):
     total = Quad2.zero(g)
     for coeff, factors in terms:
         if len(factors) == 0:
-            total = total + Quad2(g, const=coeff)
+            total = total + Quad2(g, {(): coeff})
         elif len(factors) == 1:
-            total = total + Quad2(g, lin={factors[0]: coeff})
+            total = total + Quad2(g, {(factors[0],): coeff})
         else:
             i, j = factors
             total = total + termwise_product_of_linear(g, unit(g.dim, i), unit(g.dim, j)).scale(coeff)
@@ -358,9 +366,9 @@ def test_normal_order_round_trip(algebra_maker):
 
 def test_iota_is_unital():
     t = group_triple()
-    five = Quad2(t.g, const=5)
+    five = Quad2(t.g, {(): 5})
     image = iota_embed(t, five)
-    assert image.quad == {} and image.lin == {} and image.const == 5
+    assert image.terms == {(): 5}
 
 
 # -- the transfer's split -------------------------------------------------
@@ -391,9 +399,9 @@ def test_quad2_hash_agrees_with_equality():
     equal_pairs = [
         (omega, omega_again),
         (omega, symmetrized_casimir(g, SubspaceBasis.full(3), killing_form(g))),
-        (Quad2(g, quad={(0, 0): Fraction(2, 4)}, lin={1: 0}), Quad2(g, quad={(0, 0): "1/2"})),
-        (Quad2(g, lin={0: 1, 2: 3}), Quad2(g, lin={2: 3, 0: 1})),
-        (Quad2(g, const=2), Quad2.zero(g) + Quad2(g, const=Fraction(4, 2))),
+        (Quad2(g, {(0, 0): Fraction(2, 4), (1,): 0}), Quad2(g, {(0, 0): "1/2"})),
+        (Quad2(g, {(0,): 1, (2,): 3}), Quad2(g, {(2,): 3, (0,): 1})),
+        (Quad2(g, {(): 2}), Quad2.zero(g) + Quad2(g, {(): Fraction(4, 2)})),
         (omega - omega, Quad2.zero(g_again)),
     ]
     for a, b in equal_pairs:
@@ -406,7 +414,7 @@ def test_memoized_invariance_still_rejects_a_non_invariant_element():
     t = torus_triple(g)
     iota_embed(t, omega)
     assert t.h_invariance == {omega: True}
-    e = Quad2(g, lin={1: 1})
+    e = Quad2(g, {(1,): 1})
     for seed in (None, 4):
         with pytest.raises(NotInvariant):
             iota_embed(t, e, complement_seed=seed)
@@ -415,8 +423,22 @@ def test_memoized_invariance_still_rejects_a_non_invariant_element():
     assert iota_embed(t, sl2_casimir()[1].scale(3)) == iota_embed(t, omega).scale(3)
 
 
+def counted_reducers(monkeypatch) -> list:
+    """(id(algebra), h) of each IdealReducer built from now on."""
+    built, init = [], IdealReducer.__init__
+
+    def counted_init(self, algebra, h):
+        built.append((id(algebra), h))
+        init(self, algebra, h)
+
+    monkeypatch.setattr(IdealReducer, "__init__", counted_init)
+    return built
+
+
 def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     built = catalog.BuiltTriple(catalog.builtin_entries()["lorentzian-2"])
+    built.validate()
+    d = built.descriptor
     calls = {"is_subalgebra": 0, "check_h_invariant": 0}
     for name in calls:
 
@@ -425,11 +447,34 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(env2, name, counted)
+    reducers = counted_reducers(monkeypatch)
     for seed in (None, 1, 2, 3):
         built.iota_of_casimir(complement_seed=seed)
-    # one verdict on omega_g, and two reducers: modulo U(g) h inside that
-    # check, kept on g, and modulo U(l)(l cap h), kept on l_alg
-    assert calls == {"is_subalgebra": 2, "check_h_invariant": 1}
+    # one verdict on omega_g, and two reducers, kept on g and l_alg: on a
+    # validated descriptor h and l cap h are subalgebras, so neither is checked
+    assert calls == {"is_subalgebra": 0, "check_h_invariant": 1}
+    assert reducers == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
+
+
+def test_transfer_validates_the_descriptor_first():
+    """The transfer keeps its reducers unchecked only because validate()
+    has shown sigma to be an automorphism; a sigma that is not one is
+    refused before any reducer is kept."""
+    t = group_triple()
+    # swaps E_1 and F_1: an involution, but no automorphism, since it fixes
+    # H_1 = [E_1, F_1] while [F_1, E_1] = -H_1
+    bad = TripleDescriptor(
+        g=t.g,
+        sigma=involution_from_images(t.g, [unit(6, i) for i in (0, 2, 1, 3, 4, 5)]),
+        theta=t.theta,
+        l_frame=RatMatrix.identity(6),
+        name="bad",
+    )
+    omega_g = casimir(t.g, SubspaceBasis.full(6), killing_form(t.g))
+    with pytest.raises(DescriptorError) as exc:
+        iota_embed(bad, omega_g)
+    assert exc.value.field == "sigma"
+    assert t.g._reducers == {}
 
 
 def combination_of(gens, coeffs, algebra):
@@ -467,13 +512,15 @@ def test_built_triple_is_freed_without_the_cycle_collector():
 
 
 @pytest.mark.parametrize("name", ["lorentzian-2", "g2"])
-def test_decompositions_check_each_subalgebra_and_reduce_each_generator_once(
+def test_decompositions_build_each_reducer_once_and_reduce_each_generator_once(
     monkeypatch, name
 ):
     """Ten seeded transfers, each decomposed and compared modulo the ideal,
-    on a fresh build: one subalgebra check per (algebra, h), for (g, h) and
-    for (l_alg, l cap h), and one reduction per generator."""
+    on a fresh validated build: one reducer per (algebra, h), for (g, h) and
+    for (l_alg, l cap h), no subalgebra check, and one reduction per
+    generator."""
     built = catalog.BuiltTriple(catalog.builtin_entries()[name])
+    built.validate()
     d = built.descriptor
     gens = [q for _, q in built.generators]
     checked, reduced = [], Counter()
@@ -489,21 +536,15 @@ def test_decompositions_check_each_subalgebra_and_reduce_each_generator_once(
 
     monkeypatch.setattr(env2, "is_subalgebra", counted_check)
     monkeypatch.setattr(IdealReducer, "reduce", counted_reduce)
+    reducers = counted_reducers(monkeypatch)
     for seed in range(200, 210):
         image = built.iota_of_casimir(complement_seed=seed)
         coeffs = decompose_in_span(image, gens, built.l_cap_h)
         combo = combination_of(gens, coeffs, built.l_alg)
         assert equals_mod_ideal(image, combo, built.l_cap_h), seed
-    assert checked == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
+    assert checked == []
+    assert reducers == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
     assert [reduced[id(q)] for q in gens] == [1] * len(gens)
-
-
-def coordinates_of(q: Quad2) -> dict:
-    out = {("quad", k): c for k, c in q.quad.items()}
-    out.update({("lin", k): c for k, c in q.lin.items()})
-    if q.const:
-        out["const"] = q.const
-    return out
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -523,8 +564,8 @@ def test_memoized_coordinates_and_comparisons_match_the_termwise_reduction(
         for _ in range(10):
             a, b = random_quad2(algebra, rng), random_quad2(algebra, rng)
             coordinates = reducer.coordinates(a)
-            assert coordinates == coordinates_of(termwise_reduce(a, h))
-            assert reducer.coordinates(Quad2(algebra, a.quad, a.lin, a.const)) is coordinates
+            assert coordinates == termwise_reduce(a, h).terms
+            assert reducer.coordinates(Quad2(algebra, a.terms)) is coordinates
             pairs = [(a, b), (b, a), (a, a.scale(2))]
             if h.dim:
                 x = {i: rng.randint(-2, 2) for i in range(algebra.dim)}
@@ -533,7 +574,7 @@ def test_memoized_coordinates_and_comparisons_match_the_termwise_reduction(
                 equal = a + termwise_product_of_linear(algebra, dense(x, algebra.dim), y)
                 pairs += [(a, equal), (equal, a)]
                 assert equals_mod_ideal(a, equal, h)
-            pairs += [(Quad2(twin, u.quad, u.lin, u.const), v) for u, v in pairs]
+            pairs += [(Quad2(twin, u.terms), v) for u, v in pairs]
             for u, v in pairs:
                 assert equals_mod_ideal(u, v, h) == termwise_reduce(u - v, h).is_zero()
             assert not equals_mod_ideal(a, b, h)
@@ -753,7 +794,7 @@ def dense_split(split, front_dim, n):
 
 
 def coefficients(q):
-    return [*q.quad.values(), *q.lin.values(), q.const]
+    return list(q.terms.values())
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -792,8 +833,8 @@ def test_integer_tables_with_large_coprime_denominators(built_catalog, name):
     elements = []
     for _ in range(3):
         q = random_quad2(g, rng)
-        elements.append(Quad2(g, {k: over(c) for k, c in q.quad.items()}, q.lin, over(q.const)))
-    elements.append(Quad2(g, lin={0: Fraction(1, big), g.dim - 1: Fraction(2, small)}, const=3))
+        elements.append(Quad2(g, {m: c if len(m) == 1 else over(c) for m, c in q.terms.items()}))
+    elements.append(Quad2(g, {(0,): Fraction(1, big), (g.dim - 1,): Fraction(2, small), (): 3}))
     split = env2._echelon_split(h)
     front, d_f, eta, d_e = split
     front, eta = as_fractions(front, d_f), as_fractions(eta, d_e)
