@@ -33,11 +33,12 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .liealg import LieAlgebra, is_subalgebra
+from .liealg import LieAlgebra, check_ambient, is_subalgebra
 from .ratlin import (
     RatMatrix,
     SubspaceBasis,
     _rat,
+    add_outer,
     add_over,
     combination,
     coordinates_in,
@@ -133,14 +134,6 @@ class Quad2:
         return " + ".join(parts) or "0"
 
 
-def _add_outer(table: dict, v: dict, w: dict) -> None:
-    """table[(a, b)] += v[a] w[b] over the sparse vectors v and w."""
-    for a, x in v.items():
-        for b, y in w.items():
-            key = (a, b)
-            table[key] = table.get(key, 0) + x * y
-
-
 def _normal_order(algebra: LieAlgebra, table: dict, lin: Optional[dict] = None) -> Quad2:
     """sum c X_a X_b over the (a, b) -> c table, plus lin, in PBW normal
     order; callers fill the table first and order it once, so no Quad2 is
@@ -193,11 +186,12 @@ def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
     contravariantly.  For a subalgebra with an invariant form this is the
     usual Casimir; for a plain subspace the same formula is applied as is.
     """
+    check_ambient(algebra, sub)
     if sub.dim == 0:
         return Quad2.zero(algebra)
     table: dict = {}
     for z, y in _dual_pairs(sub, form):
-        _add_outer(table, z, y)
+        add_outer(table, z, y)
     return _normal_order(algebra, table)
 
 
@@ -212,14 +206,15 @@ def symmetrized_casimir(
     rather than a claim: both orders go into the table, and normal ordering
     the reversed products is what brings the two together.
     """
+    check_ambient(algebra, sub)
     if sub.dim == 0:
         return Quad2.zero(algebra)
     half = Fraction(1, 2)
     table: dict = {}
     for z, y in _dual_pairs(sub, form):
         half_z = {k: half * x for k, x in z.items()}
-        _add_outer(table, half_z, y)
-        _add_outer(table, y, half_z)
+        add_outer(table, half_z, y)
+        add_outer(table, y, half_z)
     return _normal_order(algebra, table)
 
 
@@ -238,8 +233,8 @@ def bracket_with(q: Quad2, x) -> Quad2:
         if len(m) == 2:
             # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
             i, j = m
-            _add_outer(table, {i: c}, ad[j])
-            _add_outer(table, ad[i], {j: c})
+            add_outer(table, {i: c}, ad[j])
+            add_outer(table, ad[i], {j: c})
     lin = {m[0]: c for m, c in q.terms.items() if len(m) == 1}
     return _normal_order(algebra, table, combination(lin, ad))
 
@@ -292,7 +287,7 @@ def _split_ints(q: Quad2, front_alg: LieAlgebra, split: tuple) -> tuple:
     n_table: dict = {}
     for i, terms in rows.items():
         # sum_j c_ij f_j, front coordinates
-        _add_outer(m_table, front[i], combination(terms, front))
+        add_outer(m_table, front[i], combination(terms, front))
         for a, x in eta[i].items():
             for b, y in terms.items():  # sum_j c_ij e_j
                 if a > b:
@@ -384,8 +379,7 @@ def ideal_reducer(algebra: LieAlgebra, h: SubspaceBasis) -> IdealReducer:
     unchecked (_canonical_transfer_split)."""
     reducer = algebra._reducers.get(h)
     if reducer is None:
-        if h.ambient_dim != algebra.dim:
-            raise ValueError("h lives in the wrong ambient space")
+        check_ambient(algebra, h)
         if not is_subalgebra(algebra, h):
             raise ValueError("h is not a subalgebra; reduction would be ill-defined")
         reducer = algebra._reducers[h] = IdealReducer(algebra, h)

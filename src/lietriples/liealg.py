@@ -17,10 +17,12 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .ratlin import (
+    AmbientMismatch,
     DependentBasis,
     RatMatrix,
     SubspaceBasis,
     _rat,
+    add_outer,
     combination,
     coordinates_in,
     kernel,
@@ -38,7 +40,7 @@ class LieAlgebra:
     A vector of the algebra is sparse, {index: coefficient}.
     """
 
-    __slots__ = ("dim", "basis_labels", "_table", "matrices", "_int_table", "_reducers")
+    __slots__ = ("dim", "basis_labels", "int_table", "matrices", "_reducers")
 
     def __init__(
         self,
@@ -46,57 +48,54 @@ class LieAlgebra:
         table: dict,
         matrices: Optional[Sequence[RatMatrix]] = None,
     ):
-        """table maps (i, j) with i < j to a dict {k: coefficient}."""
+        """table maps (i, j) with i < j to a dict {k: coefficient}, all three
+        ints in [0, dim); it is kept once, as int_table = (d * table, d), in
+        Python ints over d, the lcm of its denominators."""
         dim = len(basis_labels)
         clean: dict = {}
-        for (i, j), comps in table.items():
-            if not (0 <= i < j < dim):
-                raise ValueError("structure table must be indexed by i < j")
+        for key, comps in table.items():
+            if not (type(key) is tuple and len(key) == 2
+                    and all(type(k) is int and 0 <= k < dim for k in (*key, *comps))
+                    and key[0] < key[1]):
+                raise ValueError(f"structure table entry {key!r} is not indexed by ints "
+                                 f"i < j and k in [0, {dim})")
             entry = {k: c for k, v in comps.items() if (c := _rat(v))}
             if entry:
-                clean[(i, j)] = entry
+                clean[key] = entry
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", tuple(basis_labels))
-        object.__setattr__(self, "_table", clean)
+        object.__setattr__(self, "int_table", over_one_denominator(clean))
         object.__setattr__(
             self, "matrices", tuple(matrices) if matrices is not None else None
         )
-        object.__setattr__(self, "_int_table", None)
         object.__setattr__(self, "_reducers", {})  # h -> env2.ideal_reducer(self, h)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    @property
-    def int_table(self) -> tuple[dict, int]:
-        """(d * table, d): the structure table in Python ints over one
-        denominator d, the lcm of its denominators; built at the first read."""
-        if self._int_table is None:
-            object.__setattr__(self, "_int_table", over_one_denominator(self._table))
-        return self._int_table
-
     # -- brackets ---------------------------------------------------------
 
     def bracket_basis_sparse(self, i: int, j: int) -> dict:
         """[X_i, X_j] as a sparse {index: coefficient} dict."""
-        if i == j:
-            return {}
+        table, d = self.int_table
         if i < j:
-            return self._table.get((i, j), {})
-        return {k: -v for k, v in self._table.get((j, i), {}).items()}
+            return {k: Fraction(c, d) for k, c in table.get((i, j), {}).items()}
+        return {k: Fraction(-c, d) for k, c in table.get((j, i), {}).items()}
 
     def bracket(self, v: dict, w: dict) -> dict:
         """[v, w] of two sparse vectors, as a sparse vector with no zero
         coefficient."""
-        table = self._table
+        table, d = self.int_table
         w_terms = [(j, _rat(b)) for j, b in w.items() if b]
+        if d != 1:
+            w_terms = [(j, b / d) for j, b in w_terms]
         out: dict = {}
         for i, a in v.items():
             if not a:
                 continue
             a = _rat(a)
             for j, b in w_terms:
-                # [X_i, X_j] is table[(i, j)] for i < j; no key has i = j
+                # [X_i, X_j] is table[(i, j)] / d for i < j; no key has i = j
                 comps = table.get((i, j) if i < j else (j, i))
                 if comps:
                     ab = a * b if i < j else -a * b
@@ -117,29 +116,23 @@ class LieAlgebra:
         """Jacobi identity on all basis triples i < j < k (others follow):
         [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] = 0."""
         for i, j, k in combinations(range(self.dim), 3):
-            total: dict = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                nested = self.bracket(self.bracket_basis_sparse(a, b), {c: 1})
-                for t, x in nested.items():
-                    total[t] = total.get(t, 0) + x
-            if any(total.values()):
+            cyclic = [self.bracket(self.bracket_basis_sparse(a, b), {c: 1})
+                      for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+            if combination(dict.fromkeys(range(3), 1), cyclic):
                 raise ValueError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def check_matrix_consistency(self) -> None:
+        """[M_i, M_j] = sum_k c_ij^k M_k on the matrices, compared flattened."""
         if self.matrices is None:
             return
         mats = self.matrices
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                expected = RatMatrix.zeros(comm.rows, comm.cols)
-                for k, c in self.bracket_basis_sparse(i, j).items():
-                    expected = expected + mats[k].scale(c)
-                if comm != expected:
-                    raise ValueError(
-                        f"matrix realization disagrees with structure tensor "
-                        f"at pair ({i},{j})"
-                    )
+        flat = [_flatten(m) for m in mats]
+        for i, j in combinations(range(self.dim), 2):
+            comm = _flatten(mats[i] @ mats[j] - mats[j] @ mats[i])
+            if comm != combination(self.bracket_basis_sparse(i, j), flat):
+                raise ValueError(
+                    f"matrix realization disagrees with structure tensor at pair ({i},{j})"
+                )
 
     def validate(self) -> None:
         self.check_jacobi()
@@ -337,11 +330,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
         f"{lab}_2" for lab in b.basis_labels
     ]
     table: dict = {}
-    for (i, j), comps in a._table.items():
-        table[(i, j)] = dict(comps)
-    off = a.dim
-    for (i, j), comps in b._table.items():
-        table[(i + off, j + off)] = {k + off: v for k, v in comps.items()}
+    for off, (ints, d) in ((0, a.int_table), (a.dim, b.int_table)):
+        for (i, j), comps in ints.items():
+            table[(i + off, j + off)] = {k + off: Fraction(c, d) for k, c in comps.items()}
     matrices = None
     if a.matrices is not None and b.matrices is not None:
         na = a.matrices[0].rows
@@ -435,29 +426,30 @@ def g2_split() -> LieAlgebra:
 
 
 def killing_form(g: LieAlgebra) -> RatMatrix:
-    """The symmetric Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j),
-    computed exactly and sparsely."""
-    n = g.dim
-    # ad_i as sparse column maps: ad[i][j] = {k: c} means [X_i, X_j] has
-    # coefficient c on X_k; each table entry is read once.
-    ads: list = [{} for _ in range(n)]
-    for (i, j), comps in g._table.items():
-        ads[i][j] = comps
-        ads[j][i] = {k: -c for k, c in comps.items()}
-    gram: list = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            total = Fraction(0)
-            for m, col in ads[j].items():
-                back = ads[i]
-                for k, c in col.items():
-                    # contribution to the (m, m) diagonal entry of ad_i ad_j
-                    d = back.get(k, {}).get(m)
-                    if d is not None:
-                        total += c * d
-            if total:
-                gram[i][j] = gram[j][i] = total
-    return RatMatrix._of_rows(gram, n)
+    """The symmetric Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j).
+
+    With [X_i, X_k] = sum_m c_ik^m X_m, B_ij = sum_(k,m) c_ik^m c_jm^k: B is
+    the sum over (k, m) of the outer products P_km (x) P_mk, P_km the sparse
+    vector i -> c_ik^m, read off the nonzero entries of the integer table;
+    each Gram entry is one Fraction over the table's denominator squared.
+    """
+    table, d = g.int_table
+    p: dict = {}
+    for (i, j), comps in table.items():
+        for m, c in comps.items():  # c_ij^m = c and c_ji^m = -c
+            p.setdefault((j, m), {})[i] = c
+            p.setdefault((i, m), {})[j] = -c
+    gram: dict = {}
+    for (k, m), v in p.items():
+        add_outer(gram, v, p.get((m, k), {}))
+    return _matrix(g.dim, {ij: Fraction(t, d * d) for ij, t in gram.items()})
+
+
+def check_ambient(g: LieAlgebra, *subspaces: SubspaceBasis) -> None:
+    """Raise AmbientMismatch unless every subspace lies in g's coordinates."""
+    for s in subspaces:
+        if s.ambient_dim != g.dim:
+            raise AmbientMismatch(f"a subspace of R^{s.ambient_dim} in an algebra of dim {g.dim}")
 
 
 def restrict_form(gram: RatMatrix, s: SubspaceBasis) -> RatMatrix:
@@ -474,6 +466,7 @@ def centralizer(
     [within_a, s_vector], a sparse bracket."""
     if within is None:
         within = SubspaceBasis.full(g.dim)
+    check_ambient(g, s, within)
     if within.dim == 0 or s.dim == 0:
         return within
     rows = []
@@ -485,6 +478,7 @@ def centralizer(
 
 
 def is_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
+    check_ambient(g, s)
     return all(s.contains(g.bracket(a, b)) for a, b in combinations(s.vectors, 2))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, centralizer
+from .liealg import LieAlgebra, centralizer, check_ambient
 from .pairs import NotTransitiveTriple, TripleDescriptor
 from .ratlin import (
     IrrationalSpectrum,
@@ -43,6 +43,7 @@ def maximal_abelian_in_s(
     the next z is the centralizer of the vector just chosen inside the
     last z, the same subspace as the centralizer of all of them in s_l.
     """
+    check_ambient(l_alg, s_l)
     if s_l.dim == 0:
         return s_l
     chosen, z = [], s_l
@@ -63,6 +64,7 @@ def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSyste
     as a root of a characteristic polynomial.  Raises IrrationalSpectrum
     when ad(a) does not split over the rationals, or a is not abelian.
     """
+    check_ambient(l_alg, a)
     spectrum = rational_joint_spectrum([l_alg.ad(v) for v in a.vectors]) if a.dim else []
     multiplicity = {root: m for root, m in spectrum if any(root)}
     roots = tuple(multiplicity)

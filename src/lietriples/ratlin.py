@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class AmbientMismatch(ValueError):
-    """Two subspaces of different ambient dimension were combined."""
+    """Two subspaces of different ambient dimension were combined, or a
+    subspace met an algebra of another dimension."""
 
 
 class NonSymmetric(ValueError):
@@ -99,6 +100,14 @@ def add_over(u: dict, d_u: int, v: dict, d_v: int) -> tuple[dict, int]:
     for i, y in v.items():
         w[i] = w.get(i, 0) + y * (d // d_v)
     return w, d
+
+
+def add_outer(table: dict, v: dict, w: dict) -> None:
+    """table[(a, b)] += v[a] w[b] over the sparse vectors v and w."""
+    for a, x in v.items():
+        for b, y in w.items():
+            key = (a, b)
+            table[key] = table.get(key, 0) + x * y
 
 
 class RatMatrix:

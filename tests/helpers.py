@@ -88,6 +88,12 @@ def dense_ad(g, v):
     return RatMatrix.from_columns(g.dim, [dense_bracket(g, v, unit(g.dim, j)) for j in range(g.dim)])
 
 
+def structure_table(g):
+    """The structure table {(i, j): {k: c}}, i < j, of g in Fractions, one
+    bracket_basis_sparse per key of its int_table."""
+    return {key: g.bracket_basis_sparse(*key) for key in g.int_table[0]}
+
+
 # Dense references for the ratlin kernels: the loops as they were before
 # the kernels learned to skip zero entries, every entry multiplied.
 
@@ -358,10 +364,10 @@ def naive_direct_sum(a, b):
         f"{lab}_2" for lab in b.basis_labels
     ]
     table: dict = {}
-    for (i, j), comps in a._table.items():
+    for (i, j), comps in structure_table(a).items():
         table[(i, j)] = dict(comps)
     off = a.dim
-    for (i, j), comps in b._table.items():
+    for (i, j), comps in structure_table(b).items():
         table[(i + off, j + off)] = {k + off: v for k, v in comps.items()}
     matrices = None
     if a.matrices is not None and b.matrices is not None:

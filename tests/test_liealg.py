@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from lietriples.liealg import (
     sl,
     so,
     so_coordinates,
+    so_form_signs,
     su,
     subalgebra_on_own_basis,
     u,
@@ -39,15 +41,23 @@ from helpers import (
     naive_su_matrices,
     naive_u_matrices,
     sparse,
+    structure_table,
     zmul,
     zorn_coords,
     zorn_octonion,
 )
-from lietriples.ratlin import RatMatrix, SubspaceBasis, inverse, signature
+from lietriples.env2 import casimir, symmetrized_casimir
+from lietriples.parabolic import maximal_abelian_in_s, restricted_roots
+from lietriples.ratlin import AmbientMismatch, RatMatrix, SubspaceBasis, inverse, signature
 
 
 def sl2():
     return sl(2)
+
+
+def _sl2_over_21():
+    """sl(2) on the basis H/3, E, F/7: its int_table has d = 21."""
+    return subalgebra_on_own_basis(sl(2), [{0: Fraction(1, 3)}, {1: 1}, {2: Fraction(1, 7)}])
 
 
 def test_sl2_structure_constants():
@@ -60,7 +70,7 @@ def test_sl2_structure_constants():
 
 def test_single_matrix_is_abelian():
     g = from_matrix_basis([RatMatrix([[0, 1], [0, 0]])])
-    assert g.dim == 1 and g._table == {}
+    assert g.dim == 1 and g.int_table == ({}, 1)
 
 
 def test_not_closed():
@@ -94,11 +104,13 @@ ORACLE_ALGEBRAS = {
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_structure_tables_match_the_dense_product_oracle(name):
     g = ORACLE_ALGEBRAS[name]()
-    assert g._table == dense_structure_table(g.matrices)
-    assert all(type(c) is Fraction for entry in g._table.values() for c in entry.values())
+    table = structure_table(g)
+    assert table == dense_structure_table(g.matrices)
+    assert all(type(c) is Fraction for entry in table.values() for c in entry.values())
+    assert all(type(c) is int for entry in g.int_table[0].values() for c in entry.values())
     rebuilt = from_matrix_basis(g.matrices, g.basis_labels)
-    assert (rebuilt._table, rebuilt.basis_labels, rebuilt.matrices) == (
-        g._table,
+    assert (rebuilt.int_table, rebuilt.basis_labels, rebuilt.matrices) == (
+        g.int_table,
         g.basis_labels,
         g.matrices,
     )
@@ -129,7 +141,7 @@ def test_dense_conjugate_bases_match_the_oracle(make, seed):
     assert nonzero > len(mats) * n * n // 2
     conjugate = from_matrix_basis(mats)
     # conjugation is an isomorphism, so the constants do not change
-    assert conjugate._table == dense_structure_table(mats) == g._table
+    assert structure_table(conjugate) == dense_structure_table(mats) == structure_table(g)
 
 
 @pytest.mark.parametrize(
@@ -194,14 +206,14 @@ def test_basis_matrices_match_the_naive_writers(name):
     new, old = build(), oracle()
     assert new.matrices == old.matrices
     assert new.basis_labels == old.basis_labels
-    assert new._table == old._table
+    assert new.int_table == old.int_table
 
 
 def test_so_dimensions():
     assert so(2, 4).dim == 15
     assert so(4, 3).dim == 21
     g11 = so(1, 1)
-    assert g11.dim == 1 and g11._table == {}
+    assert g11.dim == 1 and g11.int_table == ({}, 1)
 
 
 def test_u_dimensions():
@@ -243,7 +255,16 @@ def test_killing_so_closed_form(p, q):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: sl(3), lambda: u(1, 2), lambda: su(1, 2), g2_split], ids=["sl3", "u12", "su12", "g2"]
+    "make",
+    [
+        lambda: sl(3),
+        lambda: u(1, 2),
+        lambda: su(1, 2),
+        g2_split,
+        _sl2_over_21,
+        lambda: direct_sum(_sl2_over_21(), sl(2)),
+    ],
+    ids=["sl3", "u12", "su12", "g2", "sl2-over-21", "sl2-over-21+sl2"],
 )
 def test_killing_matches_the_trace_of_dense_ad_products(make):
     # B(X_i, X_j) = trace(ad X_i ad X_j), each ad a dense matrix built from
@@ -258,6 +279,16 @@ def test_killing_matches_the_trace_of_dense_ad_products(make):
         for j in range(g.dim):
             diagonal = [sum(x * y for x, y in zip(r, c)) for r, c in zip(ads[i].entries, cols[j])]
             assert b[i, j] == sum(diagonal), (i, j)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_killing_so_2_2n_is_diagonal_on_the_so_basis(n):
+    # B(X, Y) = (m - 2) tr(XY); distinct M[k,l] are trace-orthogonal, and
+    # M[k,l]^2 = -eps_k eps_l (E_kk + E_ll) has trace -2 eps_k eps_l
+    m = 2 + 2 * n
+    eps = so_form_signs(2, 2 * n)
+    diagonal = [(m - 2) * -2 * eps[k] * eps[l] for k, l in combinations(range(m), 2)]
+    assert killing_form(so(2, 2 * n)) == RatMatrix.diagonal(diagonal)
 
 
 def test_killing_direct_sum_block_diagonal():
@@ -355,6 +386,16 @@ def test_check_jacobi_names_the_failing_triple():
     with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
         g.check_jacobi()
     sl(3).check_jacobi()
+
+
+def test_check_matrix_consistency_names_the_failing_pair():
+    # sl(2)'s matrices against its table with [H, E] = 3E in place of 2E
+    g = sl(2)
+    table = {(0, 1): {1: 3}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    wrong = LieAlgebra(g.basis_labels, table, matrices=g.matrices)
+    with pytest.raises(ValueError, match=r"disagrees with structure tensor at pair \(0,1\)$"):
+        wrong.check_matrix_consistency()
+    g.check_matrix_consistency()
 
 
 def test_floats_are_refused_by_the_structure_table():
@@ -558,16 +599,11 @@ def test_sl3_structure_is_valid():
 
 def test_int_table_is_the_structure_table_over_the_lcm_of_its_denominators(monkeypatch):
     """sl(2) on the basis H/3, E, F/7: [H/3, E] = 2/3 E, [H/3, F/7] = -2/3
-    F/7 and [E, F/7] = 3/7 H/3, so d = lcm(3, 3, 7) = 21.  The table is read
-    once, at the first read, and the algebra stays immutable."""
+    F/7 and [E, F/7] = 3/7 H/3, so d = lcm(3, 3, 7) = 21.  The table is
+    scaled once, at construction, into a plain attribute; reading it or a
+    bracket does not scale it again, and the algebra stays immutable."""
     from lietriples import liealg
 
-    g = subalgebra_on_own_basis(sl(2), [{0: Fraction(1, 3)}, {1: 1}, {2: Fraction(1, 7)}])
-    assert g._table == {
-        (0, 1): {1: Fraction(2, 3)},
-        (0, 2): {2: Fraction(-2, 3)},
-        (1, 2): {0: Fraction(3, 7)},
-    }
     calls = []
     original = liealg.over_one_denominator
 
@@ -576,18 +612,79 @@ def test_int_table_is_the_structure_table_over_the_lcm_of_its_denominators(monke
         return original(vectors)
 
     monkeypatch.setattr(liealg, "over_one_denominator", counted)
+    g = _sl2_over_21()
+    fractions = {
+        (0, 1): {1: Fraction(2, 3)},
+        (0, 2): {2: Fraction(-2, 3)},
+        (1, 2): {0: Fraction(3, 7)},
+    }
+    assert calls[-1] == fractions  # after sl(2)'s own
+    calls.clear()
     table, d = g.int_table
     assert d == 21
     assert table == {(0, 1): {1: 14}, (0, 2): {2: -14}, (1, 2): {0: 9}}
     assert all(type(x) is int for comps in table.values() for x in comps.values())
-    assert {
-        key: {k: Fraction(x, d) for k, x in comps.items()} for key, comps in table.items()
-    } == g._table
-    assert g.int_table is g.int_table
-    assert calls == [g._table]
-    for name in ("int_table", "_int_table", "_table"):
+    assert structure_table(g) == fractions
+    assert g.bracket({0: 1}, {2: 7}) == {2: Fraction(-14, 3)}
+    assert g.int_table is g.int_table and calls == []
+    assert LieAlgebra.__slots__ == ("dim", "basis_labels", "int_table", "matrices", "_reducers")
+    for name in ("int_table", "dim"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
-    assert g.int_table == (table, 21)
-    # an algebra with no brackets has the empty table over 1
+    # an algebra with no brackets has the empty table over 1; a direct sum
+    # keeps the lcm of its factors' denominators
     assert LieAlgebra(["A", "B"], {}).int_table == ({}, 1)
+    assert direct_sum(g, sl(2)).int_table[1] == 21
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(0, 1): {2: 1}},
+        {(0, 1): {-1: 1}},
+        {(0, 1): {5: 1}},
+        {(0, 1.0): {0: 1}},
+        {(1, 0): {0: 1}},
+        {(0, 2): {0: 1}},
+        {(0, 1): {True: 1}},
+    ],
+    ids=["k=dim", "k=-1", "k=5", "float-key", "i>j", "j=dim", "bool-k"],
+)
+def test_structure_tables_indexed_outside_the_algebra_are_refused(table):
+    # otherwise bracket({0: 1}, {1: 1}) would return a vector outside the algebra
+    with pytest.raises(ValueError, match=r"is not indexed by ints i < j and k in \[0, 2\)"):
+        LieAlgebra(["a", "b"], table)
+    assert LieAlgebra(["a", "b"], {(0, 1): {1: 1}}).bracket({0: 1}, {1: 1}) == {1: 1}
+
+
+_MISMATCHES = {
+    # name: (call on lorentzian-2's l_alg, dim 9, the wrong ambient dim, the algebra's dim)
+    "is_subalgebra": (lambda l: is_subalgebra(sl(2), SubspaceBasis(5, [{3: 1}, {4: 1}])), 5, 3),
+    "centralizer": (lambda l: centralizer(l, SubspaceBasis(3, [{0: 1}])), 3, 9),
+    "centralizer-within": (
+        lambda l: centralizer(l, SubspaceBasis(9, [{0: 1}]), within=SubspaceBasis(3, [{0: 1}])), 3, 9
+    ),
+    "maximal_abelian_in_s": (
+        lambda l: maximal_abelian_in_s(l, SubspaceBasis(3, [{0: 1}, {1: 1}])), 3, 9
+    ),
+    "restricted_roots": (lambda l: restricted_roots(l, SubspaceBasis(20, [{15: 1}])), 20, 9),
+    "casimir": (
+        lambda l: casimir(sl(2), SubspaceBasis(2, [{0: 1}, {1: 1}]), RatMatrix.identity(2)), 2, 3
+    ),
+    "symmetrized_casimir": (
+        lambda l: symmetrized_casimir(
+            sl(2), SubspaceBasis(2, [{0: 1}, {1: 1}]), RatMatrix.identity(2)
+        ),
+        2,
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _MISMATCHES)
+def test_subspaces_of_another_ambient_space_are_refused(built_catalog, name):
+    call, wrong, right = _MISMATCHES[name]
+    l_alg = built_catalog["lorentzian-2"].l_alg
+    assert l_alg.dim == 9
+    with pytest.raises(AmbientMismatch, match=rf"R\^{wrong} in an algebra of dim {right}$"):
+        call(l_alg)

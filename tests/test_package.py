@@ -68,6 +68,25 @@ def test_no_module_but_ratlin_does_integer_arithmetic():
     assert found == []
 
 
+# The structure constants are kept once, as LieAlgebra.int_table: no source
+# or test file names a second, Fraction copy or a lazily built slot (the
+# brackets spell the names so that this file does not match itself)
+_SECOND_TABLE = re.compile(r"[.]_table\b|\b_int[_]table\b")
+
+
+def test_no_file_names_a_second_structure_table():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(f for d in ("src", "tests") for f in (root / d).rglob("*.py"))
+    assert Path(lietriples.__file__).resolve() in files and Path(__file__).resolve() in files
+    found = [
+        f"{f.relative_to(root)}:{k}: {line.strip()}"
+        for f in files
+        for k, line in enumerate(f.read_text().splitlines(), 1)
+        if _SECOND_TABLE.search(line)
+    ]
+    assert found == []
+
+
 def test_every_exported_name_is_the_object_of_its_defining_module():
     for name in lietriples.__all__:
         value = getattr(lietriples, name)
