@@ -14,18 +14,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ratlin import (
     AmbientMismatch,
+    BasisSolver,
     DependentBasis,
     RatMatrix,
     SubspaceBasis,
     _rat,
     add_outer,
     combination,
-    coordinates_in,
     kernel,
+    lowest_terms,
     over_one_denominator,
 )
 
@@ -52,6 +53,8 @@ class LieAlgebra:
         ints in [0, dim); it is kept once, as int_table = (d * table, d), in
         Python ints over d, the lcm of its denominators."""
         dim = len(basis_labels)
+        if matrices is not None and len(matrices) != dim:
+            raise ValueError(f"{len(matrices)} matrices for {dim} labels")
         clean: dict = {}
         for key, comps in table.items():
             if not (type(key) is tuple and len(key) == 2
@@ -65,10 +68,15 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", tuple(basis_labels))
         object.__setattr__(self, "int_table", over_one_denominator(clean))
-        object.__setattr__(
-            self, "matrices", tuple(matrices) if matrices is not None else None
-        )
+        object.__setattr__(self, "matrices", None if matrices is None else tuple(matrices))
         object.__setattr__(self, "_reducers", {})  # h -> env2.ideal_reducer(self, h)
+
+    @classmethod
+    def _of_int_table(cls, basis_labels, int_table: tuple, matrices=None) -> "LieAlgebra":
+        """The algebra with this int_table, unchecked: it is over the lcm of its denominators."""
+        g = cls(basis_labels, {}, matrices)
+        object.__setattr__(g, "int_table", int_table)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -84,26 +92,11 @@ class LieAlgebra:
 
     def bracket(self, v: dict, w: dict) -> dict:
         """[v, w] of two sparse vectors, as a sparse vector with no zero
-        coefficient."""
+        coefficient; w is divided by d only when d != 1."""
         table, d = self.int_table
-        w_terms = [(j, _rat(b)) for j, b in w.items() if b]
-        if d != 1:
-            w_terms = [(j, b / d) for j, b in w_terms]
-        out: dict = {}
-        for i, a in v.items():
-            if not a:
-                continue
-            a = _rat(a)
-            for j, b in w_terms:
-                # [X_i, X_j] is table[(i, j)] / d for i < j; no key has i = j
-                comps = table.get((i, j) if i < j else (j, i))
-                if comps:
-                    ab = a * b if i < j else -a * b
-                    for k, c in comps.items():
-                        x = ab * c
-                        prev = out.get(k)
-                        out[k] = x if prev is None else prev + x
-        return {k: c for k, c in out.items() if c}
+        v = {i: _rat(a) for i, a in v.items()}
+        w = {j: _rat(b) for j, b in w.items()} if d == 1 else {j: _rat(b) / d for j, b in w.items()}
+        return _table_bracket(table, v, w)
 
     def ad(self, v: dict) -> RatMatrix:
         """Matrix of ad(v) acting on coordinates: column j is [v, X_j]."""
@@ -157,47 +150,67 @@ def _flatten(m: RatMatrix) -> dict:
     return {r * m.cols + c: x for r, row in enumerate(m.data) for c, x in row.items()}
 
 
-def _commutators(mats: Sequence[RatMatrix]) -> Callable[[int, int], dict]:
-    """[X_i, X_j] of n x n basis matrices, as a sparse vector over the n^2
-    flattened entries.
-
-    Each matrix's nonzero entries are listed once, grouped by row; a
-    commutator accumulates X_i X_j - X_j X_i over the nonzero products only.
-    """
-    n = mats[0].rows
-    support = [m.data for m in mats]
-
-    def commutator(i: int, j: int) -> dict:
-        out: dict = {}
-        for r, row in enumerate(support[i]):
-            for k, x in row.items():
-                for c, y in support[j][k].items():
-                    key = r * n + c
-                    out[key] = out.get(key, 0) + x * y
-        for r, row in enumerate(support[j]):
-            for k, x in row.items():
-                for c, y in support[i][k].items():
-                    key = r * n + c
-                    out[key] = out.get(key, 0) - x * y
-        return out
-
-    return commutator
+def _table_bracket(table: dict, v: dict, w: dict) -> dict:
+    """sum v_i w_j [X_i, X_j] by the int table {(i, j): [X_i, X_j]}, i < j, with
+    no zero coefficient: the one bracket kernel, in ints for the structure
+    tables and the automorphism check, on Fractions for LieAlgebra.bracket,
+    whose vectors are mostly too short for a scaling to ints to pay."""
+    out: dict = {}
+    w_terms = w.items()
+    for i, a in v.items():
+        for j, b in w_terms:
+            # [X_i, X_j] is table[(i, j)] for i < j; no key has i = j
+            comps = table.get((i, j) if i < j else (j, i))
+            if comps:
+                ab = a * b if i < j else -a * b
+                for k, c in comps.items():
+                    x = ab * c
+                    prev = out.get(k)
+                    out[k] = x if prev is None else prev + x
+    return {k: c for k, c in out.items() if c}
 
 
-def _structure_table(
-    basis: Sequence[dict], bracket: Callable[[int, int], dict], not_closed: str
-) -> dict:
-    """Structure table {(i, j): {k: c}}, i < j, of the span of the sparse
-    basis vectors, where bracket(i, j) is the bracket of vectors i and j as
-    a sparse vector; one outside the span raises
-    NotClosed(not_closed.format(i, j))."""
-    pairs = list(combinations(range(len(basis)), 2))
-    coords = coordinates_in(
-        basis,
-        (bracket(i, j) for i, j in pairs),
-        lambda n: NotClosed(not_closed.format(*pairs[n])),
-    )
-    return {pair: entry for pair, entry in zip(pairs, coords) if entry}
+def _gl_table(n: int, positions) -> dict:
+    """The int structure table of gl(n) on the matrix units E_rc at the
+    given flattened positions r n + c, [E_a, E_b] = E_a E_b - E_b E_a with
+    E_rk E_kc = E_rc: the commutator of matrices flattened on them."""
+    by_row: dict = {}
+    for a in positions:
+        by_row.setdefault(a // n, []).append(a)
+    table: dict = {}
+    for a in positions:
+        r, k = divmod(a, n)
+        for b in by_row.get(k, ()):
+            if a != b:  # E_a E_b adds to [E_a, E_b] and subtracts from [E_b, E_a]
+                entry = table.setdefault((min(a, b), max(a, b)), {})
+                rc = r * n + b % n
+                entry[rc] = entry.get(rc, 0) + (1 if a < b else -1)
+    return table
+
+
+def _structure_table(basis: Sequence[dict], int_table: tuple, not_closed: str) -> tuple:
+    """The int_table of the span of the sparse vectors b in an algebra whose
+    int_table is (T, d_t), in ints: with B = d_b b, the coordinates x of
+    [B_i, B_j] in B give those of [b_i, b_j] in b as x / (divisor d_t d_b).
+    The first pair whose bracket leaves the span raises NotClosed."""
+    scaled, d_b = over_one_denominator(dict(enumerate(basis)))
+    vectors, (table, d_t) = list(scaled.values()), int_table
+    solver = BasisSolver(vectors)
+    out: dict = {}
+    for i, j in combinations(range(len(vectors)), 2):
+        x = solver.int_coordinates(_table_bracket(table, vectors[i], vectors[j]))
+        if x is None:
+            raise NotClosed(not_closed.format(i, j))
+        if x:
+            out[(i, j)] = x
+    return lowest_terms(out, solver.divisor * d_t * d_b)
+
+
+def _labels(labels: Optional[Sequence[str]], n: int, prefix: str) -> Sequence[str]:
+    """labels, or prefix0, prefix1, ... if None; ValueError unless one per vector."""
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} basis vectors")
+    return [f"{prefix}{i}" for i in range(n)] if labels is None else labels
 
 
 def from_matrix_basis(
@@ -205,8 +218,9 @@ def from_matrix_basis(
 ) -> LieAlgebra:
     """Lie algebra spanned by matrices, with exactly solved structure constants.
 
-    Raises DependentBasis if the matrices are linearly dependent and NotClosed
-    if some commutator falls outside their span.
+    Raises ValueError unless there is one label per matrix, DependentBasis
+    if the matrices are linearly dependent and NotClosed if some commutator
+    falls outside their span.
     """
     mats = [m if isinstance(m, RatMatrix) else RatMatrix(m) for m in mats]
     if not mats:
@@ -214,14 +228,11 @@ def from_matrix_basis(
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("basis matrices must be square of equal size")
-    table = _structure_table(
-        [_flatten(m) for m in mats],
-        _commutators(mats),
-        "commutator of basis elements {} and {} leaves the span",
-    )
-    if labels is None:
-        labels = [f"X{i}" for i in range(len(mats))]
-    return LieAlgebra(labels, table, matrices=mats)
+    labels = _labels(labels, len(mats), "X")
+    flat = [_flatten(m) for m in mats]
+    message = "commutator of basis elements {} and {} leaves the span"
+    table = _structure_table(flat, (_gl_table(n, set().union(*flat)), 1), message)
+    return LieAlgebra._of_int_table(labels, table, mats)
 
 
 # -- catalog constructors --------------------------------------------------
@@ -487,12 +498,9 @@ def subalgebra_on_own_basis(
 ) -> LieAlgebra:
     """A subalgebra of g as a LieAlgebra in its own right, on the given basis
     vectors (sparse, in g-coordinates), with no matrix realization.  Brackets
-    are re-solved in that basis; raises NotClosed when the span is not
-    closed."""
+    are re-solved in that basis; raises ValueError unless there is one label
+    per vector, and NotClosed when the span is not closed."""
     b = list(basis_vectors)
-    table = _structure_table(
-        b, lambda i, j: g.bracket(b[i], b[j]), "span is not closed under the bracket"
-    )
-    if labels is None:
-        labels = [f"Z{i}" for i in range(len(b))]
-    return LieAlgebra(labels, table)
+    labels = _labels(labels, len(b), "Z")
+    int_table = _structure_table(b, g.int_table, "span is not closed under the bracket")
+    return LieAlgebra._of_int_table(labels, int_table)

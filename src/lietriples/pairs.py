@@ -20,6 +20,7 @@ from .liealg import (
     LieAlgebra,
     NotClosed,
     _flatten,
+    _table_bracket,
     killing_form,
     restrict_form,
     subalgebra_on_own_basis,
@@ -31,6 +32,7 @@ from .ratlin import (
     coordinates_in,
     inverse,
     kernel,
+    over_one_denominator,
     signature,
 )
 
@@ -68,12 +70,14 @@ class Involution:
         m = self.matrix
         if m.rows != g.dim:
             raise ValueError("involution has wrong dimension")
-        if m @ m != RatMatrix.identity(g.dim):
+        # in ints over C = d_m m: C C = d_m^2 I, then m[X_i, X_j] vs [m X_i, m X_j] times d d_m^2
+        cols, d_m = over_one_denominator(dict(enumerate(m.transpose().data)))
+        if any(combination(cols[j], cols) != {j: d_m * d_m} for j in cols):
             raise ValueError("involution does not square to the identity")
-        # m[X_i, X_j] against [m X_i, m X_j], over the sparse columns of m
-        cols = m.transpose().data
+        table, _ = g.int_table
         for i, j in combinations(range(g.dim), 2):
-            if combination(g.bracket_basis_sparse(i, j), cols) != g.bracket(cols[i], cols[j]):
+            image = combination({k: d_m * c for k, c in table.get((i, j), {}).items()}, cols)
+            if image != _table_bracket(table, cols[i], cols[j]):
                 raise ValueError(f"involution is not an automorphism at basis pair ({i},{j})")
 
     def commutes_with(self, other: "Involution") -> bool:
@@ -126,9 +130,7 @@ def eigenspace_split(
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
     """(+1, -1) eigenspaces of an involution; they always fill the algebra."""
     ident = RatMatrix.identity(g.dim)
-    plus = kernel(inv.matrix - ident)
-    minus = kernel(inv.matrix + ident)
-    return plus, minus
+    return kernel(inv.matrix - ident), kernel(inv.matrix + ident)
 
 
 class TripleDescriptor:

@@ -9,9 +9,9 @@ run in Python ints: the one elimination, _rref, works on primitive integer
 rows and divides only its final pivot rows into Fractions; char_poly hands
 back the integer characteristic polynomial of dA with d, and signature and
 rational_joint_spectrum read inertia and joint rational spectra off it,
-with no eigenvector; and over_one_denominator and add_over scale to one
-common denominator.  No other module takes a Fraction apart, and every
-change of basis goes through coordinates_in.
+with no eigenvector; BasisSolver solves in ints; over_one_denominator,
+add_over and lowest_terms scale to one denominator.  No other module takes
+a Fraction apart, and every change of basis goes through BasisSolver.
 """
 
 from __future__ import annotations
@@ -100,6 +100,12 @@ def add_over(u: dict, d_u: int, v: dict, d_v: int) -> tuple[dict, int]:
     for i, y in v.items():
         w[i] = w.get(i, 0) + y * (d // d_v)
     return w, d
+
+
+def lowest_terms(vectors: dict, d: int) -> tuple[dict, int]:
+    """(vectors / g, d / g), g the gcd of d > 0 and every entry of the int vectors."""
+    g = math.gcd(d, *(x for v in vectors.values() for x in v.values()))
+    return {k: {i: x // g for i, x in v.items()} for k, v in vectors.items()}, d // g
 
 
 def add_outer(table: dict, v: dict, w: dict) -> None:
@@ -368,17 +374,9 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    out = []
-    for row in m.entries:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
-
-
 def rank(m: RatMatrix) -> int:
-    """Rank over the rationals, computed fraction-free."""
-    return _bareiss_rank(_integer_rows(m))
+    """Rank over the rationals, computed fraction-free on primitive rows."""
+    return _bareiss_rank([[r.get(j, 0) for j in range(m.cols)] for r in map(_primitive, m.data)])
 
 
 def kernel(m: RatMatrix) -> "SubspaceBasis":
@@ -423,43 +421,50 @@ class BasisSolver:
     The basis is reduced once: row reduction of [B^T | I] gives [E B^T | E]
     with E B^T in reduced echelon form, whose pivot columns p pick out an
     invertible square block A = B[p] with A^-1 = E^T.  The block I starts
-    one past the largest index any basis vector uses.  coordinates(v) is
-    then x = E^T v[p] plus an exact check that B x = v: two sparse products
-    per right-hand side instead of an elimination, each over the nonzero
-    entries of v and x only.  Systems whose columns may be dependent go
-    through solve().
+    one past the largest index any basis vector uses.  E^T and B are kept
+    in Python ints over one denominator each, d_E (divisor) and d_B,
+    and int_coordinates(v) is X = d_E E^T v[p] with the exact check
+    B X = d_B d_E v: two sparse integer products per right-hand side
+    instead of an elimination, over the nonzero entries of v and X only.
+    Systems whose columns may be dependent go through solve().
     """
 
-    __slots__ = ("_inverse", "_columns")
+    __slots__ = ("_inverse", "_columns", "_check", "divisor")
 
     def __init__(self, basis: Sequence[dict]):
         n = 1 + max((i for v in basis for i in v), default=-1)
-        rows = [{**v, n + j: Fraction(1)} for j, v in enumerate(basis)]
-        rows, pivots = _rref(rows)
+        rows, pivots = _rref([{**v, n + j: 1} for j, v in enumerate(basis)])
         if pivots and pivots[-1] >= n:
             raise DependentBasis("basis vectors are linearly dependent")
         # column p of E^T for each pivot position p, as a sparse vector
-        self._inverse = [
-            (p, {i - n: x for i, x in rows[r].items() if i >= n})
-            for r, p in enumerate(pivots)
-        ]
-        self._columns = list(basis)
+        self._inverse, self.divisor = over_one_denominator(
+            {p: {i - n: x for i, x in rows[r].items() if i >= n} for r, p in enumerate(pivots)}
+        )
+        self._columns, d_b = over_one_denominator(dict(enumerate(basis)))
+        self._check = d_b * self.divisor
 
-    def coordinates(self, vec: dict) -> Optional[dict]:
-        """The unique coefficients of the sparse vector vec in the basis, as
-        a sparse vector, or None if vec lies outside the span."""
+    def int_coordinates(self, vec: dict) -> Optional[dict]:
+        """X, with no zero entry, such that the int vector vec over any s has
+        the coordinates X / (s divisor), or None if vec is outside the span."""
         x: dict = {}
-        for p, col in self._inverse:
-            vp = vec.get(p)
-            if vp:
+        for p, vp in vec.items():
+            col = self._inverse.get(p)
+            if col and vp:
                 for i, c in col.items():
                     x[i] = x.get(i, 0) + c * vp
         x = {i: c for i, c in x.items() if c}
-        rest = dict(vec)
+        rest = {r: self._check * y for r, y in vec.items()}
         for i, xi in x.items():
             for r, c in self._columns[i].items():
                 rest[r] = rest.get(r, 0) - xi * c
         return None if any(rest.values()) else x
+
+    def coordinates(self, vec: dict) -> Optional[dict]:
+        """The unique coefficients of the sparse vector vec in the basis, as
+        Fractions in a sparse vector, or None if vec lies outside the span."""
+        scaled, d = over_one_denominator({0: vec})
+        x = self.int_coordinates(scaled[0])
+        return None if x is None else {i: Fraction(c, d * self.divisor) for i, c in x.items()}
 
 
 def coordinates_in(

@@ -747,6 +747,23 @@ def dense_involution_validate(inv, g):
                 )
 
 
+# The automorphism check of pairs.Involution.validate as it was before it
+# ran in Python ints: m[X_i, X_j] against [m X_i, m X_j] for every basis
+# pair, each a combination and a LieAlgebra.bracket over Fractions.
+
+
+def fraction_involution_validate(inv, g):
+    m = inv.matrix
+    if m.rows != g.dim:
+        raise ValueError("involution has wrong dimension")
+    if m @ m != RatMatrix.identity(g.dim):
+        raise ValueError("involution does not square to the identity")
+    cols = m.transpose().data
+    for i, j in combinations(range(g.dim), 2):
+        if combination(g.bracket_basis_sparse(i, j), cols) != g.bracket(cols[i], cols[j]):
+            raise ValueError(f"involution is not an automorphism at basis pair ({i},{j})")
+
+
 # The eigenvector route to the restricted roots, as parabolic computed them
 # before ratlin.rational_joint_spectrum read roots and multiplicities off
 # characteristic polynomials: the eigenspaces of each operator, as kernels

@@ -3,6 +3,7 @@
     python tests/probes.py goldens              # every file in tests/golden
     python tests/probes.py family lorentzian 4  # n = 4, 5; su: n = 2 to 5
     python tests/probes.py rebased 1            # lorentzian-4, a seeded frame
+    python tests/probes.py cayley 1             # lorentzian-4, l and theta Cayley-conjugated
     python tests/probes.py scaled g2            # or lorentzian-2; frame x 10^12
     python tests/probes.py bench --workload cold-cli --seed 1 --seconds 3 --trace 0
 
@@ -24,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 sys.path.insert(0, SRC)
 
-from helpers import rebased_entry  # noqa: E402
+from helpers import cayley_conjugated_entry, rebased_entry  # noqa: E402
 from lietriples import catalog, env2  # noqa: E402
 from lietriples.cli import main  # noqa: E402
 from lietriples.liealg import so_coordinates, su_matrices  # noqa: E402
@@ -160,6 +161,14 @@ def check_rebased(run, workdir, seed):
     same_answers(run, write(workdir, f"lorentzian-4-rebased-{seed}", data), reference)
 
 
+def check_cayley(run, workdir, seed):
+    """lorentzian-4 with l and theta conjugated by a seeded Cayley transform in H,
+    so that both have Fraction entries."""
+    reference = write(workdir, "lorentzian-4", family_entry("lorentzian", 4))
+    data = cayley_conjugated_entry(catalog._lorentzian_entry(4), seed)
+    same_answers(run, write(workdir, f"lorentzian-4-cayley-{seed}", data), reference)
+
+
 def scaled_entry(name) -> dict:
     """The shipped entry with l as explicit vectors, its frame's columns times 10^12."""
     data = catalog.builtin_entries()[name].to_json_dict()
@@ -202,7 +211,8 @@ def check_bench(stdout):
 
 def cli(argv) -> int:
     probe, *args = argv or [""]
-    probes = {"family": check_family, "rebased": check_rebased, "scaled": check_scaled}
+    probes = {"family": check_family, "rebased": check_rebased, "cayley": check_cayley,
+              "scaled": check_scaled}
     if probe == "goldens":
         failed = False
         for path in sorted(GOLDEN.glob("*.txt")):

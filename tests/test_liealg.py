@@ -29,6 +29,7 @@ from lietriples.liealg import (
 )
 from helpers import (
     ad_matrix_centralizer,
+    cayley_conjugated_entry,
     dense,
     dense_ad,
     dense_bracket,
@@ -40,6 +41,7 @@ from helpers import (
     naive_so_matrices,
     naive_su_matrices,
     naive_u_matrices,
+    rebased_entry,
     sparse,
     structure_table,
     zmul,
@@ -381,6 +383,29 @@ def test_sparse_bracket_matches_the_dense_oracle(built_catalog, name):
         assert algebra.ad(sparse(v)) == dense_ad(algebra, v), name
 
 
+def test_label_and_matrix_counts_must_match_the_basis():
+    """One label per basis matrix or vector, and one matrix per label: a
+    mismatch names both counts before any bracket is solved."""
+    mats = sl(2).matrices
+    for labels in (["H", "E", "F", "X"], ["H", "E"]):
+        with pytest.raises(ValueError, match=rf"^{len(labels)} labels for 3 basis vectors$"):
+            from_matrix_basis(mats, labels)
+        with pytest.raises(ValueError, match=rf"^{len(labels)} labels for 3 basis vectors$"):
+            subalgebra_on_own_basis(sl(2), [{0: 1}, {1: 1}, {2: 1}], labels)
+    with pytest.raises(ValueError, match=r"^3 matrices for 2 labels$"):
+        LieAlgebra(["H", "E"], {(0, 1): {1: 2}}, matrices=mats)
+    # a descriptor with too few l_labels: l_alg raises the same, validate
+    # names the field
+    d = catalog.get("group").descriptor
+    short = type(d)(d.g, d.sigma, d.theta, d.l_frame, l_labels=["A"])
+    with pytest.raises(ValueError, match=rf"^1 labels for {d.l_frame.cols} basis vectors$"):
+        short.l_alg
+    with pytest.raises(ValueError, match="l_labels do not match the l frame") as exc:
+        short.validate()
+    assert exc.value.field == "l_labels"
+    assert from_matrix_basis(mats, ["H", "E", "F"]).basis_labels == ("H", "E", "F")
+
+
 def test_check_jacobi_names_the_failing_triple():
     g = LieAlgebra(["X", "Y", "Z"], {(0, 1): {2: 1}, (1, 2): {1: 1}})
     with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
@@ -479,6 +504,29 @@ def test_subalgebra_on_own_basis_matches_ambient_brackets():
     for i in range(9):
         for j in range(i + 1, 9):
             assert l_alg.bracket_basis_sparse(i, j) == lu.bracket_basis_sparse(i, j)
+
+
+def _rewritten_frame(name, how):
+    """The frame of l of a shipped entry as Fraction vectors: rebased or
+    Cayley-conjugated (seed 1), or column i times (i mod 3 + 1) times how."""
+    entry = catalog.builtin_entries()[name]
+    if how in ("rebased", "cayley"):
+        data = (rebased_entry if how == "rebased" else cayley_conjugated_entry)(entry, 1)
+        return [sparse([Fraction(x) for x in col]) for col in data["l"]["vectors"]]
+    frame = catalog.build(entry).descriptor.l_frame.columns()
+    return [sparse([(i % 3 + 1) * Fraction(how) * x for x in c]) for i, c in enumerate(frame)]
+
+
+@pytest.mark.parametrize("how", ["rebased", "cayley", "3/7", "1000000000000", "1/1000000000039"])
+@pytest.mark.parametrize("name", ["lorentzian-2", "g2"])
+def test_subalgebra_tables_on_rewritten_frames_match_the_dense_oracle(name, how):
+    """The integer structure table of l on a frame with large or Fraction
+    entries is the dense oracle's, solved from the frame's matrices."""
+    g = catalog.build(catalog.builtin_entries()[name]).descriptor.g
+    frame = _rewritten_frame(name, how)
+    zero = RatMatrix.zeros(g.matrices[0].rows, g.matrices[0].cols)
+    mats = [sum((g.matrices[k].scale(x) for k, x in v.items()), zero) for v in frame]
+    assert structure_table(subalgebra_on_own_basis(g, frame)) == dense_structure_table(mats)
 
 
 # -- split G2 ---------------------------------------------------------------
@@ -600,25 +648,26 @@ def test_sl3_structure_is_valid():
 def test_int_table_is_the_structure_table_over_the_lcm_of_its_denominators(monkeypatch):
     """sl(2) on the basis H/3, E, F/7: [H/3, E] = 2/3 E, [H/3, F/7] = -2/3
     F/7 and [E, F/7] = 3/7 H/3, so d = lcm(3, 3, 7) = 21.  The table is
-    scaled once, at construction, into a plain attribute; reading it or a
-    bracket does not scale it again, and the algebra stays immutable."""
+    solved in ints and brought to lowest terms once, at construction, into
+    a plain attribute; reading it or a bracket does not scale it again, and
+    the algebra stays immutable."""
     from lietriples import liealg
 
     calls = []
-    original = liealg.over_one_denominator
+    original = liealg.lowest_terms
 
-    def counted(vectors):
-        calls.append(vectors)
-        return original(vectors)
+    def counted(vectors, d):
+        calls.append(d)
+        return original(vectors, d)
 
-    monkeypatch.setattr(liealg, "over_one_denominator", counted)
+    monkeypatch.setattr(liealg, "lowest_terms", counted)
     g = _sl2_over_21()
     fractions = {
         (0, 1): {1: Fraction(2, 3)},
         (0, 2): {2: Fraction(-2, 3)},
         (1, 2): {0: Fraction(3, 7)},
     }
-    assert calls[-1] == fractions  # after sl(2)'s own
+    assert len(calls) == 2  # sl(2)'s own table, then the subalgebra's
     calls.clear()
     table, d = g.int_table
     assert d == 21

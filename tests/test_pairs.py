@@ -4,17 +4,22 @@ import pytest
 from conftest import ENTRY_NAMES
 from helpers import (
     ambient_signatures,
+    cayley_conjugated_entry,
     congruence_signature,
     dense,
     dense_involution_validate,
+    fraction_involution_validate,
     intersected_l_cap_h,
     intersected_l_cap_s_cap_q,
     involution_from_images,
+    rebased_entry,
     restricted_theta_split,
     sparse,
     twisted_gram,
+    unit,
 )
 from test_cli import _FLIP_H1, _NEG_TRANSPOSE_FIRST
+import probes
 
 from lietriples import catalog
 
@@ -39,6 +44,7 @@ from lietriples.pairs import (
 from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
+    inverse,
     signature,
     subspace_sum,
 )
@@ -357,3 +363,51 @@ def test_sparse_involution_check_matches_the_dense_loop_on_the_rejected_files():
     )
     partial = catalog._build_involution(g, _NEG_TRANSPOSE_FIRST, "theta")
     assert _validation_outcome(_sparse_check, partial, g) is None
+
+
+def _corruptions(inv, rng):
+    """Seeded corruptions of an involution: two columns swapped and one
+    column times 2, as they are (mostly no longer involutions) and as
+    conjugations by that transposition and that scaling, which still square
+    to the identity, so that the pair loop decides."""
+    m = inv.matrix
+    n = m.rows
+    i, j = rng.sample(range(n), 2)
+    swapped, scaled = m.columns(), m.columns()
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    scaled[i] = [2 * x for x in scaled[i]]
+    p = RatMatrix.from_columns(n, [unit(n, {i: j, j: i}.get(k, k)) for k in range(n)])
+    two = RatMatrix.diagonal([2 if k == i else 1 for k in range(n)])
+    mats = [RatMatrix.from_columns(n, swapped), RatMatrix.from_columns(n, scaled)]
+    return [Involution(x) for x in (*mats, p @ m @ p, two @ m @ inverse(two))]
+
+
+# The inputs of test_metamorphic: a rebased frame leaves sigma and theta as
+# shipped, so one seed per entry; Cayley conjugates give theta Fraction entries
+_AUTOMORPHISM_CASES = [
+    *((name, source, 1) for source in ("shipped", "rebased") for name in ENTRY_NAMES),
+    *((name, "cayley", seed) for name in ("lorentzian-2", "g2") for seed in range(6)),
+]
+
+
+@pytest.mark.parametrize("name, source, seed", _AUTOMORPHISM_CASES)
+def test_integer_automorphism_check_matches_the_fraction_loop(tmp_path, name, source, seed):
+    """Involution.validate, in ints, gives the Fraction loop's verdict and
+    first failing pair on sigma and theta of every shipped entry, of its
+    rebased frame and, for lorentzian-2 and g2, of its Cayley conjugates
+    (theta with Fraction entries), and on seeded corruptions of each."""
+    entry = catalog.builtin_entries()[name]
+    if source == "shipped":
+        d = catalog.build(entry).descriptor
+    else:
+        rewrite = rebased_entry if source == "rebased" else cayley_conjugated_entry
+        d = probes.built(probes.write(tmp_path, name, rewrite(entry, seed))).descriptor
+    rng = random.Random(f"automorphism/{name}/{source}/{seed}")
+    cases = [d.sigma, d.theta, *_corruptions(d.sigma, rng), *_corruptions(d.theta, rng)]
+    outcomes = []
+    for inv in cases:
+        want = _validation_outcome(fraction_involution_validate, inv, d.g)
+        assert _validation_outcome(_sparse_check, inv, d.g) == want
+        outcomes.append(want)
+    assert outcomes[:2] == [None, None]
+    assert all(any(o and why in o for o in outcomes) for why in ("square", "basis pair")), outcomes

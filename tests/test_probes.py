@@ -2,7 +2,8 @@
 
 A broken probe, or a change to a value of probes.FAMILY, fails locally: the
 Lorentzian family with l = u(1,n) and l = su(1,n) for n = 2 to 5, lorentzian-4
-in the two rebased frames CI checks, and both 10^12-scaled frames.
+in the two rebased frames CI checks and in its first Cayley-conjugated one, and
+both 10^12-scaled frames.
 """
 
 import pytest
@@ -19,6 +20,10 @@ def test_family_member(tmp_path, family, n):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rebased_lorentzian_4(tmp_path, seed):
     probes.check_rebased(in_process, tmp_path, seed)
+
+
+def test_cayley_conjugated_lorentzian_4(tmp_path):
+    probes.check_cayley(in_process, tmp_path, 1)
 
 
 @pytest.mark.parametrize("name", probes.SCALED)

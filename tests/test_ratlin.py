@@ -349,35 +349,46 @@ def test_basis_solver_agrees_with_solve(algebra):
     assert outside > 0  # the seeded stray vectors do leave the span
 
 
-def test_basis_solver_reads_sparse_vectors_like_solve():
+# 1, or a prime near 10^12 for a Fraction basis and right-hand sides whose
+# denominators the solver's integer scaling must carry exactly
+_BIG = [1, 10**12 + 39]
+
+
+@pytest.mark.parametrize("big", _BIG)
+def test_basis_solver_reads_sparse_vectors_like_solve(big):
     """coordinates of a sparse vector, explicit zero entries included, agree
     with solve on its dense form, hold no zero coefficient, and are None
-    outside the span."""
-    rng = random.Random("sparse-coordinates")
+    outside the span; int_coordinates of the vector times the lcm s of its
+    denominators are the coordinates times s * divisor."""
+    rng = random.Random(f"sparse-coordinates/{big}")
     inside = outside = 0
     for _ in range(80):
         n = rng.randint(1, 7)
-        basis = rand_matrix(rng, n, rng.randint(1, n))
+        basis = rand_matrix(rng, n, rng.randint(1, n)).scale(Fraction(1, big))
         if rank(basis) < basis.cols:
             continue
         solver = BasisSolver([sparse(c) for c in basis.columns()])
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(basis.cols)]
-        stray = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2) * big) for _ in range(basis.cols)]
+        stray = [Fraction(rng.randint(-2, 2), rng.choice([1, big + 2])) for _ in range(n)]
         for v in (dense(basis.apply(sparse(x)), n), stray):
             vec = {i: c for i, c in enumerate(v) if c or rng.random() < 0.3}
             expected = solve(basis, v)
             got = solver.coordinates(vec)
+            s = math.lcm(*(c.denominator for c in v))
+            ints = solver.int_coordinates({i: int(c * s) for i, c in vec.items()})
             if expected is None:
-                assert got is None
+                assert got is None and ints is None
                 outside += 1
             else:
                 assert got == sparse(expected) and all(got.values())
+                assert ints == {i: c * s * solver.divisor for i, c in got.items()}
                 inside += 1
     assert inside > 0 and outside > 0
 
 
-def test_basis_solver_rejects_dependent_columns():
-    m = RatMatrix.from_columns(3, [[1, 0, 2], [0, 1, 0], [2, 1, 4]])
+@pytest.mark.parametrize("big", _BIG)
+def test_basis_solver_rejects_dependent_columns(big):
+    m = RatMatrix.from_columns(3, [[1, 0, 2], [0, 1, 0], [2, 1, 4]]).scale(Fraction(3, big))
     with pytest.raises(DependentBasis):
         BasisSolver([sparse(c) for c in m.columns()])
 
