@@ -22,9 +22,9 @@ split gives the same canonical image, because U(l) cap U(g) h = U(l)(l cap
 h) when l + h = g.  Products are collected in a coefficient table and
 normal-ordered once, in Python ints through the algebra's integer structure
 table (LieAlgebra.int_table), with one Fraction per output coefficient.
-Each algebra keeps one IdealReducer per span of h (ideal_reducer), and the
-decomposition and comparison modulo the ideal read its memoized coordinates,
-the terms of the reduced element.
+Each algebra keeps one IdealReducer per span of h (ideal_reducer), which
+memoizes by value the coordinates (the terms of the reduced element) read by
+the decomposition and comparison modulo the ideal, and H-invariance verdicts.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ class NotTransitive(ValueError):
     """l + h does not fill the ambient algebra."""
 
 
+def same_algebra(a, b) -> bool:
+    """The one rule for whether two algebras are the same: the same object,
+    or equal basis_labels and int_table (a twin).  a and b are LieAlgebras
+    or IdealReducers, which keep both."""
+    return a is b or a.basis_labels == b.basis_labels and a.int_table == b.int_table
+
+
 class Quad2:
     """A degree <= 2 element of U(g) in PBW normal-ordered form: terms maps
     each monomial, () or (i,) or (i, j) with i <= j, to its nonzero coefficient."""
@@ -89,13 +96,9 @@ class Quad2:
     def zero(algebra: LieAlgebra) -> "Quad2":
         return Quad2(algebra)
 
-    def _same_algebra(self, other: "Quad2") -> None:
-        a, b = self.algebra, other.algebra
-        if a is not b and a.basis_labels != b.basis_labels:  # the labels fix the dim
-            raise ValueError("Quad2 values over different algebras")
-
     def __add__(self, other: "Quad2") -> "Quad2":
-        self._same_algebra(other)
+        if not same_algebra(self.algebra, other.algebra):
+            raise ValueError("Quad2 values over different algebras")
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
@@ -112,14 +115,11 @@ class Quad2:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Quad2) and self._key() == other._key()
-
-    def _key(self) -> tuple:
-        """Exactly what __eq__ compares, with no reference to the algebra."""
-        return self.algebra.basis_labels, frozenset(self.terms.items())
+        return (isinstance(other, Quad2) and same_algebra(self.algebra, other.algebra)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(frozenset(self.terms.items()))
 
     def ordered_terms(self) -> list:
         """The terms, quadratic, then linear, then constant, each by index."""
@@ -342,34 +342,48 @@ class IdealReducer:
     _reduce_split then leaves only normal-ordered monomials in front
     indices, which is the canonical form; the brackets picked up when
     f_i f_j is normal-ordered in g are sent to the front again.
-    ideal_reducer and the transfer keep one on the algebra.  It holds only
-    the algebra's labels, which reduce checks each element against (the
-    Quad2._same_algebra rule), so it forms no cycle; coordinates memoizes by
-    value, reduce does not.
+    ideal_reducer and the transfer keep one on the algebra.  It holds its
+    basis_labels and int_table, not the algebra (so no cycle forms), and
+    checks each element against them (same_algebra) before any work or
+    memo lookup.  coordinates and h_invariant memoize by value, reduce does not.
     """
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
-        self.labels = algebra.basis_labels
+        self.basis_labels, self.int_table = algebra.basis_labels, algebra.int_table
+        self._h = h.vectors
         self._split = _echelon_split(h)
         self._coordinates: dict = {}
+        self._h_invariant: dict = {}
+
+    def _check(self, q: Quad2) -> None:
+        if not same_algebra(q.algebra, self):
+            raise ValueError("the element is not over the reducer's algebra")
 
     def reduce(self, q: Quad2) -> Quad2:
-        algebra = q.algebra
-        if algebra.basis_labels != self.labels:  # the labels fix the dim
-            raise ValueError("the element is not over the reducer's algebra")
-        quad, d_quad, lin, d_lin, const = _split_ints(q, algebra, self._split)
+        self._check(q)
+        quad, d_quad, lin, d_lin, const = _split_ints(q, q.algebra, self._split)
         front, d_f = self._split[:2]
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        return _over(algebra, quad, d_quad, combination(lin, front), d_lin * d_f, const)
+        return _over(q.algebra, quad, d_quad, combination(lin, front), d_lin * d_f, const)
+
+    def _memo(self, memo: dict, q: Quad2, compute):
+        """compute(q), kept in memo by the value of q once q is checked."""
+        self._check(q)
+        key = frozenset(q.terms.items())
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = compute(q)
+        return out
 
     def coordinates(self, q: Quad2) -> dict:
         """The terms of the reduced form of q, shared: linear and canonical, so
         two elements agree modulo U(g) h exactly when their coordinates do."""
-        key = q._key()
-        out = self._coordinates.get(key)
-        if out is None:
-            out = self._coordinates[key] = self.reduce(q).terms
-        return out
+        return self._memo(self._coordinates, q, lambda q: self.reduce(q).terms)
+
+    def h_invariant(self, q: Quad2) -> bool:
+        """[q, y] = 0 mod U(g) h for every y in the basis of h."""
+        return self._memo(self._h_invariant, q, lambda q: all(
+            self.reduce(bracket_with(q, y)).is_zero() for y in self._h))
 
 
 def ideal_reducer(algebra: LieAlgebra, h: SubspaceBasis) -> IdealReducer:
@@ -392,26 +406,13 @@ def reduce_mod_left_ideal(q: Quad2, h: SubspaceBasis) -> Quad2:
 
 
 def equals_mod_ideal(a: Quad2, b: Quad2, h: SubspaceBasis) -> bool:
-    a._same_algebra(b)
     reducer = ideal_reducer(a.algebra, h)
     return reducer.coordinates(a) == reducer.coordinates(b)
 
 
 def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
-    """[q, y] = 0 mod U(g) h for every y in the basis of h."""
-    reducer = ideal_reducer(q.algebra, h)
-    for y in h.vectors:
-        if not reducer.reduce(bracket_with(q, y)).is_zero():
-            return False
-    return True
-
-
-def _h_invariant(t: TripleDescriptor, q: Quad2) -> bool:
-    """check_h_invariant(q, t.h), decided once per value of q on t."""
-    verdicts = t.h_invariance
-    if q not in verdicts:
-        verdicts[q] = check_h_invariant(q, t.h)
-    return verdicts[q]
+    """[q, y] = 0 mod U(g) h for every y in the basis of h (a memo lookup)."""
+    return ideal_reducer(q.algebra, h).h_invariant(q)
 
 
 def iota_embed(
@@ -429,14 +430,13 @@ def iota_embed(
     seeded element of l cap h, for exercising exactly that.
 
     Only a seeded shift of the split is built per call.  The descriptor
-    owns the canonical split and the H-invariance verdict of each q
-    (memoized by value); l_alg keeps the reducer modulo U(l)(l cap h).
+    owns the canonical split, the (g, h) reducer the H-invariance verdicts
+    and l_alg the reducer modulo U(l)(l cap h).
     """
-    g = t.g
-    if q.algebra is not g and q.algebra.basis_labels != g.basis_labels:
+    if not same_algebra(q.algebra, t.g):
         raise ValueError("q is not an element over the ambient algebra")
     split = _transfer_split(t, complement_seed)
-    if not _h_invariant(t, q):
+    if not check_h_invariant(q, t.h):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
     image = _reduce_split(q, t.l_alg, split)
     return ideal_reducer(t.l_alg, t.l_cap_h_in_l).reduce(image)
@@ -520,8 +520,6 @@ def decompose_in_span(
     The system is solved on canonical reduced forms; free directions (for
     instance a generator that reduces to zero) are pinned to coefficient 0.
     """
-    for gen in generators:
-        target._same_algebra(gen)
     reducer = ideal_reducer(target.algebra, h)
     cols, rhs = [reducer.coordinates(gen) for gen in generators], reducer.coordinates(target)
     # one equation per coordinate that some reduced form uses

@@ -336,14 +336,15 @@ def su(p: int, q: int) -> LieAlgebra:
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Block direct sum; labels get _1 / _2 suffixes."""
+    """Block direct sum; labels get _1 / _2 suffixes.  The int tables are put
+    over d_a d_b and brought to lowest terms, which is over lcm(d_a, d_b)."""
     labels = [f"{lab}_1" for lab in a.basis_labels] + [
         f"{lab}_2" for lab in b.basis_labels
     ]
-    table: dict = {}
-    for off, (ints, d) in ((0, a.int_table), (a.dim, b.int_table)):
-        for (i, j), comps in ints.items():
-            table[(i + off, j + off)] = {k + off: Fraction(c, d) for k, c in comps.items()}
+    (table_a, d_a), (table_b, d_b), n = a.int_table, b.int_table, a.dim
+    table = {key: {k: c * d_b for k, c in comps.items()} for key, comps in table_a.items()}
+    for (i, j), comps in table_b.items():
+        table[(i + n, j + n)] = {k + n: c * d_a for k, c in comps.items()}
     matrices = None
     if a.matrices is not None and b.matrices is not None:
         na = a.matrices[0].rows
@@ -354,7 +355,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
                                for c, x in row.items()})
 
         matrices = [block(m, 0) for m in a.matrices] + [block(m, na) for m in b.matrices]
-    return LieAlgebra(labels, table, matrices=matrices)
+    return LieAlgebra._of_int_table(labels, lowest_terms(table, d_a * d_b), matrices)
 
 
 def diagonal_subalgebra(ab: LieAlgebra) -> SubspaceBasis:

@@ -139,12 +139,12 @@ class TripleDescriptor:
     l is given once, by l_frame: its columns (in g-coordinates) are the
     ordered basis of l used for enveloping-algebra work and evidence
     records, and l_labels names them.  Everything else (h, q, k, s, l as a
-    subspace, the Killing form, l as an algebra, its Cartan split, l cap h,
-    the report on the three conditions, the canonical transfer split and
-    the H-invariance verdicts of elements transferred into U(l)) is derived
-    lazily, once, and kept here, so every verb reads the same objects; none
-    of it refers back to the descriptor, so reference counting frees it all.
-    The reducers modulo U(g) h and U(l)(l cap h) are kept on g and l_alg.
+    subspace, the Killing form, each involution times the frame, l as an
+    algebra, its Cartan split, l cap h, the report on the three conditions,
+    the canonical transfer split) is derived lazily, once, and kept here, so
+    every verb reads the same objects; none of it refers back to the
+    descriptor, so reference counting frees it all.  The reducers modulo
+    U(g) h (with the H-invariance verdicts) and U(l)(l cap h) are on g, l_alg.
     Whatever lies in l is in the coordinates of the frame: each subspace is
     one kernel (in_l) and each form restricts the one Gram frame_gram.
     The descriptor is immutable and compares by identity.
@@ -221,12 +221,19 @@ class TripleDescriptor:
         out; at least one is given): one kernel of the stacked (inv - sign) F.
         With F of full rank, this is l cap k (theta=1), l cap s (theta=-1),
         l cap h (sigma=1) or l cap s cap q (both -1) in the coordinates of l."""
-        f = self.l_frame
+        f, images = self.l_frame, self._frame_images
         rows = []
         for sign, inv in ((theta, self.theta), (sigma, self.sigma)):
             if sign:
-                rows += (inv.matrix @ f - f.scale(sign)).data
+                if inv not in images:
+                    images[inv] = inv.matrix @ f
+                rows += (images[inv] - f.scale(sign)).data
         return kernel(RatMatrix._of_rows(rows, f.cols))
+
+    @cached_property
+    def _frame_images(self) -> dict:
+        """Involution -> its matrix times the frame, filled by in_l."""
+        return {}
 
     @cached_property
     def frame_gram(self) -> RatMatrix:
@@ -281,12 +288,6 @@ class TripleDescriptor:
     def transfer_split(self) -> tuple:
         """env2._canonical_transfer_split, built at the first transfer."""
         return _canonical_transfer_split(self)
-
-    @cached_property
-    def h_invariance(self) -> dict:
-        """Quad2 -> verdict of env2.check_h_invariant against h, filled by
-        env2.iota_embed."""
-        return {}
 
     def validate(self) -> None:
         """Raise DescriptorError unless the involutions, the frame of l and

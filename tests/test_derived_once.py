@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 
 from conftest import ENTRY_NAMES
-from lietriples import catalog, cli, env2, liealg, pairs
+from lietriples import catalog, cli, env2, liealg, pairs, ratlin
 
 COUNTED = {
     "from_matrix_basis": liealg.from_matrix_basis,
@@ -53,6 +53,13 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
         return original_validate(self, g)
 
     monkeypatch.setattr(pairs.Involution, "validate", counted_validate)
+    products, matmul = [], ratlin.RatMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(ratlin.RatMatrix, "__matmul__", counted_matmul)
     for verb in (["triples", "check"], ["spherical"], ["casimir", "embed"]):
         assert cli.main([*verb, "--explain", "lorentzian-2"]) == 0
     capsys.readouterr()
@@ -73,6 +80,10 @@ def test_verbs_compute_each_derived_object_once(monkeypatch, capsys):
     # sigma and theta: each split at most once
     per_involution = Counter(inv.matrix for _, inv in calls["eigenspace_split"])
     assert per_involution and max(per_involution.values()) == 1
+    # sigma and theta: each multiplied with the frame of l once, for in_l
+    d = built.descriptor
+    with_frame = [m for m, other in products if other is d.l_frame]
+    assert [sum(m is inv.matrix for m in with_frame) for inv in (d.sigma, d.theta)] == [1, 1]
     # each form is restricted to each subspace once: the Killing signatures
     # on k, s and l cap h, and the generators' normalizing forms
     per_restriction = Counter(calls["restrict_form"])

@@ -411,16 +411,21 @@ def test_quad2_hash_agrees_with_equality():
 
 
 def test_memoized_invariance_still_rejects_a_non_invariant_element():
+    """The (g, h) reducer keeps one verdict per value, by its terms."""
     g, omega = sl2_casimir()
     t = torus_triple(g)
     iota_embed(t, omega)
-    assert t.h_invariance == {omega: True}
+    verdicts = ideal_reducer(g, t.h)._h_invariant
+    assert verdicts == {frozenset(omega.terms.items()): True}
     e = Quad2(g, {(1,): 1})
     for seed in (None, 4):
         with pytest.raises(NotInvariant):
             iota_embed(t, e, complement_seed=seed)
-    assert t.h_invariance == {omega: True, e: False}
+    assert verdicts == {frozenset(omega.terms.items()): True, frozenset(e.terms.items()): False}
     # an equal value built anew reads the memo; it is still invariant
+    assert iota_embed(t, Quad2(g, dict(omega.terms))) == iota_embed(t, omega)
+    assert len(verdicts) == 2
+    # so does a multiple over a twin of g, on the twin's own reducer
     assert iota_embed(t, sl2_casimir()[1].scale(3)) == iota_embed(t, omega).scale(3)
 
 
@@ -440,7 +445,7 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     built = catalog.BuiltTriple(catalog.builtin_entries()["lorentzian-2"])
     built.validate()
     d = built.descriptor
-    calls = {"is_subalgebra": 0, "check_h_invariant": 0}
+    calls = {"is_subalgebra": 0, "check_h_invariant": 0, "bracket_with": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(env2, name), **kwargs):
@@ -451,9 +456,10 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     reducers = counted_reducers(monkeypatch)
     for seed in (None, 1, 2, 3):
         built.iota_of_casimir(complement_seed=seed)
-    # one verdict on omega_g, and two reducers, kept on g and l_alg: on a
-    # validated descriptor h and l cap h are subalgebras, so neither is checked
-    assert calls == {"is_subalgebra": 0, "check_h_invariant": 1}
+    # a lookup per transfer and one verdict on omega_g, one bracket per basis
+    # vector of h; two reducers, kept on g and l_alg: on a validated
+    # descriptor h and l cap h are subalgebras, so neither is checked
+    assert calls == {"is_subalgebra": 0, "check_h_invariant": 4, "bracket_with": d.h.dim}
     assert reducers == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
 
 
@@ -503,7 +509,7 @@ def test_built_triple_is_freed_without_the_cycle_collector():
         assert check_h_invariant(image, built.l_cap_h)
         assert d.h in d.g._reducers and d.l_cap_h_in_l in d.l_alg._reducers
         assert "transfer_split" in vars(d)
-        assert d.h_invariance
+        assert d.g._reducers[d.h]._h_invariant
         ref = weakref.ref(d)
         del built, d, image, gens, coeffs
         assert ref() is None
@@ -591,6 +597,53 @@ def test_reducer_rejects_an_element_of_another_algebra(built_catalog):
         for read in (reducer.reduce, reducer.coordinates):
             with pytest.raises(ValueError, match="not over the reducer's algebra"):
                 read(omega_l)
+
+
+def test_algebras_with_one_set_of_labels_and_two_tables_do_not_mix():
+    """sl(2) and so(3) on their matrices are both labelled X0..X2, with two
+    different tables: their elements differ, and no sum, comparison,
+    decomposition or reduction takes one for the other, not even after the
+    same terms over the first were memoized."""
+    a, b = from_matrix_basis(sl(2).matrices), from_matrix_basis(so(3, 0).matrices)
+    assert a.basis_labels == b.basis_labels == ("X0", "X1", "X2")
+    assert a.int_table != b.int_table
+    qa, qb = Quad2(a, {(0, 1): 1}), Quad2(b, {(0, 1): 1})
+    assert qa != qb and qb != qa
+    assert qa == Quad2(from_matrix_basis(sl(2).matrices), {(0, 1): 1})
+    h = SubspaceBasis(3, [{0: 1}])
+    reducer = ideal_reducer(a, h)
+    assert reducer.coordinates(qa) == reduce_mod_left_ideal(qa, h).terms
+    assert check_h_invariant(qa, h) == reducer.h_invariant(qa)
+    mixes = [
+        lambda: qa + qb,
+        lambda: qb + qa,
+        lambda: qa - qb,
+        lambda: equals_mod_ideal(qa, qb, h),
+        lambda: equals_mod_ideal(qb, qa, h),
+        lambda: decompose_in_span(qa, [qb], h),
+        lambda: decompose_in_span(qb, [qa], h),
+    ]
+    for mix in mixes:
+        with pytest.raises(ValueError):
+            mix()
+    for read in (reducer.reduce, reducer.coordinates, reducer.h_invariant):
+        with pytest.raises(ValueError, match="not over the reducer's algebra"):
+            read(qb)
+
+
+def test_transfer_refuses_the_ambient_labels_over_another_table(built_catalog):
+    """Omega_G's terms over an abelian algebra on so(2,4)'s labels compare
+    unequal to Omega_G and are refused by the transfer, before and after
+    Omega_G's verdict is memoized."""
+    bt = built_catalog["lorentzian-2"]
+    t, omega_g = bt.descriptor, bt.omega_g
+    abelian = Quad2(LieAlgebra(t.g.basis_labels, {}), omega_g.terms)
+    assert abelian != omega_g
+    for _ in range(2):
+        for seed in (None, 1):
+            with pytest.raises(ValueError, match="not an element over the ambient algebra"):
+                iota_embed(t, abelian, complement_seed=seed)
+        iota_embed(t, omega_g)
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

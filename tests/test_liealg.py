@@ -686,6 +686,19 @@ def test_int_table_is_the_structure_table_over_the_lcm_of_its_denominators(monke
     assert direct_sum(g, sl(2)).int_table[1] == 21
 
 
+def test_direct_sum_int_table_matches_the_fraction_route():
+    """direct_sum scales its factors' int tables in ints; the block table in
+    Fractions, through LieAlgebra.__init__, gives the same int_table."""
+    r = _sl2_over_21()
+    for a, b in [(sl(2), sl(2)), (su(1, 2), so(2, 1)), (r, sl(2)), (r, r)]:
+        ab = direct_sum(a, b)
+        blocks = {}
+        for off, factor in ((0, a), (a.dim, b)):
+            for (i, j), comps in structure_table(factor).items():
+                blocks[(i + off, j + off)] = {k + off: c for k, c in comps.items()}
+        assert ab.int_table == LieAlgebra(ab.basis_labels, blocks).int_table
+
+
 @pytest.mark.parametrize(
     "table",
     [
