@@ -72,9 +72,10 @@ def same_algebra(a, b) -> bool:
 
 class Quad2:
     """A degree <= 2 element of U(g) in PBW normal-ordered form: terms maps
-    each monomial, () or (i,) or (i, j) with i <= j, to its nonzero coefficient."""
+    each monomial, () or (i,) or (i, j) with i <= j, to its nonzero coefficient;
+    key, frozenset(terms.items()), is kept once built: hash and memos read it."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "_key")
 
     def __init__(self, algebra: LieAlgebra, terms: Optional[dict] = None):
         kept, n = {}, algebra.dim
@@ -88,6 +89,7 @@ class Quad2:
                 kept[m] = c
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", kept)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quad2 is immutable")
@@ -119,7 +121,13 @@ class Quad2:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(self.key)
+
+    @property
+    def key(self) -> frozenset:
+        if self._key is None:
+            object.__setattr__(self, "_key", frozenset(self.terms.items()))
+        return self._key
 
     def ordered_terms(self) -> list:
         """The terms, quadratic, then linear, then constant, each by index."""
@@ -369,10 +377,9 @@ class IdealReducer:
     def _memo(self, memo: dict, q: Quad2, compute):
         """compute(q), kept in memo by the value of q once q is checked."""
         self._check(q)
-        key = frozenset(q.terms.items())
-        out = memo.get(key)
+        out = memo.get(q.key)
         if out is None:
-            out = memo[key] = compute(q)
+            out = memo[q.key] = compute(q)
         return out
 
     def coordinates(self, q: Quad2) -> dict:
@@ -436,7 +443,7 @@ def iota_embed(
     if not same_algebra(q.algebra, t.g):
         raise ValueError("q is not an element over the ambient algebra")
     split = _transfer_split(t, complement_seed)
-    if not check_h_invariant(q, t.h):
+    if not ideal_reducer(t.g, t.h).h_invariant(q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
     image = _reduce_split(q, t.l_alg, split)
     return ideal_reducer(t.l_alg, t.l_cap_h_in_l).reduce(image)

@@ -25,9 +25,10 @@ from .ratlin import (
     _rat,
     add_outer,
     combination,
-    kernel,
+    int_kernel,
     lowest_terms,
     over_one_denominator,
+    transposed,
 )
 
 
@@ -100,8 +101,20 @@ class LieAlgebra:
 
     def ad(self, v: dict) -> RatMatrix:
         """Matrix of ad(v) acting on coordinates: column j is [v, X_j]."""
-        n = self.dim
-        return _matrix(n, {(k, j): x for j in range(n) for k, x in self.bracket(v, {j: 1}).items()})
+        scaled, d_v = over_one_denominator({0: {i: _rat(a) for i, a in v.items()}})
+        rows, d = self.int_ad(scaled[0], d_v)
+        entries = {(k, j): Fraction(x, d) for k, row in enumerate(rows) for j, x in row.items()}
+        return _matrix(self.dim, entries)
+
+    def int_ad(self, v: dict, d_v: int = 1) -> tuple[list, int]:
+        """(B, d) with ad(v / d_v) = B / d for the int vector v, B as sparse
+        int rows: column j is [v, X_j] through int_table, in ints."""
+        table, d_t = self.int_table
+        rows: list = [{} for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k, x in _table_bracket(table, v, {j: 1}).items():
+                rows[k][j] = x
+        return rows, d_t * d_v
 
     # -- validation -------------------------------------------------------
 
@@ -474,24 +487,23 @@ def centralizer(
     g: LieAlgebra, s: SubspaceBasis, within: Optional[SubspaceBasis] = None
 ) -> SubspaceBasis:
     """{x in within : [x, s] = 0}, via the kernel of the stacked bracket
-    system: for each vector of s, one block of rows whose column a is
-    [within_a, s_vector], a sparse bracket."""
+    system, in ints: for each int row of s, one block of rows whose column a
+    is [within_a, s_row], within_a the a-th int row of within."""
     if within is None:
         within = SubspaceBasis.full(g.dim)
     check_ambient(g, s, within)
-    if within.dim == 0 or s.dim == 0:
-        return within
+    table, w = g.int_table[0], within.int_rows
     rows = []
-    for sv in s.vectors:
-        images = [g.bracket(wv, sv) for wv in within.vectors]
-        rows += RatMatrix._of_rows(images, g.dim).transpose().data
-    kept = kernel(RatMatrix._of_rows(rows, within.dim)).vectors
-    return SubspaceBasis(g.dim, (combination(x, within.vectors) for x in kept))
+    for sv in s.int_rows:
+        rows += transposed((_table_bracket(table, wv, sv) for wv in w), g.dim)
+    kept = int_kernel(rows, within.dim)
+    return SubspaceBasis(g.dim, (combination(x, w) for x in kept))
 
 
 def is_subalgebra(g: LieAlgebra, s: SubspaceBasis) -> bool:
     check_ambient(g, s)
-    return all(s.contains(g.bracket(a, b)) for a, b in combinations(s.vectors, 2))
+    table = g.int_table[0]
+    return all(s.contains(_table_bracket(table, a, b)) for a, b in combinations(s.int_rows, 2))
 
 
 def subalgebra_on_own_basis(

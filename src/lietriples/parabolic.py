@@ -47,12 +47,12 @@ def maximal_abelian_in_s(
     if s_l.dim == 0:
         return s_l
     chosen, z = [], s_l
-    ext = s_l.vectors[-1 if reverse else 0]
+    ext = s_l.int_rows[-1 if reverse else 0]
     while ext is not None:
         chosen.append(ext)
         a = SubspaceBasis(l_alg.dim, chosen)
         z = centralizer(l_alg, SubspaceBasis(l_alg.dim, [ext]), within=z)
-        candidates = reversed(z.vectors) if reverse else z.vectors
+        candidates = reversed(z.int_rows) if reverse else z.int_rows
         ext = next((v for v in candidates if not a.contains(v)), None)
     return a
 
@@ -65,7 +65,9 @@ def restricted_roots(l_alg: LieAlgebra, a: SubspaceBasis) -> RestrictedRootSyste
     when ad(a) does not split over the rationals, or a is not abelian.
     """
     check_ambient(l_alg, a)
-    spectrum = rational_joint_spectrum([l_alg.ad(v) for v in a.vectors]) if a.dim else []
+    # ad of each canonical basis vector, int row over its pivot entry
+    ads = [l_alg.int_ad(v, v[p]) for v, p in zip(a.int_rows, a.pivots())]
+    spectrum = rational_joint_spectrum(ads) if ads else []
     multiplicity = {root: m for root, m in spectrum if any(root)}
     roots = tuple(multiplicity)
     # opposite roots must pair with equal multiplicities

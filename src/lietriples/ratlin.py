@@ -6,7 +6,8 @@ back is a ``fractions.Fraction``; _rat, the package's one reader of exact
 input (descriptor files and the CLI read through it), also takes an int
 or a "p/q" string, and never a float.  Inside a kernel the arithmetic may
 run in Python ints: the one elimination, _rref, works on primitive integer
-rows and divides only its final pivot rows into Fractions; char_poly hands
+rows and divides only its final pivot rows into Fractions, or keeps them as
+the int rows SubspaceBasis holds and the subspace kernels read; char_poly hands
 back the integer characteristic polynomial of dA with d, and signature and
 rational_joint_spectrum read inertia and joint rational spectra off it,
 with no eigenvector; BasisSolver solves in ints; over_one_denominator,
@@ -197,11 +198,7 @@ class RatMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "RatMatrix":
-        out: list = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, x in row.items():
-                out[j][i] = x
-        return RatMatrix._of_rows(out, self.rows)
+        return RatMatrix._of_rows(transposed(self.data, self.cols), self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,12 +276,12 @@ def _primitive(row: dict) -> dict:
     return out if g == 1 else {j: x // g for j, x in out.items()}
 
 
-def _rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+def _rref(rows: list[dict], ints: bool = False) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of sparse rows {column: Fraction or int}, in
     place in the list, whose row maps are replaced and never changed;
     returns (rows, pivot column list), each pivot row a {column: Fraction}
     map with a 1 at its pivot and no zero entry, and the rows below them
-    empty.
+    empty; with ints set, the primitive integer row there, pivot positive.
 
     Fraction-free: each row is replaced in turn by its primitive integer
     row, and a row update is the cross-multiplication (p/g) row - (f/g)
@@ -292,7 +289,7 @@ def _rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
     row's content divided out after it.  Only the final pivot rows are
     divided by their pivots, into Fractions.  A row space has exactly one
     reduced echelon form, so this is the form an elimination over Fractions
-    gives.
+    gives; every row stays primitive, so the int rows are unique too.
 
     Only the columns some row uses are visited.  Rows r and below are zero
     left of column c when a pivot is sought there, so the pivot row's
@@ -340,7 +337,10 @@ def _rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
     for i, c in enumerate(pivots):
         row = rows[i]
         p = row[c]
-        rows[i] = {j: Fraction(x, p) for j, x in row.items()}
+        if not ints:
+            rows[i] = {j: Fraction(x, p) for j, x in row.items()}
+        elif p < 0:
+            rows[i] = {j: -x for j, x in row.items()}
     return rows, pivots
 
 
@@ -381,19 +381,30 @@ def rank(m: RatMatrix) -> int:
 
 def kernel(m: RatMatrix) -> "SubspaceBasis":
     """Canonical basis of the null space {x : m x = 0}, as sparse vectors."""
-    return _kernel(list(m.data), m.cols)
+    return SubspaceBasis(m.cols, int_kernel(list(m.data), m.cols))
 
 
-def _kernel(rows: list[dict], cols: int) -> "SubspaceBasis":
-    """kernel() of the matrix with these sparse rows {column: Fraction or
-    int} and cols columns; the list is used up (see _rref)."""
-    rows, pivots = _rref(rows)
+def int_kernel(rows: list[dict], cols: int) -> list[dict]:
+    """A basis of the null space of sparse rows {column: Fraction or int}
+    (the list is used up), in ints, one vector per free column f: x_f = m
+    and x_p = -row[f] m / row[p] at each pivot p whose row uses f, m the lcm
+    of those row[p]."""
+    rows, pivots = _rref(rows, ints=True)
     vectors = []
     for fc in sorted(set(range(cols)).difference(pivots)):
-        v = {pc: -rows[r][fc] for r, pc in enumerate(pivots) if fc in rows[r]}
-        v[fc] = Fraction(1)
-        vectors.append(v)
-    return SubspaceBasis(cols, vectors)
+        used = [(row, pc) for row, pc in zip(rows, pivots) if fc in row]
+        m = math.lcm(*(row[pc] for row, pc in used))
+        vectors.append({pc: -row[fc] * (m // row[pc]) for row, pc in used} | {fc: m})
+    return vectors
+
+
+def transposed(vectors: Iterable[dict], n: int) -> list[dict]:
+    """The n rows i: {k: vectors[k][i]} of the matrix with these columns."""
+    rows: list = [{} for _ in range(n)]
+    for k, v in enumerate(vectors):
+        for i, x in v.items():
+            rows[i][k] = x
+    return rows
 
 
 def solve(m: RatMatrix, v: Sequence) -> Optional[list]:
@@ -496,9 +507,19 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix._of_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
-def char_poly(a: RatMatrix) -> tuple[list[int], int]:
+def _over_ints(a) -> tuple[list[dict], int]:
+    """(B, d) with A = B / d, B sparse int rows: a RatMatrix A over the lcm
+    d of its denominators, or the pair (B, d), d > 0, as it is."""
+    if isinstance(a, RatMatrix):
+        rows, d = over_one_denominator(dict(enumerate(a.data)))
+        return list(rows.values()), d
+    return a
+
+
+def char_poly(a) -> tuple[list[int], int]:
     """(c, d): the integer coefficients c[0..n] of det(x I - dA) = sum c_k
-    x^k (monic), d the lcm of the denominators of A.
+    x^k (monic), for A a RatMatrix, d the lcm of its denominators, or A
+    given as the pair (B, d) of _over_ints.
 
     Faddeev-LeVerrier in Python ints on B = dA: M_k = B M_(k-1) + c[n-k+1]
     I and c[n-k] = -tr(B M_k) / k, where the division is exact because an
@@ -508,9 +529,9 @@ def char_poly(a: RatMatrix) -> tuple[list[int], int]:
     about as sparse as B.  c_k / d^(n-k) is the coefficient of x^k in
     det(x I - A).
     """
-    n = a.rows
-    b, d = over_one_denominator(dict(enumerate(a.data)))
-    support = [list(b[i].items()) for i in range(n)]
+    b, d = _over_ints(a)
+    n = len(b)
+    support = [list(row.items()) for row in b]
     c = [0] * (n + 1)
     c[n] = 1
     bm: list = [{} for _ in range(n)]  # B M_0, M_0 = 0, rows as {column: entry}
@@ -595,22 +616,28 @@ def _deflated(coeffs: list[int], t: int) -> tuple[list[int], int]:
 
 def _annihilates(b: list[dict], roots: Iterable[int]) -> bool:
     """Whether prod_t (B - t I) = 0, B given by its sparse integer rows:
-    each unit row vector is multiplied by every factor in turn."""
+    each unit row vector is multiplied by the factors in turn, until it is 0."""
     for i in range(len(b)):
         v = {i: 1}
         for t in roots:
-            v = combination({0: 1, 1: -t}, [combination(v, b), v])
+            w = combination(v, b)
+            for k, x in v.items():
+                w[k] = w.get(k, 0) - t * x
+            v = {k: x for k, x in w.items() if x}
+            if not v:
+                break
         if v:
             return False
     return True
 
 
-def rational_joint_spectrum(operators: Sequence[RatMatrix]) -> list[tuple[tuple, int]]:
+def rational_joint_spectrum(operators: Sequence) -> list[tuple[tuple, int]]:
     """The joint eigenvalues of one or more commuting n x n operators, each
     a tuple of Fractions with its multiplicity, in increasing order; no
     eigenvector is computed.
 
-    Each operator is B_k / d_k, B_k integer, as char_poly scales it.  The
+    Each operator is a RatMatrix or the pair (B_k, d_k) of its sparse int
+    rows over d_k (_over_ints), and is read as B_k / d_k.  The
     integer roots T_k of det(x I - B_k), found by Budan bisection inside its
     Gershgorin radius, with multiplicities by synthetic division, must cover
     n dimensions and prod_(t in T_k) (B_k - t I) must vanish (B_k is
@@ -620,12 +647,10 @@ def rational_joint_spectrum(operators: Sequence[RatMatrix]) -> list[tuple[tuple,
     c_(k+1) = c_k (1 + max T_k - min T_k), its multiplicity is that of the
     root sum c_k t_k (one-to-one on the tuples) of det(x I - sum c_k B_k).
     """
-    n = operators[0].rows
-    spectra, scales, ints = [], [], []  # per operator: {t: multiplicity}, d_k, B_k's rows
-    for op in operators:
-        c, d = char_poly(op)
-        rows, _ = over_one_denominator(dict(enumerate(op.data)))
-        b = [rows[i] for i in range(n)]
+    ints = [_over_ints(op) for op in operators]  # (B_k, d_k)
+    n, spectra = len(ints[0][0]), []  # per operator: {t: multiplicity}
+    for b, d in ints:
+        c, _ = char_poly((b, d))
         c, zero = _deflated(c, 0)  # bisect without the x^zero factor
         spectrum = {0: zero} if zero else {}
         radius = max((sum(map(abs, row.values())) for row in b), default=0)
@@ -641,18 +666,18 @@ def rational_joint_spectrum(operators: Sequence[RatMatrix]) -> list[tuple[tuple,
         if len(spectrum) < n and not _annihilates(b, spectrum):
             raise IrrationalSpectrum("ad action does not split over the rationals (not semisimple)")
         spectra.append(dict(sorted(spectrum.items())))
-        scales.append(d)
-        ints.append(b)
-    for b, b2 in combinations(ints, 2):
+    for (b, _), (b2, _) in combinations(ints, 2):
         if any(combination(b[i], b2) != combination(b2[i], b) for i in range(n)):
             raise IrrationalSpectrum("operator does not preserve the subspace")
-    if len(operators) == 1:
+    scales = [d for _, d in ints]
+    if len(ints) == 1:
         return [((Fraction(t, scales[0]),), m) for t, m in spectra[0].items()]
-    weights, h = [1], operators[0].scale(scales[0])
-    for spectrum, op, d in zip(spectra, operators[1:], scales[1:]):
+    weights = [1]
+    for spectrum in spectra[:-1]:
         weights.append(weights[-1] * (1 + max(spectrum) - min(spectrum)))
-        h = h + op.scale(weights[-1] * d)
-    (c, _), joint = char_poly(h), []
+    # sum_k c_k B_k, an integer operator
+    h = [combination(dict(enumerate(weights)), [b[i] for b, _ in ints]) for i in range(n)]
+    (c, _), joint = char_poly((h, 1)), []
     for tag in product(*spectra):
         c, m = _deflated(c, sum(w * t for w, t in zip(weights, tag)))
         if m:
@@ -679,26 +704,30 @@ def signature(s: RatMatrix) -> tuple[int, int, int]:
 class SubspaceBasis:
     """A rational subspace in canonical (reduced echelon) form.
 
-    Takes sparse vectors {index: coefficient} and stores a tuple of them
-    with leading coefficient 1 at strictly increasing pivot positions and
-    no entry at any other pivot.  Two SubspaceBasis values are equal, and
-    hash equally, exactly when they span the same subspace.  The vectors
-    are shared with whoever reads them and must not be changed.
+    Takes sparse vectors {index: coefficient} and keeps int_rows, the
+    primitive integer rows of the reduced echelon form: pivot columns
+    increasing, each row positive at its own pivot and zero at the others.
+    Two SubspaceBasis values are equal, and hash equally, exactly when they
+    span the same subspace; the hash is computed once, at construction.
+    vectors, the Fraction view (each row over its pivot entry, a 1 at the
+    pivot), is built on the first read.  Both are shared with every reader
+    and must not be changed.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "_pivots")
+    __slots__ = ("ambient_dim", "int_rows", "_pivots", "_hash", "_vectors")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[dict]):
         rows = []
         for v in vectors:
             if any(not 0 <= i < ambient_dim for i in v):
                 raise ValueError("vector index outside the ambient space")
-            rows.append({i: _rat(x) for i, x in v.items()})
-        rows, pivots = _rref(rows)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vectors", tuple(rows[: len(pivots)]))
-        # derived from vectors, so equality and hashing ignore it
-        object.__setattr__(self, "_pivots", tuple(pivots))
+            rows.append({i: x if type(x) is int else _rat(x) for i, x in v.items()})
+        rows, pivots = _rref(rows, ints=True)
+        rows = tuple(rows[: len(pivots)])
+        digest = hash((ambient_dim, tuple(frozenset(r.items()) for r in rows)))
+        for name, value in (("ambient_dim", ambient_dim), ("int_rows", rows),
+                            ("_pivots", tuple(pivots)), ("_hash", digest), ("_vectors", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
@@ -713,7 +742,16 @@ class SubspaceBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.int_rows)
+
+    @property
+    def vectors(self) -> tuple:
+        """The canonical basis vectors, {index: Fraction} with a 1 at the pivot."""
+        if self._vectors is None:
+            view = tuple({j: Fraction(x, row[p]) for j, x in row.items()}
+                         for row, p in zip(self.int_rows, self._pivots))
+            object.__setattr__(self, "_vectors", view)
+        return self._vectors
 
     def matrix(self) -> RatMatrix:
         """Basis vectors as columns of an ambient_dim x dim matrix."""
@@ -724,24 +762,24 @@ class SubspaceBasis:
         return self._pivots
 
     def contains(self, vec: dict) -> bool:
-        """Whether the sparse vector vec lies in the subspace."""
-        v = dict(vec)
-        for basis_vec, pivot in zip(self.vectors, self._pivots):
-            f = v.get(pivot)
-            if f:
-                for j, b in basis_vec.items():
-                    v[j] = v.get(j, 0) - f * b
+        """Whether the sparse vector vec (Fractions or ints) lies in the
+        subspace: its primitive row, each pivot cleared in ints, is zero."""
+        v = _primitive(vec)
+        for row, pivot in zip(self.int_rows, self._pivots):
+            if f := v.get(pivot):
+                p, g = row[pivot], math.gcd(row[pivot], f)
+                if p != g:
+                    v = {j: x * (p // g) for j, x in v.items()}
+                for j, x in row.items():
+                    v[j] = v.get(j, 0) - f // g * x
         return not any(v.values())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubspaceBasis)
-            and self.ambient_dim == other.ambient_dim
-            and self.vectors == other.vectors
-        )
+        return isinstance(other, SubspaceBasis) and self._hash == other._hash and (
+            self.ambient_dim, self.int_rows) == (other.ambient_dim, other.int_rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, tuple(frozenset(v.items()) for v in self.vectors)))
+        return self._hash
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in R^{self.ambient_dim})"
@@ -750,21 +788,20 @@ class SubspaceBasis:
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("subspace_sum over different ambient spaces")
-    return SubspaceBasis(a.ambient_dim, list(a.vectors) + list(b.vectors))
+    return SubspaceBasis(a.ambient_dim, a.int_rows + b.int_rows)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """The intersection of two subspaces, as the kernel of the concatenated
-    coefficient system.
+    coefficient system, in ints.
 
-    A vector in the intersection is A x = B y; solve for (x, y) in the kernel
-    of [A | -B] and map x back through A.
+    A vector in the intersection is A x = B y, A and B the int rows as
+    columns; solve for (x, y) in the kernel of [A | -B] and map x back
+    through A.
     """
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("subspace_intersection over different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return SubspaceBasis.zero(a.ambient_dim)
-    minus_b = ({i: -x for i, x in v.items()} for v in b.vectors)
-    stacked = RatMatrix._of_rows([*a.vectors, *minus_b], a.ambient_dim).transpose()
-    xs = ({j: c for j, c in kv.items() if j < a.dim} for kv in kernel(stacked).vectors)
-    return SubspaceBasis(a.ambient_dim, (combination(x, a.vectors) for x in xs))
+    minus_b = ({i: -x for i, x in v.items()} for v in b.int_rows)
+    stacked = transposed([*a.int_rows, *minus_b], a.ambient_dim)
+    xs = ({j: c for j, c in kv.items() if j < a.dim} for kv in int_kernel(stacked, a.dim + b.dim))
+    return SubspaceBasis(a.ambient_dim, (combination(x, a.int_rows) for x in xs))

@@ -23,12 +23,12 @@ from lietriples.ratlin import (
     RatMatrix,
     SubspaceBasis,
     _integer_roots,
-    _kernel,
     _rat,
     _rref,
     char_poly,
     combination,
     coordinates_in,
+    int_kernel,
     inverse,
     kernel,
     over_one_denominator,
@@ -155,6 +155,71 @@ def dense_kernel(rows, n_cols):
             v[p] = -reduced[r][free]
         basis.append(v)
     return dense_rref(basis)[0]
+
+
+# The Fraction routes of the subspace kernels, as they were before
+# SubspaceBasis held int rows: every step on {index: Fraction} vectors, the
+# canonical form the unit-pivot rows of ratlin._rref, and a subspace a list
+# of those vectors (each one's pivot is its first index).
+
+
+def fraction_canonical(vectors) -> list:
+    """The canonical basis of the span of sparse vectors, as Fraction rows
+    with a 1 at each pivot."""
+    rows, pivots = _rref([{i: _rat(x) for i, x in v.items()} for v in vectors])
+    return rows[: len(pivots)]
+
+
+def fraction_kernel(rows, cols) -> list:
+    """The canonical basis of the null space of sparse rows with cols columns."""
+    rows, pivots = _rref([dict(r) for r in rows])
+    vectors = []
+    for fc in sorted(set(range(cols)).difference(pivots)):
+        v = {pc: -rows[r][fc] for r, pc in enumerate(pivots) if fc in rows[r]}
+        v[fc] = Fraction(1)
+        vectors.append(v)
+    return fraction_canonical(vectors)
+
+
+def fraction_contains(basis, vec) -> bool:
+    v = dict(vec)
+    for b in basis:
+        f = v.get(min(b))
+        if f:
+            for j, x in b.items():
+                v[j] = v.get(j, 0) - f * x
+    return not any(v.values())
+
+
+def fraction_sum(a, b) -> list:
+    return fraction_canonical([*a, *b])
+
+
+def fraction_intersection(a, b, ambient_dim) -> list:
+    if not a or not b:
+        return []
+    minus_b = ({i: -x for i, x in v.items()} for v in b)
+    stacked = RatMatrix._of_rows([*a, *minus_b], ambient_dim).transpose()
+    kept = fraction_kernel(stacked.data, len(a) + len(b))
+    return fraction_canonical(combination({j: c for j, c in kv.items() if j < len(a)}, a)
+                              for kv in kept)
+
+
+def fraction_centralizer(g, s, within) -> list:
+    """{x in span(within) : [x, span(s)] = 0} by Fraction brackets."""
+    if not within or not s:
+        return list(within)
+    rows = []
+    for sv in s:
+        images = [g.bracket(wv, sv) for wv in within]
+        rows += RatMatrix._of_rows(images, g.dim).transpose().data
+    kept = fraction_kernel(rows, len(within))
+    return fraction_canonical(combination(x, within) for x in kept)
+
+
+def fraction_ad(g, v) -> RatMatrix:
+    """ad(v) with one Fraction bracket per column."""
+    return RatMatrix.from_columns(g.dim, [dense(g.bracket(v, {j: 1}), g.dim) for j in range(g.dim)])
 
 
 # Reference for ratlin.signature as it was before it read the signs of the
@@ -801,10 +866,8 @@ def rational_eigenspaces(a: RatMatrix) -> list[tuple[Fraction, "SubspaceBasis"]]
     if n > zero:
         radius = max(sum(map(abs, row.values())) for row in b.values())
         roots += _integer_roots(c[zero:], radius)
-    return [
-        (Fraction(t, d), _kernel([{**b[i], i: b[i].get(i, 0) - t} for i in range(n)], n))
-        for t in sorted(roots)
-    ]
+    shifted = lambda t: [{**b[i], i: b[i].get(i, 0) - t} for i in range(n)]  # dA - tI
+    return [(Fraction(t, d), SubspaceBasis(n, int_kernel(shifted(t), n))) for t in sorted(roots)]
 
 
 class RestrictedRootSpaces(NamedTuple):

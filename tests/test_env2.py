@@ -425,7 +425,7 @@ def test_memoized_invariance_still_rejects_a_non_invariant_element():
     # an equal value built anew reads the memo; it is still invariant
     assert iota_embed(t, Quad2(g, dict(omega.terms))) == iota_embed(t, omega)
     assert len(verdicts) == 2
-    # so does a multiple over a twin of g, on the twin's own reducer
+    # so does a multiple over a twin of g, on the (g, h) reducer
     assert iota_embed(t, sl2_casimir()[1].scale(3)) == iota_embed(t, omega).scale(3)
 
 
@@ -441,25 +441,58 @@ def counted_reducers(monkeypatch) -> list:
     return built
 
 
+def test_a_transfer_over_a_twin_builds_no_reducer(monkeypatch):
+    """An element over a twin of g (same labels and table, another object)
+    is asked about on the (g, h) reducer, not on a (twin, h) one."""
+    g, omega = sl2_casimir()
+    t = torus_triple(g)
+    expected = iota_embed(t, omega).scale(3)
+    reducers = counted_reducers(monkeypatch)
+    twin, twin_omega = sl2_casimir()
+    assert twin is not g and iota_embed(t, twin_omega.scale(3)) == expected
+    assert reducers == [] and twin._reducers == {}
+
+
+def test_a_second_invariance_check_hashes_no_fraction(built_catalog, monkeypatch):
+    """The reducer lookup reads h's hash and the memo lookup the element's
+    key, both computed once: asking again about omega_g hashes no Fraction."""
+    built = built_catalog["lorentzian-2"]
+    omega, h = built.omega_g, built.descriptor.h
+    assert check_h_invariant(omega, h)
+    hashes, original = [], Fraction.__hash__
+
+    def counted_hash(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    assert hash(Fraction(1, 3)) == original(Fraction(1, 3)) and len(hashes) == 1
+    hashes.clear()
+    assert check_h_invariant(omega, h)
+    assert hashes == []
+
+
 def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     built = catalog.BuiltTriple(catalog.builtin_entries()["lorentzian-2"])
     built.validate()
     d = built.descriptor
-    calls = {"is_subalgebra": 0, "check_h_invariant": 0, "bracket_with": 0}
-    for name in calls:
+    calls = {"is_subalgebra": 0, "h_invariant": 0, "bracket_with": 0}
+    for owner, name in ((env2, "is_subalgebra"), (IdealReducer, "h_invariant"),
+                        (env2, "bracket_with")):
 
-        def counted(*args, _name=name, _original=getattr(env2, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(env2, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     reducers = counted_reducers(monkeypatch)
     for seed in (None, 1, 2, 3):
         built.iota_of_casimir(complement_seed=seed)
-    # a lookup per transfer and one verdict on omega_g, one bracket per basis
-    # vector of h; two reducers, kept on g and l_alg: on a validated
-    # descriptor h and l cap h are subalgebras, so neither is checked
-    assert calls == {"is_subalgebra": 0, "check_h_invariant": 4, "bracket_with": d.h.dim}
+    # a lookup on the (g, h) reducer per transfer and one verdict on omega_g,
+    # one bracket per basis vector of h; two reducers, kept on g and l_alg:
+    # on a validated descriptor h and l cap h are subalgebras, so neither is
+    # checked
+    assert calls == {"is_subalgebra": 0, "h_invariant": 4, "bracket_with": d.h.dim}
     assert reducers == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
 
 

@@ -34,6 +34,9 @@ from helpers import (
     dense_ad,
     dense_bracket,
     dense_structure_table,
+    fraction_ad,
+    fraction_canonical,
+    fraction_centralizer,
     invariant_form_space,
     naive_direct_sum,
     naive_g2_matrices,
@@ -50,7 +53,14 @@ from helpers import (
 )
 from lietriples.env2 import casimir, symmetrized_casimir
 from lietriples.parabolic import maximal_abelian_in_s, restricted_roots
-from lietriples.ratlin import AmbientMismatch, RatMatrix, SubspaceBasis, inverse, signature
+from lietriples.ratlin import (
+    AmbientMismatch,
+    RatMatrix,
+    SubspaceBasis,
+    inverse,
+    over_one_denominator,
+    signature,
+)
 
 
 def sl2():
@@ -470,6 +480,44 @@ def test_centralizer_matches_ad_matrix_oracle(make):
         z = centralizer(g, s, within)
         assert z == ad_matrix_centralizer(g, s, within), trial
         assert all(type(x) is Fraction for v in z.vectors for x in v.values())
+
+
+def _seeded_vector(rng, n, density, big):
+    """Nonzero with probability density; big draws 12- to 15-digit entries."""
+    top, bottom = (10**15, 10**12) if big else (9, 4)
+    return {i: Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, bottom))
+            for i in range(n) if rng.random() < density}
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: sl(3), lambda: su(1, 2), g2_split, _sl2_over_21], ids=["sl3", "su12", "g2", "sl2/21"]
+)
+def test_int_centralizer_and_ad_match_the_fraction_routes(make):
+    """centralizer and ad, in ints through int_table, against the Fraction
+    brackets they replaced, on seeded vectors at densities 0.1, 0.5 and 1
+    (huge entries included) and on basis vectors, whose centralizers are
+    large."""
+    g = make()
+    rng = random.Random(f"int-centralizer/{g.dim}")
+    units = [{i: 1} for i in range(g.dim)]
+    for density in (0.1, 0.5, 1.0):
+        for big in (False, True):
+            v = _seeded_vector(rng, g.dim, density, big)
+            expected = fraction_ad(g, v)
+            assert g.ad(v) == expected
+            scaled, d_v = over_one_denominator({0: v})
+            rows, d = g.int_ad(scaled[0], d_v)
+            assert all(type(x) is int for r in rows for x in r.values())
+            assert RatMatrix([[Fraction(r.get(j, 0), d) for j in range(g.dim)] for r in rows]) == expected
+            for s_vecs in ([rng.choice(units)], [v], [v, rng.choice(units)]):
+                for within_vecs in (units, rng.sample(units, g.dim // 2),
+                                    [_seeded_vector(rng, g.dim, density, big) for _ in range(g.dim // 2)]):
+                    s, within = SubspaceBasis(g.dim, s_vecs), SubspaceBasis(g.dim, within_vecs)
+                    got = centralizer(g, s, within)
+                    oracle = fraction_centralizer(
+                        g, fraction_canonical(s_vecs), fraction_canonical(within_vecs))
+                    assert list(got.vectors) == oracle
+                    assert all(type(x) is Fraction for u in got.vectors for x in u.values())
 
 
 def test_is_subalgebra_cases():

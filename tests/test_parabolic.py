@@ -691,7 +691,7 @@ def test_kernel_systems_are_not_coerced_again(built_catalog, monkeypatch):
     """pairs.TripleDescriptor.in_l and liealg.centralizer stack Fractions
     they computed themselves and hand them to kernel, and
     the eigenvector route's rational_eigenspaces hands the integer rows of
-    dA - tI to ratlin._kernel, all without the coercing RatMatrix
+    dA - tI to ratlin.int_kernel, all without the coercing RatMatrix
     constructor; the kernels equal the oracles'."""
     d = built_catalog["g2"].descriptor
     g = d.l_alg

@@ -12,6 +12,11 @@ from helpers import (
     dense_kernel,
     dense_matmul,
     dense_rref,
+    fraction_canonical,
+    fraction_contains,
+    fraction_intersection,
+    fraction_kernel,
+    fraction_sum,
     restrict_operator,
     sparse,
 )
@@ -27,6 +32,7 @@ from lietriples.ratlin import (
     add_over,
     combination,
     coordinates_in,
+    int_kernel,
     inverse,
     kernel,
     over_one_denominator,
@@ -913,3 +919,83 @@ def test_add_over_adds_int_vectors_over_the_lcm():
         for i in {*u, *v}:
             assert Fraction(w.get(i, 0), d) == Fraction(u.get(i, 0), d_u) + Fraction(v.get(i, 0), d_v)
     assert add_over({}, 5, {1: 2}, 3) == ({1: 10}, 15)
+
+
+# -- int subspaces against the Fraction routes they replaced ---------------
+
+
+def fraction_view_is_canonical(sub: SubspaceBasis) -> bool:
+    """Every vector entry a Fraction, a 1 at its own pivot, and each int row
+    primitive with a positive pivot."""
+    return all(
+        all(type(x) is Fraction for x in v.values()) and v[p] == 1 and row[p] > 0
+        and all(type(x) is int for x in row.values()) and math.gcd(*row.values()) == 1
+        for v, row, p in zip(sub.vectors, sub.int_rows, sub.pivots())
+    )
+
+
+def subspace_cases():
+    """(rng, cols, vectors of a, vectors of b) over kernel_cases: a is
+    spanned by the rows, b by seeded rows of the same density and size plus
+    a combination of a's rows, so that the two meet."""
+    for rng, rows, cols, entries in kernel_cases():
+        a = [sparse(r) for r in entries]
+        density = rng.choice((0.1, 0.5, 1.0))
+        b = [sparse(r) for r in sparse_entries(rng, rng.randint(0, 3), cols, density, rng.random() < 0.5)]
+        if a and cols:
+            b.append(combination({k: rng.randint(-3, 3) for k in range(len(a))}, a))
+        yield rng, cols, a, b
+
+
+def test_int_subspaces_match_the_fraction_routes():
+    for rng, cols, a_vecs, b_vecs in subspace_cases():
+        a, b = SubspaceBasis(cols, a_vecs), SubspaceBasis(cols, b_vecs)
+        fa, fb = fraction_canonical(a_vecs), fraction_canonical(b_vecs)
+        assert list(a.vectors) == fa and list(b.vectors) == fb
+        assert list(kernel(coerced([dense(v, cols) for v in a_vecs], cols)).vectors) == (
+            fraction_kernel(a_vecs, cols))
+        assert list(subspace_sum(a, b).vectors) == fraction_sum(fa, fb)
+        meet = subspace_intersection(a, b)
+        assert list(meet.vectors) == fraction_intersection(fa, fb, cols)
+        for sub in (a, b, subspace_sum(a, b), meet):
+            assert fraction_view_is_canonical(sub)
+        inside = combination({k: rng.randint(-3, 3) for k in range(len(fa))}, fa)
+        stray = sparse(sparse_entries(rng, 1, cols, 0.5, True)[0]) if cols else {}
+        for v in (inside, stray, {0: 1} if cols else {}):
+            assert a.contains(v) == fraction_contains(fa, v)
+            # ints on the same line give the same answer
+            assert a.contains(over_one_denominator({0: v})[0][0]) == fraction_contains(fa, v)
+
+
+def test_int_kernel_spans_the_fraction_kernel():
+    for _, _, cols, entries in kernel_cases():
+        rows = [sparse(r) for r in entries]
+        vectors = int_kernel(list(rows), cols)
+        assert all(type(x) is int for v in vectors for x in v.values())
+        assert list(SubspaceBasis(cols, vectors).vectors) == fraction_kernel(rows, cols)
+        assert len(vectors) == len(fraction_kernel(rows, cols))
+
+
+def test_equal_spans_compare_and_hash_equal_however_they_were_built():
+    for rng, cols, a_vecs, _ in subspace_cases():
+        a = SubspaceBasis(cols, a_vecs)
+        ints = list(over_one_denominator(dict(enumerate(a_vecs)))[0].values())
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**13), rng.randint(1, 99))
+                  for _ in a_vecs]
+        scaled = [{i: c * x for i, x in v.items()} for c, v in zip(scales, a_vecs)]
+        permuted = rng.sample(a_vecs, len(a_vecs))
+        for vectors in (ints, scaled, permuted, a.int_rows, a.vectors, list(a.vectors)[::-1]):
+            other = SubspaceBasis(cols, vectors)
+            assert other == a and hash(other) == hash(a)
+            assert other.int_rows == a.int_rows and other.pivots() == a.pivots()
+        if a.dim:
+            smaller = SubspaceBasis(cols, a.vectors[1:])
+            assert smaller != a and smaller.dim == a.dim - 1
+
+
+def test_the_fraction_view_is_built_once_and_shared():
+    sub = SubspaceBasis(3, [{0: 2, 1: 4}, {2: Fraction(3, 7)}])
+    assert sub.int_rows == ({0: 1, 1: 2}, {2: 1})
+    assert sub.vectors is sub.vectors
+    assert sub.vectors == ({0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)})
+    assert SubspaceBasis(2, [{0: -6, 1: 4}]).int_rows == ({0: 3, 1: -2},)
