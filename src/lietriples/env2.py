@@ -5,26 +5,23 @@ fixed basis, as one map from the monomials (), X_i and X_i X_j with i <= j
 to their coefficients.  Reordering a product X_j X_i with j > i costs
 exactly one commutator, which keeps everything inside degree two.
 
-The two workhorses, reduction modulo a left ideal U(g) h and the transfer
-of an H-invariant element of U(g) into U(l) along g = l + h, rest on one
-degree-two identity.  Split every basis vector as X_k = f_k + eta_k with f_k
-in a front space complementary to h and eta_k in h.  Since f eta lies in
-U(g) h and eta_i f_j = f_j eta_i + [eta_i, f_j], modulo U(g) h
+The reduction modulo a left ideal U(g) h and the transfer of an H-invariant
+element of U(g) into U(l) along g = l + h rest on one identity.  Split each
+basis vector as X_k = f_k + eta_k, f_k in a front space complementary to h
+and eta_k in h.  Since f eta lies in U(g) h and eta_i f_j = f_j eta_i +
+[eta_i, f_j], modulo U(g) h, for every ordered pair (i, j),
 
     X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]).
 
-The reduction takes the standard complement of h as front space and reads
-the split off the echelon form of h.  The transfer takes a section of g/h
-inside l, the frame vectors off the pivots of l cap h, and reads the split
-off the coordinates of each class of g/h in the image of that section,
-through one BasisSolver on dim g - dim h vectors, once per triple.  Any
-split gives the same canonical image, because U(l) cap U(g) h = U(l)(l cap
-h) when l + h = g.  Products are collected in a coefficient table and
-normal-ordered once, in Python ints through the algebra's integer structure
-table (LieAlgebra.int_table), with one Fraction per output coefficient.
-Each algebra keeps one IdealReducer per span of h (ideal_reducer), which
-memoizes by value the coordinates (the terms of the reduced element) read by
-the decomposition and comparison modulo the ideal, and H-invariance verdicts.
+The reduction takes the standard complement of h as front space; the
+transfer takes a section of g/h inside l, solved once per triple.  Any split
+gives the same canonical image, since U(l) cap U(g) h = U(l)(l cap h) when
+l + h = g.  All of it runs in Python ints: an element is read once as int
+rows over one denominator (_int_rows), one kernel (_split_ints) applies the
+identity through the int structure tables (LieAlgebra.int_table), and only
+a result becomes a Quad2, one Fraction per coefficient (_over).  Each
+algebra keeps one IdealReducer per span of h (ideal_reducer), which
+memoizes by value the reduced terms and the H-invariance verdicts.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .liealg import LieAlgebra, check_ambient, is_subalgebra
+from .liealg import LieAlgebra, _table_bracket, check_ambient, is_subalgebra
 from .ratlin import (
     RatMatrix,
     SubspaceBasis,
@@ -87,16 +84,26 @@ class Quad2:
             c = _rat(c)
             if c != 0:
                 kept[m] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", kept)
-        object.__setattr__(self, "_key", None)
+        self._set(algebra, kept)
+
+    @classmethod
+    def _of_terms(cls, algebra: LieAlgebra, terms: dict) -> "Quad2":
+        """The Quad2 with these terms, normal-ordered monomials to nonzero
+        Fractions: nothing is coerced or checked, and the dict is kept."""
+        q = object.__new__(cls)
+        q._set(algebra, terms)
+        return q
+
+    def _set(self, algebra: LieAlgebra, terms: dict) -> None:
+        for name, value in (("algebra", algebra), ("terms", terms), ("_key", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quad2 is immutable")
 
     @staticmethod
     def zero(algebra: LieAlgebra) -> "Quad2":
-        return Quad2(algebra)
+        return Quad2._of_terms(algebra, {})
 
     def __add__(self, other: "Quad2") -> "Quad2":
         if not same_algebra(self.algebra, other.algebra):
@@ -104,14 +111,15 @@ class Quad2:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Quad2(self.algebra, terms)
+        return Quad2._of_terms(self.algebra, {m: c for m, c in terms.items() if c})
 
     def __sub__(self, other: "Quad2") -> "Quad2":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Quad2":
         c = _rat(c)
-        return Quad2(self.algebra, {m: c * v for m, v in self.terms.items()})
+        terms = {m: c * v for m, v in self.terms.items()} if c else {}
+        return Quad2._of_terms(self.algebra, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,31 +150,29 @@ class Quad2:
         return " + ".join(parts) or "0"
 
 
-def _normal_order(algebra: LieAlgebra, table: dict, lin: Optional[dict] = None) -> Quad2:
-    """sum c X_a X_b over the (a, b) -> c table, plus lin, in PBW normal
-    order; callers fill the table first and order it once, so no Quad2 is
-    built per term."""
-    scaled, d = over_one_denominator({0: table, 1: lin or {}})
-    quad, lin_m, d_t = _order_ints(algebra, scaled[0])
-    return _over(algebra, quad, d, *add_over(lin_m, d * d_t, scaled[1], d))
+def _normal_order(algebra: LieAlgebra, table: dict) -> Quad2:
+    """sum c X_a X_b over the (a, b) -> c table in PBW normal order; callers
+    fill the table first and order it once, so no Quad2 is built per term."""
+    scaled, d = over_one_denominator({0: table})
+    quad, lin, d_t = _order_ints(algebra.int_table, scaled[0])
+    return _over(algebra, quad, d, lin, d * d_t)
 
 
-def _order_ints(algebra: LieAlgebra, table: dict) -> tuple:
+def _order_ints(int_table: tuple, table: dict) -> tuple:
     """(quad, lin, d_t): sum c X_a X_b over the int (a, b) -> c table in PBW
-    normal order.  X_a X_b with a > b is X_b X_a + [X_a, X_b], and the
-    commutators go into lin over d_t, the denominator of the int table."""
-    int_table, d_t = algebra.int_table
+    normal order by int_table = (T, d_t), quad as int rows quad[a][b] with
+    a <= b.  X_a X_b with a > b is X_b X_a + [X_a, X_b], and the commutators
+    go into lin over d_t."""
+    structure, d_t = int_table
     quad: dict = {}
     lin: dict = {}
     for (a, b), c in table.items():
-        if not c:
-            continue
         if a > b:
-            for k, t in int_table.get((b, a), {}).items():
+            for k, t in structure.get((b, a), {}).items():
                 lin[k] = lin.get(k, 0) - c * t
             a, b = b, a
-        key = (a, b)
-        quad[key] = quad.get(key, 0) + c
+        row = quad.setdefault(a, {})
+        row[b] = row.get(b, 0) + c
     return quad, lin, d_t
 
 
@@ -203,9 +209,7 @@ def casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
     return _normal_order(algebra, table)
 
 
-def symmetrized_casimir(
-    algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix
-) -> Quad2:
+def symmetrized_casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix) -> Quad2:
     """(1/2) sum (X_i Y_i + Y_i X_i) over form-dual bases.
 
     Provably equal to casimir() for any symmetric form: the difference is
@@ -227,112 +231,108 @@ def symmetrized_casimir(
 
 
 def bracket_with(q: Quad2, x) -> Quad2:
-    """Commutator [q, x] with a degree-one element, normal-ordered.
-
-    x may be a basis index or a sparse vector; the result stays in degree
-    <= 2 since [deg 2, deg 1] has degree <= 2.  Only the basis vectors X_i
-    that occur in q are bracketed with x.
-    """
+    """Commutator [q, x] with a degree-one element x, a basis index or a
+    sparse vector of exact rationals (read as _rat reads them): the products
+    of _bracket_rows, normal-ordered once."""
     algebra = q.algebra
-    xv = {x: 1} if isinstance(x, int) else x
-    ad = {i: algebra.bracket({i: 1}, xv) for m in q.terms for i in m}  # ad[i] = [X_i, x]
-    table: dict = {}
-    for m, c in q.terms.items():
+    xv, d_x = over_one_denominator({0: {x: 1} if isinstance(x, int) else
+                                    {k: _rat(c) for k, c in x.items()}})
+    rows, lin, d_q = _int_rows(q)
+    rows, lin = _bracket_rows(rows, lin, algebra.int_table[0], xv[0])
+    table = {(i, j): c for i, row in rows.items() for j, c in row.items()}
+    quad, lin_o, d_t = _order_ints(algebra.int_table, table)
+    d = d_q * d_x * d_t  # the table's d_t and that of the commutators
+    return _over(algebra, quad, d, *add_over(lin_o, d * d_t, lin, d))
+
+
+def _int_rows(q: Quad2) -> tuple:
+    """(rows, lin, d): the terms c X_i X_j of q as rows[i][j] = d c and c X_k
+    as lin[k] = d c, in Python ints over one denominator d."""
+    scaled, d = over_one_denominator({0: q.terms})
+    rows: dict = {}
+    lin: dict = {}
+    for m, c in scaled[0].items():
         if len(m) == 2:
-            # [X_i X_j, x] = X_i [X_j, x] + [X_i, x] X_j
-            i, j = m
-            add_outer(table, {i: c}, ad[j])
-            add_outer(table, ad[i], {j: c})
-    lin = {m[0]: c for m, c in q.terms.items() if len(m) == 1}
-    return _normal_order(algebra, table, combination(lin, ad))
+            rows.setdefault(m[0], {})[m[1]] = c
+        elif m:
+            lin[m[0]] = c
+    return rows, lin, d
+
+
+def _bracket_rows(rows: dict, lin: dict, structure: dict, y: dict) -> tuple:
+    """(rows, lin) of [q, y] for q in int rows and lin and an int vector y,
+    by an int structure table over d_t: [X_i X_j, y] = X_i [X_j, y] + [X_i,
+    y] X_j as rows, not normal-ordered, and sum c_k [X_k, y] as lin, both
+    scaled by d_t.  Each index of q is bracketed with y once."""
+    indices = {*rows, *lin, *(j for row in rows.values() for j in row)}
+    ad = {i: _table_bracket(structure, {i: 1}, y) for i in indices}  # [X_i, y]
+    out: dict = {}
+    for i, row in rows.items():
+        out_i = out.setdefault(i, {})
+        for j, c in row.items():
+            for b, x in ad[j].items():  # X_i [X_j, y]
+                out_i[b] = out_i.get(b, 0) + c * x
+            for a, x in ad[i].items():  # [X_i, y] X_j
+                out_a = out.setdefault(a, {})
+                out_a[j] = out_a.get(j, 0) + c * x
+    return out, combination(lin, ad)
 
 
 def _reduce_split(q: Quad2, front_alg: LieAlgebra, split: tuple) -> Quad2:
-    """q modulo U(g) h, written over the front space through X_k = f_k + eta_k.
+    """q modulo U(g) h over the front space, by the split (front, d_f, eta,
+    d_e): front[k] = d_f f_k in front_alg coordinates, eta[k] = d_e eta_k.
 
-    The split is (front, d_f, eta, d_e) in Python ints: front[k] is d_f f_k
-    in front_alg coordinates and eta[k] is d_e eta_k in h in ambient
-    coordinates, both as sparse vectors.  Modulo U(g) h,
-
-        X_k = f_k    and    X_i X_j = f_i f_j + front([eta_i, f_j]),
-
-    because f eta and eta eta lie in U(g) h and eta_i f_j = f_j eta_i +
-    [eta_i, f_j].  Both terms are bilinear in (X_i, X_j), so one pass over
-    the quad terms c_ij X_i X_j of q fills two coefficient tables,
-
-        M[a, b] = sum c_ij f_i[a] f_j[b]      in front coordinates,
-        N[a, b] = sum c_ij eta_i[a] e_j[b]    in ambient coordinates,
-
-    in Python ints: with the c_ij over one denominator d_q, the tables hold
-    d_f^2 d_q M and d_e d_q N.  Grouping the terms by i, M = sum_i f_i (x)
-    (sum_j c_ij f_j).
-
-    N brackets eta_i with X_j = f_j + eta_j rather than with f_j.  The extra
-    [eta_i, eta_j] lies in h, so its front part is zero when the front space
-    is the standard complement of h, and lies in l cap h in the transfer,
-    where the final reduction modulo U(l)(l cap h) removes it.  N only
-    enters through the antisymmetric [X_a, X_b], so it is kept on a > b,
-    where normal ordering sum N[a, b] X_a X_b picks up exactly sum N[a, b]
-    [X_a, X_b] as its linear part.  Both tables are normal-ordered once
-    through the integer structure tables, M in front_alg and N in g; the
-    ambient rest, the linear part of q plus that of N, goes to the front in
-    one step, y -> sum_k y_k f_k, still in ints.  Each nonzero output
-    coefficient is then one Fraction.
+    The identity of the module docstring is bilinear, so _split_ints makes
+    one pass over the int rows c_ij of q for M = sum_i f_i (x) (sum_j c_ij
+    f_j), normal-ordered once in front_alg, and r = sum c_ij [eta_i, X_j],
+    sent with the linear part of q to the front, y -> sum_k y_k f_k.  r has
+    X_j = f_j + eta_j for f_j: the extra [eta_i, eta_j] lies in h, so its
+    front part is zero on the standard complement of h and lies in l cap h
+    in the transfer, whose reduction modulo U(l)(l cap h) removes it.
     """
-    return _over(front_alg, *_split_ints(q, front_alg, split))
+    rows, lin, d = _int_rows(q)
+    tables = (q.algebra.int_table, front_alg.int_table)
+    return _over(front_alg, *_split_ints(rows, d, lin, d, tables, split), q.terms.get((), 0))
 
 
-def _split_ints(q: Quad2, front_alg: LieAlgebra, split: tuple) -> tuple:
-    """(quad, d_quad, lin, d_lin, const): _reduce_split(q, front_alg, split)
-    with its quad and linear parts as int tables over one denominator each."""
+def _split_ints(rows: dict, d_q: int, lin: dict, d_l: int, tables: tuple, split: tuple) -> tuple:
+    """(quad, d_quad, lin, d_lin): rows / d_q + lin / d_l modulo U(g) h over
+    the front in ints; rows[i][j] is the coefficient of X_i X_j for any
+    ordered pair (i, j), tables (g.int_table, front_alg.int_table)."""
     front, d_f, eta, d_e = split
-    rows: dict = {}
-    for m, c in q.terms.items():
-        if len(m) == 2:
-            rows.setdefault(m[0], {})[m[1]] = c
-    rows, d_q = over_one_denominator(rows)
+    (structure, d_g), front_table = tables
     m_table: dict = {}
-    n_table: dict = {}
+    rest: dict = {}  # sum c_ij [eta_i, X_j], ambient coordinates
     for i, terms in rows.items():
         # sum_j c_ij f_j, front coordinates
         add_outer(m_table, front[i], combination(terms, front))
-        for a, x in eta[i].items():
-            for b, y in terms.items():  # sum_j c_ij e_j
-                if a > b:
-                    key = (a, b)
-                    n_table[key] = n_table.get(key, 0) + x * y
-                elif a < b:
-                    key = (b, a)
-                    n_table[key] = n_table.get(key, 0) - x * y
-    quad, lin, d_t = _order_ints(front_alg, m_table)
+        if eta[i]:
+            for k, x in _table_bracket(structure, eta[i], terms).items():
+                rest[k] = rest.get(k, 0) + x
+    quad, lin_m, d_t = _order_ints(front_table, m_table)
     d_quad = d_f * d_f * d_q
-    _, rest, d_g = _order_ints(q.algebra, n_table)  # sum N[a, b] [X_a, X_b]
-    lin_q, d_l = over_one_denominator({0: {m[0]: c for m, c in q.terms.items() if len(m) == 1}})
-    rest, d_r = add_over(rest, d_e * d_q * d_g, lin_q[0], d_l)
-    lin, d_lin = add_over(lin, d_quad * d_t, combination(rest, front), d_r * d_f)
-    return quad, d_quad, lin, d_lin, q.terms.get((), 0)
+    rest, d_r = add_over(rest, d_e * d_q * d_g, lin, d_l)
+    lin, d_lin = add_over(lin_m, d_quad * d_t, combination(rest, front), d_r * d_f)
+    return quad, d_quad, lin, d_lin
 
 
 def _over(algebra: LieAlgebra, quad: dict, d_quad: int, lin: dict, d_lin: int, const=0) -> Quad2:
-    """The Quad2 of quad / d_quad, lin / d_lin and const, one Fraction per
-    nonzero coefficient."""
-    terms = {k: Fraction(n, d_quad) for k, n in quad.items() if n}
+    """The Quad2 of the int rows quad / d_quad, lin / d_lin and const, a
+    coefficient of q or 0, with one Fraction per nonzero coefficient."""
+    terms = {(a, b): Fraction(n, d_quad) for a, row in quad.items() for b, n in row.items() if n}
     terms.update({(k,): Fraction(n, d_lin) for k, n in lin.items() if n})
-    terms[()] = const
-    return Quad2(algebra, terms)
+    if const:
+        terms[()] = const
+    return Quad2._of_terms(algebra, terms)
 
 
 def _echelon_split(h: SubspaceBasis) -> tuple:
-    """(front, d, eta, d): the split X_k = f_k + eta_k whose front space is
-    the standard complement of h, both as int vectors over d in ambient
-    coordinates.
-
-    h is in reduced echelon form, so the standard basis vectors off its
-    pivots span a complement.  Off a pivot X_i = f_i with eta_i = 0; at the
-    pivot p of the h vector v, eta_p = v and f_p = e_p - v, zero at every
-    pivot.  The front part y -> sum_k y_k f_k is the projection of g onto
-    the coordinates off the pivots, with kernel h.  No elimination is needed.
-    """
+    """(front, d, eta, d): the split X_k = f_k + eta_k in int vectors over
+    d, the front space spanned by the standard basis off the pivots of h.
+    Off a pivot X_i = f_i with eta_i = 0; at the pivot p of the h vector v,
+    eta_p = v and f_p = e_p - v, zero at every pivot: y -> sum_k y_k f_k
+    projects g onto the coordinates off the pivots, with kernel h.  No
+    elimination is needed."""
     n = h.ambient_dim
     vectors, d = over_one_denominator(dict(enumerate(h.vectors)))
     front = [{k: d} for k in range(n)]
@@ -344,21 +344,15 @@ def _echelon_split(h: SubspaceBasis) -> tuple:
 
 
 class IdealReducer:
-    """Canonical reduction modulo the left ideal U(g) h for a fixed h.
-
-    The split is _echelon_split(h).  The splitting identity of
-    _reduce_split then leaves only normal-ordered monomials in front
-    indices, which is the canonical form; the brackets picked up when
-    f_i f_j is normal-ordered in g are sent to the front again.
-    ideal_reducer and the transfer keep one on the algebra.  It holds its
-    basis_labels and int_table, not the algebra (so no cycle forms), and
-    checks each element against them (same_algebra) before any work or
-    memo lookup.  coordinates and h_invariant memoize by value, reduce does not.
-    """
+    """Canonical reduction modulo the left ideal U(g) h for a fixed h, on the
+    split _echelon_split(h).  It holds basis_labels and int_table, not the
+    algebra (so no cycle forms), and checks each element against them
+    (same_algebra) before any work or memo lookup.  coordinates and
+    h_invariant memoize by value, reduce does not."""
 
     def __init__(self, algebra: LieAlgebra, h: SubspaceBasis):
         self.basis_labels, self.int_table = algebra.basis_labels, algebra.int_table
-        self._h = h.vectors
+        self._h = h.int_rows
         self._split = _echelon_split(h)
         self._coordinates: dict = {}
         self._h_invariant: dict = {}
@@ -369,10 +363,16 @@ class IdealReducer:
 
     def reduce(self, q: Quad2) -> Quad2:
         self._check(q)
-        quad, d_quad, lin, d_lin, const = _split_ints(q, q.algebra, self._split)
+        rows, lin, d = _int_rows(q)
+        return _over(q.algebra, *self._reduce_ints(rows, d, lin, d), q.terms.get((), 0))
+
+    def _reduce_ints(self, rows: dict, d_q: int, lin: dict, d_l: int) -> tuple:
+        """The reduced form of rows / d_q + lin / d_l, in and out as _split_ints."""
+        tables = (self.int_table, self.int_table)
+        quad, d_quad, lin, d_lin = _split_ints(rows, d_q, lin, d_l, tables, self._split)
         front, d_f = self._split[:2]
         # the front space is no subalgebra: normal ordering f_i f_j leaves it
-        return _over(q.algebra, quad, d_quad, combination(lin, front), d_lin * d_f, const)
+        return quad, d_quad, combination(lin, front), d_lin * d_f
 
     def _memo(self, memo: dict, q: Quad2, compute):
         """compute(q), kept in memo by the value of q once q is checked."""
@@ -389,8 +389,17 @@ class IdealReducer:
 
     def h_invariant(self, q: Quad2) -> bool:
         """[q, y] = 0 mod U(g) h for every y in the basis of h."""
-        return self._memo(self._h_invariant, q, lambda q: all(
-            self.reduce(bracket_with(q, y)).is_zero() for y in self._h))
+        return self._memo(self._h_invariant, q, self._is_invariant)
+
+    def _is_invariant(self, q: Quad2) -> bool:
+        """h_invariant(q) in ints: [q, y] for each int row y of h, reduced, is 0."""
+        rows, lin, _ = _int_rows(q)
+        for y in self._h:
+            bracket_rows, bracket_lin = _bracket_rows(rows, lin, self.int_table[0], y)
+            quad, _, rest, _ = self._reduce_ints(bracket_rows, 1, bracket_lin, 1)
+            if rest or any(c for row in quad.values() for c in row.values()):
+                return False
+        return True
 
 
 def ideal_reducer(algebra: LieAlgebra, h: SubspaceBasis) -> IdealReducer:
@@ -422,43 +431,33 @@ def check_h_invariant(q: Quad2, h: SubspaceBasis) -> bool:
     return ideal_reducer(q.algebra, h).h_invariant(q)
 
 
-def iota_embed(
-    t: TripleDescriptor, q: Quad2, complement_seed: Optional[int] = None
-) -> Quad2:
+def iota_embed(t: TripleDescriptor, q: Quad2, complement_seed: Optional[int] = None) -> Quad2:
     """Transfer an H-invariant degree <= 2 element of U(g) into U(l).
 
-    Splits each basis vector as X_k = f_k + eta_k with f_k in l and eta_k
-    in h (_transfer_split).  The splitting identity of _reduce_split, its
-    two tables M and N filled in one pass over q, writes q modulo U(g) h as
-    an element of U(l), which is then reduced modulo U(l)(l cap h).  Since
-    U(l) cap U(g) h = U(l)(l cap h) when l + h = g, the result is the
-    canonical representative of the image of q under the transfer map
-    whatever split is used; passing complement_seed moves each f_k by a
-    seeded element of l cap h, for exercising exactly that.
-
-    Only a seeded shift of the split is built per call.  The descriptor
-    owns the canonical split, the (g, h) reducer the H-invariance verdicts
-    and l_alg the reducer modulo U(l)(l cap h).
+    Reduces q modulo U(g) h over the split X_k = f_k + eta_k, f_k in l and
+    eta_k in h (_transfer_split), then modulo U(l)(l cap h) on l_alg's
+    reducer, both by _split_ints with only int rows between them.  The
+    result is canonical whatever the split; complement_seed moves each f_k
+    by a seeded element of l cap h, for exercising exactly that.
     """
     if not same_algebra(q.algebra, t.g):
         raise ValueError("q is not an element over the ambient algebra")
     split = _transfer_split(t, complement_seed)
     if not ideal_reducer(t.g, t.h).h_invariant(q):
         raise NotInvariant("element is not H-invariant modulo U(g) h")
-    image = _reduce_split(q, t.l_alg, split)
-    return ideal_reducer(t.l_alg, t.l_cap_h_in_l).reduce(image)
+    rows, lin, d = _int_rows(q)
+    image = _split_ints(rows, d, lin, d, (t.g.int_table, t.l_alg.int_table), split)
+    image = ideal_reducer(t.l_alg, t.l_cap_h_in_l)._reduce_ints(*image)
+    return _over(t.l_alg, *image, q.terms.get((), 0))
 
 
 def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
-    """(front, d_f, eta, d_e) for g = l + h: X_k = f_k + eta_k with f_k in
-    l, in frame coordinates, and eta_k in h, both as sparse vectors in
-    Python ints, front[k] = d_f f_k and eta[k] = d_e eta_k.
+    """(front, d_f, eta, d_e) for g = l + h: front[k] = d_f f_k in frame
+    coordinates and eta[k] = d_e eta_k, X_k = f_k + eta_k with eta_k in h.
 
     Without a seed, the descriptor's canonical split, shared (not to be
-    mutated).  A seed adds a seeded integer combination sum c u of the basis
-    of l cap h to each f_k and subtracts sum c F u from eta_k, which keeps
-    eta_k = e_k - F f_k inside h: nothing is solved per call, and the shift
-    is int arithmetic, the basis and its images being kept over d_f and d_e.
+    mutated).  A seed adds a seeded sum c u over the basis of l cap h to a
+    copy of each f_k and subtracts sum c F u from eta_k, in ints.
     """
     if not t.triple_report.transitive:
         raise NotTransitive("l + h does not fill g")
@@ -466,12 +465,18 @@ def _transfer_split(t: TripleDescriptor, seed: Optional[int] = None) -> tuple:
     if seed is None:
         return front, d_f, eta, d_e
     rng = random.Random(seed)
-    n, moved = len(images), ([], [])
+    moved = ([], [])
     for f_k, eta_k in zip(front, eta):
-        c = {j: rng.randint(-3, 3) for j in range(n)}
-        # f_k + sum c_j u_j and eta_k - sum c_j F u_j; f_k and eta_k sit at index n
-        moved[0].append(combination({n: 1, **c}, [*basis, f_k]))
-        moved[1].append(combination({n: 1, **{j: -x for j, x in c.items()}}, [*images, eta_k]))
+        f_k, eta_k = dict(f_k), dict(eta_k)
+        for u, image in zip(basis, images):  # f_k + c u and eta_k - c F u
+            c = rng.randint(-3, 3)
+            if c:
+                for a, x in u.items():
+                    f_k[a] = f_k.get(a, 0) + c * x
+                for i, x in image.items():
+                    eta_k[i] = eta_k.get(i, 0) - c * x
+        moved[0].append({a: x for a, x in f_k.items() if x})
+        moved[1].append({i: x for i, x in eta_k.items() if x})
     return moved[0], d_f, moved[1], d_e
 
 
@@ -484,17 +489,12 @@ def _canonical_transfer_split(t: TripleDescriptor) -> tuple:
     _transfer_split, with the basis u of l cap h over d_f and the images F u
     in ambient coordinates over d_e, all in Python ints.
 
-    The frame vectors off the pivots of l cap h (in frame coordinates) span
-    a complement of l cap h in l.  When l + h = g (condition (ii) of the
-    descriptor's report) they map onto g/h isomorphically, a section of g/h
-    inside l.  The front part pi of _echelon_split(h) reads g/h as the
-    coordinates off the pivots of h, so f_k is the coordinates of pi(e_k)
-    in the basis {pi(frame_a) : a in the section}, put on those frame
-    vectors, and eta_k = e_k - frame f_k lies in the kernel of pi, h.
-
-    The descriptor is validated first: sigma is then an automorphism, so h =
-    fix(sigma) and l cap h are subalgebras, and their reducers are kept on
-    g and l_alg with no closure check.  pi is read off the first one.
+    The frame vectors off the pivots of l cap h span a complement of l cap h
+    in l, which maps onto g/h isomorphically when l + h = g.  The front part
+    pi of _echelon_split(h) reads g/h, so f_k is the coordinates of pi(e_k)
+    in the basis {pi(frame_a)} of that section, and eta_k = e_k - frame f_k
+    lies in the kernel of pi, h.  The descriptor is validated first, which
+    makes h and l cap h subalgebras: their reducers are kept unchecked.
     """
     t.validate()
     lh = t.l_cap_h_in_l

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import ENTRY_NAMES
+import probes
 from helpers import (
     basis_solver_split,
     dense,
@@ -476,9 +477,9 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     built = catalog.BuiltTriple(catalog.builtin_entries()["lorentzian-2"])
     built.validate()
     d = built.descriptor
-    calls = {"is_subalgebra": 0, "h_invariant": 0, "bracket_with": 0}
+    calls = {"is_subalgebra": 0, "h_invariant": 0, "_is_invariant": 0}
     for owner, name in ((env2, "is_subalgebra"), (IdealReducer, "h_invariant"),
-                        (env2, "bracket_with")):
+                        (IdealReducer, "_is_invariant")):
 
         def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
@@ -488,12 +489,18 @@ def test_transfers_check_invariance_and_build_the_reducer_once(monkeypatch):
     reducers = counted_reducers(monkeypatch)
     for seed in (None, 1, 2, 3):
         built.iota_of_casimir(complement_seed=seed)
-    # a lookup on the (g, h) reducer per transfer and one verdict on omega_g,
-    # one bracket per basis vector of h; two reducers, kept on g and l_alg:
-    # on a validated descriptor h and l cap h are subalgebras, so neither is
-    # checked
-    assert calls == {"is_subalgebra": 0, "h_invariant": 4, "bracket_with": d.h.dim}
+    # a lookup on the (g, h) reducer per transfer and one invariance
+    # computation, for the one value omega_g; two reducers, kept on g and
+    # l_alg: on a validated descriptor h and l cap h are subalgebras, so
+    # neither is checked
+    assert calls == {"is_subalgebra": 0, "h_invariant": 4, "_is_invariant": 1}
     assert reducers == [(id(d.g), d.h), (id(d.l_alg), d.l_cap_h_in_l)]
+    # later transfers, of omega_g or an equal value built anew, compute none
+    calls.update(dict.fromkeys(calls, 0))
+    built.iota_of_casimir(complement_seed=4)
+    iota_embed(d, Quad2(d.g, dict(built.omega_g.terms)))
+    assert calls == {"is_subalgebra": 0, "h_invariant": 2, "_is_invariant": 0}
+    assert len(reducers) == 2
 
 
 def test_transfer_validates_the_descriptor_first():
@@ -703,6 +710,115 @@ def test_casimir_and_bracket_match_the_termwise_products(built_catalog, name):
         assert bracket_with(q, sparse(x)) == termwise_bracket_with(q, x)
         i = rng.randrange(g.dim)
         assert bracket_with(q, i) == termwise_bracket_with(q, i)
+
+
+def family_or_shipped(built_catalog, name):
+    """A shipped entry from the session's catalog, or a family triple of
+    probes.FAMILY (lorentzian-4, su-3), built and validated."""
+    if name in built_catalog:
+        return built_catalog[name]
+    family, n = name.rsplit("-", 1)
+    bt = catalog.BuiltTriple(catalog.entry_from_json_dict(probes.family_entry(family, int(n))))
+    bt.validate()
+    return bt
+
+
+@pytest.mark.parametrize("name", [*ENTRY_NAMES, "lorentzian-4", "su-3"])
+def test_the_int_invariance_check_and_bracket_with_match_the_termwise_oracle(
+    built_catalog, name
+):
+    """The verdict on a fresh reducer, computed in ints, equals the termwise
+    reduction of the termwise [q, y] over the basis of h: true on omega_g,
+    and on seeded elements whatever it is.  A non-invariant element is
+    refused on every transfer, the verdict memoized or not.  bracket_with
+    equals the termwise bracket with x an index, a Fraction vector, and the
+    same vector as "p/q" strings."""
+    bt = family_or_shipped(built_catalog, name)
+    d = bt.descriptor
+    g, h = d.g, d.h
+    rng = random.Random(f"invariance/{name}")
+    elements = [bt.omega_g, *(random_quad2(g, rng) for _ in range(3))]
+
+    def oracle(q):
+        return all(termwise_reduce(termwise_bracket_with(q, dense(y, g.dim)), h).is_zero()
+                   for y in h.vectors)
+
+    verdicts = [IdealReducer(g, h).h_invariant(q) for q in elements]
+    assert verdicts == [oracle(q) for q in elements]
+    assert verdicts[0] is True and False in verdicts
+    for q, verdict in zip(elements, verdicts):
+        if not verdict:
+            for seed in (None, 5, None, 6):
+                with pytest.raises(NotInvariant):
+                    iota_embed(d, q, complement_seed=seed)
+    for q in elements[:2]:
+        i = rng.randrange(g.dim)
+        assert bracket_with(q, i) == termwise_bracket_with(q, i)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(g.dim)]
+        expected = termwise_bracket_with(q, x)
+        assert bracket_with(q, sparse(x)) == expected
+        assert bracket_with(q, {k: str(c) for k, c in sparse(x).items()}) == expected
+
+
+def test_bracket_with_brackets_each_index_of_q_once(built_catalog, monkeypatch):
+    """One _table_bracket per distinct index of q, not one per occurrence
+    of an index in q's monomials."""
+    seen = []
+    original = env2._table_bracket
+
+    def counted(table, v, w):
+        seen.append(v)
+        return original(table, v, w)
+
+    monkeypatch.setattr(env2, "_table_bracket", counted)
+    rng = random.Random("bracket-once")
+    for name in ENTRY_NAMES:
+        bt = built_catalog[name]
+        for q in (bt.omega_g, random_quad2(bt.g, rng)):
+            indices = {i for m in q.terms for i in m}
+            assert sum(map(len, q.terms)) > len(indices), name  # an index recurs
+            for x in (rng.randrange(bt.g.dim), {0: 1, bt.g.dim - 1: Fraction(-1, 2)}):
+                seen.clear()
+                bracket_with(q, x)
+                assert sorted(seen, key=list) == [{i: 1} for i in sorted(indices)], name
+
+
+def assert_canonical(q: Quad2, terms: dict) -> None:
+    """q, built unchecked, equals the checked Quad2(q.algebra, terms) term
+    for term, hashes alike and holds nonzero Fractions only."""
+    checked = Quad2(q.algebra, terms)
+    assert q.terms == checked.terms and q == checked and hash(q) == hash(checked)
+    assert all(type(c) is Fraction and c != 0 for c in q.terms.values())
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_unchecked_quad2_results_stay_canonical(built_catalog, name):
+    """Sums (with terms that cancel), differences, multiples and _over of
+    int rows holding zeros build their Quad2 unchecked; each is canonical."""
+    bt = built_catalog[name]
+    rng = random.Random(f"canonical/{name}")
+    for alg in (bt.g, bt.l_alg):
+        a, b = random_quad2(alg, rng), random_quad2(alg, rng)
+        partly_cancelling = a.scale(-1) + b
+        for x, y in ((a, b), (a, partly_cancelling), (b, a.scale(-1)), (a, a)):
+            keys = {*x.terms, *y.terms}
+            assert_canonical(x + y, {m: x.terms.get(m, 0) + y.terms.get(m, 0) for m in keys})
+            assert_canonical(x - y, {m: x.terms.get(m, 0) - y.terms.get(m, 0) for m in keys})
+        for c in (0, 1, -1, Fraction(-3, 2)):
+            assert_canonical(a.scale(c), {m: c * v for m, v in a.terms.items()})
+        assert a - a == Quad2.zero(alg) and (a - a).terms == {} and hash(a - a) == hash(Quad2.zero(alg))
+        assert a.scale(0).is_zero()
+        n = alg.dim
+        quad = {i: {j: rng.randint(-1, 1) for j in range(i, n, 3)} for i in range(0, n, 2)}
+        lin = {k: rng.randint(-2, 2) for k in range(n)}
+        d_quad, d_lin = rng.randint(1, 6), rng.randint(1, 6)
+        for const in (0, Fraction(-5, 3)):
+            expected = {(i, j): Fraction(c, d_quad) for i, row in quad.items() for j, c in row.items()}
+            expected.update({(k,): Fraction(c, d_lin) for k, c in lin.items()})
+            expected[()] = const
+            assert_canonical(env2._over(alg, quad, d_quad, lin, d_lin, const), expected)
+        for out in (bracket_with(a, rng.randrange(n)), reduce_mod_left_ideal(a, SubspaceBasis.zero(n))):
+            assert_canonical(out, out.terms)
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

@@ -1,6 +1,7 @@
 """The package's public names, resolved on first access, and the modules
 each CLI verb loads in a fresh interpreter."""
 
+import ast
 import functools
 import importlib
 import os
@@ -66,6 +67,29 @@ def test_no_module_but_ratlin_does_integer_arithmetic():
         if _INTEGER_ARITHMETIC.search(line)
     ]
     assert found == []
+
+
+# env2 runs in Python ints from reading an element to writing the result:
+# a Fraction is made only where a result leaves the ints (_over) and for
+# the half of symmetrized_casimir, so the transfer cannot slide back into
+# Fractions unseen
+def test_env2_makes_fractions_only_in_over_and_the_symmetrized_half():
+    source = (Path(lietriples.__file__).parent / "env2.py").read_text()
+    functions = [
+        (f.lineno, f.end_lineno, f.name)
+        for f in ast.walk(ast.parse(source))
+        if isinstance(f, ast.FunctionDef)
+    ]
+    found = [
+        ([name for start, end, name in functions if start <= k <= end] or ["<module>"])[-1]
+        + f": {line.strip()}"
+        for k, line in enumerate(source.splitlines(), 1)
+        if "Fraction(" in line
+    ]
+    assert [f for f in found if not f.startswith("_over: ")] == [
+        "symmetrized_casimir: half = Fraction(1, 2)"
+    ]
+    assert len(found) == 3
 
 
 # The structure constants are kept once, as LieAlgebra.int_table: no source
