@@ -3,7 +3,7 @@
 Entries are small recipes (which algebra, which involutions, which embedded
 subalgebra, which generator list) that build into validated
 TripleDescriptors.  Descriptor files are JSON with every rational serialized
-as a "p/q" string and read by ratlin._rat, so no float can enter.
+as a "p/q" string and read by _exact._rat, so no float can enter.
 
 Conventions fixed here:
   * so(p, q) always uses the defining form J = diag(I_p, -I_q), and theta is
@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from . import env2
+from ._exact import SCHEMA_VERSION, _rat, canonical_json
 from .env2 import Quad2, casimir
 from .liealg import (
     LieAlgebra,
@@ -50,9 +51,7 @@ from .pairs import (
     negative_transpose_involution,
     swap_involution,
 )
-from .ratlin import RatMatrix, SubspaceBasis, _rat
-
-SCHEMA_VERSION = 1
+from .ratlin import RatMatrix, SubspaceBasis
 
 # Largest matrix size a descriptor may request: p + q for so, u and su (and
 # for l's u_realified), n for sl, the sum over the factors for a direct sum.
@@ -165,7 +164,7 @@ def _sizes(recipe: dict, keys: str, where: str, minimum: int) -> list:
 
 
 def _rational(value, where: str) -> Fraction:
-    """value read by ratlin._rat, the one rule for exact rationals (a JSON
+    """value read by _exact._rat, the one rule for exact rationals (a JSON
     integer or an integer or "p/q" string), refused at where."""
     try:
         return _rat(value)
@@ -558,11 +557,6 @@ def get(name: str, extra: Optional[dict] = None) -> BuiltTriple:
 
 
 # -- on-disk format -----------------------------------------------------------
-
-
-def canonical_json(obj) -> str:
-    """The one JSON rendering used everywhere (machine output, caching)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _check_schema_version(data: dict, where: str) -> None:

@@ -21,6 +21,10 @@ output reproduces it exactly.
 
 Exit codes: 0 verified/success, 1 verification failure, 2 input error;
 the sphericity verdict reads no eigenvalue, so spherical has no exit 3.
+
+Importing this module loads spectra and _exact alone: spectrum runs on
+them.  The entry verbs import catalog, pairs and env2 (and through them
+liealg and ratlin) when they run, and spherical alone imports parabolic.
 """
 
 from __future__ import annotations
@@ -29,20 +33,23 @@ import argparse
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import catalog as cat
-from .catalog import CatalogError, canonical_json
-from .env2 import DegenerateForm, NotInvariant, NotTransitive
-from .pairs import DescriptorError, NotTransitiveTriple, check_transitive_triple
-from .ratlin import _rat
+from ._exact import SCHEMA_VERSION, _rat, canonical_json
 from .spectra import lorentzian_spectrum_report
+
+if TYPE_CHECKING:
+    from .catalog import BuiltTriple, CatalogEntry, CatalogError
+    from .pairs import DescriptorError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-def _resolve(args) -> cat.BuiltTriple:
+def _resolve(args) -> BuiltTriple:
+    from . import catalog as cat
+
     extra = {}
     if args.catalog:
         extra = cat.load_entries(args.catalog)
@@ -50,7 +57,7 @@ def _resolve(args) -> cat.BuiltTriple:
     if os.path.isfile(name):
         entries = cat.load_entries(name)
         if len(entries) != 1:
-            raise CatalogError(
+            raise cat.CatalogError(
                 f"{name}: file holds {len(entries)} entries; "
                 "pass a single-entry file or use --catalog plus the entry name"
             )
@@ -62,21 +69,31 @@ def _on_entry(verb):
     """verb(args, built) on the resolved entry, after the descriptor's
     checks.  A DescriptorError from those checks or from the verb (such as
     the Cartan split of l that spherical and casimir embed read) is an
-    input error naming the file and the field at fault."""
+    input error naming the file and the field at fault; an error of pairs
+    or env2 that refutes the triple is a verification failure."""
 
     def run(args) -> int:
-        built = _resolve(args)
+        from .env2 import DegenerateForm, NotInvariant, NotTransitive
+        from .pairs import DescriptorError, NotTransitiveTriple
+
         try:
-            built.descriptor.validate()
-            return verb(args, built)
-        except DescriptorError as exc:
-            raise _located(built.entry, exc) from None
+            built = _resolve(args)
+            try:
+                built.descriptor.validate()
+                return verb(args, built)
+            except DescriptorError as exc:
+                raise _located(built.entry, exc) from None
+        except (NotInvariant, NotTransitive, NotTransitiveTriple, DegenerateForm) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
 
     return run
 
 
-def _located(entry: cat.CatalogEntry, exc: DescriptorError) -> CatalogError:
+def _located(entry: CatalogEntry, exc: DescriptorError) -> CatalogError:
     """exc as a CatalogError naming the file and the field at fault."""
+    from .catalog import CatalogError
+
     field = exc.field
     if field in ("l", "l_frame", "l_labels"):
         # the frame is the l recipe's vectors, in the order given
@@ -92,10 +109,12 @@ def _emit(args, payload: dict, table_lines: list) -> None:
             print(line)
 
 
-def cmd_triples_check(args, built: cat.BuiltTriple) -> int:
+def cmd_triples_check(args, built: BuiltTriple) -> int:
+    from .pairs import check_transitive_triple
+
     report = check_transitive_triple(built.descriptor)
     payload = {
-        "schema_version": cat.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "command": "triples_check",
         "entry": built.entry.name,
         "reductively_embedded": report.reductive,
@@ -131,13 +150,13 @@ def cmd_triples_check(args, built: cat.BuiltTriple) -> int:
     return EXIT_OK if report.is_transitive_triple else EXIT_VERIFICATION
 
 
-def cmd_spherical(args, built: cat.BuiltTriple) -> int:
+def cmd_spherical(args, built: BuiltTriple) -> int:
     # parabolic is imported here, by the one verb that runs it
     from .parabolic import is_spherical_triple
 
     verdict, ev = is_spherical_triple(built.descriptor)
     payload = {
-        "schema_version": cat.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "command": "spherical",
         "entry": built.entry.name,
         "spherical": verdict,
@@ -177,11 +196,11 @@ def cmd_spherical(args, built: cat.BuiltTriple) -> int:
     return EXIT_OK
 
 
-def cmd_casimir_embed(args, built: cat.BuiltTriple) -> int:
+def cmd_casimir_embed(args, built: BuiltTriple) -> int:
     report = built.embedding_report()
     coeffs = report["coefficients"]
     payload = {
-        "schema_version": cat.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "command": "casimir_embed",
         "entry": built.entry.name,
         "generators": report["generators"],
@@ -239,7 +258,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_INPUT
     report = lorentzian_spectrum_report(args.n, cutoff)
     payload = {
-        "schema_version": cat.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
         "n": report.n,
         "cutoff": str(report.cutoff),
@@ -355,9 +374,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotInvariant, NotTransitive, NotTransitiveTriple, DegenerateForm) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .liealg import LieAlgebra, _table_bracket, check_ambient, is_subalgebra
+from .liealg import LieAlgebra, _check_indices, _table_bracket, check_ambient, is_subalgebra
 from .ratlin import (
     RatMatrix,
     SubspaceBasis,
@@ -233,10 +233,12 @@ def symmetrized_casimir(algebra: LieAlgebra, sub: SubspaceBasis, form: RatMatrix
 def bracket_with(q: Quad2, x) -> Quad2:
     """Commutator [q, x] with a degree-one element x, a basis index or a
     sparse vector of exact rationals (read as _rat reads them): the products
-    of _bracket_rows, normal-ordered once."""
+    of _bracket_rows, normal-ordered once.  An index that is no basis index
+    is a ValueError, as Quad2 refuses it in a monomial."""
     algebra = q.algebra
-    xv, d_x = over_one_denominator({0: {x: 1} if isinstance(x, int) else
-                                    {k: _rat(c) for k, c in x.items()}})
+    x = {x: 1} if isinstance(x, int) else {k: _rat(c) for k, c in x.items()}
+    _check_indices(x, algebra.dim)
+    xv, d_x = over_one_denominator({0: x})
     rows, lin, d_q = _int_rows(q)
     rows, lin = _bracket_rows(rows, lin, algebra.int_table[0], xv[0])
     table = {(i, j): c for i, row in rows.items() for j, c in row.items()}

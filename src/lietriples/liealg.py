@@ -93,7 +93,10 @@ class LieAlgebra:
 
     def bracket(self, v: dict, w: dict) -> dict:
         """[v, w] of two sparse vectors, as a sparse vector with no zero
-        coefficient; w is divided by d only when d != 1."""
+        coefficient; w is divided by d only when d != 1.  A key that is no
+        basis index is a ValueError."""
+        _check_indices(v, self.dim)
+        _check_indices(w, self.dim)
         table, d = self.int_table
         v = {i: _rat(a) for i, a in v.items()}
         w = {j: _rat(b) for j, b in w.items()} if d == 1 else {j: _rat(b) / d for j, b in w.items()}
@@ -161,6 +164,14 @@ def _matrix(n: int, entries: dict) -> RatMatrix:
 def _flatten(m: RatMatrix) -> dict:
     """A matrix as a sparse vector over its entries, row by row."""
     return {r * m.cols + c: x for r, row in enumerate(m.data) for c, x in row.items()}
+
+
+def _check_indices(v: dict, dim: int) -> None:
+    """ValueError unless every key of the sparse vector v is a basis index,
+    an int (not a bool) in [0, dim)."""
+    for k in v:
+        if type(k) is not int or not 0 <= k < dim:
+            raise ValueError(f"{k!r} is not a basis index of an algebra of dimension {dim}")
 
 
 def _table_bracket(table: dict, v: dict, w: dict) -> dict:

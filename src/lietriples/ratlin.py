@@ -3,25 +3,27 @@
 Everything downstream (Lie brackets, Killing forms, enveloping-algebra
 reductions) runs on top of this module.  Every value it takes in or hands
 back is a ``fractions.Fraction``; _rat, the package's one reader of exact
-input (descriptor files and the CLI read through it), also takes an int
-or a "p/q" string, and never a float.  Inside a kernel the arithmetic may
-run in Python ints: the one elimination, _rref, works on primitive integer
-rows and divides only its final pivot rows into Fractions, or keeps them as
-the int rows SubspaceBasis holds and the subspace kernels read; char_poly hands
-back the integer characteristic polynomial of dA with d, and signature and
-rational_joint_spectrum read inertia and joint rational spectra off it,
-with no eigenvector; BasisSolver solves in ints; over_one_denominator,
-add_over and lowest_terms scale to one denominator.  No other module takes
-a Fraction apart, and every change of basis goes through BasisSolver.
+input (defined in _exact, which the CLI front end loads without this
+module), also takes an int or a "p/q" string, and never a float.  Inside a
+kernel the arithmetic may run in Python ints: the one elimination, _rref,
+works on primitive integer rows and divides only its final pivot rows into
+Fractions, or keeps them as the int rows SubspaceBasis holds and the
+subspace kernels read; char_poly hands back the integer characteristic
+polynomial of dA with d, and signature and rational_joint_spectrum read
+inertia and joint rational spectra off it, with no eigenvector; BasisSolver
+solves in ints; over_one_denominator, add_over and lowest_terms scale to
+one denominator.  No other module takes a Fraction apart, and every change
+of basis goes through BasisSolver.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from ._exact import _rat
 
 
 class AmbientMismatch(ValueError):
@@ -39,29 +41,6 @@ class DependentBasis(ValueError):
 
 class IrrationalSpectrum(ArithmeticError):
     """Operators failed to diagonalize together over the rationals."""
-
-
-_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
-_MAX_DIGITS = 4300  # Python's default int_max_str_digits, whatever the setting
-
-
-def _rat(x) -> Fraction:
-    """x as a Fraction: a Fraction, an int (not a bool), or the text "p" or
-    "p/q" with an optional sign.  A wrong type or other text is a TypeError,
-    a zero denominator or more than _MAX_DIGITS digits in a row ValueError."""
-    if isinstance(x, Fraction):
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
-    if match is None:
-        raise TypeError(f"not an exact rational: {x!r}")
-    sign, p, q = match.groups(default="1")  # no "/q" reads as q = 1
-    if len(p) > _MAX_DIGITS or len(q) > _MAX_DIGITS:
-        raise ValueError(f"more than {_MAX_DIGITS} digits in a row")
-    if not int(q):
-        raise ValueError(f"zero denominator: {x!r}")
-    return Fraction(int(sign + p), int(q))
 
 
 # A vector is sparse, {index: coefficient}: subspaces, kernels, the rows

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .ratlin import _rat
+from ._exact import _rat
 
 
 # Most discrete eigenvalues a report lists; a larger cutoff is an input error.
@@ -46,7 +46,7 @@ class SpectrumReport(NamedTuple):
 def lorentzian_spectrum_report(n: int, cutoff) -> SpectrumReport:
     """Banded Laplace spectrum of the compact Lorentzian quotients.
 
-    Requires n >= 2, and a cutoff that ratlin._rat reads as an exact
+    Requires n >= 2, and a cutoff that _exact._rat reads as an exact
     rational (TypeError or ValueError otherwise).  The positive discrete
     eigenvalues are l^2 - n^2 for l = n+1, n+2, ... up to the cutoff; the
     three bands partition the real eigenvalue axis as (-inf, -n^2],

@@ -143,6 +143,14 @@ def test_monomials_off_the_algebra_are_refused_by_quad2(key):
         Quad2(sl(2), {key: 1})
 
 
+@pytest.mark.parametrize("x, key", [(99, "99"), ({7: 1}, "7")], ids=["index-99", "key-7"])
+def test_indices_off_the_algebra_are_refused_by_bracket_with(x, key):
+    """Once bracket_with(q, 99) and bracket_with(q, {7: 1}) on sl(2)
+    returned 0, where Quad2 refuses the same index in a monomial."""
+    with pytest.raises(ValueError, match=f"^{key} is not a basis index"):
+        bracket_with(Quad2(sl(2), {(1,): 1}), x)
+
+
 def test_bracket_with_casimir_is_central():
     g, omega = sl2_casimir()
     for i in range(3):

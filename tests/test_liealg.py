@@ -445,6 +445,18 @@ def test_floats_are_refused_by_the_bracket():
         sl(2).bracket({0: 1}, {1: 0.5})
 
 
+@pytest.mark.parametrize(
+    "v, w, key",
+    [({99: 1}, {0: 1}, "99"), ({0: 1}, {7: 1}, "7"), ({True: 1}, {0: 1}, "True")],
+    ids=["index-99", "key-7", "bool"],
+)
+def test_indices_off_the_algebra_are_refused_by_the_bracket(v, w, key):
+    """sl(2) has indices 0, 1, 2: a key past them, or one that is no int,
+    was once read as a zero basis vector."""
+    with pytest.raises(ValueError, match=f"^{key} is not a basis index"):
+        sl(2).bracket(v, w)
+
+
 def test_floats_are_refused_by_ad():
     with pytest.raises(TypeError, match="not an exact rational"):
         sl(2).ad({0: 0.5})

@@ -194,3 +194,45 @@ def test_only_spherical_loads_parabolic():
     assert "lietriples.parabolic" not in _loaded_by_verb("triples check")
     assert "lietriples.parabolic" not in _loaded_by_verb("casimir embed")
     assert "lietriples.parabolic" in _loaded_by_verb("spherical")
+
+
+def _package_modules(loaded: frozenset) -> list:
+    return sorted(m for m in loaded if m.startswith("lietriples."))
+
+
+# what the front end loads, and what an entry verb adds: the algebra
+FRONT_END = ["lietriples._exact", "lietriples.cli", "lietriples.spectra"]
+ALGEBRA = [f"lietriples.{m}" for m in ("catalog", "env2", "liealg", "pairs", "ratlin")]
+
+
+def test_the_front_end_and_spectrum_load_no_algebra():
+    loaded = _loaded_by("import lietriples.cli")
+    assert _package_modules(loaded) == FRONT_END
+    assert "json" not in loaded
+    assert _package_modules(_loaded_by_verb("spectrum")) == FRONT_END
+
+
+@pytest.mark.parametrize("verb", ["triples check", "spherical", "casimir embed"])
+def test_an_entry_verb_loads_the_algebra(verb):
+    parabolic = ["lietriples.parabolic"] if verb == "spherical" else []
+    assert _package_modules(_loaded_by_verb(verb)) == sorted(FRONT_END + ALGEBRA + parabolic)
+
+
+def test_the_benchmark_tests_load_every_module_the_tracer_patches():
+    """perfbench/test_perfbench.py lists the package's bindings after its
+    own imports and before Tracer.install imports the eight modules it
+    patches, so those imports alone must load all eight.  In this suite
+    other test modules load them first, so only `pytest perfbench` run on
+    its own would fail otherwise."""
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "test_perfbench.py").read_text())
+    imports = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lietriples")
+    ]
+    assert imports
+    # the modules Tracer.install imports, in its order
+    patched = ("cli", "catalog", "liealg", "pairs", "parabolic", "env2", "spectra", "ratlin")
+    missing = {f"lietriples.{m}" for m in patched} - _loaded_by("\n".join(imports))
+    assert not missing, (imports, sorted(missing))
